@@ -11,10 +11,10 @@
 // The workhorse is the ExactEvaluator class below: it separates the
 // expensive, work-independent setup (pattern shape, distinct chunk
 // classes, operation-cost invariants, scratch buffers) from the cheap
-// W-dependent part, so a golden-section search probing many W values for
-// one pattern shape pays no allocation and only a handful of expm1 calls
-// per probe. The evaluate_pattern() free function is a thin one-shot
-// wrapper kept as the simple API.
+// W-dependent part, so a Brent search probing many W values for one
+// pattern shape pays no allocation and only a handful of expm1 calls per
+// probe. The evaluate_pattern() free function is a thin one-shot wrapper
+// kept as the simple API.
 
 #include <cstddef>
 #include <cstdint>
@@ -56,7 +56,7 @@ struct OperationCosts {
 ///
 ///   ExactEvaluator evaluator(params, options);
 ///   evaluator.bind_canonical(kind, n, m);     // allocates once
-///   for (probe W : golden section)
+///   for (probe W : Brent's method on ln W)
 ///     double h = evaluator.overhead_at(W);    // allocation-free
 ///
 /// bind() hoists everything that does not depend on the total work W:

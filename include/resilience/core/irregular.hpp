@@ -45,8 +45,9 @@ struct IrregularSolution {
 
 /// Local search over heterogeneous shapes: starting from the homogeneous
 /// first-order optimum, tries per-segment chunk increments/decrements and
-/// segment insertion/removal, re-optimizing W (golden section) and the
-/// segment fractions at every candidate. Exact-evaluator objective.
+/// segment insertion/removal, re-optimizing W (Brent's method on ln W)
+/// and the segment fractions at every candidate. Exact-evaluator
+/// objective.
 [[nodiscard]] IrregularSolution optimize_irregular(const ModelParams& params,
                                                    const OptimizerOptions& options = {});
 

@@ -57,8 +57,9 @@ struct SimTable;
 [[nodiscard]] SimTable sim_table_from_json(const util::JsonValue& json);
 
 /// ServiceStats -> JSON: {"service":{submission counters},"cache":{tier
-/// counters},"sim":{simulate-mode counters}} — the block a `stats`
-/// request returns and an opt-in done line embeds.
+/// counters},"sim":{simulate-mode counters},"engine":{analytic search
+/// work}} — the block a `stats` request returns and an opt-in done line
+/// embeds.
 [[nodiscard]] util::JsonValue to_json(const ServiceStats& stats);
 
 /// CostEstimate -> JSON: {"units","cells","chains","seeded_chains",

@@ -87,6 +87,10 @@ struct ServiceStats {
   /// Aggregate Monte Carlo throughput over every computed cell
   /// (sim_runs / compute wall time); 0 until the first compute.
   double sim_runs_per_second = 0.0;
+  // Analytic engine work (core::EngineCounters over every compute).
+  std::uint64_t engine_lattice_cells = 0;  ///< (n, m) shapes W-searched
+  std::uint64_t engine_w_probes = 0;       ///< exact-model H(W) evaluations
+  std::uint64_t engine_full_bracket_fallbacks = 0;  ///< pinned-edge re-runs
 };
 
 /// Outcome of one submission.
@@ -174,6 +178,7 @@ class SweepService {
   std::atomic<std::uint64_t> joins_{0};
   std::atomic<std::uint64_t> seeded_computes_{0};
   std::atomic<std::uint64_t> deadline_timeouts_{0};
+  core::EngineCounters engine_;  // every compute's optimizer counts here
 };
 
 }  // namespace resilience::service

@@ -77,7 +77,9 @@ class JsonValue {
   [[nodiscard]] const Object& as_object() const;
 
   /// Object lookup; nullptr when absent (or when this is not an object).
+  /// The mutable overload lets callers update a member in place.
   [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept;
+  [[nodiscard]] JsonValue* find(std::string_view key) noexcept;
 
   /// Builder helpers. set() appends (keys are expected unique by
   /// construction); push_back() appends to an array. Both throw JsonError

@@ -19,8 +19,8 @@ double optimal_segment_factor(std::size_t chunks, double recall) {
   return 0.5 * (1.0 + (2.0 - recall) / ((m - 2.0) * recall + 2.0));
 }
 
-/// Exact overhead of a heterogeneous shape after optimizing W by golden
-/// section. Returns +inf for shapes the evaluator rejects.
+/// Exact overhead of a heterogeneous shape after optimizing W by Brent's
+/// method on ln W. Returns +inf for shapes the evaluator rejects.
 double shape_overhead(const std::vector<std::size_t>& chunk_counts, double recall,
                       const ModelParams& params, const OptimizerOptions& options,
                       double* best_work) {
@@ -44,12 +44,12 @@ double shape_overhead(const std::vector<std::size_t>& chunk_counts, double recal
       return std::numeric_limits<double>::infinity();
     }
   };
-  const double work =
-      golden_section_minimize(objective, lo, hi, options.work_tolerance);
+  const WorkMinimum best =
+      brent_minimize_work(objective, lo, hi, options.work_tolerance);
   if (best_work != nullptr) {
-    *best_work = work;
+    *best_work = best.work;
   }
-  return objective(work);
+  return best.value;
 }
 
 }  // namespace

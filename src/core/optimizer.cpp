@@ -17,7 +17,7 @@ namespace resilience::core {
 
 namespace {
 
-constexpr double kGoldenRatio = 0.6180339887498949;  // (sqrt(5) - 1) / 2
+constexpr double kGoldenStep = 0.3819660112501051;  // (3 - sqrt(5)) / 2
 
 /// Exact overhead of the canonical (kind, n, m, W) pattern through the
 /// one-shot evaluate_pattern path (allocates per call); +inf where the
@@ -47,23 +47,24 @@ struct Cell {
   }
 };
 
-/// Exact evaluation of one cell: inner golden-section search over W, then
-/// the exact overhead at that optimum.
+/// Exact evaluation of one cell: the W search's optimum and the work it
+/// took (the latter feeds EngineCounters, never a result).
 struct CellValue {
   double overhead = std::numeric_limits<double>::infinity();
   double work = 0.0;
+  std::size_t probes = 0;
+  bool full_bracket_fallback = false;
 };
 
-/// Golden-section minimization over W with a bracket derived from `center`
-/// (the first-order W* or a warm-start hint): [center/50, 50*center]
-/// clamped to the global [work_lo, work_hi]. H is unimodal in W and the
-/// first-order W* is within a small factor of the true optimum in every
-/// regime we care about, so the tight bracket is normally safe — and when
-/// it is not (a stale warm hint), the minimizer lands on a tightened edge
-/// and the search re-runs on the full bracket, so the result never depends
-/// on the quality of the hint.
-double bracketed_work_minimum(const std::function<double(double)>& objective,
-                              double center, const OptimizerOptions& options) {
+/// Brent W search with a bracket derived from `center` (the cell's
+/// first-order W*): [center/50, 50*center] clamped to the global
+/// [work_lo, work_hi]. H is unimodal in W and the first-order W* is within
+/// a small factor of the true optimum in every regime we care about, so
+/// the tight bracket is normally safe — and when it is not, the minimizer
+/// lands on a tightened edge and the search re-runs on the full bracket,
+/// so the result never depends on the tightening.
+CellValue bracketed_work_minimum(const std::function<double(double)>& objective,
+                                 double center, const OptimizerOptions& options) {
   double lo = options.work_lo;
   double hi = options.work_hi;
   if (std::isfinite(center) && center > 0.0) {
@@ -74,24 +75,44 @@ double bracketed_work_minimum(const std::function<double(double)>& objective,
       hi = tight_hi;
     }
   }
-  double work = golden_section_minimize(objective, lo, hi, options.work_tolerance);
+  WorkMinimum best = brent_minimize_work(objective, lo, hi, options.work_tolerance);
+  CellValue value;
+  value.probes = best.probes;
   const double margin = 2.0 * options.work_tolerance;
-  const bool pinned_lo = work - lo <= margin && lo > options.work_lo;
-  const bool pinned_hi = hi - work <= margin && hi < options.work_hi;
+  const bool pinned_lo = best.work - lo <= margin && lo > options.work_lo;
+  const bool pinned_hi = hi - best.work <= margin && hi < options.work_hi;
   if (pinned_lo || pinned_hi) {
-    work = golden_section_minimize(objective, options.work_lo, options.work_hi,
-                                   options.work_tolerance);
+    best = brent_minimize_work(objective, options.work_lo, options.work_hi,
+                               options.work_tolerance);
+    value.probes += best.probes;
+    value.full_bracket_fallback = true;
   }
-  return work;
+  value.work = best.work;
+  value.overhead = best.value;
+  return value;
 }
 
-/// Fused cell evaluation: bind the (kind, n, m) shape once, then probe W
-/// through the allocation-free ExactEvaluator. One evaluator per worker
-/// thread persists across cells, so re-binding reuses the arena capacity
-/// instead of reallocating per cell.
-CellValue evaluate_cell_fused(PatternKind kind, std::size_t n, std::size_t m,
-                              const ModelParams& params,
-                              const OptimizerOptions& options) {
+/// Searches one (n, m) cell. The bracket center is always the cell's own
+/// first-order W*, never the caller's work_hint: a cell's (W, H) must be a
+/// pure function of (kind, n, m, params, evaluation options) so that cold,
+/// chain-warm and cross-grid-seeded searches all land on bit-identical
+/// values — the identity the sweep cache's partial-result reuse is built
+/// on. The fused path binds the shape once and probes W through the
+/// allocation-free ExactEvaluator (one per worker thread, so re-binding
+/// reuses the arena capacity); legacy_cell_evaluation probes through the
+/// per-probe make_pattern + evaluate_pattern baseline BENCH_micro.json
+/// keeps measuring the fused path against.
+CellValue evaluate_cell(PatternKind kind, std::size_t n, std::size_t m,
+                        const ModelParams& params,
+                        const OptimizerOptions& options) {
+  const double center = overhead_coefficients(kind, params, n, m).optimal_work();
+  if (options.legacy_cell_evaluation) {
+    return bracketed_work_minimum(
+        [&](double w) {
+          return exact_overhead(kind, n, m, w, params, options.evaluation);
+        },
+        center, options);
+  }
   thread_local std::optional<ExactEvaluator> shared_evaluator;
   if (shared_evaluator.has_value()) {
     shared_evaluator->reset(params, options.evaluation);
@@ -100,50 +121,15 @@ CellValue evaluate_cell_fused(PatternKind kind, std::size_t n, std::size_t m,
   }
   ExactEvaluator& evaluator = *shared_evaluator;
   evaluator.bind_canonical(kind, n, m);
-  const std::function<double(double)> objective = [&](double w) {
-    try {
-      return evaluator.overhead_at(w);
-    } catch (const std::domain_error&) {
-      return std::numeric_limits<double>::infinity();
-    }
-  };
-  // The bracket center is always the cell's own first-order W*, never the
-  // caller's work_hint: a cell's (W, H) must be a pure function of
-  // (kind, n, m, params, evaluation options) so that cold, chain-warm and
-  // cross-grid-seeded searches all land on bit-identical values — the
-  // identity the sweep cache's partial-result reuse is built on.
-  const double center = overhead_coefficients(kind, params, n, m).optimal_work();
-  CellValue value;
-  value.work = bracketed_work_minimum(objective, center, options);
-  value.overhead = objective(value.work);
-  return value;
-}
-
-/// The pre-sweep W search: per-probe make_pattern + evaluate_pattern, fixed
-/// first-order bracket, no interior fallback. Selected by
-/// OptimizerOptions::legacy_cell_evaluation so BENCH_micro.json can keep
-/// measuring the fused path against it.
-double legacy_optimize_work_length(PatternKind kind, std::size_t segments_n,
-                                   std::size_t chunks_m, const ModelParams& params,
-                                   const OptimizerOptions& options) {
-  const auto coeff = overhead_coefficients(kind, params, segments_n, chunks_m);
-  double lo = options.work_lo;
-  double hi = options.work_hi;
-  const double first_order_work = coeff.optimal_work();
-  if (std::isfinite(first_order_work) && first_order_work > 0.0) {
-    lo = std::max(options.work_lo, first_order_work / 50.0);
-    hi = std::min(options.work_hi, first_order_work * 50.0);
-    if (!(hi > lo)) {
-      lo = options.work_lo;
-      hi = options.work_hi;
-    }
-  }
-  return golden_section_minimize(
+  return bracketed_work_minimum(
       [&](double w) {
-        return exact_overhead(kind, segments_n, chunks_m, w, params,
-                              options.evaluation);
+        try {
+          return evaluator.overhead_at(w);
+        } catch (const std::domain_error&) {
+          return std::numeric_limits<double>::infinity();
+        }
       },
-      lo, hi, options.work_tolerance);
+      center, options);
 }
 
 /// Memoized, pool-parallel evaluator of (n, m) cells. Cell evaluations are
@@ -180,7 +166,7 @@ class CellEvaluator {
       for (const Cell& cell : fresh) {
         const CellValue value = evaluate(cell);
         const std::lock_guard lock(memo_mutex_);
-        memo_.emplace(cell.key(), value);
+        remember_locked(cell, value);
       }
       return;
     }
@@ -189,7 +175,7 @@ class CellEvaluator {
         [&](std::size_t i) {
           const CellValue value = evaluate(fresh[i]);
           const std::lock_guard lock(memo_mutex_);
-          memo_.emplace(fresh[i].key(), value);
+          remember_locked(fresh[i], value);
         },
         /*grain=*/1);  // cells are expensive; one ticket each
   }
@@ -209,20 +195,36 @@ class CellEvaluator {
     }
     const CellValue computed = evaluate(cell);
     const std::lock_guard lock(memo_mutex_);
-    return memo_.emplace(cell.key(), computed).first->second;
+    return remember_locked(cell, computed);
+  }
+
+  /// Adds every search this evaluator ran to `counters` (no-op on null).
+  /// Called once per optimize_pattern, so the shared atomics see one
+  /// update per call, not one per probe.
+  void report(EngineCounters* counters) {
+    if (counters == nullptr) {
+      return;
+    }
+    const std::lock_guard lock(memo_mutex_);
+    counters->lattice_cells.fetch_add(lattice_cells_, std::memory_order_relaxed);
+    counters->w_probes.fetch_add(w_probes_, std::memory_order_relaxed);
+    counters->full_bracket_fallbacks.fetch_add(fallbacks_,
+                                               std::memory_order_relaxed);
   }
 
  private:
   CellValue evaluate(const Cell& cell) const {
-    if (options_.legacy_cell_evaluation) {
-      CellValue value;
-      value.work =
-          legacy_optimize_work_length(kind_, cell.n, cell.m, params_, options_);
-      value.overhead = exact_overhead(kind_, cell.n, cell.m, value.work, params_,
-                                      options_.evaluation);
-      return value;
-    }
-    return evaluate_cell_fused(kind_, cell.n, cell.m, params_, options_);
+    return evaluate_cell(kind_, cell.n, cell.m, params_, options_);
+  }
+
+  /// Memoizes a searched cell and counts its work; the caller holds
+  /// memo_mutex_. Which cells get searched is fixed before any fan-out,
+  /// so the counts are the same at any pool size.
+  const CellValue& remember_locked(const Cell& cell, const CellValue& value) {
+    ++lattice_cells_;
+    w_probes_ += value.probes;
+    fallbacks_ += value.full_bracket_fallback ? 1 : 0;
+    return memo_.emplace(cell.key(), value).first->second;
   }
 
   PatternKind kind_;
@@ -231,47 +233,123 @@ class CellEvaluator {
   util::ThreadPool& pool_;
   std::unordered_map<std::uint64_t, CellValue> memo_;
   std::mutex memo_mutex_;
+  std::uint64_t lattice_cells_ = 0;
+  std::uint64_t w_probes_ = 0;
+  std::uint64_t fallbacks_ = 0;
 };
 
 }  // namespace
 
-double golden_section_minimize(const std::function<double(double)>& f, double lo,
-                               double hi, double tolerance) {
-  if (!(hi > lo)) {
-    throw std::invalid_argument("golden_section_minimize: empty bracket");
+WorkMinimum brent_minimize_work(const std::function<double(double)>& f,
+                                double lo, double hi, double tolerance) {
+  if (!(lo > 0.0) || !(hi > lo)) {
+    throw std::invalid_argument(
+        "brent_minimize_work: bracket must satisfy 0 < lo < hi");
   }
-  double a = lo;
-  double b = hi;
-  double x1 = b - kGoldenRatio * (b - a);
-  double x2 = a + kGoldenRatio * (b - a);
-  double f1 = f(x1);
-  double f2 = f(x2);
-  while (b - a > tolerance) {
-    if (f1 <= f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kGoldenRatio * (b - a);
-      f1 = f(x1);
+  if (!(tolerance > 0.0)) {
+    throw std::invalid_argument("brent_minimize_work: tolerance must be positive");
+  }
+  // Brent (1973), ch. 5 "fmin", on u = ln W. A W step of `tolerance` is a
+  // u step of tolerance / W >= tolerance / hi, so stopping on the latter
+  // is never looser in W than the absolute tolerance anywhere in [lo, hi].
+  const double sqrt_eps = std::sqrt(std::numeric_limits<double>::epsilon());
+  const double tolerance_u = tolerance / hi;
+  WorkMinimum result;
+  const auto probe = [&](double u) {
+    ++result.probes;
+    return f(std::exp(u));
+  };
+  double a = std::log(lo);
+  double b = std::log(hi);
+  double x = a + kGoldenStep * (b - a);  // best point so far
+  double fx = probe(x);
+  // The exact overhead is +inf past the W where the success probability
+  // underflows, so a non-finite probe has the finite region (if any) to
+  // its left: shrink toward lo until a probe is finite — golden section's
+  // tie-break on a plateau — before any parabola is fitted.
+  while (!std::isfinite(fx) && b - a > tolerance_u) {
+    b = x;
+    x = a + kGoldenStep * (b - a);
+    fx = probe(x);
+  }
+  double w = x;  // second best
+  double v = x;  // previous value of w
+  double fw = fx;
+  double fv = fx;
+  double d = 0.0;  // last step
+  double e = 0.0;  // step before last
+  for (;;) {
+    const double xm = 0.5 * (a + b);
+    const double tol1 = sqrt_eps * std::fabs(x) + tolerance_u / 3.0;
+    const double tol2 = 2.0 * tol1;
+    if (std::fabs(x - xm) <= tol2 - 0.5 * (b - a)) {
+      break;
+    }
+    bool parabolic = false;
+    if (std::fabs(e) > tol1) {
+      // Parabola through (v, fv), (w, fw), (x, fx): its vertex is x + p/q.
+      const double r = (x - w) * (fx - fv);
+      double q = (x - v) * (fx - fw);
+      double p = (x - v) * q - (x - w) * r;
+      q = 2.0 * (q - r);
+      if (q > 0.0) {
+        p = -p;
+      } else {
+        q = -q;
+      }
+      const double step_before_last = e;
+      e = d;
+      // Accept a finite vertex inside (a, b) that moves less than half the
+      // step before last (the guarantee against slow parabolic creep);
+      // +inf probes make p or q non-finite and fall through to golden.
+      if (std::isfinite(p) && std::isfinite(q) &&
+          std::fabs(p) < std::fabs(0.5 * q * step_before_last) &&
+          p > q * (a - x) && p < q * (b - x)) {
+        d = p / q;
+        const double u = x + d;
+        if (u - a < tol2 || b - u < tol2) {
+          d = std::copysign(tol1, xm - x);  // never probe next to an end
+        }
+        parabolic = true;
+      }
+    }
+    if (!parabolic) {
+      e = (x >= xm ? a : b) - x;
+      d = kGoldenStep * e;
+    }
+    const double u = x + (std::fabs(d) >= tol1 ? d : std::copysign(tol1, d));
+    const double fu = probe(u);
+    if (fu <= fx) {
+      (u >= x ? a : b) = x;
+      v = w;
+      fv = fw;
+      w = x;
+      fw = fx;
+      x = u;
+      fx = fu;
     } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kGoldenRatio * (b - a);
-      f2 = f(x2);
+      (u < x ? a : b) = u;
+      if (fu <= fw || w == x) {
+        v = w;
+        fv = fw;
+        w = u;
+        fw = fu;
+      } else if (fu <= fv || v == x || v == w) {
+        v = u;
+        fv = fu;
+      }
     }
   }
-  return 0.5 * (a + b);
+  result.work = std::exp(x);
+  result.value = fx;
+  return result;
 }
 
 double optimize_work_length(PatternKind kind, std::size_t segments_n,
                             std::size_t chunks_m, const ModelParams& params,
                             const OptimizerOptions& options) {
   params.validate();
-  if (options.legacy_cell_evaluation) {
-    return legacy_optimize_work_length(kind, segments_n, chunks_m, params, options);
-  }
-  return evaluate_cell_fused(kind, segments_n, chunks_m, params, options).work;
+  return evaluate_cell(kind, segments_n, chunks_m, params, options).work;
 }
 
 NumericSolution optimize_pattern(PatternKind kind, const ModelParams& params,
@@ -378,6 +456,8 @@ NumericSolution optimize_pattern(PatternKind kind, const ModelParams& params,
       }
     }
   }
+
+  evaluator.report(options.counters);
 
   n = best.n;
   m = best.m;

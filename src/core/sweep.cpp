@@ -251,7 +251,9 @@ std::optional<ChainKey> ChainKey::from_hex(std::string_view text) {
 ChainKey chain_key(const Platform& platform, const CostOverride& cost_override,
                    PatternKind kind, const SweepOptions& options) {
   SignatureHasher hasher;
-  hasher.mix(std::uint64_t{1});  // chain-key format version
+  // Format version 2: cell values come from the Brent W search; version-1
+  // spills and seeds (golden section) must not be served or reused.
+  hasher.mix(std::uint64_t{2});  // chain-key format version
   hasher.mix(platform.name);
   hasher.mix(std::uint64_t{platform.nodes});
   hasher.mix(platform.rates.fail_stop);
@@ -301,7 +303,7 @@ GridSignature grid_signature(const std::vector<ScenarioPoint>& points,
                              const std::vector<PatternKind>& kinds,
                              const SweepOptions& options) {
   SignatureHasher hasher;
-  hasher.mix(std::uint64_t{1});  // signature format version
+  hasher.mix(std::uint64_t{2});  // signature format version (see chain_key)
 
   // Everything an observer of the resulting SweepTable can see about a
   // point: platform identity and the fully resolved cost/rate parameters.

@@ -255,37 +255,25 @@ util::JsonValue ShardFleet::stats_json() const {
 
 namespace {
 
-/// Folds `addend` into `total` field by field: numbers sum, nested
-/// objects recurse, anything else keeps the first value seen. Built for
-/// the daemon's stats blocks, which are numeric counters all the way
-/// down — and rebuilt key by key because JsonValue::find() is const-only.
+/// Folds `addend` into `total`: numbers sum, objects merge key by key in
+/// place (keys `total` lacks are carried over — version skew across the
+/// fleet), anything else keeps the first value seen. Built for the
+/// daemon's stats blocks, which are numeric counters all the way down.
 void sum_json_counters(util::JsonValue& total, const util::JsonValue& addend) {
+  if (total.is_number() && addend.is_number()) {
+    total = total.as_double() + addend.as_double();
+    return;
+  }
   if (!total.is_object() || !addend.is_object()) {
     return;
   }
-  util::JsonValue merged = util::JsonValue::object();
-  for (const auto& [key, value] : total.as_object()) {
-    const util::JsonValue* other = addend.find(key);
-    if (other == nullptr) {
-      merged.set(key, value);
-    } else if (value.is_number() && other->is_number()) {
-      merged.set(key, value.as_double() + other->as_double());
-    } else if (value.is_object() && other->is_object()) {
-      util::JsonValue sub = value;
-      sum_json_counters(sub, *other);
-      merged.set(key, std::move(sub));
-    } else {
-      merged.set(key, value);
-    }
-  }
-  // Fields the first reporter lacked (version skew across the fleet):
-  // carry them through rather than dropping them.
   for (const auto& [key, value] : addend.as_object()) {
-    if (merged.find(key) == nullptr) {
-      merged.set(key, value);
+    if (util::JsonValue* mine = total.find(key)) {
+      sum_json_counters(*mine, value);
+    } else {
+      total.set(key, value);
     }
   }
-  total = std::move(merged);
 }
 
 }  // namespace
@@ -331,26 +319,18 @@ util::JsonValue ShardFleet::collect_shard_stats() {
       continue;
     }
     ++reporting;
-    // Every block except the envelope (type/request) is counters —
-    // service, cache and (for overload-controlled daemons) transport.
-    for (const auto& [key, value] : answer.as_object()) {
-      if (key == "type" || key == "request") {
-        continue;
-      }
-      if (const util::JsonValue* existing = merged.find(key)) {
-        util::JsonValue total = *existing;
-        sum_json_counters(total, value);
-        merged.set(key, std::move(total));
-      } else {
-        merged.set(key, value);
-      }
-    }
+    sum_json_counters(merged, answer);
   }
 
+  // Every block except the envelope (type/request) is counters —
+  // service, cache, sim, engine and (for overload-controlled daemons)
+  // transport.
   util::JsonValue aggregate = util::JsonValue::object();
   aggregate.set("reporting", reporting);
   for (const auto& [key, value] : merged.as_object()) {
-    aggregate.set(key, value);
+    if (key != "type" && key != "request") {
+      aggregate.set(key, value);
+    }
   }
   return aggregate;
 }

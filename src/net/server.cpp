@@ -482,9 +482,13 @@ struct NetServer::Impl {
     }
   }
 
-  void pop_head(const ConnPtr& conn) {
+  /// Removes and returns the head item, releasing its bytes from the
+  /// read-pause accounting first — before the move empties its line.
+  Conn::Item pop_head(const ConnPtr& conn) {
     conn->backlog_bytes -= conn->backlog.front().line.size();
+    Conn::Item item = std::move(conn->backlog.front());
     conn->backlog.pop_front();
+    return item;
   }
 
   /// The global dispatch pass: advances every connection's inline items,
@@ -548,8 +552,7 @@ struct NetServer::Impl {
   }
 
   void start_item(const ConnPtr& conn) {
-    Conn::Item item = std::move(conn->backlog.front());
-    pop_head(conn);
+    Conn::Item item = pop_head(conn);
     const auto now = Clock::now();
     virtual_time = std::max(virtual_time, item.start_tag);
     if (item.scenario) {

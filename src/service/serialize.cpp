@@ -389,10 +389,15 @@ JsonValue to_json(const ServiceStats& stats) {
   sim.set("runs", stats.sim_runs);
   sim.set("early_stops", stats.sim_early_stops);
   sim.set("runs_per_second", stats.sim_runs_per_second);
+  JsonValue engine = JsonValue::object();
+  engine.set("lattice_cells", stats.engine_lattice_cells);
+  engine.set("w_probes", stats.engine_w_probes);
+  engine.set("full_bracket_fallbacks", stats.engine_full_bracket_fallbacks);
   JsonValue out = JsonValue::object();
   out.set("service", std::move(service));
   out.set("cache", std::move(cache));
   out.set("sim", std::move(sim));
+  out.set("engine", std::move(engine));
   return out;
 }
 

@@ -129,6 +129,11 @@ ServiceStats SweepService::stats() const {
   stats.sim_runs = sim_->runs_executed();
   stats.sim_early_stops = sim_->early_stops();
   stats.sim_runs_per_second = sim_->runs_per_second();
+  stats.engine_lattice_cells =
+      engine_.lattice_cells.load(std::memory_order_relaxed);
+  stats.engine_w_probes = engine_.w_probes.load(std::memory_order_relaxed);
+  stats.engine_full_bracket_fallbacks =
+      engine_.full_bracket_fallbacks.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -158,6 +163,7 @@ SubmitResult SweepService::submit_impl(const core::ScenarioGrid& grid,
       // collision recompute) must mean genuinely cold.
       run_options.seed_source = with_seeds ? &seed_source : nullptr;
       run_options.cancel = cancel;
+      run_options.optimizer.counters = &engine_;
       const core::SweepRunner runner(run_options);
       return sink != nullptr ? std::make_shared<const core::SweepTable>(
                                    runner.run(grid, *sink))

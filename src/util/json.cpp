@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <system_error>
+#include <utility>
 
 namespace resilience::util {
 
@@ -404,6 +405,10 @@ const JsonValue* JsonValue::find(std::string_view key) const noexcept {
     }
   }
   return nullptr;
+}
+
+JsonValue* JsonValue::find(std::string_view key) noexcept {
+  return const_cast<JsonValue*>(std::as_const(*this).find(key));
 }
 
 void JsonValue::set(std::string key, JsonValue value) {

@@ -73,10 +73,12 @@ expect_drain "$DAEMON_PID" "reference daemon"
 # ------------------------------------- overloaded daemon + barrage --
 # Budget 400: one queued heavy (384 units) fits, a second heavy on top
 # does not (768 > 400) and is shed; a cheap request alongside a queued
-# heavy (385) still fits. Depth 8 backstops the cheap stream.
+# heavy (385) still fits. Depth 8 backstops the cheap stream. One request
+# worker: the three heavy clients contend for it on any core count, so
+# a heavy queues behind the executing one and the next is shed.
 "$BUILD/sweep_serverd" --port=0 --port-file="$TMP/port" \
     --cache-capacity=0 --max-queue-cost=400 --max-queue-depth=8 \
-    2>>"$TMP/daemon.log" &
+    --request-workers=1 2>>"$TMP/daemon.log" &
 DAEMON_PID=$!
 track_pid "$DAEMON_PID"
 wait_for_port "$TMP/port" "$DAEMON_PID" "daemon"

@@ -464,6 +464,31 @@ TEST(NetServer, CrlfRequestsAreServed) {
   EXPECT_EQ(complete_lines(client.read_response()), expected);
 }
 
+TEST(NetServer, ExecutedRequestsReleaseTheirBacklogBytes) {
+  // A connection stops being read while its queued request text exceeds
+  // write_buffer_limit / 2, and resumes below a quarter. Executed lines
+  // must leave that count: if they stayed in it, one serial client would
+  // wedge for good after write_buffer_limit / 2 bytes of requests. 400
+  // pings are ~13 KiB, over three times a 4 KiB limit.
+  rn::NetServerOptions options;
+  options.write_buffer_limit = 4 * 1024;
+  TestDaemon daemon(std::move(options));
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.set_receive_timeout(10000);  // a wedged read fails, never hangs
+
+  std::size_t sent_bytes = 0;
+  for (int i = 0; i < 400; ++i) {
+    const std::string id = "b" + std::to_string(i);
+    const std::string ping = "{\"type\": \"ping\", \"id\": \"" + id + "\"}";
+    sent_bytes += ping.size() + 1;
+    const Lines response = complete_lines(client.transact(ping));
+    ASSERT_EQ(response.size(), 1u) << "ping " << i;
+    ASSERT_EQ(response[0], "{\"type\":\"pong\",\"request\":\"" + id + "\"}");
+  }
+  EXPECT_GT(sent_bytes, 3u * 4u * 1024u);
+}
+
 TEST(NetServer, PingAnswersOnePongLine) {
   TestDaemon daemon;
   rn::Client client;
@@ -483,22 +508,27 @@ TEST(NetServer, PingAnswersOnePongLine) {
   EXPECT_NE(stats[0].find("\"submits\":0"), std::string::npos);
 }
 
-/// A grid guaranteed not to finish inside a short deadline: ~3000 cells
-/// of full numeric optimization.
+/// A grid that cannot finish inside a short deadline on any core count:
+/// one chain (a single platform, node count, cost and family), so its
+/// points run strictly one after another, and consecutive points swap
+/// the fail-stop and silent rates across four orders of magnitude, so
+/// each warm-started (n, m) descent crosses the lattice from the previous
+/// optimum — ~2 ms per point, a second of sequential compute for 512
+/// points on a current core, from a request of ~20 KB.
 std::string doomed_request(const std::string& id, int deadline_ms) {
   std::string request =
       "{\"id\": \"" + id +
-      "\", \"platforms\": [\"hera\", \"atlas\", \"coastal\", \"coastalssd\"], "
-      "\"node_counts\": [256, 1024, 4096, 16384], \"rate_factors\": [";
-  for (int i = 0; i < 8; ++i) {
-    if (i > 0) {
-      request += ", ";
-    }
-    request += "{\"fail_stop\": " + std::to_string(0.611 + i * 0.017) + "}";
+      "\", \"platforms\": [\"hera\"], \"node_counts\": [1024], "
+      "\"kinds\": [\"PDMV\"], \"rate_factors\": [";
+  for (int i = 0; i < 512; ++i) {
+    const double drift = 1.0 + 1e-4 * i;  // every point distinct
+    const double fail_stop = (i % 2 == 0 ? 0.01 : 100.0) * drift;
+    const double silent = (i % 2 == 0 ? 100.0 : 0.01) * drift;
+    request += (i == 0 ? "" : ", ");
+    request += "{\"fail_stop\": " + std::to_string(fail_stop) +
+               ", \"silent\": " + std::to_string(silent) + "}";
   }
-  request += "], \"cost_overrides\": [{\"disk_checkpoint\": 311.0}, "
-             "{\"disk_checkpoint\": 313.0}, {\"disk_checkpoint\": 317.0}, "
-             "{\"disk_checkpoint\": 319.0}]";
+  request += "]";
   if (deadline_ms > 0) {
     request += ", \"deadline_ms\": " + std::to_string(deadline_ms);
   }

@@ -1,4 +1,4 @@
-// Tests for the numeric optimizer: golden-section correctness, agreement
+// Tests for the numeric optimizer: Brent W-search correctness, agreement
 // with the first-order closed forms in the large-MTBF regime, and the
 // numeric chunk-fraction optimizer reproducing Eq. (18).
 
@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "resilience/core/first_order.hpp"
 #include "resilience/core/platform.hpp"
@@ -14,25 +15,47 @@
 
 namespace rc = resilience::core;
 
-TEST(GoldenSection, FindsParabolaMinimum) {
-  const double x = rc::golden_section_minimize(
-      [](double t) { return (t - 3.25) * (t - 3.25) + 1.0; }, 0.0, 10.0, 1e-8);
-  EXPECT_NEAR(x, 3.25, 1e-6);
+TEST(BrentWorkSearch, FindsParabolaMinimum) {
+  const auto f = [](double t) { return (t - 3.25) * (t - 3.25) + 1.0; };
+  const rc::WorkMinimum min = rc::brent_minimize_work(f, 0.01, 10.0, 1e-8);
+  EXPECT_NEAR(min.work, 3.25, 1e-6);
+  EXPECT_EQ(min.value, f(min.work));  // the reported value is a real probe
+  EXPECT_GT(min.probes, 0u);
 }
 
-TEST(GoldenSection, FindsAsymmetricMinimum) {
-  // f(w) = a/w + b*w has minimum at sqrt(a/b).
+TEST(BrentWorkSearch, FindsAsymmetricMinimum) {
+  // f(w) = a/w + b*w has minimum at sqrt(a/b); on ln w it is the cosh
+  // bowl the W search is built for, so parabolic steps converge in far
+  // fewer probes than golden section's ~log(range/tol)/log(1.618) = 57.
   const double a = 700.0;
   const double b = 3e-6;
-  const double x = rc::golden_section_minimize(
+  const rc::WorkMinimum min = rc::brent_minimize_work(
       [&](double w) { return a / w + b * w; }, 1.0, 1e8, 1e-4);
-  EXPECT_NEAR(x, std::sqrt(a / b), 1.0);
+  EXPECT_NEAR(min.work, std::sqrt(a / b), 1.0);
+  EXPECT_LT(min.probes, 30u);
 }
 
-TEST(GoldenSection, RejectsEmptyBracket) {
-  EXPECT_THROW(
-      (void)rc::golden_section_minimize([](double t) { return t; }, 1.0, 1.0, 1e-3),
-      std::invalid_argument);
+TEST(BrentWorkSearch, ShrinksTowardLoOnAnInfinitePlateau) {
+  // The exact overhead is +inf past the W where the success probability
+  // underflows. A plateau of equal +inf values must not pull the search
+  // toward hi: the finite bowl to its left still holds the minimum.
+  const auto f = [](double w) {
+    return w > 10.0 ? std::numeric_limits<double>::infinity()
+                    : (w - 3.0) * (w - 3.0) + 1.0;
+  };
+  const rc::WorkMinimum min = rc::brent_minimize_work(f, 1.0, 1e4, 1e-6);
+  EXPECT_NEAR(min.work, 3.0, 1e-4);
+  EXPECT_DOUBLE_EQ(min.value, f(min.work));
+}
+
+TEST(BrentWorkSearch, RejectsEmptyBracket) {
+  const auto f = [](double t) { return t; };
+  EXPECT_THROW((void)rc::brent_minimize_work(f, 1.0, 1.0, 1e-3),
+               std::invalid_argument);
+  EXPECT_THROW((void)rc::brent_minimize_work(f, 0.0, 1.0, 1e-3),
+               std::invalid_argument);  // ln W needs lo > 0
+  EXPECT_THROW((void)rc::brent_minimize_work(f, 1.0, 2.0, 0.0),
+               std::invalid_argument);
 }
 
 TEST(OptimizeWorkLength, NearFirstOrderOptimumAtLowRates) {
@@ -130,21 +153,31 @@ TEST(NumericChunkFractions, SingleChunkTrivial) {
 
 TEST(OptimizePattern, ParallelSweepIsDeterministicAcrossPoolSizes) {
   // Cell evaluations are pure and memoized; the pool only changes wall
-  // clock, never the solution.
+  // clock, never the solution — nor the counted search work.
   const auto params = rc::hera().model_params();
   resilience::util::ThreadPool one(1);
   resilience::util::ThreadPool four(4);
   for (const auto kind : {rc::PatternKind::kDMV, rc::PatternKind::kDM}) {
+    rc::EngineCounters serial_work;
     rc::OptimizerOptions serial;
     serial.pool = &one;
+    serial.counters = &serial_work;
+    rc::EngineCounters parallel_work;
     rc::OptimizerOptions parallel;
     parallel.pool = &four;
+    parallel.counters = &parallel_work;
     const auto a = rc::optimize_pattern(kind, params, serial);
     const auto b = rc::optimize_pattern(kind, params, parallel);
     EXPECT_EQ(a.segments_n, b.segments_n) << rc::pattern_name(kind);
     EXPECT_EQ(a.chunks_m, b.chunks_m) << rc::pattern_name(kind);
     EXPECT_DOUBLE_EQ(a.overhead, b.overhead) << rc::pattern_name(kind);
     EXPECT_DOUBLE_EQ(a.pattern.work(), b.pattern.work()) << rc::pattern_name(kind);
+    EXPECT_GT(serial_work.lattice_cells.load(), 0u) << rc::pattern_name(kind);
+    EXPECT_EQ(serial_work.lattice_cells.load(),
+              parallel_work.lattice_cells.load())
+        << rc::pattern_name(kind);
+    EXPECT_EQ(serial_work.w_probes.load(), parallel_work.w_probes.load())
+        << rc::pattern_name(kind);
   }
 }
 

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "resilience/net/router.hpp"
 #include "resilience/net/server.hpp"
 #include "resilience/net/socket.hpp"
+#include "resilience/util/json.hpp"
 
 namespace rn = resilience::net;
 namespace rs = resilience::service;
@@ -475,6 +477,73 @@ TEST(Router, StatsOptInMergesPerShardBlocksOnTheDoneLine) {
   ASSERT_EQ(collector.responses.size(), 2u);
   EXPECT_EQ(collector.responses[1].back().find("\"stats\":"),
             std::string::npos);
+}
+
+TEST(Router, AggregateStatsParseStrictlyWithEachCounterSummedOnce) {
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  namespace ru = resilience::util;
+  TestDaemon s1, s2;
+  // Different work per shard, sent to each daemon directly.
+  const auto serve = [](std::uint16_t port, const Lines& requests) {
+    rn::Client client;
+    client.connect("127.0.0.1", port);
+    for (const std::string& request : requests) {
+      EXPECT_TRUE(client.transact(request).complete) << request;
+    }
+  };
+  const auto stats_of = [](std::uint16_t port) {
+    rn::Client client;
+    client.connect("127.0.0.1", port);
+    const rn::Client::Response response =
+        client.transact("{\"type\": \"stats\", \"id\": \"s\"}");
+    EXPECT_EQ(response.lines.size(), 1u);
+    return ru::JsonValue::parse(response.lines.at(0));
+  };
+  serve(s1.port(), {"{\"id\": \"a\", \"platforms\": [\"hera\"], "
+                    "\"node_counts\": [256], \"kinds\": [\"PD\"]}"});
+  serve(s2.port(), {"{\"id\": \"b\", \"platforms\": [\"atlas\"], "
+                    "\"node_counts\": [512], \"kinds\": [\"PDMV\"]}",
+                    "{\"id\": \"c\", \"platforms\": [\"coastal\"], "
+                    "\"node_counts\": [1024]}"});
+  const ru::JsonValue one = stats_of(s1.port());
+  const ru::JsonValue two = stats_of(s2.port());
+
+  rn::ShardFleet fleet{fleet_options({s1.port(), s2.port()})};
+  Collector collector;
+  rn::RouterSession session(fleet, collector.fn());
+  session.handle_line("{\"type\": \"stats\", \"id\": \"agg\"}");
+  ASSERT_EQ(collector.responses.size(), 1u);
+  ASSERT_EQ(collector.responses[0].size(), 1u);
+  // The strict parser rejects a key repeated at any depth.
+  ru::JsonValue answer;
+  ASSERT_NO_THROW(answer = ru::JsonValue::parse(collector.responses[0][0]))
+      << collector.responses[0][0];
+  const ru::JsonValue* aggregate = answer.find("aggregate");
+  ASSERT_NE(aggregate, nullptr);
+  std::set<std::string> keys;
+  for (const auto& [key, value] : aggregate->as_object()) {
+    EXPECT_TRUE(keys.insert(key).second) << "repeated key " << key;
+  }
+  ASSERT_NE(aggregate->find("reporting"), nullptr);
+  EXPECT_EQ(aggregate->find("reporting")->as_double(), 2.0);
+  // Stats requests do not move these blocks (transport counters do), so
+  // each aggregate counter is exactly the two shards' sum.
+  for (const char* block : {"service", "cache", "sim", "engine"}) {
+    SCOPED_TRACE(block);
+    const ru::JsonValue* merged = aggregate->find(block);
+    ASSERT_NE(merged, nullptr);
+    ASSERT_NE(one.find(block), nullptr);
+    for (const auto& [key, value] : one.find(block)->as_object()) {
+      SCOPED_TRACE(key);
+      ASSERT_NE(merged->find(key), nullptr);
+      EXPECT_EQ(merged->find(key)->as_double(),
+                value.as_double() + two.find(block)->find(key)->as_double());
+    }
+  }
+  EXPECT_EQ(aggregate->find("service")->find("submits")->as_double(), 3.0);
+  EXPECT_GT(aggregate->find("engine")->find("lattice_cells")->as_double(), 0.0);
 }
 
 TEST(Router, CancelledSessionStopsDispatchingSilently) {

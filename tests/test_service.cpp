@@ -36,6 +36,19 @@ rc::ScenarioGrid small_grid() {
   return grid;
 }
 
+/// A grid whose exact optima sit far below the first-order W*: at a
+/// thousandfold error rate and a 3000 s disk checkpoint, some lattice
+/// cells' W searches land on the lower edge of the tight [W*/50, 50 W*]
+/// bracket and re-run on the full bracket.
+rc::ScenarioGrid pinned_edge_grid() {
+  rc::ScenarioGrid grid;
+  grid.platforms = {rc::hera()};
+  grid.node_counts = {65536};
+  grid.rate_factors = {{1000.0, 1000.0}};
+  grid.cost_overrides = {{3000.0, -1.0, -1.0}};
+  return grid;  // all six families
+}
+
 /// Collects streamed cells for set comparisons.
 class CollectSink final : public rc::CellSink {
  public:
@@ -543,6 +556,77 @@ TEST(Persistence, ForeignSpillUnderWrongNameIsRejected) {
       rc::tables_bit_identical(*result.table, rc::SweepRunner().run(grid_a)));
 }
 
+TEST(Persistence, SpillFromTheGoldenSectionFormatIsRejectedNotServed) {
+  // A cache directory written by the previous format version (signature
+  // and chain-key tag 1, golden-section W search): the one-cell table
+  // below and its seed sidecar, byte for byte as that build spilled them.
+  // Its cells differ from this build's in the last bits, so neither the
+  // table nor its chain optima may ever be served or reused.
+  const std::string v1_signature = "8f1c0b48e6a3fd79";
+  const std::string v1_table =
+      R"({"format":"sweep-table-spill-v1","payload_fnv":"4e3c98f723af349b",)"
+      R"("table":{"type":"sweep_table","kinds":["PD"],"points":[{)"
+      R"("platform_index":0,"node_index":0,"rate_index":0,"cost_index":0,)"
+      R"("platform":{"name":"Hera@512","nodes":512,"fail_stop":1.892e-06,)"
+      R"("silent":6.76e-06,"disk_checkpoint":300,"memory_checkpoint":15.4},)"
+      R"("params":{"costs":{"disk_checkpoint":300,"memory_checkpoint":15.4,)"
+      R"("disk_recovery":300,"memory_recovery":15.4,)"
+      R"("guaranteed_verification":15.4,"partial_verification":0.154,)"
+      R"("recall":0.8},"rates":{"fail_stop":1.892e-06,"silent":6.76e-06}}}],)"
+      R"("cells":[{"point":0,"kind":"PD","first_order":{"segments_n":1,)"
+      R"("chunks_m":1,"rational_n":1,"rational_m":1,)"
+      R"("work":6551.914902665681,"overhead":0.10097811247988349,)"
+      R"("error_free":330.8,"reexecuted_work":7.706e-06},)"
+      R"("exact_at_first_order":0.103121674134659,"segments_n":1,)"
+      R"("chunks_m":1,"work":6389.580418426433,)"
+      R"("overhead":0.10308825759962703,"warm_started":false}]}})";
+  const std::string v1_sidecar =
+      R"({"version":1,"entries":[{"signature":"8f1c0b48e6a3fd79",)"
+      R"("chains":[{"key":"a2abad0a05b32ab2","platform_index":0,)"
+      R"("cost_index":0,"kind":"PD"}]}]})";
+  const auto write_v1_cache = [&](const ScratchDir& dir) {
+    std::ofstream(dir.path() / (v1_signature + ".json")) << v1_table;
+    std::ofstream(dir.path() / "seed_index.json") << v1_sidecar;
+  };
+  rc::ScenarioGrid grid;
+  grid.platforms = {rc::hera()};
+  grid.node_counts = {512};
+  grid.kinds = {rc::PatternKind::kD};
+
+  {  // The identity tier: the same grid recomputes; the stale file,
+     // looked up under its own name, fails verification on load.
+    const ScratchDir dir("v1_identity");
+    write_v1_cache(dir);
+    rs::ServiceOptions options;
+    options.cache_dir = dir.str();
+    rs::SweepService service(options);
+    const rs::SubmitResult result = service.submit(grid);
+    EXPECT_FALSE(result.cache_hit);
+    EXPECT_NE(result.signature.hex(), v1_signature);
+    EXPECT_EQ(service.tables_computed(), 1u);
+    EXPECT_TRUE(
+        rc::tables_bit_identical(*result.table, rc::SweepRunner().run(grid)));
+    const auto stale = rc::GridSignature::from_hex(v1_signature);
+    ASSERT_TRUE(stale.has_value());
+    EXPECT_EQ(service.cache().find(*stale, service.options().sweep), nullptr);
+    EXPECT_EQ(service.stats().disk_rejects, 1u);
+  }
+  {  // The seed tier: a grid extending the stale one finds no seeds.
+    const ScratchDir dir("v1_seeds");
+    write_v1_cache(dir);
+    rs::ServiceOptions options;
+    options.cache_dir = dir.str();
+    rs::SweepService service(options);
+    auto extended = grid;
+    extended.node_counts.push_back(1024);
+    const rs::SubmitResult result = service.submit(extended);
+    EXPECT_FALSE(result.seeded);
+    EXPECT_EQ(service.stats().seed_hits, 0u);
+    EXPECT_TRUE(rc::tables_bit_identical(*result.table,
+                                         rc::SweepRunner().run(extended)));
+  }
+}
+
 TEST(SeedReuse, ConcurrentRelatedSubmissionsStayBitIdentical) {
   // The TSan target: concurrent submits of *different* but chain-sharing
   // grids exercise the seed index (reads) against cache inserts (writes).
@@ -740,6 +824,59 @@ TEST(ServiceStats, CountersTrackSubmissionOutcomes) {
   EXPECT_EQ(after.cache_lookup_hits, 1u);
   EXPECT_GE(after.cache_lookup_misses, 1u);
   EXPECT_EQ(after.cache_size, 1u);
+}
+
+TEST(ServiceStats, EngineCountersCountComputesNotReplays) {
+  rs::SweepService service;
+  const rs::ServiceStats fresh = service.stats();
+  EXPECT_EQ(fresh.engine_lattice_cells, 0u);
+  EXPECT_EQ(fresh.engine_w_probes, 0u);
+  EXPECT_EQ(fresh.engine_full_bracket_fallbacks, 0u);
+
+  const auto grid = pinned_edge_grid();
+  EXPECT_FALSE(service.submit(grid).cache_hit);  // cold: searches run
+  const rs::ServiceStats cold = service.stats();
+  EXPECT_GT(cold.engine_lattice_cells, 0u);
+  EXPECT_GT(cold.engine_w_probes, cold.engine_lattice_cells);
+  EXPECT_GT(cold.engine_full_bracket_fallbacks, 0u);
+
+  EXPECT_TRUE(service.submit(grid).cache_hit);  // identity hit: no search
+  const rs::ServiceStats hit = service.stats();
+  EXPECT_EQ(hit.engine_lattice_cells, cold.engine_lattice_cells);
+  EXPECT_EQ(hit.engine_w_probes, cold.engine_w_probes);
+  EXPECT_EQ(hit.engine_full_bracket_fallbacks,
+            cold.engine_full_bracket_fallbacks);
+
+  // The counters ride the stats surface as the "engine" block.
+  const std::string json = rs::to_json(hit).dump();
+  EXPECT_NE(json.find("\"engine\":{\"lattice_cells\":" +
+                      std::to_string(hit.engine_lattice_cells) +
+                      ",\"w_probes\":" + std::to_string(hit.engine_w_probes) +
+                      ",\"full_bracket_fallbacks\":" +
+                      std::to_string(hit.engine_full_bracket_fallbacks) + "}"),
+            std::string::npos)
+      << json;
+}
+
+TEST(ServiceStats, EngineCountersAreTheSameAtAnyPoolSize) {
+  auto grid = pinned_edge_grid();
+  grid.node_counts.push_back(512);  // plus an ordinary point per chain
+  std::vector<rs::ServiceStats> deltas;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ru::ThreadPool pool(threads);
+    rs::ServiceOptions options;
+    options.sweep.pool = &pool;
+    rs::SweepService service(options);
+    (void)service.submit(grid);
+    deltas.push_back(service.stats());
+  }
+  for (std::size_t i = 1; i < deltas.size(); ++i) {
+    EXPECT_EQ(deltas[i].engine_lattice_cells, deltas[0].engine_lattice_cells);
+    EXPECT_EQ(deltas[i].engine_w_probes, deltas[0].engine_w_probes);
+    EXPECT_EQ(deltas[i].engine_full_bracket_fallbacks,
+              deltas[0].engine_full_bracket_fallbacks);
+  }
+  EXPECT_GT(deltas[0].engine_full_bracket_fallbacks, 0u);
 }
 
 TEST(ServiceStats, DiskReloadAndSeedCountersSurface) {
