@@ -9,7 +9,6 @@
 // byte-identical (pinned by test_service).
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 #include "resilience/core/sweep.hpp"
@@ -68,11 +67,15 @@ struct SimTable;
 /// auditable against the latencies the transport records.
 [[nodiscard]] util::JsonValue to_json(const CostEstimate& estimate);
 
-/// One streamed-response JSONL line (no trailing newline):
-///   cell_line  -> {"type":"cell","request":...,"signature":...,<cell>}
-///   done_line  -> {"type":"done", summary of the finished table; with a
-///                  non-null `stats` a trailing "stats" block (requests
-///                  opt in via "stats": true)}
+/// One streamed-response JSONL line (no trailing newline). Cell and done
+/// lines of both modes share one envelope — "type", "request",
+/// "signature", then the mode's own fields:
+///   cell_line      -> {"type":"cell", ..., <SweepCell>}
+///   done_line      -> {"type":"done", ..., summary of the finished table}
+///   sim_cell_line  -> {"type":"cell", ..., <SimCell>: "mean","ci_low",
+///                      "ci_high","runs","early_stopped"}
+///   sim_done_line  -> {"type":"done", ..., "mode":"simulate", ..., "runs"
+///                      (total over all cells)}
 ///   stats_line -> {"type":"stats","request":...,<ServiceStats blocks>}
 ///   error_line -> {"type":"error","request":...,"field":...,"message":...}
 ///   overloaded_line -> an error line extended with a machine-readable
@@ -81,12 +84,14 @@ struct SimTable;
 ///                  (nothing executed), unlike plain error lines
 ///   pong_line  -> {"type":"pong","request":...} — the health probe's
 ///                 answer; a terminal line like done/stats/error
-/// done_line's optional `cost` appends the admission-time CostEstimate as
-/// a "cost" member of the (also optional) stats block; stats_line's
-/// optional `transport` appends a transport-layer block (scheduler
-/// counters + latency histograms — see NetServer::overload_stats_json)
-/// after the service/cache blocks. Both are opt-in so the stdin path's
-/// bytes are untouched.
+/// A done line's optional `stats` is appended verbatim as a trailing
+/// "stats" member (requests opt in via "stats": true): a daemon passes its
+/// ServiceStats blocks plus the admission-time "cost", the router its
+/// merged {"shards": [...]} block. stats_line's optional `transport`
+/// appends a transport-layer block (scheduler counters + latency
+/// histograms — see NetServer::overload_stats_json) after the
+/// service/cache blocks. Both are opt-in so the stdin path's bytes are
+/// untouched.
 [[nodiscard]] std::string cell_line(const std::string& request_id,
                                     core::GridSignature signature,
                                     const core::SweepCell& cell);
@@ -94,34 +99,14 @@ struct SimTable;
                                     core::GridSignature signature,
                                     const core::SweepTable& table,
                                     bool cache_hit, bool joined_in_flight,
-                                    const ServiceStats* stats = nullptr,
-                                    const CostEstimate* cost = nullptr);
-/// Variant taking a pre-assembled stats block verbatim — the router's
-/// merged done line embeds {"shards": [...]} (per-shard stats in fleet
-/// config order), which is not a local ServiceStats snapshot.
-[[nodiscard]] std::string done_line(const std::string& request_id,
-                                    core::GridSignature signature,
-                                    const core::SweepTable& table,
-                                    bool cache_hit, bool joined_in_flight,
-                                    const util::JsonValue& stats_block);
-/// Simulate-mode lines, same shape discipline as the sweep ones:
-///   sim_cell_line -> {"type":"cell", ..., "mean","ci_low","ci_high",
-///                     "runs","early_stopped"}
-///   sim_done_line -> {"type":"done", ..., "mode":"simulate", "runs"
-///                     (total over all cells), optional stats/cost}
-/// The JsonValue-stats variant mirrors done_line's (router merges).
+                                    const util::JsonValue* stats = nullptr);
 [[nodiscard]] std::string sim_cell_line(const std::string& request_id,
                                         core::GridSignature signature,
                                         const SimCell& cell);
 [[nodiscard]] std::string sim_done_line(const std::string& request_id,
                                         core::GridSignature signature,
                                         const SimTable& table, bool cache_hit,
-                                        const ServiceStats* stats = nullptr,
-                                        const CostEstimate* cost = nullptr);
-[[nodiscard]] std::string sim_done_line(const std::string& request_id,
-                                        core::GridSignature signature,
-                                        const SimTable& table, bool cache_hit,
-                                        const util::JsonValue& stats_block);
+                                        const util::JsonValue* stats = nullptr);
 [[nodiscard]] std::string stats_line(const std::string& request_id,
                                      const ServiceStats& stats,
                                      const util::JsonValue* transport = nullptr);
@@ -131,23 +116,5 @@ struct SimTable;
 [[nodiscard]] std::string overloaded_line(const std::string& request_id,
                                           std::int64_t retry_after_ms);
 [[nodiscard]] std::string pong_line(const std::string& request_id);
-
-/// CellSink writing one cell_line per cell to an ostream. The runner
-/// serializes sink calls, so this needs no locking of its own.
-class JsonlCellSink final : public core::CellSink {
- public:
-  JsonlCellSink(std::ostream& os, std::string request_id,
-                core::GridSignature signature);
-
-  void on_cell(const core::SweepCell& cell) override;
-
-  [[nodiscard]] std::size_t cells_written() const noexcept { return cells_; }
-
- private:
-  std::ostream& os_;
-  std::string request_id_;
-  core::GridSignature signature_;
-  std::size_t cells_ = 0;
-};
 
 }  // namespace resilience::service

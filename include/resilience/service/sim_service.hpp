@@ -11,9 +11,13 @@
 // (sim_cell_seed), so a router shard computing a slice of the grid emits
 // the same cell bytes the whole grid would.
 //
-// Reuse: two tiers, sharing SweepCache with the analytic path —
+// Reuse: two tiers, through the SweepCache the analytic path uses — one
+// LRU whose capacity counts the tables of both modes, one disk tier
+// ('<hex>.sim.json' spills), one verified loader:
 //   1. identity hit — the same sim signature was computed before
-//      (memory or the cache_dir disk tier); cells replay in table order.
+//      (memory or the cache_dir disk tier) and the cached table passes
+//      the shared collision guard (table_matches_grid, plus SimParams
+//      equality); cells replay in table order.
 //   2. compute      — cold: run the campaigns, publish the table.
 // No in-flight join and no seed tier for simulate results (scope:
 // campaigns are budget-bounded, so duplicated concurrent computes cost a
@@ -55,7 +59,8 @@ using SimCellFn = std::function<void(const SimCell&)>;
 
 class SimService {
  public:
-  /// `cache` supplies the sim identity tier (may be null: no caching);
+  /// `cache` is the table cache shared with the analytic path (may be
+  /// null: no caching);
   /// `pool` is the executor every campaign fans out on (null = global
   /// pool). Neither is owned; both must outlive the service.
   SimService(SweepCache* cache, util::ThreadPool* pool);

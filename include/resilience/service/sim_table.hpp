@@ -3,7 +3,9 @@
 // Result types of the simulate mode ("mode": "simulate" requests): a
 // SimTable is to the Monte Carlo path what core::SweepTable is to the
 // analytic one — an immutable, deterministically ordered result grid the
-// cache can share between identical requests. Cells are laid out
+// cache can share between identical requests. Both table types live in
+// the same SweepCache (one LRU, one disk tier) and stream through the
+// same line envelope (service/serialize.hpp). Cells are laid out
 // point-major, then family, then weibull_shape, then faulty_ops (the two
 // sim-only axes), so streaming a table in storage order IS the canonical
 // wire order and byte-identity across pool sizes, transports and router
@@ -67,10 +69,13 @@ struct SimTable {
 };
 
 /// Content identity of a simulate computation: the analytic grid signature
-/// of (points, kinds) extended with every SimParams field. Carried as a
-/// core::GridSignature for its hex round trip; sim and sweep signatures
-/// never collide in the cache (the tiers are separate maps) and the "sim-"
-/// domain tag keeps them from hashing equal anyway.
+/// of (points, kinds) under default options, extended with every
+/// SimParams field — so a change to the analytic signature format re-keys
+/// simulate tables too. Carried as a core::GridSignature for its hex round
+/// trip and its slot in SweepCache's one index, which it shares with
+/// analytic tables: the "sim-" domain tag keeps the two kinds of signature
+/// from hashing equal, and a lookup that finds the other mode's table
+/// under a signature is a miss anyway.
 [[nodiscard]] core::GridSignature sim_signature(
     const std::vector<core::ScenarioPoint>& points,
     const std::vector<core::PatternKind>& kinds, const SimParams& params);

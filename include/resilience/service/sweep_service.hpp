@@ -43,7 +43,8 @@ struct ServiceOptions {
   /// Execution options for cache misses. The pool/warm-start/seed fields
   /// do not enter the grid signature (they cannot change results).
   core::SweepOptions sweep;
-  /// LRU capacity in tables; 0 disables caching (every submit computes).
+  /// LRU capacity in tables, analytic and simulate together; 0 disables
+  /// caching (every submit computes).
   std::size_t cache_capacity = 64;
   /// Spill directory for evicted/shutdown cache entries (empty = no disk
   /// tier); see SweepCache.

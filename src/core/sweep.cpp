@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "resilience/core/expected_time.hpp"
+#include "resilience/util/fnv1a.hpp"
 #include "resilience/util/thread_pool.hpp"
 
 namespace resilience::core {
@@ -37,42 +38,11 @@ void check_override_field(const char* axis, std::size_t index,
   }
 }
 
-/// FNV-1a 64-bit over an explicit byte stream. Doubles are hashed by bit
-/// pattern, so the signature distinguishes exactly what a bit-identical
-/// table comparison would.
-class SignatureHasher {
- public:
-  void mix_bytes(const void* data, std::size_t size) noexcept {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < size; ++i) {
-      hash_ ^= bytes[i];
-      hash_ *= 1099511628211ull;
-    }
-  }
-  void mix(std::uint64_t value) noexcept { mix_bytes(&value, sizeof value); }
-  void mix(double value) noexcept {
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof value);
-    std::memcpy(&bits, &value, sizeof bits);
-    mix(bits);
-  }
-  void mix(bool value) noexcept { mix(std::uint64_t{value ? 1u : 0u}); }
-  void mix(const std::string& value) noexcept {
-    mix(std::uint64_t{value.size()});
-    mix_bytes(value.data(), value.size());
-  }
-
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 1469598103934665603ull;  // FNV offset basis
-};
-
 /// The option fields that change cell values — the shared factor of
 /// GridSignature and ChainKey. Warm-start policy, scan radius, seed source
 /// and pool choice are deliberately excluded: the runner guarantees they
 /// do not change results (pinned by the determinism/bit-identity tests).
-void mix_result_options(SignatureHasher& hasher, const SweepOptions& options) {
+void mix_result_options(util::Fnv1a& hasher, const SweepOptions& options) {
   hasher.mix(options.numeric_optimum);
   const OptimizerOptions& opt = options.optimizer;
   hasher.mix(std::uint64_t{opt.max_segments});
@@ -250,7 +220,7 @@ std::optional<ChainKey> ChainKey::from_hex(std::string_view text) {
 
 ChainKey chain_key(const Platform& platform, const CostOverride& cost_override,
                    PatternKind kind, const SweepOptions& options) {
-  SignatureHasher hasher;
+  util::Fnv1a hasher;
   // Format version 2: cell values come from the Brent W search; version-1
   // spills and seeds (golden section) must not be served or reused.
   hasher.mix(std::uint64_t{2});  // chain-key format version
@@ -302,7 +272,7 @@ GridSignature grid_signature(const ScenarioGrid& grid,
 GridSignature grid_signature(const std::vector<ScenarioPoint>& points,
                              const std::vector<PatternKind>& kinds,
                              const SweepOptions& options) {
-  SignatureHasher hasher;
+  util::Fnv1a hasher;
   hasher.mix(std::uint64_t{2});  // signature format version (see chain_key)
 
   // Everything an observer of the resulting SweepTable can see about a

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "resilience/util/fnv1a.hpp"
+
 namespace resilience::net {
 
 namespace {
@@ -18,12 +20,7 @@ std::uint64_t mix64(std::uint64_t x) {
 /// FNV-1a 64 over the shard id, then mixed: string identity -> stream
 /// seed.
 std::uint64_t shard_seed(const std::string& shard_id) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char byte : shard_id) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return mix64(hash);
+  return mix64(util::fnv1a(shard_id));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "resilience/net/router.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <exception>
 #include <thread>
@@ -32,6 +33,82 @@ int axis_index(const std::vector<double>& axis, double value) {
     }
   }
   return -1;
+}
+
+/// Where sub-response cells land in the merged table. A unit's sub-grid
+/// keeps the parent's node and rate axes (and the simulate axes), so a
+/// cell keeps its family and axis values and only its point index moves:
+/// sub point s of unit (platform p, cost override c) is parent point
+/// (p * chain_len + s) * costs_n + c. A cell's analytic slot is parent
+/// point * families + family slot; a simulate cell's slot is that times
+/// (shapes x ops), plus its (shape, ops) offset.
+struct MergeLayout {
+  std::size_t chain_len = 1;        ///< points per unit: nodes x rates
+  std::size_t costs_n = 1;          ///< cost-override axis length
+  std::size_t kinds_n = 1;          ///< families in the parent grid
+  std::size_t cells_per_point = 1;  ///< shapes x ops; 1 for analytic
+  std::array<int, core::kPatternKindCount> kind_slot{};  ///< -1 = absent
+  const service::SimParams* sim = nullptr;  ///< the axes; null for analytic
+};
+
+MergeLayout merge_layout(const service::ScenarioRequest& request,
+                         const std::vector<core::PatternKind>& kinds) {
+  const core::ScenarioGrid& grid = request.grid;
+  MergeLayout layout;
+  layout.chain_len = std::max<std::size_t>(1, grid.node_counts.size()) *
+                     std::max<std::size_t>(1, grid.rate_factors.size());
+  layout.costs_n = std::max<std::size_t>(1, grid.cost_overrides.size());
+  layout.kinds_n = kinds.size();
+  layout.kind_slot.fill(-1);
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    layout.kind_slot[static_cast<std::size_t>(kinds[k])] = static_cast<int>(k);
+  }
+  if (request.simulate) {
+    layout.cells_per_point =
+        request.sim.weibull_shape.size() * request.sim.faulty_ops.size();
+    layout.sim = &request.sim;
+  }
+  return layout;
+}
+
+/// (shape, ops) offset of a cell inside its (point, family) slot; -1 when
+/// an echoed axis value is not on the parent's axes.
+int axis_offset(const core::SweepCell&, const MergeLayout&) { return 0; }
+int axis_offset(const service::SimCell& cell, const MergeLayout& layout) {
+  const int shape = axis_index(layout.sim->weibull_shape, cell.weibull_shape);
+  const int ops = axis_index(layout.sim->faulty_ops, cell.faulty_ops);
+  return shape < 0 || ops < 0
+             ? -1
+             : shape * static_cast<int>(layout.sim->faulty_ops.size()) + ops;
+}
+
+/// The merge of one unit's sub-response into the parent table, both
+/// modes: renumbers each cell's point and stores it in its slot. A
+/// replayed unit simply overwrites identical content. False when a cell
+/// lies outside the unit's sub-grid.
+template <class Cell>
+bool merge_unit_cells(std::vector<Cell>& cells, std::size_t platform_index,
+                      std::size_t cost_index, const MergeLayout& layout,
+                      std::vector<Cell>& merged,
+                      std::vector<unsigned char>& filled) {
+  for (Cell& cell : cells) {
+    const int slot = layout.kind_slot[static_cast<std::size_t>(cell.kind)];
+    const int offset = axis_offset(cell, layout);
+    if (cell.point_index >= layout.chain_len || slot < 0 || offset < 0) {
+      return false;
+    }
+    cell.point_index =
+        (platform_index * layout.chain_len + cell.point_index) *
+            layout.costs_n +
+        cost_index;
+    const std::size_t position =
+        (cell.point_index * layout.kinds_n + static_cast<std::size_t>(slot)) *
+            layout.cells_per_point +
+        static_cast<std::size_t>(offset);
+    merged[position] = cell;
+    filled[position] = 1;
+  }
+  return true;
 }
 
 }  // namespace
@@ -467,40 +544,25 @@ void RouterSession::serve_scenario(const service::ScenarioRequest& request) {
                        : core::grid_signature(points, kinds, sweep);
   const std::vector<core::GridChain> chains = core::grid_chains(grid, sweep);
 
-  const std::size_t nodes_n = std::max<std::size_t>(1, grid.node_counts.size());
-  const std::size_t rates_n =
-      std::max<std::size_t>(1, grid.rate_factors.size());
-  const std::size_t costs_n =
-      std::max<std::size_t>(1, grid.cost_overrides.size());
-  const std::size_t chain_len = nodes_n * rates_n;
-
-  // The merged result is assembled into a full parent table: replayed
-  // cells after a failover simply overwrite identical content, so
-  // at-least-once dispatch can never duplicate (or drop) a response
+  // The merged result is assembled into a full parent table — an
+  // analytic SweepTable or a SimTable spanning the two extra sim axes:
+  // replayed cells after a failover simply overwrite identical content,
+  // so at-least-once dispatch can never duplicate (or drop) a response
   // line. Emission happens once, at the end, in table order — the same
   // deterministic order a warm cache-hit replay streams.
+  const MergeLayout layout = merge_layout(request, kinds);
   core::SweepTable table;
-  table.points = std::move(points);
-  table.kinds = kinds;
-  if (!request.simulate) {
-    table.cells.assign(table.points.size() * kinds.size(), core::SweepCell{});
-  }
-  table.index_kinds();
-
-  // The simulate counterpart: the SweepTable above stays an empty
-  // skeleton (its kind_slot index is still the family lookup) and the
-  // merge target is a SimTable spanning the two extra sim axes.
-  const std::vector<double>& shape_axis = request.sim.weibull_shape;
-  const std::vector<double>& ops_axis = request.sim.faulty_ops;
   service::SimTable sim_table;
   if (request.simulate) {
-    sim_table.points = table.points;
+    sim_table.points = std::move(points);
     sim_table.kinds = kinds;
     sim_table.params = request.sim;
     sim_table.cells.assign(sim_table.cell_count(), service::SimCell{});
+  } else {
+    table.points = std::move(points);
+    table.kinds = kinds;
+    table.cells.assign(table.points.size() * kinds.size(), core::SweepCell{});
   }
-  const std::size_t cells_per_point =
-      request.simulate ? shape_axis.size() * ops_axis.size() : 1;
   std::vector<unsigned char> filled(
       request.simulate ? sim_table.cells.size() : table.cells.size(), 0);
 
@@ -798,8 +860,8 @@ void RouterSession::serve_scenario(const service::ScenarioRequest& request) {
         const std::size_t unit_cells =
             request.simulate ? sim_cells.size() : cells.size();
         if (malformed || !done_seen ||
-            unit_cells !=
-                chain_len * cells_per_point * unit.chain_indices.size()) {
+            unit_cells != layout.chain_len * layout.cells_per_point *
+                              unit.chain_indices.size()) {
           if (!any_error) {
             any_error = true;
             error_field = "";
@@ -808,69 +870,19 @@ void RouterSession::serve_scenario(const service::ScenarioRequest& request) {
           }
           continue;
         }
-        // Remap every sub-cell into the parent table. The sub-grid
-        // shares the node/rate axes (and, for simulate, the sim axes),
-        // so only the point index changes; sim cells additionally
-        // locate their (shape, ops) slot by the echoed axis values.
-        if (request.simulate) {
-          for (service::SimCell& cell : sim_cells) {
-            const std::size_t sub_index = cell.point_index;
-            const int slot =
-                table.kind_slot[static_cast<std::size_t>(cell.kind)];
-            const int shape_slot = axis_index(shape_axis, cell.weibull_shape);
-            const int ops_slot = axis_index(ops_axis, cell.faulty_ops);
-            if (sub_index >= chain_len || slot < 0 || shape_slot < 0 ||
-                ops_slot < 0) {
-              if (!any_error) {
-                any_error = true;
-                error_field = "";
-                error_message = "internal error: shard " + shard_work.shard +
-                                " returned an out-of-grid cell for " + sub.id;
-              }
-              break;
-            }
-            const std::size_t node_index = sub_index / rates_n;
-            const std::size_t rate_index = sub_index % rates_n;
-            const std::size_t parent_index =
-                ((unit.platform_index * nodes_n + node_index) * rates_n +
-                 rate_index) *
-                    costs_n +
-                unit.cost_index;
-            cell.point_index = parent_index;
-            const std::size_t position = sim_table.cell_index(
-                parent_index, static_cast<std::size_t>(slot),
-                static_cast<std::size_t>(shape_slot),
-                static_cast<std::size_t>(ops_slot));
-            sim_table.cells[position] = cell;
-            filled[position] = 1;
-          }
-        } else {
-          for (core::SweepCell& cell : cells) {
-            const std::size_t sub_index = cell.point_index;
-            const std::size_t slot_index = static_cast<std::size_t>(cell.kind);
-            const int slot = table.kind_slot[slot_index];
-            if (sub_index >= chain_len || slot < 0) {
-              if (!any_error) {
-                any_error = true;
-                error_field = "";
-                error_message = "internal error: shard " + shard_work.shard +
-                                " returned an out-of-grid cell for " + sub.id;
-              }
-              break;
-            }
-            const std::size_t node_index = sub_index / rates_n;
-            const std::size_t rate_index = sub_index % rates_n;
-            const std::size_t parent_index =
-                ((unit.platform_index * nodes_n + node_index) * rates_n +
-                 rate_index) *
-                    costs_n +
-                unit.cost_index;
-            cell.point_index = parent_index;
-            const std::size_t position =
-                parent_index * kinds.size() + static_cast<std::size_t>(slot);
-            table.cells[position] = cell;
-            filled[position] = 1;
-          }
+        const bool in_grid =
+            request.simulate
+                ? merge_unit_cells(sim_cells, unit.platform_index,
+                                   unit.cost_index, layout, sim_table.cells,
+                                   filled)
+                : merge_unit_cells(cells, unit.platform_index,
+                                   unit.cost_index, layout, table.cells,
+                                   filled);
+        if (!in_grid && !any_error) {
+          any_error = true;
+          error_field = "";
+          error_message = "internal error: shard " + shard_work.shard +
+                          " returned an out-of-grid cell for " + sub.id;
         }
         all_cache_hit = all_cache_hit && unit_cache_hit;
         all_joined = all_joined && unit_joined;
@@ -960,26 +972,21 @@ void RouterSession::serve_scenario(const service::ScenarioRequest& request) {
     stats_block.set("shards", std::move(shard_array));
   }
 
+  const util::JsonValue* stats = request.include_stats ? &stats_block : nullptr;
   if (request.simulate) {
     for (const service::SimCell& cell : sim_table.cells) {
       emit(service::sim_cell_line(request.id, signature, cell), false);
     }
-    emit(request.include_stats
-             ? service::sim_done_line(request.id, signature, sim_table,
-                                      all_cache_hit, stats_block)
-             : service::sim_done_line(request.id, signature, sim_table,
-                                      all_cache_hit),
+    emit(service::sim_done_line(request.id, signature, sim_table,
+                                all_cache_hit, stats),
          true);
     return;
   }
   for (const core::SweepCell& cell : table.cells) {
     emit(service::cell_line(request.id, signature, cell), false);
   }
-  emit(request.include_stats
-           ? service::done_line(request.id, signature, table, all_cache_hit,
-                                all_joined, stats_block)
-           : service::done_line(request.id, signature, table, all_cache_hit,
-                                all_joined, nullptr),
+  emit(service::done_line(request.id, signature, table, all_cache_hit,
+                          all_joined, stats),
        true);
 }
 

@@ -20,7 +20,7 @@ CostEstimate estimate_cost(const ScenarioRequest& request,
     estimate.cells = grid.cell_count() * request.sim.weibull_shape.size() *
                      request.sim.faulty_ops.size();
     if (service != nullptr &&
-        service->cache().contains_sim(service->sim().signature_for(request))) {
+        service->cache().contains(service->sim().signature_for(request))) {
       estimate.identity_hit = true;
       estimate.units = static_cast<double>(estimate.cells) * kCostReplayCell;
       return estimate;

@@ -163,23 +163,39 @@ void JsonlSession::handle_line(std::string_view line) {
   }
 
   try {
-    if (request.simulate) {
-      // Server-side budget cap: refused at admission, before any compute
-      // — the error names the field so clients can lower their ask.
-      if (options_.sim_max_runs > 0 &&
-          request.sim.max_runs > options_.sim_max_runs) {
-        errors_ = true;
-        emit(error_line(request.id, "sim.max_runs",
-                        "exceeds the server cap of " +
-                            std::to_string(options_.sim_max_runs) +
-                            " runs per cell"),
-             true);
-        return;
+    // Server-side budget cap: refused at admission, before any compute —
+    // the error names the field so clients can lower their ask.
+    if (request.simulate && options_.sim_max_runs > 0 &&
+        request.sim.max_runs > options_.sim_max_runs) {
+      errors_ = true;
+      emit(error_line(request.id, "sim.max_runs",
+                      "exceeds the server cap of " +
+                          std::to_string(options_.sim_max_runs) +
+                          " runs per cell"),
+           true);
+      return;
+    }
+    // Price the request BEFORE submitting: the estimate must reflect the
+    // cache state an admission controller saw, not the state after this
+    // very request published its table. Only when the client asked for
+    // stats — the probe is cheap but not free.
+    const CostEstimate cost = request.include_stats
+                                  ? estimate_cost(request, &service_)
+                                  : CostEstimate{};
+    // The opt-in done-line stats block: the counters after the submit,
+    // then that estimate AFTER the counter blocks — consumers match the
+    // stats prefix textually, and insertion order is emission order.
+    util::JsonValue stats;
+    const auto done_stats = [&]() -> const util::JsonValue* {
+      if (!request.include_stats) {
+        return nullptr;
       }
+      stats = to_json(service_.stats());
+      stats.set("cost", to_json(cost));
+      return &stats;
+    };
+    if (request.simulate) {
       const core::GridSignature signature = service_.sim().signature_for(request);
-      const CostEstimate cost = request.include_stats
-                                    ? estimate_cost(request, &service_)
-                                    : CostEstimate{};
       SimCellFn sink;
       if (options_.stream) {
         sink = [this, &request, signature](const SimCell& cell) {
@@ -190,23 +206,12 @@ void JsonlSession::handle_line(std::string_view line) {
       }
       const SimSubmitResult result =
           service_.sim().submit(request, sink, cancel);
-      const ServiceStats stats =
-          request.include_stats ? service_.stats() : ServiceStats{};
       emit(sim_done_line(request.id, result.signature, *result.table,
-                         result.cache_hit,
-                         request.include_stats ? &stats : nullptr,
-                         request.include_stats ? &cost : nullptr),
+                         result.cache_hit, done_stats()),
            true);
       return;
     }
     const core::GridSignature signature = service_.signature_for(request);
-    // Price the request BEFORE submitting: the estimate must reflect the
-    // cache state an admission controller saw, not the state after this
-    // very request published its table. Only when the client asked for
-    // stats — the probe is cheap but not free.
-    const CostEstimate cost = request.include_stats
-                                  ? estimate_cost(request, &service_)
-                                  : CostEstimate{};
     SessionSink sink(
         request.id, signature, options_.stream, options_.collect,
         [this](std::string&& cell) { emit_(std::move(cell), false); },
@@ -214,12 +219,8 @@ void JsonlSession::handle_line(std::string_view line) {
     const bool need_sink = options_.stream || options_.collect;
     const SubmitResult result =
         service_.submit(request, need_sink ? &sink : nullptr, cancel);
-    const ServiceStats stats =
-        request.include_stats ? service_.stats() : ServiceStats{};
     emit(done_line(request.id, result.signature, *result.table,
-                   result.cache_hit, result.joined_in_flight,
-                   request.include_stats ? &stats : nullptr,
-                   request.include_stats ? &cost : nullptr),
+                   result.cache_hit, result.joined_in_flight, done_stats()),
          true);
     if (outcome_) {
       outcome_(Outcome{std::move(request), result, std::move(sink.cells())});

@@ -1,7 +1,6 @@
 #include "resilience/service/serialize.hpp"
 
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 
 #include "resilience/service/cost_model.hpp"
@@ -34,6 +33,34 @@ std::size_t require_index(const JsonValue& json, const char* field) {
                              "' is not a non-negative integer");
   }
   return static_cast<std::size_t>(value);
+}
+
+/// The family names of a table, in its column order.
+JsonValue kind_names(const std::vector<core::PatternKind>& kinds) {
+  JsonValue names = JsonValue::array();
+  for (const core::PatternKind kind : kinds) {
+    names.push_back(core::pattern_name(kind));
+  }
+  return names;
+}
+
+/// The one builder of per-request result lines, cell and done alike, in
+/// both modes: "type", "request" and "signature", then `body`'s members in
+/// order, then the optional "stats" block.
+std::string result_line(const char* type, const std::string& request_id,
+                        core::GridSignature signature, const JsonValue& body,
+                        const JsonValue* stats = nullptr) {
+  JsonValue line = JsonValue::object();
+  line.set("type", type);
+  line.set("request", request_id);
+  line.set("signature", signature.hex());
+  for (const auto& [key, value] : body.as_object()) {
+    line.set(key, value);
+  }
+  if (stats != nullptr) {
+    line.set("stats", *stats);
+  }
+  return line.dump();
 }
 
 }  // namespace
@@ -171,10 +198,6 @@ core::ScenarioPoint point_from_json(const JsonValue& json) {
 }
 
 JsonValue to_json(const core::SweepTable& table) {
-  JsonValue kinds = JsonValue::array();
-  for (const core::PatternKind kind : table.kinds) {
-    kinds.push_back(core::pattern_name(kind));
-  }
   JsonValue points = JsonValue::array();
   for (const core::ScenarioPoint& point : table.points) {
     points.push_back(to_json(point));
@@ -185,7 +208,7 @@ JsonValue to_json(const core::SweepTable& table) {
   }
   JsonValue out = JsonValue::object();
   out.set("type", "sweep_table");
-  out.set("kinds", std::move(kinds));
+  out.set("kinds", kind_names(table.kinds));
   out.set("points", std::move(points));
   out.set("cells", std::move(cells));
   return out;
@@ -228,15 +251,7 @@ core::SweepTable table_from_json(const JsonValue& json) {
 std::string cell_line(const std::string& request_id,
                       core::GridSignature signature,
                       const core::SweepCell& cell) {
-  JsonValue line = JsonValue::object();
-  line.set("type", "cell");
-  line.set("request", request_id);
-  line.set("signature", signature.hex());
-  const JsonValue cell_json = to_json(cell);
-  for (const auto& [key, value] : cell_json.as_object()) {
-    line.set(key, value);
-  }
-  return line.dump();
+  return result_line("cell", request_id, signature, to_json(cell));
 }
 
 JsonValue to_json(const SimCell& cell) {
@@ -268,10 +283,6 @@ SimCell sim_cell_from_json(const JsonValue& json) {
 }
 
 JsonValue to_json(const SimTable& table) {
-  JsonValue kinds = JsonValue::array();
-  for (const core::PatternKind kind : table.kinds) {
-    kinds.push_back(core::pattern_name(kind));
-  }
   JsonValue points = JsonValue::array();
   for (const core::ScenarioPoint& point : table.points) {
     points.push_back(to_json(point));
@@ -298,7 +309,7 @@ JsonValue to_json(const SimTable& table) {
   }
   JsonValue out = JsonValue::object();
   out.set("type", "sim_table");
-  out.set("kinds", std::move(kinds));
+  out.set("kinds", kind_names(table.kinds));
   out.set("points", std::move(points));
   out.set("sim", std::move(sim));
   out.set("cells", std::move(cells));
@@ -429,117 +440,36 @@ std::string stats_line(const std::string& request_id, const ServiceStats& stats,
 std::string done_line(const std::string& request_id,
                       core::GridSignature signature,
                       const core::SweepTable& table, bool cache_hit,
-                      bool joined_in_flight, const ServiceStats* stats,
-                      const CostEstimate* cost) {
-  JsonValue kinds = JsonValue::array();
-  for (const core::PatternKind kind : table.kinds) {
-    kinds.push_back(core::pattern_name(kind));
-  }
-  JsonValue line = JsonValue::object();
-  line.set("type", "done");
-  line.set("request", request_id);
-  line.set("signature", signature.hex());
-  line.set("points", table.points.size());
-  line.set("kinds", std::move(kinds));
-  line.set("cells", table.cells.size());
-  line.set("cache_hit", cache_hit);
-  line.set("joined_in_flight", joined_in_flight);
-  if (stats != nullptr) {
-    JsonValue stats_json = to_json(*stats);
-    if (cost != nullptr) {
-      // Appended AFTER the service/cache blocks: existing consumers match
-      // the stats prefix textually, and insertion order is emission order.
-      stats_json.set("cost", to_json(*cost));
-    }
-    line.set("stats", std::move(stats_json));
-  }
-  return line.dump();
-}
-
-std::string done_line(const std::string& request_id,
-                      core::GridSignature signature,
-                      const core::SweepTable& table, bool cache_hit,
-                      bool joined_in_flight,
-                      const util::JsonValue& stats_block) {
-  JsonValue kinds = JsonValue::array();
-  for (const core::PatternKind kind : table.kinds) {
-    kinds.push_back(core::pattern_name(kind));
-  }
-  JsonValue line = JsonValue::object();
-  line.set("type", "done");
-  line.set("request", request_id);
-  line.set("signature", signature.hex());
-  line.set("points", table.points.size());
-  line.set("kinds", std::move(kinds));
-  line.set("cells", table.cells.size());
-  line.set("cache_hit", cache_hit);
-  line.set("joined_in_flight", joined_in_flight);
-  line.set("stats", stats_block);
-  return line.dump();
+                      bool joined_in_flight, const JsonValue* stats) {
+  JsonValue summary = JsonValue::object();
+  summary.set("points", table.points.size());
+  summary.set("kinds", kind_names(table.kinds));
+  summary.set("cells", table.cells.size());
+  summary.set("cache_hit", cache_hit);
+  summary.set("joined_in_flight", joined_in_flight);
+  return result_line("done", request_id, signature, summary, stats);
 }
 
 std::string sim_cell_line(const std::string& request_id,
                           core::GridSignature signature, const SimCell& cell) {
-  JsonValue line = JsonValue::object();
-  line.set("type", "cell");
-  line.set("request", request_id);
-  line.set("signature", signature.hex());
-  const JsonValue cell_json = to_json(cell);
-  for (const auto& [key, value] : cell_json.as_object()) {
-    line.set(key, value);
-  }
-  return line.dump();
+  return result_line("cell", request_id, signature, to_json(cell));
 }
 
-namespace {
-
-JsonValue sim_done_json(const std::string& request_id,
-                        core::GridSignature signature, const SimTable& table,
-                        bool cache_hit) {
-  JsonValue kinds = JsonValue::array();
-  for (const core::PatternKind kind : table.kinds) {
-    kinds.push_back(core::pattern_name(kind));
-  }
+std::string sim_done_line(const std::string& request_id,
+                          core::GridSignature signature, const SimTable& table,
+                          bool cache_hit, const JsonValue* stats) {
   std::uint64_t total_runs = 0;
   for (const SimCell& cell : table.cells) {
     total_runs += cell.runs;
   }
-  JsonValue line = JsonValue::object();
-  line.set("type", "done");
-  line.set("request", request_id);
-  line.set("signature", signature.hex());
-  line.set("mode", "simulate");
-  line.set("points", table.points.size());
-  line.set("kinds", std::move(kinds));
-  line.set("cells", table.cells.size());
-  line.set("runs", total_runs);
-  line.set("cache_hit", cache_hit);
-  return line;
-}
-
-}  // namespace
-
-std::string sim_done_line(const std::string& request_id,
-                          core::GridSignature signature, const SimTable& table,
-                          bool cache_hit, const ServiceStats* stats,
-                          const CostEstimate* cost) {
-  JsonValue line = sim_done_json(request_id, signature, table, cache_hit);
-  if (stats != nullptr) {
-    JsonValue stats_json = to_json(*stats);
-    if (cost != nullptr) {
-      stats_json.set("cost", to_json(*cost));
-    }
-    line.set("stats", std::move(stats_json));
-  }
-  return line.dump();
-}
-
-std::string sim_done_line(const std::string& request_id,
-                          core::GridSignature signature, const SimTable& table,
-                          bool cache_hit, const util::JsonValue& stats_block) {
-  JsonValue line = sim_done_json(request_id, signature, table, cache_hit);
-  line.set("stats", stats_block);
-  return line.dump();
+  JsonValue summary = JsonValue::object();
+  summary.set("mode", "simulate");
+  summary.set("points", table.points.size());
+  summary.set("kinds", kind_names(table.kinds));
+  summary.set("cells", table.cells.size());
+  summary.set("runs", total_runs);
+  summary.set("cache_hit", cache_hit);
+  return result_line("done", request_id, signature, summary, stats);
 }
 
 std::string pong_line(const std::string& request_id) {
@@ -575,15 +505,6 @@ std::string overloaded_line(const std::string& request_id,
   line.set("code", "overloaded");
   line.set("retry_after_ms", retry_after_ms);
   return line.dump();
-}
-
-JsonlCellSink::JsonlCellSink(std::ostream& os, std::string request_id,
-                             core::GridSignature signature)
-    : os_(os), request_id_(std::move(request_id)), signature_(signature) {}
-
-void JsonlCellSink::on_cell(const core::SweepCell& cell) {
-  os_ << cell_line(request_id_, signature_, cell) << '\n';
-  ++cells_;
 }
 
 }  // namespace resilience::service

@@ -82,25 +82,6 @@ void throw_if_cancelled(const core::CancelToken& cancel) {
   }
 }
 
-/// Collision guard, mirroring the sweep path's table_matches_grid: the
-/// signature hash is not cryptographic, so a cached table is served only
-/// when its content bit-matches the request's resolved content.
-bool table_matches_request(const SimTable& table,
-                           const std::vector<core::ScenarioPoint>& points,
-                           const std::vector<core::PatternKind>& kinds,
-                           const SimParams& params) {
-  if (table.kinds != kinds || table.points.size() != points.size() ||
-      !(table.params == params)) {
-    return false;
-  }
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!core::points_bit_identical(table.points[i], points[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 SimService::SimService(SweepCache* cache, util::ThreadPool* pool)
@@ -140,9 +121,9 @@ SimSubmitResult SimService::submit(const ScenarioRequest& request,
   if (cache_ != nullptr) {
     bool from_disk = false;
     std::shared_ptr<const SimTable> cached =
-        cache_->find_sim(out.signature, &from_disk);
-    if (cached != nullptr &&
-        table_matches_request(*cached, points, kinds, request.sim)) {
+        cache_->find<SimTable>(out.signature, {}, &from_disk);
+    if (cached != nullptr && table_matches_grid(*cached, points, kinds) &&
+        cached->params == request.sim) {
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
       if (from_disk) {
         disk_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -164,7 +145,7 @@ SimSubmitResult SimService::submit(const ScenarioRequest& request,
 
   out.table = compute(request, sink, cancel);
   if (cache_ != nullptr) {
-    cache_->insert_sim(out.signature, out.table);
+    cache_->insert(out.signature, out.table);
   }
   return out;
 }

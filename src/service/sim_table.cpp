@@ -2,37 +2,11 @@
 
 #include <cstring>
 
+#include "resilience/util/fnv1a.hpp"
+
 namespace resilience::service {
 
 namespace {
-
-/// FNV-1a 64 mixer, the same construction core/sweep.cpp uses for grid
-/// signatures (its SignatureHasher is file-private, so the sim layer
-/// carries its own copy of the ~10 lines rather than widening that API).
-class Hasher {
- public:
-  void mix(std::uint64_t value) noexcept {
-    for (int shift = 0; shift < 64; shift += 8) {
-      hash_ ^= (value >> shift) & 0xffu;
-      hash_ *= 1099511628211ull;
-    }
-  }
-  void mix(double value) noexcept {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix(bits);
-  }
-  void mix_tag(const char* tag) noexcept {
-    for (const char* p = tag; *p != '\0'; ++p) {
-      hash_ ^= static_cast<unsigned char>(*p);
-      hash_ *= 1099511628211ull;
-    }
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 1469598103934665603ull;
-};
 
 bool bits_equal(double a, double b) noexcept {
   std::uint64_t ba = 0;
@@ -47,8 +21,8 @@ bool bits_equal(double a, double b) noexcept {
 core::GridSignature sim_signature(
     const std::vector<core::ScenarioPoint>& points,
     const std::vector<core::PatternKind>& kinds, const SimParams& params) {
-  Hasher hasher;
-  hasher.mix_tag("sim-v1");
+  util::Fnv1a hasher;
+  hasher.mix_bytes("sim-v1");  // domain tag: raw bytes, no length prefix
   // The analytic identity of (points, kinds) under default options — the
   // sim path has no result-affecting SweepOptions of its own.
   hasher.mix(core::grid_signature(points, kinds, core::SweepOptions{}).value);
@@ -71,8 +45,8 @@ core::GridSignature sim_signature(
 std::uint64_t sim_cell_seed(const SimParams& params, core::PatternKind kind,
                             const core::ModelParams& point_params,
                             double weibull_shape, double faulty_ops) {
-  Hasher hasher;
-  hasher.mix_tag("sim-cell-v1");
+  util::Fnv1a hasher;
+  hasher.mix_bytes("sim-cell-v1");
   hasher.mix(params.seed);
   hasher.mix(static_cast<std::uint64_t>(kind));
   // Every resolved parameter the simulation reads, by bit pattern — the

@@ -11,6 +11,7 @@
 #include "resilience/service/serialize.hpp"
 #include "resilience/service/sim_table.hpp"
 #include "resilience/util/atomic_file.hpp"
+#include "resilience/util/fnv1a.hpp"
 #include "resilience/util/json.hpp"
 
 namespace resilience::service {
@@ -23,12 +24,13 @@ constexpr const char* kSidecarName = "seed_index.json";
 constexpr const char* kSpillFormat = "sweep-table-spill-v1";
 constexpr const char* kSimSpillFormat = "sim-table-spill-v1";
 
-fs::path table_path(const std::string& dir, core::GridSignature signature) {
-  return fs::path(dir) / (signature.hex() + ".json");
+bool is_sim(const SweepCache::Table& table) {
+  return std::holds_alternative<std::shared_ptr<const SimTable>>(table);
 }
 
-fs::path sim_table_path(const std::string& dir, core::GridSignature signature) {
-  return fs::path(dir) / (signature.hex() + ".sim.json");
+fs::path spill_path(const std::string& dir, core::GridSignature signature,
+                    bool sim) {
+  return fs::path(dir) / (signature.hex() + (sim ? ".sim.json" : ".json"));
 }
 
 void warn(const char* what, const std::string& detail) {
@@ -41,27 +43,20 @@ void warn(const char* what, const std::string& detail) {
 /// verify clean; the payload checksum closes that hole. Carried as a
 /// GridSignature purely for its hex round trip.
 core::GridSignature payload_checksum(const std::string& payload) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char byte : payload) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return core::GridSignature{hash};
+  return core::GridSignature{util::fnv1a(payload)};
 }
 
-/// The on-disk document: the canonical table JSON wrapped with a format
-/// tag and its payload checksum. Assembled textually — every component is
-/// already canonical JSON, and parse -> re-dump of the payload is
-/// byte-identical, which is what lets the loader re-derive the checksum.
-std::string spill_document(const core::SweepTable& table) {
-  const std::string payload = to_json(table).dump();
-  return std::string("{\"format\":\"") + kSpillFormat + "\",\"payload_fnv\":\"" +
-         payload_checksum(payload).hex() + "\",\"table\":" + payload + "}";
-}
-
-std::string sim_spill_document(const SimTable& table) {
-  const std::string payload = to_json(table).dump();
-  return std::string("{\"format\":\"") + kSimSpillFormat +
+/// The on-disk document: the canonical table JSON wrapped with its mode's
+/// format tag and its payload checksum. Assembled textually — every
+/// component is already canonical JSON, and parse -> re-dump of the
+/// payload is byte-identical, which is what lets the loader re-derive the
+/// checksum.
+std::string spill_document(const SweepCache::Table& table) {
+  const std::string payload =
+      std::visit([](const auto& shared) { return to_json(*shared).dump(); },
+                 table);
+  return std::string("{\"format\":\"") +
+         (is_sim(table) ? kSimSpillFormat : kSpillFormat) +
          "\",\"payload_fnv\":\"" + payload_checksum(payload).hex() +
          "\",\"table\":" + payload + "}";
 }
@@ -108,20 +103,8 @@ SweepCache::~SweepCache() {
   }
 }
 
-std::shared_ptr<const core::SweepTable> SweepCache::find(
-    core::GridSignature signature) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(signature.value);
-  if (it == index_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);  // promote; iterator stays valid
-  return it->second->table;
-}
-
-std::shared_ptr<const core::SweepTable> SweepCache::find(
+template <class TableT>
+std::shared_ptr<const TableT> SweepCache::find(
     core::GridSignature signature, const core::SweepOptions& options,
     bool* loaded_from_disk) {
   if (loaded_from_disk != nullptr) {
@@ -129,30 +112,32 @@ std::shared_ptr<const core::SweepTable> SweepCache::find(
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(signature.value);
-  if (it != index_.end()) {
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->table;
+  const bool in_memory = it != index_.end();
+  const Entry* entry =
+      in_memory ? &*it->second : load_from_disk_locked(signature, options);
+  const auto* table =
+      entry == nullptr
+          ? nullptr
+          : std::get_if<std::shared_ptr<const TableT>>(&entry->table);
+  if (table == nullptr) {
+    ++misses_;
+    return nullptr;
   }
-  if (std::shared_ptr<const core::SweepTable> table =
-          load_from_disk_locked(signature, options)) {
-    ++hits_;
-    if (loaded_from_disk != nullptr) {
-      *loaded_from_disk = true;
-    }
-    return table;
+  ++hits_;
+  if (in_memory) {
+    lru_.splice(lru_.begin(), lru_, it->second);  // promote; iterator stays valid
+  } else if (loaded_from_disk != nullptr) {
+    *loaded_from_disk = true;
   }
-  ++misses_;
-  return nullptr;
+  return *table;
 }
 
-void SweepCache::insert(core::GridSignature signature,
-                        std::shared_ptr<const core::SweepTable> table) {
-  insert(signature, std::move(table), {});
-}
+template std::shared_ptr<const core::SweepTable> SweepCache::find(
+    core::GridSignature, const core::SweepOptions&, bool*);
+template std::shared_ptr<const SimTable> SweepCache::find(
+    core::GridSignature, const core::SweepOptions&, bool*);
 
-void SweepCache::insert(core::GridSignature signature,
-                        std::shared_ptr<const core::SweepTable> table,
+void SweepCache::insert(core::GridSignature signature, Table table,
                         std::vector<core::GridChain> chains) {
   if (capacity_ == 0) {
     return;
@@ -184,11 +169,7 @@ void SweepCache::insert(core::GridSignature signature,
         // signature, so rewriting it would only waste IO and race
         // concurrent loads with a truncated file. Just make sure the
         // chains stay reachable for the seed tier.
-        if (!victim.chains.empty() &&
-            disk_chains_.find(victim.signature.value) == disk_chains_.end()) {
-          disk_chains_[victim.signature.value] = std::move(victim.chains);
-          sidecar_dirty = true;
-        }
+        sidecar_dirty = keep_chains_locked(victim) || sidecar_dirty;
       } else {
         victims.push_back(std::move(victim));  // spilled below, unlocked
       }
@@ -208,26 +189,25 @@ void SweepCache::spill_evicted(std::vector<Entry> victims) {
   // Expensive part without the lock: canonical serialization + file IO.
   std::vector<bool> spilled(victims.size());
   for (std::size_t i = 0; i < victims.size(); ++i) {
-    spilled[i] = write_spill_file(table_path(cache_dir_, victims[i].signature),
-                                  spill_document(*victims[i].table));
+    const Entry& victim = victims[i];
+    spilled[i] = write_spill_file(
+        spill_path(cache_dir_, victim.signature, is_sim(victim.table)),
+        spill_document(victim.table));
   }
   const std::lock_guard<std::mutex> lock(mutex_);
-  bool any = false;
+  bool sidecar_dirty = false;
   for (std::size_t i = 0; i < victims.size(); ++i) {
     const Entry& victim = victims[i];
     if (spilled[i]) {
-      disk_index_.insert(victim.signature.value);
-      if (!victim.chains.empty()) {
-        disk_chains_[victim.signature.value] = victim.chains;
-      }
-      any = true;
+      disk_index_[victim.signature.value] = is_sim(victim.table);
+      sidecar_dirty = keep_chains_locked(victim) || sidecar_dirty;
     } else if (index_.find(victim.signature.value) == index_.end()) {
       // Spill failed and nobody re-inserted the signature meanwhile: the
       // optima are unreachable, so the seed index must drop them.
       unindex_chains_locked(victim.signature, victim.chains);
     }
   }
-  if (any) {
+  if (sidecar_dirty) {
     write_sidecar_locked();
   }
 }
@@ -243,41 +223,41 @@ std::vector<core::ChainSeed> SweepCache::seeds_for(
   const std::vector<std::uint64_t> signatures = it->second;
   std::vector<core::ChainSeed> seeds;
   for (const std::uint64_t signature_value : signatures) {
-    const core::GridSignature signature{signature_value};
-    std::shared_ptr<const core::SweepTable> table;
-    std::vector<core::GridChain> chains;
+    const Entry* entry = nullptr;
     const auto entry_it = index_.find(signature_value);
     if (entry_it != index_.end()) {
-      table = entry_it->second->table;
-      chains = entry_it->second->chains;
       lru_.splice(lru_.begin(), lru_, entry_it->second);
+      entry = &*entry_it->second;
     } else {
-      table = load_from_disk_locked(signature, options);
-      const auto chains_it = disk_chains_.find(signature_value);
-      if (chains_it != disk_chains_.end()) {
-        chains = chains_it->second;
-      }
+      entry = load_from_disk_locked(core::GridSignature{signature_value},
+                                    options);
     }
-    if (table == nullptr) {
+    const auto* shared =
+        entry == nullptr
+            ? nullptr
+            : std::get_if<std::shared_ptr<const core::SweepTable>>(
+                  &entry->table);
+    if (shared == nullptr) {
       continue;
     }
-    for (const core::GridChain& chain : chains) {
+    const core::SweepTable& table = **shared;
+    for (const core::GridChain& chain : entry->chains) {
       if (chain.key != key) {
         continue;
       }
       const auto kind_index = static_cast<std::size_t>(chain.kind);
-      if (kind_index >= table->kind_slot.size() ||
-          table->kind_slot[kind_index] < 0) {
+      if (kind_index >= table.kind_slot.size() ||
+          table.kind_slot[kind_index] < 0) {
         continue;  // family absent from the table (stale sidecar entry)
       }
-      for (std::size_t p = 0; p < table->points.size(); ++p) {
-        const core::ScenarioPoint& point = table->points[p];
+      for (std::size_t p = 0; p < table.points.size(); ++p) {
+        const core::ScenarioPoint& point = table.points[p];
         if (point.platform_index != chain.platform_index ||
             point.cost_index != chain.cost_index) {
           continue;
         }
         seeds.push_back(core::ChainSeed{point.platform.nodes, point.params,
-                                        table->cell(p, chain.kind)});
+                                        table.cell(p, chain.kind)});
       }
     }
   }
@@ -304,32 +284,19 @@ void SweepCache::persist_now() {
     return;
   }
   for (const Entry& entry : lru_) {
-    if (disk_index_.count(entry.signature.value) != 0) {
-      // Already spilled with identical content (pure function of the
-      // signature); just keep its chains reachable for the seed tier.
-      if (!entry.chains.empty() &&
-          disk_chains_.find(entry.signature.value) == disk_chains_.end()) {
-        disk_chains_[entry.signature.value] = entry.chains;
-      }
-      continue;
+    // Already spilled entries keep identical content (a pure function of
+    // the signature); either way their chains stay reachable.
+    if (disk_index_.count(entry.signature.value) != 0 || spill_locked(entry)) {
+      keep_chains_locked(entry);
     }
-    spill_locked(entry);
   }
   write_sidecar_locked();
-  for (const SimEntry& entry : sim_lru_) {
-    if (sim_disk_index_.count(entry.signature.value) != 0) {
-      continue;  // already spilled; content is a pure function of the key
-    }
-    spill_sim_locked(entry);
-  }
 }
 
 void SweepCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   lru_.clear();
   index_.clear();
-  sim_lru_.clear();
-  sim_index_.clear();
   // The seed index keeps only what the disk tier still backs.
   seed_index_.clear();
   for (const auto& [signature_value, chains] : disk_chains_) {
@@ -394,6 +361,15 @@ void SweepCache::unindex_chains_locked(
   }
 }
 
+bool SweepCache::keep_chains_locked(const Entry& entry) {
+  if (entry.chains.empty() ||
+      disk_chains_.find(entry.signature.value) != disk_chains_.end()) {
+    return false;
+  }
+  disk_chains_[entry.signature.value] = entry.chains;
+  return true;
+}
+
 void SweepCache::evict_one_locked() {
   // Locked spill path: only reached from lazy disk promotion (rare —
   // once per reloaded entry); bulk evictions go through spill_evicted.
@@ -401,41 +377,28 @@ void SweepCache::evict_one_locked() {
   // is reload A -> evict B where B was itself reloaded), so the
   // already-on-disk check below makes re-eviction a pure in-memory pop.
   Entry& victim = lru_.back();
-  bool spilled = false;
-  if (!cache_dir_.empty()) {
-    if (disk_index_.count(victim.signature.value) != 0) {
-      spilled = true;  // content is a pure function of the signature
-      if (!victim.chains.empty() &&
-          disk_chains_.find(victim.signature.value) == disk_chains_.end()) {
-        disk_chains_[victim.signature.value] = std::move(victim.chains);
-        write_sidecar_locked();
-      }
-    } else {
-      spill_locked(victim);
-      spilled = disk_index_.count(victim.signature.value) != 0;
-      if (spilled) {
-        write_sidecar_locked();
-      }
-    }
-  }
+  const bool spilled =
+      !cache_dir_.empty() &&
+      (disk_index_.count(victim.signature.value) != 0 || spill_locked(victim));
   if (!spilled) {
     // No disk tier (or the spill failed): the optima are gone, so the
     // seed index must stop advertising them.
     unindex_chains_locked(victim.signature, victim.chains);
+  } else if (keep_chains_locked(victim)) {
+    write_sidecar_locked();
   }
   index_.erase(victim.signature.value);
   lru_.pop_back();
 }
 
-void SweepCache::spill_locked(const Entry& entry) {
-  if (!write_spill_file(table_path(cache_dir_, entry.signature),
-                        spill_document(*entry.table))) {
-    return;
+bool SweepCache::spill_locked(const Entry& entry) {
+  const bool sim = is_sim(entry.table);
+  if (!write_spill_file(spill_path(cache_dir_, entry.signature, sim),
+                        spill_document(entry.table))) {
+    return false;
   }
-  disk_index_.insert(entry.signature.value);
-  if (!entry.chains.empty()) {
-    disk_chains_[entry.signature.value] = entry.chains;
-  }
+  disk_index_[entry.signature.value] = sim;
+  return true;
 }
 
 void SweepCache::write_sidecar_locked() {
@@ -484,15 +447,10 @@ void SweepCache::load_disk_index_locked() {
       continue;
     }
     const fs::path stem = file.path().stem();  // "<hex>" or "<hex>.sim"
-    if (stem.extension() == ".sim") {
-      if (const auto signature =
-              core::GridSignature::from_hex(stem.stem().string())) {
-        sim_disk_index_.insert(signature->value);
-      }
-      continue;
-    }
-    if (const auto signature = core::GridSignature::from_hex(stem.string())) {
-      disk_index_.insert(signature->value);
+    const bool sim = stem.extension() == ".sim";
+    if (const auto signature = core::GridSignature::from_hex(
+            (sim ? stem.stem() : stem).string())) {
+      disk_index_[signature->value] = sim;
     }
   }
 
@@ -553,12 +511,14 @@ void SweepCache::load_disk_index_locked() {
   }
 }
 
-std::shared_ptr<const core::SweepTable> SweepCache::load_from_disk_locked(
+const SweepCache::Entry* SweepCache::load_from_disk_locked(
     core::GridSignature signature, const core::SweepOptions& options) {
-  if (cache_dir_.empty() || disk_index_.count(signature.value) == 0) {
+  const auto disk_it = disk_index_.find(signature.value);
+  if (cache_dir_.empty() || disk_it == disk_index_.end()) {
     return nullptr;
   }
-  const fs::path path = table_path(cache_dir_, signature);
+  const bool sim = disk_it->second;
+  const fs::path path = spill_path(cache_dir_, signature, sim);
   const auto reject = [&](const char* why, const std::string& detail) {
     warn(why, detail);
     ++disk_rejects_;
@@ -573,7 +533,8 @@ std::shared_ptr<const core::SweepTable> SweepCache::load_from_disk_locked(
     }
   };
 
-  core::SweepTable loaded;
+  Table table;
+  core::GridSignature recomputed;
   try {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -586,7 +547,11 @@ std::shared_ptr<const core::SweepTable> SweepCache::load_from_disk_locked(
     const util::JsonValue* format = document.find("format");
     const util::JsonValue* checksum = document.find("payload_fnv");
     const util::JsonValue* table_json = document.find("table");
-    if (format == nullptr || format->as_string() != kSpillFormat ||
+    // The format tag picks the decoder and must match the file's name: a
+    // '.json' file holds an analytic table, a '.sim.json' file a simulate
+    // one.
+    if (format == nullptr ||
+        format->as_string() != (sim ? kSimSpillFormat : kSpillFormat) ||
         checksum == nullptr || table_json == nullptr) {
       reject("rejecting spill file with unknown format", path.string());
       return nullptr;
@@ -601,18 +566,26 @@ std::shared_ptr<const core::SweepTable> SweepCache::load_from_disk_locked(
              path.string());
       return nullptr;
     }
-    loaded = table_from_json(*table_json);
+    // The content must hash back to the filename: an analytic table under
+    // the caller's result-affecting options, a simulate table over the
+    // SimParams it carries. A corrupt or foreign spill (or one written
+    // under a different configuration) is recomputed, never served.
+    if (sim) {
+      auto loaded = std::make_shared<const SimTable>(
+          sim_table_from_json(*table_json));
+      recomputed = sim_signature(loaded->points, loaded->kinds, loaded->params);
+      table = std::move(loaded);
+    } else {
+      auto loaded = std::make_shared<const core::SweepTable>(
+          table_from_json(*table_json));
+      recomputed = core::grid_signature(loaded->points, loaded->kinds, options);
+      table = std::move(loaded);
+    }
   } catch (const std::exception& error) {
     reject("rejecting unparseable spill file", path.string() + ": " +
                                                    error.what());
     return nullptr;
   }
-
-  // The content must hash back to the filename under the caller's
-  // result-affecting options — a corrupt or foreign spill (or one written
-  // under a different configuration) is recomputed, never served.
-  const core::GridSignature recomputed =
-      core::grid_signature(loaded.points, loaded.kinds, options);
   if (recomputed != signature) {
     reject("rejecting spill file whose content does not match its signature",
            path.string() + ": content hashes to " + recomputed.hex());
@@ -620,180 +593,18 @@ std::shared_ptr<const core::SweepTable> SweepCache::load_from_disk_locked(
   }
 
   ++disk_loads_;
-  auto table = std::make_shared<const core::SweepTable>(std::move(loaded));
-  if (capacity_ == 0) {
-    return table;  // caching disabled: serve without promoting
-  }
   std::vector<core::GridChain> chains;
   const auto chains_it = disk_chains_.find(signature.value);
   if (chains_it != disk_chains_.end()) {
     chains = chains_it->second;
   }
-  lru_.push_front(Entry{signature, table, std::move(chains)});
+  lru_.push_front(Entry{signature, std::move(table), std::move(chains)});
   index_[signature.value] = lru_.begin();
   index_chains_locked(signature, lru_.front().chains);
   while (lru_.size() > capacity_) {
-    evict_one_locked();
+    evict_one_locked();  // never the new front: capacity is at least 1 here
   }
-  return table;
-}
-
-std::shared_ptr<const SimTable> SweepCache::find_sim(
-    core::GridSignature signature, bool* loaded_from_disk) {
-  if (loaded_from_disk != nullptr) {
-    *loaded_from_disk = false;
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = sim_index_.find(signature.value);
-  if (it != sim_index_.end()) {
-    ++hits_;
-    sim_lru_.splice(sim_lru_.begin(), sim_lru_, it->second);
-    return it->second->table;
-  }
-  if (std::shared_ptr<const SimTable> table =
-          load_sim_from_disk_locked(signature)) {
-    ++hits_;
-    if (loaded_from_disk != nullptr) {
-      *loaded_from_disk = true;
-    }
-    return table;
-  }
-  ++misses_;
-  return nullptr;
-}
-
-void SweepCache::insert_sim(core::GridSignature signature,
-                            std::shared_ptr<const SimTable> table) {
-  if (capacity_ == 0) {
-    return;
-  }
-  std::vector<SimEntry> victims;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = sim_index_.find(signature.value);
-    if (it != sim_index_.end()) {
-      it->second->table = std::move(table);
-      sim_lru_.splice(sim_lru_.begin(), sim_lru_, it->second);
-      return;
-    }
-    sim_lru_.push_front(SimEntry{signature, std::move(table)});
-    sim_index_[signature.value] = sim_lru_.begin();
-    while (sim_lru_.size() > capacity_) {
-      SimEntry& victim = sim_lru_.back();
-      sim_index_.erase(victim.signature.value);
-      if (!cache_dir_.empty() &&
-          sim_disk_index_.count(victim.signature.value) == 0) {
-        victims.push_back(std::move(victim));  // spilled below, unlocked
-      }
-      sim_lru_.pop_back();
-    }
-  }
-  if (victims.empty()) {
-    return;
-  }
-  // Spill without the lock, like spill_evicted: serialization + IO are
-  // the expensive part of an eviction.
-  std::vector<bool> spilled(victims.size());
-  for (std::size_t i = 0; i < victims.size(); ++i) {
-    spilled[i] =
-        write_spill_file(sim_table_path(cache_dir_, victims[i].signature),
-                         sim_spill_document(*victims[i].table));
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t i = 0; i < victims.size(); ++i) {
-    if (spilled[i]) {
-      sim_disk_index_.insert(victims[i].signature.value);
-    }
-  }
-}
-
-bool SweepCache::contains_sim(core::GridSignature signature) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return sim_index_.find(signature.value) != sim_index_.end() ||
-         sim_disk_index_.count(signature.value) != 0;
-}
-
-void SweepCache::spill_sim_locked(const SimEntry& entry) {
-  if (!write_spill_file(sim_table_path(cache_dir_, entry.signature),
-                        sim_spill_document(*entry.table))) {
-    return;
-  }
-  sim_disk_index_.insert(entry.signature.value);
-}
-
-std::shared_ptr<const SimTable> SweepCache::load_sim_from_disk_locked(
-    core::GridSignature signature) {
-  if (cache_dir_.empty() || sim_disk_index_.count(signature.value) == 0) {
-    return nullptr;
-  }
-  const fs::path path = sim_table_path(cache_dir_, signature);
-  const auto reject = [&](const char* why, const std::string& detail) {
-    warn(why, detail);
-    ++disk_rejects_;
-    sim_disk_index_.erase(signature.value);
-  };
-
-  SimTable loaded;
-  try {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      reject("cannot open sim spill file", path.string());
-      return nullptr;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const util::JsonValue document = util::JsonValue::parse(buffer.str());
-    const util::JsonValue* format = document.find("format");
-    const util::JsonValue* checksum = document.find("payload_fnv");
-    const util::JsonValue* table_json = document.find("table");
-    if (format == nullptr || format->as_string() != kSimSpillFormat ||
-        checksum == nullptr || table_json == nullptr) {
-      reject("rejecting sim spill file with unknown format", path.string());
-      return nullptr;
-    }
-    const auto stored = core::GridSignature::from_hex(checksum->as_string());
-    if (!stored || payload_checksum(table_json->dump()) != *stored) {
-      reject("rejecting sim spill file whose payload checksum does not match",
-             path.string());
-      return nullptr;
-    }
-    loaded = sim_table_from_json(*table_json);
-  } catch (const std::exception& error) {
-    reject("rejecting unparseable sim spill file",
-           path.string() + ": " + error.what());
-    return nullptr;
-  }
-
-  // Content must hash back to the filename: a corrupt or foreign spill is
-  // recomputed, never served. Sim signatures have no caller-provided
-  // options — the SimParams travel inside the table.
-  const core::GridSignature recomputed =
-      sim_signature(loaded.points, loaded.kinds, loaded.params);
-  if (recomputed != signature) {
-    reject("rejecting sim spill file whose content does not match its signature",
-           path.string() + ": content hashes to " + recomputed.hex());
-    return nullptr;
-  }
-
-  ++disk_loads_;
-  auto table = std::make_shared<const SimTable>(std::move(loaded));
-  if (capacity_ == 0) {
-    return table;
-  }
-  sim_lru_.push_front(SimEntry{signature, table});
-  sim_index_[signature.value] = sim_lru_.begin();
-  while (sim_lru_.size() > capacity_) {
-    // Locked re-eviction (rare: once per reloaded entry). The victim is
-    // usually disk-resident already, making this a pure in-memory pop.
-    SimEntry& victim = sim_lru_.back();
-    if (!cache_dir_.empty() &&
-        sim_disk_index_.count(victim.signature.value) == 0) {
-      spill_sim_locked(victim);
-    }
-    sim_index_.erase(victim.signature.value);
-    sim_lru_.pop_back();
-  }
-  return table;
+  return &lru_.front();
 }
 
 }  // namespace resilience::service

@@ -29,25 +29,6 @@ void replay(const core::SweepTable& table, core::CellSink* sink,
   }
 }
 
-/// Guards reuse against a 64-bit signature collision: a shared table may
-/// only serve this submission if it is the table OF this grid. The hash
-/// is not cryptographic and request bytes are client-controlled, so a
-/// colliding grid must fall through to its own computation rather than
-/// silently receive another grid's cells.
-bool table_matches_grid(const core::SweepTable& table,
-                        const std::vector<core::ScenarioPoint>& points,
-                        const std::vector<core::PatternKind>& kinds) {
-  if (table.kinds != kinds || table.points.size() != points.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!core::points_bit_identical(table.points[i], points[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// The SeedSource the runner consults on a seeded compute: per-chain
 /// lookups against the cache's seed index (memory + verified disk).
 /// Thread-safe — chains query it concurrently from the pool.

@@ -19,6 +19,8 @@
 #include "resilience/service/jsonl_session.hpp"
 #include "resilience/service/scenario_request.hpp"
 #include "resilience/service/serialize.hpp"
+#include "resilience/service/sim_service.hpp"
+#include "resilience/service/sim_table.hpp"
 #include "resilience/util/thread_pool.hpp"
 
 namespace rc = resilience::core;
@@ -47,6 +49,30 @@ rc::ScenarioGrid pinned_edge_grid() {
   grid.rate_factors = {{1000.0, 1000.0}};
   grid.cost_overrides = {{3000.0, -1.0, -1.0}};
   return grid;  // all six families
+}
+
+/// A small simulate request (one point, one family, two shapes) for the
+/// persistence tests that cover both spill formats.
+rs::ScenarioRequest small_sim_request() {
+  rs::ScenarioRequest request;
+  request.grid.platforms = {rc::hera()};
+  request.grid.node_counts = {512};
+  request.grid.kinds = {rc::PatternKind::kD};
+  request.simulate = true;
+  request.sim.seed = 42;
+  request.sim.min_runs = 16;
+  request.sim.max_runs = 32;
+  request.sim.patterns_per_run = 20;
+  request.sim.weibull_shape = {1.0, 0.7};
+  return request;
+}
+
+/// The simulate table a fresh, cache-less service computes for `request`.
+std::shared_ptr<const rs::SimTable> cold_sim_table(
+    const rs::ScenarioRequest& request) {
+  rs::ServiceOptions options;
+  options.cache_capacity = 0;
+  return rs::SweepService(options).sim().submit(request).table;
 }
 
 /// Collects streamed cells for set comparisons.
@@ -523,6 +549,40 @@ TEST(Persistence, CorruptSpillIsRejectedNotServed) {
 
   expect_rejected("corrupt_input", "\"nodes\":512", "\"nodes\":513");
   expect_rejected("corrupt_result", "\"segments_n\":", "\"segments_n\":9");
+
+  // The same two shapes in a simulate spill.
+  const auto expect_sim_rejected = [&](const char* name,
+                                       const std::string& needle,
+                                       const std::string& replacement) {
+    ScratchDir dir(name);
+    const rs::ScenarioRequest request = small_sim_request();
+    rc::GridSignature signature;
+    {
+      rs::ServiceOptions options;
+      options.cache_dir = dir.str();
+      rs::SweepService service(options);
+      signature = service.sim().submit(request).signature;
+    }
+    const std::filesystem::path file =
+        dir.path() / (signature.hex() + ".sim.json");
+    ASSERT_TRUE(std::filesystem::exists(file));
+    tamper(file, needle, replacement);
+
+    rs::ServiceOptions options;
+    options.cache_dir = dir.str();
+    rs::SweepService service(options);
+    const rs::SimSubmitResult result = service.sim().submit(request);
+    EXPECT_FALSE(result.cache_hit) << name;  // recomputed, never served
+    EXPECT_EQ(service.sim().cells_computed(), result.table->cells.size())
+        << name;
+    EXPECT_GE(service.cache().disk_rejects(), 1u) << name;
+    EXPECT_TRUE(rs::sim_tables_bit_identical(*result.table,
+                                             *cold_sim_table(request)))
+        << name;
+  };
+
+  expect_sim_rejected("sim_corrupt_input", "\"nodes\":512", "\"nodes\":513");
+  expect_sim_rejected("sim_corrupt_result", "\"mean\":", "\"mean\":9");
 }
 
 TEST(Persistence, ForeignSpillUnderWrongNameIsRejected) {
@@ -554,6 +614,34 @@ TEST(Persistence, ForeignSpillUnderWrongNameIsRejected) {
   EXPECT_GE(service.cache().disk_rejects(), 1u);
   EXPECT_TRUE(
       rc::tables_bit_identical(*result.table, rc::SweepRunner().run(grid_a)));
+
+  // The same for simulate spills: B's table under A's '.sim.json' name.
+  ScratchDir sim_dir("foreign_sim");
+  const rs::ScenarioRequest sim_a = small_sim_request();
+  rs::ScenarioRequest sim_b = small_sim_request();
+  sim_b.sim.seed = 43;
+  rc::GridSignature sim_signature_a;
+  rc::GridSignature sim_signature_b;
+  {
+    rs::ServiceOptions sim_options;
+    sim_options.cache_dir = sim_dir.str();
+    rs::SweepService sim_service(sim_options);
+    sim_signature_a = sim_service.sim().submit(sim_a).signature;
+    sim_signature_b = sim_service.sim().submit(sim_b).signature;
+  }
+  std::filesystem::copy_file(
+      sim_dir.path() / (sim_signature_b.hex() + ".sim.json"),
+      sim_dir.path() / (sim_signature_a.hex() + ".sim.json"),
+      std::filesystem::copy_options::overwrite_existing);
+
+  rs::ServiceOptions sim_options;
+  sim_options.cache_dir = sim_dir.str();
+  rs::SweepService sim_service(sim_options);
+  const rs::SimSubmitResult sim_result = sim_service.sim().submit(sim_a);
+  EXPECT_FALSE(sim_result.cache_hit);
+  EXPECT_GE(sim_service.cache().disk_rejects(), 1u);
+  EXPECT_TRUE(
+      rs::sim_tables_bit_identical(*sim_result.table, *cold_sim_table(sim_a)));
 }
 
 TEST(Persistence, SpillFromTheGoldenSectionFormatIsRejectedNotServed) {
@@ -783,27 +871,6 @@ TEST(Serialize, RequestRoundTrip) {
   EXPECT_EQ(reparsed.grid.node_counts, request.grid.node_counts);
   EXPECT_EQ(reparsed.grid.kinds, request.grid.kinds);
   EXPECT_FALSE(reparsed.numeric_optimum);
-}
-
-TEST(Serialize, JsonlCellSinkWritesParseableLines) {
-  const auto grid = small_grid();
-  rs::SweepService service;
-  std::ostringstream out;
-  rs::JsonlCellSink sink(out, "req-1", rc::grid_signature(grid, {}));
-  const rs::SubmitResult result = service.submit(grid, &sink);
-  EXPECT_EQ(sink.cells_written(), result.table->cells.size());
-
-  std::istringstream lines(out.str());
-  std::string line;
-  std::size_t count = 0;
-  while (std::getline(lines, line)) {
-    const auto value = ru::JsonValue::parse(line);
-    EXPECT_EQ(value.find("type")->as_string(), "cell");
-    EXPECT_EQ(value.find("request")->as_string(), "req-1");
-    EXPECT_EQ(value.find("signature")->as_string(), result.signature.hex());
-    ++count;
-  }
-  EXPECT_EQ(count, result.table->cells.size());
 }
 
 TEST(ServiceStats, CountersTrackSubmissionOutcomes) {

@@ -3,7 +3,9 @@
 // contract (bit-identical tables at pool sizes 1/2/8, sub-grid splits
 // matching whole-grid computes cell for cell), the adaptive stopper's
 // cap property (raising max_runs never changes an early-stopped cell),
-// the sim cache tier (memory hits and disk spill/reload), cost-model
+// simulate tables in the shared cache (memory hits, disk spill/reload,
+// one capacity for both modes, cross-mode misses and spill rejection, a
+// spill from an earlier build served byte for byte), cost-model
 // pricing, and the JsonlSession wire behavior (streamed cell lines, a
 // "mode":"simulate" done line, the server-side sim_max_runs cap).
 
@@ -14,6 +16,8 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -83,6 +87,7 @@ class ScratchDir {
     std::filesystem::remove_all(path_, ignored);
   }
   [[nodiscard]] std::string str() const { return path_.string(); }
+  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
 
  private:
   std::filesystem::path path_;
@@ -359,6 +364,190 @@ TEST(SimService, DiskTierServesAcrossARestartBitIdentically) {
     EXPECT_TRUE(reloaded.disk_hit);
     EXPECT_EQ(rs::to_json(*reloaded.table).dump(), before);
     EXPECT_EQ(service.sim().cells_computed(), 0u);
+  }
+}
+
+TEST(SimService, CacheCapacityCountsTablesOfBothModes) {
+  // One LRU for both modes: at capacity 1 a simulate table evicts the
+  // analytic one, and size() counts it.
+  rs::SweepCache cache(1);
+  cache.insert(rc::GridSignature{1}, std::make_shared<const rc::SweepTable>());
+  cache.insert(rc::GridSignature{2}, std::make_shared<const rs::SimTable>());
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.find(rc::GridSignature{1}), nullptr);
+  EXPECT_NE(cache.find<rs::SimTable>(rc::GridSignature{2}), nullptr);
+
+  // The same through the service and its stats block.
+  rs::ServiceOptions options;
+  options.cache_capacity = 1;
+  rs::SweepService service(options);
+  const auto request = small_sim_request();
+  rs::ScenarioRequest analytic = request;
+  analytic.simulate = false;
+  EXPECT_FALSE(service.submit(analytic).cache_hit);
+  EXPECT_EQ(service.stats().cache_size, 1u);
+  EXPECT_FALSE(service.sim().submit(request).cache_hit);
+  EXPECT_EQ(service.stats().cache_size, 1u);
+  EXPECT_TRUE(service.sim().submit(request).cache_hit);
+  EXPECT_FALSE(service.submit(analytic).cache_hit);  // evicted
+  EXPECT_EQ(service.tables_computed(), 2u);
+}
+
+TEST(SimService, ALookupThatFindsTheOtherModesTableIsAMiss) {
+  // Both table types under one forced signature value: the entry holds
+  // the last insert, and a lookup asking for the other type misses.
+  rs::SweepCache cache(4);
+  const rc::GridSignature forced{0x5eed};
+  const auto analytic = std::make_shared<const rc::SweepTable>();
+  const auto simulate = std::make_shared<const rs::SimTable>();
+  cache.insert(forced, analytic);
+  EXPECT_EQ(cache.find<rs::SimTable>(forced), nullptr);
+  EXPECT_EQ(cache.find(forced), analytic);
+  cache.insert(forced, simulate);
+  EXPECT_EQ(cache.find(forced), nullptr);
+  EXPECT_EQ(cache.find<rs::SimTable>(forced), simulate);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 2u);
+
+  // Through the service: another mode's table, or another request's sim
+  // table, parked under the request's signature is recomputed, not served.
+  rs::SweepService service;
+  const auto request = small_sim_request();
+  const rc::GridSignature signature = service.sim().signature_for(request);
+  rs::ScenarioRequest analytic_request = request;
+  analytic_request.simulate = false;
+  service.cache().insert(signature, service.submit(analytic_request).table);
+  EXPECT_FALSE(service.sim().submit(request).cache_hit);
+  rs::ScenarioRequest other = request;
+  other.sim.seed = 7;
+  service.cache().insert(signature, service.sim().submit(other).table);
+  const auto result = service.sim().submit(request);
+  EXPECT_FALSE(result.cache_hit);
+  EXPECT_EQ(result.table->params.seed, 42u);
+}
+
+TEST(SimService, SpillsCopiedAcrossModesAreRejectedNotServed) {
+  // A simulate spill copied over an analytic signature's '.json' name,
+  // and the reverse: each is rejected and recomputed, never served.
+  const auto request = small_sim_request();
+  rs::ScenarioRequest analytic = request;
+  analytic.simulate = false;
+  const auto spill_both = [&](const ScratchDir& dir, rc::GridSignature* a,
+                              rc::GridSignature* s) {
+    rs::ServiceOptions options;
+    options.cache_dir = dir.str();
+    rs::SweepService service(options);
+    *a = service.submit(analytic).signature;
+    *s = service.sim().submit(request).signature;
+  };
+  rc::GridSignature analytic_signature;
+  rc::GridSignature sim_signature;
+  {
+    const ScratchDir dir("sim_over_analytic");
+    spill_both(dir, &analytic_signature, &sim_signature);
+    std::filesystem::copy_file(
+        dir.path() / (sim_signature.hex() + ".sim.json"),
+        dir.path() / (analytic_signature.hex() + ".json"),
+        std::filesystem::copy_options::overwrite_existing);
+    rs::ServiceOptions options;
+    options.cache_dir = dir.str();
+    rs::SweepService service(options);
+    const auto result = service.submit(analytic);
+    EXPECT_FALSE(result.cache_hit);
+    EXPECT_EQ(service.tables_computed(), 1u);
+    EXPECT_EQ(service.cache().disk_rejects(), 1u);
+    EXPECT_TRUE(rc::tables_bit_identical(*result.table,
+                                         rc::SweepRunner().run(analytic.grid)));
+    EXPECT_TRUE(service.sim().submit(request).disk_hit);  // its own file
+  }
+  {
+    const ScratchDir dir("analytic_over_sim");
+    spill_both(dir, &analytic_signature, &sim_signature);
+    std::filesystem::copy_file(
+        dir.path() / (analytic_signature.hex() + ".json"),
+        dir.path() / (sim_signature.hex() + ".sim.json"),
+        std::filesystem::copy_options::overwrite_existing);
+    rs::ServiceOptions options;
+    options.cache_dir = dir.str();
+    rs::SweepService service(options);
+    const auto result = service.sim().submit(request);
+    EXPECT_FALSE(result.cache_hit);
+    EXPECT_EQ(service.sim().cells_computed(), result.table->cells.size());
+    EXPECT_EQ(service.cache().disk_rejects(), 1u);
+    EXPECT_TRUE(rs::sim_tables_bit_identical(
+        *result.table, *submit_at_pool(request, 1).table));
+    EXPECT_TRUE(service.submit(analytic).disk_hit);  // its own file
+  }
+}
+
+TEST(SimService, SpillFromAnEarlierBuildIsServedAndRewrittenByteForByte) {
+  // A simulate spill exactly as an earlier build wrote it, when each mode
+  // had its own cache tier (one point, PD, two Weibull shapes). It must be
+  // served with zero recomputes, and a fresh compute must spill the very
+  // same bytes.
+  const std::string name = "8a7e849b16ebad42.sim.json";
+  const std::string spill =
+      R"({"format":"sim-table-spill-v1","payload_fnv":"ece56320929f195b",)"
+      R"("table":{"type":"sim_table","kinds":["PD"],"points":[{)"
+      R"("platform_index":0,"node_index":0,"rate_index":0,"cost_index":0,)"
+      R"("platform":{"name":"Hera@512","nodes":512,"fail_stop":1.892e-06,)"
+      R"("silent":6.76e-06,"disk_checkpoint":300,"memory_checkpoint":15.4},)"
+      R"("params":{"costs":{"disk_checkpoint":300,"memory_checkpoint":15.4,)"
+      R"("disk_recovery":300,"memory_recovery":15.4,)"
+      R"("guaranteed_verification":15.4,"partial_verification":0.154,)"
+      R"("recall":0.8},"rates":{"fail_stop":1.892e-06,"silent":6.76e-06}}}],)"
+      R"("sim":{"seed":42,"target_ci":0.05,"max_runs":32,"min_runs":16,)"
+      R"("patterns_per_run":20,"weibull_shape":[1,0.7],"faulty_ops":[1]},)"
+      R"("cells":[{"point":0,"kind":"PD","weibull_shape":1,"faulty_ops":1,)"
+      R"("mean":0.11379381604936306,"ci_low":0.08849128200219245,)"
+      R"("ci_high":0.13909635009653368,"runs":32,"early_stopped":false},)"
+      R"({"point":0,"kind":"PD","weibull_shape":0.7,"faulty_ops":1,)"
+      R"("mean":0.13800812931745127,"ci_low":0.10617558871990154,)"
+      R"("ci_high":0.169840669915001,"runs":32,"early_stopped":false}]}})";
+  rs::ScenarioRequest request;
+  request.grid.platforms = {rc::hera()};
+  request.grid.node_counts = {512};
+  request.grid.kinds = {rc::PatternKind::kD};
+  request.simulate = true;
+  request.sim.seed = 42;
+  request.sim.target_ci = 0.05;
+  request.sim.min_runs = 16;
+  request.sim.max_runs = 32;
+  request.sim.patterns_per_run = 20;
+  request.sim.weibull_shape = {1.0, 0.7};
+  request.sim.faulty_ops = {1.0};
+
+  {
+    const ScratchDir dir("sim_spill_served");
+    std::ofstream(dir.path() / name) << spill;
+    rs::ServiceOptions options;
+    options.cache_dir = dir.str();
+    rs::SweepService service(options);
+    const auto result = service.sim().submit(request);
+    EXPECT_TRUE(result.cache_hit);
+    EXPECT_TRUE(result.disk_hit);
+    EXPECT_EQ(result.signature.hex() + ".sim.json", name);
+    EXPECT_EQ(service.sim().cells_computed(), 0u);
+    EXPECT_EQ(service.cache().disk_rejects(), 0u);
+    ASSERT_EQ(result.table->cells.size(), 2u);
+    EXPECT_EQ(rs::to_json(result.table->cells[1]).dump(),
+              R"({"point":0,"kind":"PD","weibull_shape":0.7,"faulty_ops":1,)"
+              R"("mean":0.13800812931745127,"ci_low":0.10617558871990154,)"
+              R"("ci_high":0.169840669915001,"runs":32,"early_stopped":false})");
+  }
+  {
+    const ScratchDir dir("sim_spill_written");
+    {
+      rs::ServiceOptions options;
+      options.cache_dir = dir.str();
+      rs::SweepService service(options);
+      EXPECT_FALSE(service.sim().submit(request).cache_hit);
+    }  // shutdown spills
+    std::ifstream in(dir.path() / name, std::ios::binary);
+    std::stringstream written;
+    written << in.rdbuf();
+    EXPECT_EQ(written.str(), spill);
   }
 }
 
