@@ -174,23 +174,14 @@ int main(int argc, char** argv) {
     options.max_queue_cost = *queue_cost;
     options.max_queue_depth = static_cast<std::size_t>(*queue_depth);
     options.service.cache_capacity = 0;  // the router computes nothing
-    // The factory outlives this scope inside the server, and the server
-    // pointer only exists after construction — hence the shared holder.
-    auto server_holder = std::make_shared<rn::NetServer*>(nullptr);
     options.session_factory =
-        [&fleet, server_holder](rs::LineSession::LineFn emit,
-                                std::shared_ptr<std::atomic<bool>> cancel) {
-          auto session = std::make_unique<rn::RouterSession>(
-              fleet, std::move(emit), std::move(cancel));
-          if (rn::NetServer* server = *server_holder) {
-            session->set_transport_stats(
-                [server] { return server->overload_stats_json(); });
-          }
-          return session;
+        [&fleet](rs::LineSession::LineFn emit,
+                 std::shared_ptr<std::atomic<bool>> cancel) {
+          return std::make_unique<rn::RouterSession>(fleet, std::move(emit),
+                                                     std::move(cancel));
         };
 
     rn::NetServer server(std::move(options));
-    *server_holder = &server;
     g_server = &server;
     struct sigaction action {};
     action.sa_handler = handle_signal;

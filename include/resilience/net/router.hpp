@@ -215,41 +215,21 @@ class ShardFleet {
 
 /// One JSONL protocol session over the fleet — the router's counterpart
 /// of service::JsonlSession, pluggable into NetServer via its session
-/// factory (and drivable directly in tests, no TCP front needed).
+/// factory (and drivable directly in tests, no TCP front needed). The
+/// request front is LineSession's, shared with JsonlSession, so every
+/// answer that needs no shard is byte-identical to a single daemon's by
+/// construction; this class answers stats from the fleet and serves
+/// scenarios by fanning them out.
 class RouterSession final : public service::LineSession {
  public:
-  using LineFn = service::LineSession::LineFn;
-
   RouterSession(ShardFleet& fleet, LineFn emit,
                 std::shared_ptr<const std::atomic<bool>> cancelled = nullptr);
 
-  /// When set, {"type":"stats"} answers additionally carry the router
-  /// daemon's OWN scheduler/latency snapshot as a "transport" block
-  /// (sweep_router wires NetServer::overload_stats_json here) — the
-  /// fleet front is itself an overload-controlled server.
-  void set_transport_stats(std::function<util::JsonValue()> hook) {
-    transport_stats_ = std::move(hook);
-  }
-
-  void handle_line(std::string_view line) override;
-
-  [[nodiscard]] std::size_t lines_seen() const noexcept { return lines_; }
-  [[nodiscard]] bool any_request_errors() const noexcept { return errors_; }
-  [[nodiscard]] bool cancelled() const noexcept {
-    return cancelled_ != nullptr &&
-           cancelled_->load(std::memory_order_acquire);
-  }
-
  private:
-  void emit(std::string line, bool end_of_response);
-  void serve_scenario(const service::ScenarioRequest& request);
+  std::string stats_answer(const std::string& id) override;
+  void serve_scenario(service::ScenarioRequest& request) override;
 
   ShardFleet& fleet_;
-  LineFn emit_;
-  std::shared_ptr<const std::atomic<bool>> cancelled_;
-  std::function<util::JsonValue()> transport_stats_;
-  std::size_t lines_ = 0;
-  bool errors_ = false;
 };
 
 }  // namespace resilience::net

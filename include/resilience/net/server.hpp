@@ -10,15 +10,21 @@
 // outbound queue; the loop drains them into the sockets on writability
 // edges.
 //
+// Admission: the loop thread numbers each received line per connection
+// and classifies it once (service::classify_line) — blank and comment
+// lines end there; every other line queues as its classified request,
+// which a worker later hands to the session's serve(). The loop thread
+// never calls into a session and no line is parsed twice.
+//
 // Scheduling & overload control (PR 8): received request lines no longer
-// drain FIFO into the executor. Each line is *priced* at admission
-// (service::estimate_line_cost — cache-aware predicted compute units)
-// and queued per connection; a start-time fair queue picks the next
-// request globally — the connection whose head carries the smallest
-// virtual start tag wins, earliest queue deadline breaking ties — so
-// cheap requests from other connections overtake a heavy client's
-// backlog while each connection's own responses still answer strictly
-// in its request order. Three shedding layers keep overload graceful:
+// drain FIFO into the executor. Each scenario is *priced* at admission
+// (service::estimate_cost over the classified request — cache-aware
+// predicted compute units) and queued per connection; a start-time fair
+// queue picks the next request globally — the connection whose head
+// carries the smallest virtual start tag wins, earliest queue deadline
+// breaking ties — so cheap requests from other connections overtake a
+// heavy client's backlog while each connection's own responses still
+// answer strictly in its request order. Three shedding layers keep overload graceful:
 //   * admission control — when the waiting queue already holds
 //     max_queue_depth requests or max_queue_cost units, new scenario
 //     requests answer a located {"type":"error","code":"overloaded",
@@ -34,9 +40,10 @@
 // histograms plus admitted/shed counters, via overload_stats[_json]().
 //
 // Protocol = the stdin sweep_server protocol, byte for byte: both front
-// ends feed service::JsonlSession, so a request answered over TCP and
-// the same request answered over stdin produce identical lines (pinned
-// by test_net and the CI net smoke).
+// ends classify with the one request front and answer through
+// service::JsonlSession, so a request answered over TCP and the same
+// request answered over stdin produce identical lines (pinned by
+// test_net, test_router's cross-front test and the CI net smoke).
 //
 // Lifecycle: construct (binds; port 0 = ephemeral, see port()), run()
 // on the serving thread, stop()/signal_stop() from anywhere — including
@@ -68,8 +75,9 @@ namespace resilience::net {
 /// Power-of-two-bucket latency histogram in microseconds: bucket i counts
 /// samples whose bit width is i (bucket 0: 0-1 us, bucket i: [2^(i-1),
 /// 2^i) us), plus exact count/total/max. Percentiles are approximate —
-/// the upper bound of the bucket holding the requested rank — which is
-/// plenty for an overload dashboard and keeps recording O(1).
+/// the upper bound of the bucket holding the requested rank, clamped to
+/// the exact max — which is plenty for an overload dashboard and keeps
+/// recording O(1).
 struct LatencyHistogram {
   std::array<std::uint64_t, 32> buckets{};
   std::uint64_t count = 0;
@@ -87,7 +95,7 @@ struct LatencyHistogram {
   }
 
   /// Upper bound (us) of the bucket containing the p-quantile sample
-  /// (0 < p <= 1); 0 when empty.
+  /// (0 < p <= 1), never above max_us; 0 when empty.
   [[nodiscard]] std::uint64_t approx_percentile_us(double p) const noexcept {
     if (count == 0) {
       return 0;
@@ -97,7 +105,8 @@ struct LatencyHistogram {
     for (std::size_t i = 0; i < buckets.size(); ++i) {
       seen += buckets[i];
       if (static_cast<double>(seen) >= rank) {
-        return i == 0 ? 1 : (std::uint64_t{1} << i) - 1;
+        const std::uint64_t bound = i == 0 ? 1 : (std::uint64_t{1} << i) - 1;
+        return bound < max_us ? bound : max_us;
       }
     }
     return max_us;
@@ -176,7 +185,9 @@ struct NetServerOptions {
   /// backpressure, graceful drain) is identical either way. The factory
   /// receives the connection's emit callback and cancel flag: sessions
   /// must forward response lines through `emit` and stop producing once
-  /// the flag reads true (the client is gone).
+  /// the flag reads true (the client is gone). The server wires its
+  /// scheduler snapshot into every session it creates, as the stats
+  /// answers' "transport" block (LineSession::set_transport_stats).
   using SessionFactory = std::function<std::unique_ptr<service::LineSession>(
       service::LineSession::LineFn emit,
       std::shared_ptr<std::atomic<bool>> cancel)>;

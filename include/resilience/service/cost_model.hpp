@@ -22,7 +22,6 @@
 // latencies the transport histograms record.
 
 #include <cstddef>
-#include <string>
 #include <string_view>
 
 #include "resilience/service/scenario_request.hpp"
@@ -64,18 +63,17 @@ struct CostEstimate {
 [[nodiscard]] CostEstimate estimate_cost(const ScenarioRequest& request,
                                          const SweepService* service);
 
-/// Admission-time pre-parse of one raw input line. The transport cannot
-/// afford to *execute* a line before deciding where it queues, but it can
-/// afford one parse: estimate_line_cost() classifies the line and prices
-/// it without side effects. Lines that fail to parse as scenario requests
-/// (pings, stats, malformed JSON) report scenario=false — they answer in
-/// microseconds, so schedulers give them a nominal cost and always admit
-/// them (observability must keep working under overload).
+/// Prices one raw input line: classify_line() plus estimate_cost(). The
+/// daemon's admission prices the request it already classified instead;
+/// this wrapper serves callers holding only the line's bytes. Lines that
+/// do not classify as scenario requests (pings, stats, blanks, invalid
+/// lines) report scenario=false — they answer in microseconds, so
+/// schedulers give them a nominal cost and always admit them
+/// (observability must keep working under overload). The third argument
+/// is unused: deadlines are read from the classified request.
 struct LineCost {
-  bool scenario = false;   ///< parsed as a well-formed scenario request
-  CostEstimate estimate;   ///< meaningful only when scenario
-  int deadline_ms = 0;     ///< resolved deadline (request's, else default)
-  std::string id;          ///< explicit request id ("" = transport default)
+  bool scenario = false;  ///< classified as a valid scenario request
+  CostEstimate estimate;  ///< meaningful only when scenario
 };
 
 [[nodiscard]] LineCost estimate_line_cost(std::string_view line,

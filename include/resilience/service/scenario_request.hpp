@@ -47,6 +47,9 @@ class RequestError : public std::runtime_error {
   RequestError(std::string field_path, const std::string& message);
 
   std::string field;
+  /// The full text of what(): the same bytes, except that what() stops
+  /// at a NUL a client put into a field name and this does not.
+  std::string text;
 };
 
 /// The `sim` block of a `"mode": "simulate"` request: the Monte Carlo

@@ -69,12 +69,14 @@ class JsonValue {
   [[nodiscard]] bool is_array() const noexcept { return type_ == Type::kArray; }
   [[nodiscard]] bool is_object() const noexcept { return type_ == Type::kObject; }
 
-  /// Typed accessors; throw JsonError on a type mismatch.
+  /// Typed accessors; throw JsonError on a type mismatch. The mutable
+  /// object overload lets callers move members out.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_double() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const Array& as_array() const;
   [[nodiscard]] const Object& as_object() const;
+  [[nodiscard]] Object& as_object();
 
   /// Object lookup; nullptr when absent (or when this is not an object).
   /// The mutable overload lets callers update a member in place.

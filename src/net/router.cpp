@@ -10,7 +10,6 @@
 
 #include "resilience/net/client.hpp"
 #include "resilience/net/resilient_client.hpp"
-#include "resilience/service/jsonl_session.hpp"  // is_request_line
 #include "resilience/service/serialize.hpp"
 #include "resilience/service/sim_table.hpp"
 
@@ -417,115 +416,26 @@ util::JsonValue ShardFleet::collect_shard_stats() {
 RouterSession::RouterSession(
     ShardFleet& fleet, LineFn emit,
     std::shared_ptr<const std::atomic<bool>> cancelled)
-    : fleet_(fleet), emit_(std::move(emit)), cancelled_(std::move(cancelled)) {}
+    : LineSession(std::move(emit), std::move(cancelled)), fleet_(fleet) {}
 
-void RouterSession::emit(std::string line, bool end_of_response) {
-  if (!cancelled()) {
-    emit_(std::move(line), end_of_response);
+// The router's stats surface is the FLEET, not a service/cache block:
+// per-shard health and the failover counters, plus the fleet-wide sum of
+// every Up shard's own counters and — when the router runs under
+// NetServer — its own transport block.
+std::string RouterSession::stats_answer(const std::string& id) {
+  util::JsonValue stats = util::JsonValue::object();
+  stats.set("type", "stats");
+  stats.set("request", id);
+  stats.set("fleet", fleet_.stats_json());
+  stats.set("aggregate", fleet_.collect_shard_stats());
+  util::JsonValue transport = transport_stats();
+  if (!transport.is_null()) {
+    stats.set("transport", std::move(transport));
   }
+  return stats.dump();
 }
 
-// The parse/dispatch front matter deliberately mirrors
-// service::JsonlSession line by line: the byte-identity gate runs the
-// same request file through both, so every shared error path must
-// produce the same error_line bytes.
-void RouterSession::handle_line(std::string_view line) {
-  ++lines_;
-  if (!service::is_request_line(line)) {
-    return;
-  }
-  if (cancelled()) {
-    return;
-  }
-  const std::string default_id = "line-" + std::to_string(lines_);
-
-  util::JsonValue json;
-  try {
-    json = util::JsonValue::parse(line);
-  } catch (const util::JsonError& error) {
-    errors_ = true;
-    emit(service::error_line(default_id, "",
-                             std::string("invalid JSON: ") + error.what()),
-         true);
-    return;
-  }
-
-  if (json.is_object()) {
-    if (const util::JsonValue* type = json.find("type")) {
-      std::string id = default_id;
-      if (const util::JsonValue* id_field = json.find("id")) {
-        if (!id_field->is_string()) {
-          errors_ = true;
-          emit(service::error_line(default_id, "id", "expected a string"),
-               true);
-          return;
-        }
-        id = id_field->as_string();
-      }
-      const bool is_stats = type->is_string() && type->as_string() == "stats";
-      const bool is_ping = type->is_string() && type->as_string() == "ping";
-      if (!is_stats && !is_ping) {
-        errors_ = true;
-        emit(service::error_line(
-                 id, "type",
-                 type->is_string()
-                     ? "unknown request type '" + type->as_string() + "'"
-                     : std::string("expected a string")),
-             true);
-        return;
-      }
-      for (const auto& [key, value] : json.as_object()) {
-        if (key != "type" && key != "id") {
-          errors_ = true;
-          emit(service::error_line(id, key, "unknown field '" + key + "'"),
-               true);
-          return;
-        }
-      }
-      if (is_ping) {
-        emit(service::pong_line(id), true);
-      } else {
-        // The router's stats surface is the FLEET, not a service/cache
-        // block: per-shard health and the failover counters, plus the
-        // fleet-wide sum of every Up shard's own counters and — when the
-        // router runs under NetServer — its own transport block.
-        util::JsonValue stats = util::JsonValue::object();
-        stats.set("type", "stats");
-        stats.set("request", id);
-        stats.set("fleet", fleet_.stats_json());
-        stats.set("aggregate", fleet_.collect_shard_stats());
-        if (transport_stats_) {
-          stats.set("transport", transport_stats_());
-        }
-        emit(stats.dump(), true);
-      }
-      return;
-    }
-  }
-
-  service::ScenarioRequest request;
-  try {
-    request = service::ScenarioRequest::from_json(json);
-  } catch (const service::RequestError& error) {
-    errors_ = true;
-    emit(service::error_line(default_id, error.field, error.what()), true);
-    return;
-  }
-  if (request.id.empty()) {
-    request.id = default_id;
-  }
-
-  try {
-    serve_scenario(request);
-  } catch (const std::exception& error) {
-    errors_ = true;
-    emit(service::error_line(request.id, "",
-                             std::string("internal error: ") + error.what()),
-         true);
-  }
-}
-
-void RouterSession::serve_scenario(const service::ScenarioRequest& request) {
+void RouterSession::serve_scenario(service::ScenarioRequest& request) {
   const core::ScenarioGrid& grid = request.grid;
   // The shards run default sweep options with the request's
   // numeric_optimum applied (SweepService::signature_for does the same),
@@ -539,9 +449,12 @@ void RouterSession::serve_scenario(const service::ScenarioRequest& request) {
   // — but identify and merge as a SimTable: per-cell RNG streams are
   // content-addressed (sim_cell_seed), so a shard computing one slice
   // emits the same cell bytes a whole-grid compute would.
-  const core::GridSignature signature =
-      request.simulate ? service::sim_signature(points, kinds, request.sim)
-                       : core::grid_signature(points, kinds, sweep);
+  const auto signature_of = [&](const std::vector<core::ScenarioPoint>& at,
+                                const std::vector<core::PatternKind>& of) {
+    return request.simulate ? service::sim_signature(at, of, request.sim)
+                            : core::grid_signature(at, of, sweep);
+  };
+  const core::GridSignature signature = signature_of(points, kinds);
   const std::vector<core::GridChain> chains = core::grid_chains(grid, sweep);
 
   // The merged result is assembled into a full parent table — an
@@ -626,14 +539,11 @@ void RouterSession::serve_scenario(const service::ScenarioRequest& request) {
               ? std::optional<std::string>()
               : fleet_.route(chains[chain_index].key.value);
       if (!owner) {
-        errors_ = true;
-        emit(service::error_line(
-                 request.id, "shards",
-                 "no shard available: " +
-                     std::to_string(options.shards.size()) +
-                     " configured shard(s), " +
-                     std::to_string(fleet_.up_count()) + " up"),
-             true);
+        fail(service::error_line(
+            request.id, "shards",
+            "no shard available: " + std::to_string(options.shards.size()) +
+                " configured shard(s), " + std::to_string(fleet_.up_count()) +
+                " up"));
         return;
       }
       by_shard[*owner].push_back(chain_index);
@@ -704,28 +614,22 @@ void RouterSession::serve_scenario(const service::ScenarioRequest& request) {
           continue;
         }
 
-        // The unit's sub-grid: the parent axes restricted to one
-        // platform and one cost override, families = the unit's chains.
-        service::ScenarioRequest sub;
+        // The unit's sub-request: the parent request with its grid
+        // restricted to one platform and one cost override, families =
+        // the unit's chains. Everything else travels verbatim: the
+        // simulate mode and every sim field (budgets AND axes, all
+        // result-affecting), the deadline, and the stats opt-in (the
+        // merged done line carries the per-shard blocks as a "shards"
+        // array).
+        service::ScenarioRequest sub = request;
         sub.grid.platforms = {grid.platforms[unit.platform_index]};
-        sub.grid.node_counts = grid.node_counts;
-        sub.grid.rate_factors = grid.rate_factors;
         if (!grid.cost_overrides.empty()) {
           sub.grid.cost_overrides = {grid.cost_overrides[unit.cost_index]};
         }
+        sub.grid.kinds.clear();
         for (const std::size_t chain_index : unit.chain_indices) {
           sub.grid.kinds.push_back(chains[chain_index].kind);
         }
-        sub.numeric_optimum = request.numeric_optimum;
-        sub.reuse_seeds = request.reuse_seeds;
-        // Per-shard stats blocks ride along when the parent asked for
-        // them; the merged done line carries them as a "shards" array.
-        sub.include_stats = request.include_stats;
-        sub.deadline_ms = request.deadline_ms;
-        // Simulate mode travels verbatim: every sim field (budgets AND
-        // axes) is result-affecting and enters the sub-signature.
-        sub.simulate = request.simulate;
-        sub.sim = request.sim;
         // Explicit id: resilient retries land on fresh connections where
         // default line numbering restarts. The id never reaches the
         // merged output (cells re-emit under the parent id).
@@ -736,12 +640,8 @@ void RouterSession::serve_scenario(const service::ScenarioRequest& request) {
         // runs different result-affecting options than the router
         // assumes, and wrong bytes must fail loudly, not merge quietly.
         const core::GridSignature sub_signature =
-            request.simulate
-                ? service::sim_signature(core::resolve_points(sub.grid),
-                                         sub.grid.resolved_kinds(),
-                                         request.sim)
-                : core::grid_signature(core::resolve_points(sub.grid),
-                                       sub.grid.resolved_kinds(), sweep);
+            signature_of(core::resolve_points(sub.grid),
+                         sub.grid.resolved_kinds());
 
         Client::Response response;
         try {
@@ -918,10 +818,8 @@ void RouterSession::serve_scenario(const service::ScenarioRequest& request) {
         // Budget spent waiting on busy shards: give up RETRIABLY — the
         // parent answer is the same "overloaded" error a single daemon
         // sheds with, so the client's own retry_after backoff takes over.
-        errors_ = true;
-        emit(service::overloaded_line(
-                 request.id, overload_hint_ms > 0 ? overload_hint_ms : 1000),
-             true);
+        fail(service::overloaded_line(
+            request.id, overload_hint_ms > 0 ? overload_hint_ms : 1000));
         return;
       }
       const std::int64_t wait = std::min<std::int64_t>(
@@ -935,17 +833,14 @@ void RouterSession::serve_scenario(const service::ScenarioRequest& request) {
     return;
   }
   if (any_error) {
-    errors_ = true;
-    emit(service::error_line(request.id, error_field, error_message), true);
+    fail(service::error_line(request.id, error_field, error_message));
     return;
   }
   for (const unsigned char was_filled : filled) {
     if (was_filled == 0) {
-      errors_ = true;
-      emit(service::error_line(request.id, "",
+      fail(service::error_line(request.id, "",
                                "internal error: merged response is missing "
-                               "cells"),
-           true);
+                               "cells"));
       return;
     }
   }

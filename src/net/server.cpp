@@ -71,7 +71,7 @@ util::JsonValue histogram_json(const LatencyHistogram& histogram) {
 
 struct NetServer::Impl {
   /// One client connection: the socket-side state (net::Connection), the
-  /// protocol session, and the pipelining backlog of received request
+  /// protocol session, and the pipelining backlog of classified request
   /// lines. The backlog preserves request order; `executing` guarantees
   /// at most one in-flight session call per connection, so responses go
   /// out strictly in request order even though different connections run
@@ -81,23 +81,24 @@ struct NetServer::Impl {
     std::shared_ptr<Connection> socket;
     std::shared_ptr<std::atomic<bool>> cancel;
     std::unique_ptr<service::LineSession> session;
+    /// One received line, classified once at admission (admit_line).
     struct Item {
-      std::string line;
-      bool framing_error = false;  ///< deferred oversized-line error
-      std::string error_text;      ///< ...and its located message
-      std::string error_id;
-      // ---- scheduler state, filled at admission (admit_line) ----
-      bool request = false;   ///< is_request_line (else numbering-only)
-      bool scenario = false;  ///< priced scenario request
-      bool shed = false;      ///< rejected at admission; shed_text answers
-      std::string shed_text;  ///< pre-formatted overloaded error line
-      std::string response_id;  ///< id a transport-side answer would use
-      double cost = 0.0;        ///< predicted compute units (charge)
-      double start_tag = 0.0;   ///< fair-queue virtual start time
-      int deadline_ms = 0;      ///< resolved deadline (0 = none)
+      service::RequestLine request;  ///< what a worker serves
+      std::size_t bytes = 0;  ///< received line size (read-pause accounting)
+      /// Pre-formatted answer the loop thread sends itself (a framing
+      /// error or an admission shed); such an item never reaches a worker.
+      std::string answer;
+      double cost = 0.0;       ///< predicted compute units (charge)
+      double start_tag = 0.0;  ///< fair-queue virtual start time
+      int deadline_ms = 0;     ///< resolved deadline (0 = none)
       bool has_queue_deadline = false;
       Clock::time_point enqueued{};
       Clock::time_point queue_deadline{};
+
+      /// An admitted scenario request (charged to the waiting budget).
+      [[nodiscard]] bool scenario() const noexcept {
+        return request.kind == service::RequestLine::Kind::kScenario;
+      }
     };
     std::deque<Item> backlog;
     std::size_t backlog_bytes = 0;  ///< request text queued, not executing
@@ -105,10 +106,9 @@ struct NetServer::Impl {
     bool input_closed = false;  ///< peer EOF / framing error / draining
     bool read_hold = false;     ///< paused for pipeline depth or drain
     // ---- scheduler state ----
-    std::uint64_t lines_received = 0;  ///< mirrors the session's "line-N"
+    std::uint64_t lines_received = 0;  ///< numbers default "line-N" ids
     double finish_tag = 0.0;    ///< virtual finish time of last admission
-    bool executing_scenario = false;
-    double executing_cost = 0.0;
+    double executing_cost = 0.0;  ///< charge of the executing scenario, else 0
     Clock::time_point exec_start{};
     bool write_pending = false;  ///< measuring done -> socket drained
     Clock::time_point write_start{};
@@ -193,14 +193,14 @@ struct NetServer::Impl {
         session_options.collect = false;
         session_options.default_deadline_ms = options.default_deadline_ms;
         session_options.sim_max_runs = options.sim_max_runs;
-        // The daemon's stats answers carry the scheduler snapshot; the
-        // stdin path never sets this, so its bytes are unchanged.
-        session_options.transport_stats = [this] {
-          return overload_stats_json();
-        };
         conn->session = std::make_unique<service::JsonlSession>(
-            service, std::move(emit), std::move(session_options), cancel);
+            service, std::move(emit), session_options, cancel);
       }
+      // Every daemon's stats answers carry its scheduler snapshot; the
+      // stdin path never sets this, so its bytes are unchanged.
+      conn->session->set_transport_stats([this] {
+        return overload_stats_json();
+      });
       conn->socket->set_wake([this, id] {
         loop.post([this, id] { on_wake(id); });
       });
@@ -292,9 +292,9 @@ struct NetServer::Impl {
         dropped_framing.fetch_add(1, std::memory_order_relaxed);
         const LineFramer& framer = conn->socket->framer();
         Conn::Item item;
-        item.framing_error = true;
-        item.error_text = framer.error_message();
-        item.error_id = "line-" + std::to_string(framer.error_line());
+        item.answer = service::error_line(
+            "line-" + std::to_string(framer.error_line()), "",
+            framer.error_message());
         conn->backlog.push_back(std::move(item));
         conn->input_closed = true;
         break;
@@ -329,63 +329,64 @@ struct NetServer::Impl {
 
   // -------------------------------------------------------- admission --
 
-  /// Prices one received line and either queues it (with its fair-queue
-  /// start tag) or pre-formats its shed answer. Runs on the loop thread;
-  /// the parse is the admission fee — the transport cannot place a line
-  /// it has not classified.
+  /// Classifies one received line — the only parse it ever gets — then
+  /// prices it and either queues it (with its fair-queue start tag) or
+  /// pre-formats its shed answer. Runs on the loop thread; the parse is
+  /// the admission fee — the transport cannot place a line it has not
+  /// classified. Blank and comment lines only advance the numbering.
   void admit_line(const ConnPtr& conn, std::string_view line) {
-    ++conn->lines_received;
+    service::RequestLine request =
+        service::classify_line(line, ++conn->lines_received);
+    if (request.kind == service::RequestLine::Kind::kSkip) {
+      return;
+    }
     Conn::Item item;
-    item.line = std::string(line);
+    item.bytes = line.size();
     item.enqueued = Clock::now();
-    item.request = service::is_request_line(line);
-    if (item.request) {
-      const service::LineCost priced = service::estimate_line_cost(
-          line, &service, options.default_deadline_ms);
-      item.scenario = priced.scenario;
-      item.cost = priced.scenario
-                      ? std::max(priced.estimate.units, kMinScenarioCost)
-                      : kNonScenarioCost;
-      item.deadline_ms = priced.deadline_ms;
-      item.response_id =
-          priced.id.empty() ? "line-" + std::to_string(conn->lines_received)
-                            : priced.id;
-      if (item.scenario && should_shed(item.cost)) {
-        item.shed = true;
-        std::int64_t retry_after = 0;
+    const bool scenario =
+        request.kind == service::RequestLine::Kind::kScenario;
+    item.cost =
+        scenario ? std::max(service::estimate_cost(request.request, &service)
+                                .units,
+                            kMinScenarioCost)
+                 : kNonScenarioCost;
+    if (scenario && should_shed(item.cost)) {
+      std::int64_t retry_after = 0;
+      {
+        const std::lock_guard<std::mutex> lock(ostats_mutex);
+        ++ostats.shed_overload;
+        retry_after = retry_after_ms_locked();
+      }
+      item.answer = service::overloaded_line(request.request.id, retry_after);
+    } else {
+      // Admitted: charge the waiting budget and stamp the fair-queue
+      // tag. Start-time fair queueing: the tag is where the global
+      // virtual clock will be once every byte this connection admitted
+      // before has had its fair share — so one connection's deep
+      // backlog pushes its OWN later requests back, never another
+      // connection's.
+      item.start_tag = std::max(virtual_time, conn->finish_tag);
+      conn->finish_tag = item.start_tag + item.cost;
+      if (scenario) {
         {
           const std::lock_guard<std::mutex> lock(ostats_mutex);
-          ++ostats.shed_overload;
-          retry_after = retry_after_ms_locked();
+          ++ostats.admitted;
+          ostats.queued_cost += item.cost;
+          ++ostats.queued_depth;
         }
-        item.shed_text = service::overloaded_line(item.response_id,
-                                                  retry_after);
-      } else {
-        // Admitted: charge the waiting budget and stamp the fair-queue
-        // tag. Start-time fair queueing: the tag is where the global
-        // virtual clock will be once every byte this connection admitted
-        // before has had its fair share — so one connection's deep
-        // backlog pushes its OWN later requests back, never another
-        // connection's.
-        item.start_tag = std::max(virtual_time, conn->finish_tag);
-        conn->finish_tag = item.start_tag + item.cost;
-        if (item.scenario) {
-          {
-            const std::lock_guard<std::mutex> lock(ostats_mutex);
-            ++ostats.admitted;
-            ostats.queued_cost += item.cost;
-            ++ostats.queued_depth;
-          }
-          if (item.deadline_ms > 0) {
-            item.has_queue_deadline = true;
-            item.queue_deadline =
-                item.enqueued + std::chrono::milliseconds(item.deadline_ms);
-            arm_sched_timer(item.queue_deadline);
-          }
+        item.deadline_ms = request.request.deadline_ms > 0
+                               ? request.request.deadline_ms
+                               : options.default_deadline_ms;
+        if (item.deadline_ms > 0) {
+          item.has_queue_deadline = true;
+          item.queue_deadline =
+              item.enqueued + std::chrono::milliseconds(item.deadline_ms);
+          arm_sched_timer(item.queue_deadline);
         }
       }
+      item.request = std::move(request);
     }
-    conn->backlog_bytes += item.line.size();
+    conn->backlog_bytes += item.bytes;
     conn->backlog.push_back(std::move(item));
   }
 
@@ -425,41 +426,16 @@ struct NetServer::Impl {
 
   // -------------------------------------------------------- scheduler --
 
-  /// Answers every head item of `conn` that needs no worker — numbering
-  /// ticks for blank/comment lines, deferred framing errors, admission
-  /// sheds, and queue-deadline expiries — until the head is a runnable
-  /// request (or the backlog empties). Only legal while the connection
-  /// is not executing: inline answers would otherwise interleave with
-  /// the in-flight request's response stream.
+  /// Answers every head item of `conn` that needs no worker — deferred
+  /// framing errors, admission sheds, and queue-deadline expiries — until
+  /// the head is a runnable request (or the backlog empties). Only legal
+  /// while the connection is not executing: inline answers would
+  /// otherwise interleave with the in-flight request's response stream.
   void advance_conn(const ConnPtr& conn) {
     while (!conn->executing && !conn->socket->closed() &&
            !conn->backlog.empty()) {
       Conn::Item& head = conn->backlog.front();
-      if (head.framing_error) {
-        conn->socket->enqueue(
-            service::error_line(head.error_id, "", head.error_text));
-        pop_head(conn);
-        (void)flush_conn(conn);
-        continue;  // input_closed is set; maybe_finish closes after flush
-      }
-      if (!head.request) {
-        // Blank lines and comments only tick the session's "line-N"
-        // numbering — no compute, no response, no executor round trip.
-        conn->session->handle_line(head.line);
-        pop_head(conn);
-        continue;
-      }
-      if (head.shed) {
-        conn->session->note_skipped_line();
-        conn->socket->enqueue(head.shed_text);
-        pop_head(conn);
-        if (!flush_conn(conn)) {
-          return;
-        }
-        continue;
-      }
-      if (head.scenario && head.has_queue_deadline &&
-          Clock::now() >= head.queue_deadline) {
+      if (head.has_queue_deadline && Clock::now() >= head.queue_deadline) {
         // Expired while queued: answer the located deadline error right
         // here — the request never touches a worker.
         discharge(head);
@@ -467,25 +443,25 @@ struct NetServer::Impl {
           const std::lock_guard<std::mutex> lock(ostats_mutex);
           ++ostats.shed_expired;
         }
-        conn->session->note_skipped_line();
-        conn->socket->enqueue(service::error_line(
-            head.response_id, "deadline_ms",
+        head.answer = service::error_line(
+            head.request.request.id, "deadline_ms",
             "deadline of " + std::to_string(head.deadline_ms) +
-                " ms expired while the request was queued"));
-        pop_head(conn);
-        if (!flush_conn(conn)) {
-          return;
-        }
-        continue;
+                " ms expired while the request was queued");
       }
-      return;  // runnable head: needs a worker slot
+      if (head.answer.empty()) {
+        return;  // runnable head: needs a worker slot
+      }
+      conn->socket->enqueue(pop_head(conn).answer);
+      if (!flush_conn(conn)) {
+        return;  // the connection died here
+      }
     }
   }
 
   /// Removes and returns the head item, releasing its bytes from the
-  /// read-pause accounting first — before the move empties its line.
+  /// read-pause accounting.
   Conn::Item pop_head(const ConnPtr& conn) {
-    conn->backlog_bytes -= conn->backlog.front().line.size();
+    conn->backlog_bytes -= conn->backlog.front().bytes;
     Conn::Item item = std::move(conn->backlog.front());
     conn->backlog.pop_front();
     return item;
@@ -555,25 +531,24 @@ struct NetServer::Impl {
     Conn::Item item = pop_head(conn);
     const auto now = Clock::now();
     virtual_time = std::max(virtual_time, item.start_tag);
-    if (item.scenario) {
+    if (item.scenario()) {
       discharge(item);
     }
     {
       const std::lock_guard<std::mutex> lock(ostats_mutex);
       ostats.queue_wait.record(elapsed_us(item.enqueued, now));
-      if (item.scenario) {
+      if (item.scenario()) {
         executing_units += item.cost;
       }
     }
     conn->executing = true;
-    conn->executing_scenario = item.scenario;
-    conn->executing_cost = item.cost;
+    conn->executing_cost = item.scenario() ? item.cost : 0.0;
     conn->exec_start = now;
     ++active_requests;
     requests_started.fetch_add(1, std::memory_order_relaxed);
     const ConnPtr held = conn;
-    executor->submit([this, held, line = std::move(item.line)] {
-      held->session->handle_line(line);
+    executor->submit([this, held, request = std::move(item.request)]() mutable {
+      held->session->serve(std::move(request));
       loop.post([this, held] { on_request_done(held); });
     });
   }
@@ -587,7 +562,7 @@ struct NetServer::Impl {
     {
       const std::lock_guard<std::mutex> lock(ostats_mutex);
       ostats.compute.record(elapsed_us(conn->exec_start, now));
-      if (conn->executing_scenario) {
+      if (conn->executing_cost > 0.0) {
         executing_units = std::max(0.0, executing_units - conn->executing_cost);
         // EWMA drain rate in units/ms, sampled per completion over the
         // wall time since the previous one (first sample: this request's
@@ -605,7 +580,6 @@ struct NetServer::Impl {
         last_completion = now;
       }
     }
-    conn->executing_scenario = false;
     conn->executing_cost = 0.0;
     conn->write_pending = true;
     conn->write_start = now;
@@ -676,7 +650,7 @@ struct NetServer::Impl {
     bool found = false;
     for (const auto& [id, conn] : connections) {
       for (const Conn::Item& item : conn->backlog) {
-        if (item.scenario && !item.shed && item.has_queue_deadline &&
+        if (item.has_queue_deadline &&
             (!found || item.queue_deadline < earliest)) {
           earliest = item.queue_deadline;
           found = true;
@@ -688,13 +662,15 @@ struct NetServer::Impl {
     }
   }
 
+  [[nodiscard]] OverloadStats overload_stats() const {
+    const std::lock_guard<std::mutex> lock(ostats_mutex);
+    OverloadStats snapshot = ostats;
+    snapshot.retry_after_ms = retry_after_ms_locked();
+    return snapshot;
+  }
+
   util::JsonValue overload_stats_json() const {
-    OverloadStats snapshot;
-    {
-      const std::lock_guard<std::mutex> lock(ostats_mutex);
-      snapshot = ostats;
-      snapshot.retry_after_ms = retry_after_ms_locked();
-    }
+    const OverloadStats snapshot = overload_stats();
     util::JsonValue scheduler = util::JsonValue::object();
     scheduler.set("admitted", snapshot.admitted);
     scheduler.set("shed_overload", snapshot.shed_overload);
@@ -763,7 +739,7 @@ struct NetServer::Impl {
     // Queued admissions die with the connection: refund their charge, or
     // the waiting budget would leak and eventually shed everything.
     for (const Conn::Item& item : conn->backlog) {
-      if (item.scenario && !item.shed) {
+      if (item.scenario()) {
         discharge(item);
       }
     }
@@ -928,10 +904,7 @@ const NetServerOptions& NetServer::options() const noexcept {
 }
 
 OverloadStats NetServer::overload_stats() const {
-  const std::lock_guard<std::mutex> lock(impl_->ostats_mutex);
-  OverloadStats snapshot = impl_->ostats;
-  snapshot.retry_after_ms = impl_->retry_after_ms_locked();
-  return snapshot;
+  return impl_->overload_stats();
 }
 
 util::JsonValue NetServer::overload_stats_json() const {

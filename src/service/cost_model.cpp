@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "resilience/service/line_session.hpp"
 #include "resilience/service/sim_service.hpp"
 #include "resilience/service/sweep_service.hpp"
 
@@ -79,20 +80,12 @@ CostEstimate estimate_cost(const ScenarioRequest& request,
 }
 
 LineCost estimate_line_cost(std::string_view line, const SweepService* service,
-                            int default_deadline_ms) {
+                            int /*default_deadline_ms*/) {
+  const RequestLine request = classify_line(line, 0);
   LineCost cost;
-  try {
-    const ScenarioRequest request = ScenarioRequest::parse(line);
-    cost.scenario = true;
-    cost.id = request.id;
-    cost.deadline_ms =
-        request.deadline_ms > 0 ? request.deadline_ms : default_deadline_ms;
-    cost.estimate = estimate_cost(request, service);
-  } catch (...) {
-    // Not a valid scenario request (ping/stats/malformed): the executor
-    // answers it in microseconds, so it carries no scenario estimate.
-    cost.scenario = false;
-    cost.deadline_ms = 0;
+  cost.scenario = request.kind == RequestLine::Kind::kScenario;
+  if (cost.scenario) {
+    cost.estimate = estimate_cost(request.request, service);
   }
   return cost;
 }

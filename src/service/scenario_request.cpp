@@ -236,7 +236,8 @@ SimParams parse_sim_params(const JsonValue& value) {
 RequestError::RequestError(std::string field_path, const std::string& message)
     : std::runtime_error(field_path.empty() ? message
                                             : field_path + ": " + message),
-      field(std::move(field_path)) {}
+      field(std::move(field_path)),
+      text(field.empty() ? message : field + ": " + message) {}
 
 ScenarioRequest ScenarioRequest::from_json(const JsonValue& json) {
   if (!json.is_object()) {

@@ -46,16 +46,16 @@ JsonValue kind_names(const std::vector<core::PatternKind>& kinds) {
 
 /// The one builder of per-request result lines, cell and done alike, in
 /// both modes: "type", "request" and "signature", then `body`'s members in
-/// order, then the optional "stats" block.
+/// order (moved, not copied), then the optional "stats" block.
 std::string result_line(const char* type, const std::string& request_id,
-                        core::GridSignature signature, const JsonValue& body,
+                        core::GridSignature signature, JsonValue body,
                         const JsonValue* stats = nullptr) {
   JsonValue line = JsonValue::object();
   line.set("type", type);
   line.set("request", request_id);
   line.set("signature", signature.hex());
-  for (const auto& [key, value] : body.as_object()) {
-    line.set(key, value);
+  for (auto& [key, value] : body.as_object()) {
+    line.set(std::move(key), std::move(value));
   }
   if (stats != nullptr) {
     line.set("stats", *stats);
@@ -427,9 +427,9 @@ std::string stats_line(const std::string& request_id, const ServiceStats& stats,
   JsonValue line = JsonValue::object();
   line.set("type", "stats");
   line.set("request", request_id);
-  const JsonValue blocks = to_json(stats);
-  for (const auto& [key, value] : blocks.as_object()) {
-    line.set(key, value);
+  JsonValue blocks = to_json(stats);
+  for (auto& [key, value] : blocks.as_object()) {
+    line.set(std::move(key), std::move(value));
   }
   if (transport != nullptr) {
     line.set("transport", *transport);
@@ -447,7 +447,8 @@ std::string done_line(const std::string& request_id,
   summary.set("cells", table.cells.size());
   summary.set("cache_hit", cache_hit);
   summary.set("joined_in_flight", joined_in_flight);
-  return result_line("done", request_id, signature, summary, stats);
+  return result_line("done", request_id, signature, std::move(summary),
+                     stats);
 }
 
 std::string sim_cell_line(const std::string& request_id,
@@ -469,7 +470,8 @@ std::string sim_done_line(const std::string& request_id,
   summary.set("cells", table.cells.size());
   summary.set("runs", total_runs);
   summary.set("cache_hit", cache_hit);
-  return result_line("done", request_id, signature, summary, stats);
+  return result_line("done", request_id, signature, std::move(summary),
+                     stats);
 }
 
 std::string pong_line(const std::string& request_id) {

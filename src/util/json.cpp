@@ -395,6 +395,10 @@ const JsonValue::Object& JsonValue::as_object() const {
   return object_;
 }
 
+JsonValue::Object& JsonValue::as_object() {
+  return const_cast<Object&>(std::as_const(*this).as_object());
+}
+
 const JsonValue* JsonValue::find(std::string_view key) const noexcept {
   if (type_ != Type::kObject) {
     return nullptr;

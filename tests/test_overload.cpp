@@ -152,6 +152,16 @@ TEST(LatencyHistogram, RecordsCountsTotalsAndApproxPercentiles) {
   EXPECT_GE(h.approx_percentile_us(1.0), 1000u);
 }
 
+TEST(LatencyHistogram, PercentilesNeverExceedTheMax) {
+  // One 178251 us sample sits in the bucket bounded by 2^18 - 1 = 262143;
+  // a percentile reporting that bound would claim a latency never seen.
+  rn::LatencyHistogram h;
+  h.record(178251);
+  EXPECT_EQ(h.max_us, 178251u);
+  EXPECT_EQ(h.approx_percentile_us(0.5), h.max_us);
+  EXPECT_EQ(h.approx_percentile_us(0.99), h.max_us);
+}
+
 // ============================================== scheduler invariants ==
 
 TEST(Overload, CheapRequestOvertakesAHeavyBacklog) {
@@ -238,6 +248,13 @@ TEST(Overload, DeadlineExpiredInQueueNeverReachesAWorker) {
   // Exactly the two admitted scenario requests minus the expired one
   // reached a worker.
   EXPECT_EQ(daemon->stats().requests_started, 1u);
+
+  // The expired line still counts toward default ids: the next id-less
+  // line is this connection's third.
+  const rn::Client::Response pong = client.transact("{\"type\": \"ping\"}");
+  ASSERT_TRUE(pong.complete);
+  EXPECT_EQ(pong.lines, std::vector<std::string>{
+                            "{\"type\":\"pong\",\"request\":\"line-3\"}"});
 }
 
 TEST(Overload, AdmissionShedsAnswerInRequestOrderWithRetryAfter) {
@@ -287,6 +304,12 @@ TEST(Overload, AdmissionShedsAnswerInRequestOrderWithRetryAfter) {
     ASSERT_NE(find_field(json, "retry_after_ms"), nullptr);
     EXPECT_GE(find_field(json, "retry_after_ms")->as_double(), 1.0);
   }
+  // Shed lines still count toward default ids: the next id-less line is
+  // this connection's fifth.
+  const rn::Client::Response pong = client.transact("{\"type\": \"ping\"}");
+  ASSERT_TRUE(pong.complete);
+  EXPECT_EQ(pong.lines, std::vector<std::string>{
+                            "{\"type\":\"pong\",\"request\":\"line-5\"}"});
 
   const rn::OverloadStats stats = daemon->overload_stats();
   EXPECT_EQ(stats.shed_overload, 2u);

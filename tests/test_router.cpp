@@ -14,6 +14,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "resilience/net/router.hpp"
 #include "resilience/net/server.hpp"
 #include "resilience/net/socket.hpp"
+#include "resilience/service/jsonl_session.hpp"
 #include "resilience/util/json.hpp"
 
 namespace rn = resilience::net;
@@ -217,6 +219,90 @@ rn::RouterOptions fleet_options(const std::vector<std::uint16_t>& ports) {
   options.backoff_initial_ms = 1;
   options.backoff_max_ms = 10;
   return options;
+}
+
+Lines flatten(const std::vector<Lines>& responses) {
+  Lines out;
+  for (const Lines& response : responses) {
+    out.insert(out.end(), response.begin(), response.end());
+  }
+  return out;
+}
+
+// --------------------------------------------------------- cross-front --
+
+/// One line of every class the request front tells apart. The last one
+/// is a valid request without an id: its default "line-N" id must count
+/// every line above it, blank and comment lines included.
+Lines front_table() {
+  return {
+      "# comment",
+      "",
+      "   \t",
+      "not json",
+      "[1,2]",
+      "\"str\"",
+      "42",
+      "{}",
+      "{\"id\": \"a\", \"id\": \"b\"}",
+      "{\"type\": \"ping\"}",
+      "{\"type\": \"ping\", \"id\": 7}",
+      "{\"type\": \"ping\", \"id\": \"p\", \"extra\": 1}",
+      "{\"type\": \"nope\"}",
+      "{\"type\": 5}",
+      "{\"id\": \"u\", \"platforms\": [\"hera\"], \"bogus\": 1}",
+      "{\"platforms\": [\"hera\"], \"node_counts\": [0]}",
+      "{\"id\": 9, \"platforms\": [\"hera\"]}",
+      "{\"mode\": \"simulate\", \"platforms\": [\"hera\"], "
+      "\"sim\": {\"max_runs\": 0}}",
+      "{\"platforms\": [\"hera\"], \"node_counts\": [1024], "
+      "\"kinds\": [\"PDMV\"]}",
+  };
+}
+
+TEST(CrossFront, StdinRouterAndDaemonAnswerEveryLineAlike) {
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  const Lines table = front_table();
+
+  // The stdin front: a JsonlSession over a fresh service.
+  rs::SweepService service;
+  Collector stdin_out;
+  rs::JsonlSession session(service, stdin_out.fn());
+  for (const std::string& line : table) {
+    session.handle_line(line);
+  }
+
+  // The router front: a RouterSession over a one-shard fleet.
+  TestDaemon shard;
+  rn::ShardFleet fleet{fleet_options({shard.port()})};
+  const Lines routed = flatten(run_router(fleet, table));
+
+  // The daemon front: the whole table in one burst over TCP, then EOF.
+  TestDaemon daemon;
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.set_receive_timeout(30000);
+  for (const std::string& line : table) {
+    client.send_line(line);
+  }
+  client.shutdown_send();
+  Lines served;
+  while (std::optional<std::string> line = client.read_line()) {
+    served.push_back(std::move(*line));
+  }
+
+  const Lines expected = flatten(stdin_out.responses);
+  // Every line but the three skips answers one terminal line; the valid
+  // request adds its one cell.
+  ASSERT_EQ(expected.size(), table.size() - 3 + 1);
+  EXPECT_NE(expected.back().find("\"type\":\"done\",\"request\":\"line-" +
+                                 std::to_string(table.size()) + "\""),
+            std::string::npos)
+      << expected.back();
+  EXPECT_EQ(routed, expected);
+  EXPECT_EQ(served, expected);
 }
 
 // -------------------------------------------------------------- router --

@@ -1060,6 +1060,39 @@ TEST(JsonlSession, LineNumberingAndErrorTracking) {
   EXPECT_TRUE(session.any_request_errors());
 }
 
+TEST(JsonlSession, GridTooLargeToResolveAnswersAnErrorLine) {
+  // Four 20000-entry axes: every entry is valid, but the point count
+  // (1.6e17) exceeds what a vector can hold, so resolving the grid throws
+  // a non-validation exception. The daemon classifies lines on its event
+  // loop, so this must come back as an answer, never as an exception.
+  const auto axis = [](const char* key, const char* entry) {
+    std::string out = std::string("\"") + key + "\": [";
+    for (int i = 0; i < 20000; ++i) {
+      out += (i == 0 ? "" : ",");
+      out += entry;
+    }
+    return out + "]";
+  };
+  const std::string huge =
+      "{\"id\": \"huge\", " + axis("platforms", "\"hera\"") + ", " +
+      axis("node_counts", "1024") + ", " + axis("rate_factors", "{}") +
+      ", " + axis("cost_overrides", "{}") + "}";
+  rs::SweepService service;
+  std::vector<std::string> lines;
+  rs::JsonlSession session(service, [&](std::string&& line, bool) {
+    lines.push_back(std::move(line));
+  });
+  session.handle_line(huge);
+  session.handle_line("{\"type\": \"ping\", \"id\": \"after\"}");
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"request\":\"line-1\",\"field\":\"\","
+                          "\"message\":\"internal error: "),
+            std::string::npos)
+      << lines[0];
+  EXPECT_EQ(lines[1], "{\"type\":\"pong\",\"request\":\"after\"}");
+  EXPECT_TRUE(session.any_request_errors());
+}
+
 TEST(JsonlSession, CancellationStopsOutputNotTheCompute) {
   rs::SweepService service;
   auto cancelled = std::make_shared<std::atomic<bool>>(false);
