@@ -28,12 +28,15 @@ double simulate_under(const rc::PatternSpec& pattern, const rc::ModelParams& par
   config.patterns_per_run = patterns;
   config.seed = seed;
   config.pool = pool;
-  if (distribution != rs::FailureDistribution::kExponential) {
-    config.model_factory = [&params, distribution, shape](ru::Xoshiro256 rng) {
-      return rs::make_renewal_model(params.rates, distribution, shape, rng);
-    };
+  if (distribution == rs::FailureDistribution::kExponential) {
+    return rs::run_monte_carlo(pattern, params, config).mean_overhead();
   }
-  return rs::run_monte_carlo(pattern, params, config).mean_overhead();
+  return rs::run_monte_carlo(pattern, params, config,
+                             [&](ru::Xoshiro256 rng) {
+                               return rs::make_renewal_model(
+                                   params.rates, distribution, shape, rng);
+                             })
+      .mean_overhead();
 }
 
 }  // namespace

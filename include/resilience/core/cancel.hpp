@@ -3,10 +3,13 @@
 // Cooperative cancellation for long-running sweeps. A CancelToken pairs a
 // shared atomic flag (set by transports when a peer disconnects) with an
 // optional steady-clock deadline (set by the service layer from a
-// request's "deadline_ms"). Sweep code polls cancelled() at cell
-// granularity — cells are the natural quantum: microseconds to
-// milliseconds each, so a deadline is honored well within one cell's
-// cost — and unwinds with SweepCancelled. Cancellation is an execution
+// request's "deadline_ms"). Analytic sweeps poll cancelled() at cell
+// granularity — microseconds to milliseconds each, so a deadline is
+// honored well within one cell's cost. A simulate cell's cost has no such
+// bound (an error storm retries a window about e^{lambda R} times), so
+// simulate campaigns also poll inside Monte Carlo runs, every 4096th
+// arrival drawn. Either way the poller unwinds with SweepCancelled, which
+// may be thrown on a pool worker. Cancellation is an execution
 // policy, not an input: it never changes the value of any cell that was
 // computed, only whether the computation ran to completion, so tokens are
 // excluded from grid signatures and partial results are never published.

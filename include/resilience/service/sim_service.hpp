@@ -24,10 +24,19 @@
 // bounded amount; cross-request partial reuse of Monte Carlo runs has no
 // analytic analogue of "bit-equal points").
 //
-// Cancellation/deadlines: the submit token is polled between run batches
-// of every campaign (sim/adaptive.hpp check_cancel) — batches are the sim
-// path's cell-granularity analogue — and a fired token unwinds with
-// core::SweepCancelled; no partial table is published.
+// Error models: each cell binds one of two instantiations of the
+// arrival-driven model statically, a pure function of (weibull_shape,
+// faulty_ops). The default cell (1, 1) runs sim::PoissonArrivalModel, the
+// paper's Poisson processes at the platform's rates; every other cell
+// runs sim::RenewalErrorModel, renewal inter-arrivals at the platform's
+// MTBFs — exponential at shape 1, Weibull otherwise — with faulty_ops as
+// the operation-site factor.
+//
+// Cancellation/deadlines: the submit token is polled before every cell,
+// between run batches, and inside runs on every 4096th arrival a model
+// draws (sim/adaptive.hpp check_cancel), so a deadline or a disconnect
+// interrupts even a run stuck in an error storm. A fired token unwinds
+// with core::SweepCancelled; no partial table is published.
 
 #include <atomic>
 #include <cstdint>

@@ -12,9 +12,16 @@
 // batch), so a cell that stops on target_ci below both caps is
 // bit-identical under either — the "a misleading max_runs can cap but
 // never change" property the service's byte-identity gate relies on.
+//
+// check_cancel is polled between batches and, inside runs, on every
+// 4096th arrival a model draws (ArrivalModel::poll_with), so a deadline or
+// a disconnect interrupts even a run stuck in an error storm.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 
 #include "resilience/sim/runner.hpp"
 
@@ -30,9 +37,9 @@ struct AdaptiveConfig {
   std::uint64_t min_runs = 64;    ///< first batch; no stopping before this
   std::uint64_t patterns_per_run = 100;
   util::ThreadPool* pool = nullptr;
-  ErrorModelFactory model_factory;  ///< per-run model; empty = Poisson fast path
-  /// Polled between batches; throw to abandon the campaign (the service
-  /// passes a lambda that throws SweepCancelled on deadline/disconnect).
+  /// Polled between batches and inside runs (see above), concurrently
+  /// from pool workers; throw to abandon the campaign (the service passes
+  /// a lambda that throws SweepCancelled on deadline/disconnect).
   std::function<void()> check_cancel;
 };
 
@@ -50,11 +57,72 @@ struct AdaptiveResult {
   }
 };
 
-/// Runs batches of run_monte_carlo until the stopping rule fires.
-/// Bit-identical across pool sizes for fixed (seed, target_ci, max_runs,
-/// min_runs, patterns_per_run, model choice).
+/// Runs batches of run_monte_carlo with `make_model`'s models until the
+/// stopping rule fires. Bit-identical across pool sizes for fixed (seed,
+/// target_ci, max_runs, min_runs, patterns_per_run, maker). The maker must
+/// build arrival-driven models, which take the check (poll_with).
+template <typename MakeModel>
 [[nodiscard]] AdaptiveResult run_adaptive_monte_carlo(
     const core::PatternSpec& pattern, const core::ModelParams& params,
-    const AdaptiveConfig& config);
+    const AdaptiveConfig& config, const MakeModel& make_model) {
+  if (config.max_runs == 0) {
+    throw std::invalid_argument("run_adaptive_monte_carlo: max_runs == 0");
+  }
+  const std::uint64_t min_runs =
+      std::min(std::max<std::uint64_t>(1, config.min_runs), config.max_runs);
+  const auto polled = [&](util::Xoshiro256 rng) {
+    auto errors = make_model(rng);
+    errors.poll_with(config.check_cancel);
+    return errors;
+  };
+
+  AdaptiveResult result;
+  while (result.runs < config.max_runs) {
+    if (config.check_cancel) {
+      config.check_cancel();
+    }
+    // Doubling schedule: 64, 64, 128, 256, ... (cumulative 64, 128, 256,
+    // 512, ...). Boundaries depend only on min_runs, so max_runs can
+    // truncate the FINAL batch but never move an earlier boundary.
+    const std::uint64_t planned = result.runs == 0 ? min_runs : result.runs;
+    const std::uint64_t batch =
+        std::min(planned, config.max_runs - result.runs);
+
+    MonteCarloConfig mc;
+    mc.runs = batch;
+    mc.patterns_per_run = config.patterns_per_run;
+    mc.seed = config.seed;
+    mc.first_run = result.runs;  // global run indexing: batches continue
+    mc.pool = config.pool;
+    const MonteCarloResult step = run_monte_carlo(pattern, params, mc, polled);
+
+    // Sequential fold in schedule order: Chan's merge is deterministic for
+    // a fixed batch sequence, so the aggregate is pool-size independent.
+    result.aggregate.merge(step.aggregate);
+    result.totals.merge(step.totals);
+    result.runs += step.runs;
+
+    if (config.target_ci > 0.0 && result.runs >= min_runs) {
+      const double mean = std::fabs(result.aggregate.overhead.mean());
+      const double half = result.aggregate.overhead.ci_halfwidth();
+      // Guard the denominator: a zero-overhead cell stops on an absolute
+      // test instead of dividing by zero.
+      const double relative = half / std::max(mean, 1e-300);
+      if (relative <= config.target_ci) {
+        result.early_stopped = result.runs < config.max_runs;
+        return result;
+      }
+    }
+  }
+  return result;
+}
+
+/// The same campaign on the Poisson fast path.
+[[nodiscard]] inline AdaptiveResult run_adaptive_monte_carlo(
+    const core::PatternSpec& pattern, const core::ModelParams& params,
+    const AdaptiveConfig& config) {
+  return run_adaptive_monte_carlo(pattern, params, config,
+                                  PoissonArrivals{params.rates});
+}
 
 }  // namespace resilience::sim

@@ -9,11 +9,12 @@
 //   fail-stop during a memory recovery escalates to the disk path (the
 //   memory copy being restored is gone too).
 //
-// The engine is a template over the error model and the event observer, so
-// the Poisson fast path (PoissonArrivalModel + NullObserver) compiles down
-// to branch-free float compares with no virtual dispatch and no observer
-// test per event. The ErrorModelBase overload of simulate_run stays as the
-// type-erased API for renewal/Weibull models and observer hooks.
+// The engine is a template over the error model and the event observer,
+// and simulate_patterns is its one entry point: every model (error_model.hpp,
+// renewal.hpp) is a concrete class bound statically, so the arrival-driven
+// fast path (PoissonArrivalModel + NullObserver) compiles down to float
+// compares with no dynamic dispatch and no observer test per event. A
+// std::function observer (EventObserver) can be passed the same way.
 
 #include <cstdint>
 #include <functional>
@@ -50,24 +51,6 @@ struct NullObserver {
   constexpr void operator()(Event, double) const noexcept {}
 };
 
-/// Adapter exposing an optional type-erased observer to the templated
-/// engine. Holds the std::function by pointer so configs can be copied per
-/// run without duplicating the closure.
-struct FunctionObserver {
-  const EventObserver* hook = nullptr;
-  void operator()(Event event, double clock_seconds) const {
-    if (hook != nullptr && *hook) {
-      (*hook)(event, clock_seconds);
-    }
-  }
-};
-
-struct EngineConfig {
-  std::uint64_t patterns = 1000;  ///< patterns to push to completion
-  /// Optional event hook, not owned; must outlive the simulate_run call.
-  const EventObserver* observer = nullptr;
-};
-
 namespace detail {
 
 /// Mutable simulation context threaded through the helpers below.
@@ -81,27 +64,20 @@ struct Context {
 
   void notify(Event event) { observer(event, clock); }
 
-  /// Exposes an operation window of `length` seconds to fail-stop errors,
-  /// advancing the clock by the survived portion. Returns true when the
-  /// operation completed (no strike).
-  bool expose(double length) {
-    const FailStopOutcome outcome = errors.sample_fail_stop(length);
-    clock += outcome.time_survived;
-    if (outcome.struck) {
-      ++metrics.fail_stop_errors;
-      notify(Event::kFailStop);
-      return false;
-    }
-    return true;
-  }
+  /// Exposes a computation window of `length` seconds to fail-stop
+  /// errors, advancing the clock by the survived portion. Returns true
+  /// when the window completed (no strike).
+  bool expose(double length) { return survived(errors.sample_fail_stop(length)); }
 
   /// Same bookkeeping, but routed through the model's operation-site
   /// sampler — verifications, checkpoints and recoveries expose here so a
   /// faulty-operations ablation can rescale their error rate without
-  /// touching computation windows. Every stock model forwards to
-  /// sample_fail_stop, so default traces are unchanged.
+  /// touching computation windows (RenewalErrorModel's ops factor).
   bool expose_op(double length) {
-    const FailStopOutcome outcome = errors.sample_fail_stop_op(length);
+    return survived(errors.sample_fail_stop_op(length));
+  }
+
+  bool survived(const FailStopOutcome& outcome) {
     clock += outcome.time_survived;
     if (outcome.struck) {
       ++metrics.fail_stop_errors;
@@ -223,11 +199,11 @@ SegmentOutcome run_segment(Context<Model, Observer>& ctx,
 
 /// Simulates `patterns` consecutive executions of `pattern` and returns the
 /// accumulated metrics. The error model carries the RNG stream, so two
-/// calls with identical models reproduce identical runs. Statically bound:
-/// pass a concrete final model (PoissonArrivalModel, ErrorModel, ...) for a
-/// fully devirtualized loop, or an ErrorModelBase& to dispatch virtually.
-/// The observer is a forwarding reference, so a stateful observer passed as
-/// an lvalue is mutated in place, never through a discarded copy.
+/// calls with identical models reproduce identical runs. The model is a
+/// concrete class (PoissonArrivalModel, RenewalErrorModel, ErrorModel),
+/// bound statically. The observer is a forwarding reference, so a stateful
+/// observer passed as an lvalue is mutated in place, never through a
+/// discarded copy; an EventObserver must not be empty.
 template <typename Model, typename Observer = NullObserver>
 [[nodiscard]] RunMetrics simulate_patterns(const core::PatternSpec& pattern,
                                            const core::ModelParams& params,
@@ -276,12 +252,5 @@ template <typename Model, typename Observer = NullObserver>
   ctx.metrics.elapsed_seconds = ctx.clock;
   return ctx.metrics;
 }
-
-/// Type-erased entry point kept as the API for renewal/Weibull models and
-/// observer hooks: virtual dispatch per sample, observer tested per event.
-[[nodiscard]] RunMetrics simulate_run(const core::PatternSpec& pattern,
-                                      const core::ModelParams& params,
-                                      ErrorModelBase& errors,
-                                      const EngineConfig& config = {});
 
 }  // namespace resilience::sim

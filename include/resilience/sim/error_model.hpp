@@ -7,18 +7,21 @@
 // with probability 1 - e^{-lambda_f L}, and the position of the first
 // strike follows a truncated exponential.
 //
-// The abstract base lets the engine also run under non-Poisson renewal
-// processes (see renewal.hpp) to test the robustness of the optimal
-// patterns when real-world failure statistics (Weibull, lognormal) replace
-// the exponential assumption.
+// Every error model is a concrete final class that the engine template
+// (engine.hpp) binds statically; there is no abstract interface. A model
+// provides sample_fail_stop, sample_fail_stop_op (operation sites:
+// verifications, checkpoints, recoveries), sample_silent and
+// sample_detection.
 //
-// For the Poisson model the simulator's hot path uses the arrival-driven
-// PoissonArrivalModel below instead: it samples the *next* arrival of each
-// source once (exponential inter-arrival) and consumes the countdown across
-// operation windows, so the no-error common case costs a float compare and
-// a subtraction instead of an exp() + RNG draw per window. By memorylessness
-// of the exponential the two samplers are equal in law, but they consume
-// the RNG stream differently, so fixed-seed traces differ between them.
+// ErrorModel below is the per-operation reference sampler. The
+// simulator's hot path uses the arrival-driven PoissonArrivalModel
+// (renewal.hpp) instead: it samples the *next* arrival of
+// each source once (exponential inter-arrival) and consumes the countdown
+// across operation windows, so the no-error common case costs a float
+// compare and a subtraction instead of an exp() + RNG draw per window. By
+// memorylessness of the exponential the two samplers are equal in law,
+// but they consume the RNG stream differently, so fixed-seed traces
+// differ between them.
 
 #include "resilience/core/params.hpp"
 #include "resilience/util/random.hpp"
@@ -31,115 +34,28 @@ struct FailStopOutcome {
   double time_survived = 0.0;  ///< full length if !struck, strike position if struck
 };
 
-/// Error-injection interface consumed by the engine.
-class ErrorModelBase {
- public:
-  virtual ~ErrorModelBase() = default;
-
-  /// Samples fail-stop exposure of an operation lasting `length` seconds.
-  [[nodiscard]] virtual FailStopOutcome sample_fail_stop(double length) = 0;
-
-  /// Fail-stop exposure of a NON-computation operation (verification,
-  /// checkpoint, recovery). Identical to sample_fail_stop by default — the
-  /// paper's model draws no distinction — but overridable so ablations can
-  /// scale the error rate seen by operations alone (the "faulty operations"
-  /// axis of the simulate service): wrappers rescale the window, the base
-  /// model never notices, and the default path consumes the RNG stream
-  /// exactly as before.
-  [[nodiscard]] virtual FailStopOutcome sample_fail_stop_op(double length) {
-    return sample_fail_stop(length);
-  }
-
-  /// Whether at least one silent error strikes a computation of `length`.
-  [[nodiscard]] virtual bool sample_silent(double length) = 0;
-
-  /// Whether a partial verification with the given recall raises an alarm
-  /// on a corrupted state.
-  [[nodiscard]] virtual bool sample_detection(double recall) = 0;
-};
-
-/// The paper's model: independent Poisson processes for both sources.
-class ErrorModel final : public ErrorModelBase {
+/// The paper's model sampled per operation window: one Bernoulli (plus a
+/// truncated exponential on a strike) per window. The reference the
+/// arrival-driven model is measured and cross-checked against.
+class ErrorModel final {
  public:
   ErrorModel(core::ErrorRates rates, util::Xoshiro256 rng)
       : rates_(rates), rng_(rng) {}
 
-  [[nodiscard]] FailStopOutcome sample_fail_stop(double length) override;
-  [[nodiscard]] bool sample_silent(double length) override;
-  [[nodiscard]] bool sample_detection(double recall) override;
+  /// Samples fail-stop exposure of an operation lasting `length` seconds.
+  [[nodiscard]] FailStopOutcome sample_fail_stop(double length);
 
-  [[nodiscard]] const core::ErrorRates& rates() const noexcept { return rates_; }
-  [[nodiscard]] util::Xoshiro256& rng() noexcept { return rng_; }
-
- private:
-  core::ErrorRates rates_;
-  util::Xoshiro256 rng_;
-};
-
-/// Arrival-driven Poisson sampler for the devirtualized engine fast path.
-/// Not derived from ErrorModelBase on purpose: the engine template binds the
-/// sample_* calls statically, so a simulated operation that survives both
-/// countdowns never leaves the register file. Countdowns are resampled only
-/// after a strike (fail-stop) or consumption (silent), never per window.
-///
-/// Clock semantics match RenewalErrorModel: the fail-stop countdown advances
-/// through every exposed operation; the silent countdown advances only
-/// through completed computation windows (silent errors strike computations
-/// only, and interrupted chunks are rolled back wholesale). For exponential
-/// inter-arrivals both conventions are exact.
-class PoissonArrivalModel final {
- public:
-  PoissonArrivalModel(core::ErrorRates rates, util::Xoshiro256 rng) noexcept
-      : rates_(rates), rng_(rng) {
-    until_fail_stop_ = util::exponential(rng_, rates_.fail_stop);
-    until_silent_ = util::exponential(rng_, rates_.silent);
-  }
-
-  /// Fail-stop exposure of an operation lasting `length` seconds: a strike
-  /// happens iff the next arrival falls inside the window.
-  [[nodiscard]] FailStopOutcome sample_fail_stop(double length) noexcept {
-    if (length <= 0.0) {
-      return {false, length};
-    }
-    if (until_fail_stop_ > length) {
-      until_fail_stop_ -= length;
-      return {false, length};
-    }
-    const FailStopOutcome outcome{true, until_fail_stop_};
-    until_fail_stop_ = util::exponential(rng_, rates_.fail_stop);
-    return outcome;
-  }
-
-  /// Operation-site exposure: the fast path draws no computation/operation
-  /// distinction (mirrors ErrorModelBase's default). Non-virtual — the
-  /// engine template binds it statically like every other sample_* call.
-  [[nodiscard]] FailStopOutcome sample_fail_stop_op(double length) noexcept {
+  /// Operation-site exposure: the paper's model draws no distinction.
+  [[nodiscard]] FailStopOutcome sample_fail_stop_op(double length) {
     return sample_fail_stop(length);
   }
 
-  /// Whether at least one silent error strikes a completed computation of
-  /// `length` seconds; consumes every arrival inside the window.
-  [[nodiscard]] bool sample_silent(double length) noexcept {
-    if (length <= 0.0) {
-      return false;
-    }
-    if (until_silent_ > length) {
-      until_silent_ -= length;
-      return false;
-    }
-    double remaining = length;
-    do {
-      remaining -= until_silent_;
-      until_silent_ = util::exponential(rng_, rates_.silent);
-    } while (until_silent_ <= remaining);
-    until_silent_ -= remaining;
-    return true;
-  }
+  /// Whether at least one silent error strikes a computation of `length`.
+  [[nodiscard]] bool sample_silent(double length);
 
-  /// Whether a partial verification with the given recall raises an alarm.
-  [[nodiscard]] bool sample_detection(double recall) noexcept {
-    return util::bernoulli(rng_, recall);
-  }
+  /// Whether a partial verification with the given recall raises an alarm
+  /// on a corrupted state.
+  [[nodiscard]] bool sample_detection(double recall);
 
   [[nodiscard]] const core::ErrorRates& rates() const noexcept { return rates_; }
   [[nodiscard]] util::Xoshiro256& rng() noexcept { return rng_; }
@@ -147,8 +63,6 @@ class PoissonArrivalModel final {
  private:
   core::ErrorRates rates_;
   util::Xoshiro256 rng_;
-  double until_fail_stop_ = 0.0;
-  double until_silent_ = 0.0;
 };
 
 }  // namespace resilience::sim

@@ -1,9 +1,10 @@
 #pragma once
 
 // Simulation event tracing: a TraceRecorder plugs into the engine as an
-// EventObserver, records the (event, clock) stream, and supports CSV export
-// and simple queries (counts, inter-event gaps). Useful for debugging
-// rollback behaviour and for the engine's own black-box tests.
+// EventObserver (handed to simulate_patterns), records the (event, clock)
+// stream, and supports CSV export and simple queries (counts, inter-event
+// gaps). Useful for debugging rollback behaviour and for the engine's own
+// black-box tests. Not thread-safe: one recorder per run.
 
 #include <iosfwd>
 #include <string>
@@ -28,8 +29,8 @@ class TraceRecorder {
   /// Creates the recorder; `capacity_hint` preallocates storage.
   explicit TraceRecorder(std::size_t capacity_hint = 1024);
 
-  /// Observer whose address to hand to EngineConfig::observer. Both the
-  /// recorder and the returned function must outlive the simulation run.
+  /// Observer to hand to simulate_patterns. Both the recorder and the
+  /// returned function must outlive the simulation run.
   [[nodiscard]] EventObserver observer();
 
   void record(Event event, double clock);

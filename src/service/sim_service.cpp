@@ -1,7 +1,6 @@
 #include "resilience/service/sim_service.hpp"
 
 #include <chrono>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -12,69 +11,6 @@
 namespace resilience::service {
 
 namespace {
-
-/// The faulty-operations axis: scales the fail-stop exposure of
-/// NON-computation operations (verifications, checkpoints, recoveries) by
-/// a factor, leaving computation windows untouched. Implemented as a time
-/// dilation at operation sites — the wrapped model samples a window of
-/// factor * length and the outcome maps back — so the inner model's
-/// renewal state stays consistent and a factor of 1 is the identity.
-class OpsScaledModel final : public sim::ErrorModelBase {
- public:
-  OpsScaledModel(std::unique_ptr<sim::ErrorModelBase> inner, double factor)
-      : inner_(std::move(inner)), factor_(factor) {}
-
-  [[nodiscard]] sim::FailStopOutcome sample_fail_stop(double length) override {
-    return inner_->sample_fail_stop(length);
-  }
-
-  [[nodiscard]] sim::FailStopOutcome sample_fail_stop_op(
-      double length) override {
-    if (factor_ <= 0.0) {
-      // Error-free operations: no strike, and no RNG draw — the stream
-      // must not depend on how many operations a pattern executes.
-      return {false, length};
-    }
-    sim::FailStopOutcome outcome = inner_->sample_fail_stop(factor_ * length);
-    outcome.time_survived /= factor_;  // map scaled time back to wall time
-    return outcome;
-  }
-
-  [[nodiscard]] bool sample_silent(double length) override {
-    return inner_->sample_silent(length);
-  }
-
-  [[nodiscard]] bool sample_detection(double recall) override {
-    return inner_->sample_detection(recall);
-  }
-
- private:
-  std::unique_ptr<sim::ErrorModelBase> inner_;
-  double factor_;
-};
-
-/// Model choice is a pure function of the cell's (shape, ops) axis values:
-/// the default cell keeps the devirtualized Poisson fast path; any other
-/// cell runs the renewal model (exponential in law when shape == 1), with
-/// the ops wrapper stacked on when the factor is not 1.
-sim::ErrorModelFactory make_model_factory(const core::ErrorRates& rates,
-                                          double shape, double ops) {
-  if (shape == 1.0 && ops == 1.0) {
-    return {};
-  }
-  const sim::FailureDistribution distribution =
-      shape == 1.0 ? sim::FailureDistribution::kExponential
-                   : sim::FailureDistribution::kWeibull;
-  return [rates, distribution, shape,
-          ops](util::Xoshiro256 rng) -> std::unique_ptr<sim::ErrorModelBase> {
-    std::unique_ptr<sim::ErrorModelBase> model =
-        sim::make_renewal_model(rates, distribution, shape, rng);
-    if (ops != 1.0) {
-      model = std::make_unique<OpsScaledModel>(std::move(model), ops);
-    }
-    return model;
-  };
-}
 
 void throw_if_cancelled(const core::CancelToken& cancel) {
   if (cancel.cancelled()) {
@@ -184,10 +120,22 @@ std::shared_ptr<const SimTable> SimService::compute(
           config.min_runs = table->params.min_runs;
           config.patterns_per_run = table->params.patterns_per_run;
           config.pool = pool_;
-          config.model_factory = make_model_factory(params.rates, shape, ops);
           config.check_cancel = check_cancel;
+          // Model choice is a pure function of the cell's (shape, ops):
+          // the default cell runs the Poisson fast path, any other cell the
+          // renewal model (exponential in law when shape == 1) with its
+          // operation-site factor.
+          const sim::FailureDistribution distribution =
+              shape == 1.0 ? sim::FailureDistribution::kExponential
+                           : sim::FailureDistribution::kWeibull;
           const sim::AdaptiveResult result =
-              sim::run_adaptive_monte_carlo(pattern, params, config);
+              shape == 1.0 && ops == 1.0
+                  ? sim::run_adaptive_monte_carlo(pattern, params, config)
+                  : sim::run_adaptive_monte_carlo(
+                        pattern, params, config, [&](util::Xoshiro256 rng) {
+                          return sim::make_renewal_model(
+                              params.rates, distribution, shape, rng, ops);
+                        });
 
           SimCell cell;
           cell.point_index = p;

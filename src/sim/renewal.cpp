@@ -6,103 +6,86 @@
 
 namespace resilience::sim {
 
-void RenewalConfig::validate() const {
-  if (mtbf < 0.0) {
+Interarrival::Interarrival(const RenewalConfig& config)
+    : distribution_(config.distribution), enabled_(config.mtbf > 0.0) {
+  if (config.mtbf < 0.0) {
     throw std::invalid_argument("RenewalConfig: mtbf must be >= 0");
   }
-  if (distribution != FailureDistribution::kExponential && !(shape > 0.0)) {
+  if (distribution_ != FailureDistribution::kExponential &&
+      !(config.shape > 0.0)) {
     throw std::invalid_argument("RenewalConfig: shape must be positive");
+  }
+  if (!enabled_) {
+    return;
+  }
+  switch (distribution_) {
+    case FailureDistribution::kExponential:
+      scale_ = 1.0 / config.mtbf;
+      break;
+    case FailureDistribution::kWeibull:
+      // X = scale * (-ln U)^{1/k}; mean = scale * Gamma(1 + 1/k), so the
+      // scale is chosen to pin the mean at the MTBF.
+      scale_ = config.mtbf / std::tgamma(1.0 + 1.0 / config.shape);
+      exponent_ = 1.0 / config.shape;
+      break;
+    case FailureDistribution::kLogNormal:
+      // X = exp(mu + sigma Z); mean = exp(mu + sigma^2/2), so
+      // mu = ln(mtbf) - sigma^2/2 pins the mean at the MTBF.
+      scale_ = std::log(config.mtbf) - 0.5 * config.shape * config.shape;
+      exponent_ = config.shape;
+      break;
   }
 }
 
-double sample_interarrival(const RenewalConfig& config, util::Xoshiro256& rng) {
-  config.validate();
-  if (config.mtbf <= 0.0) {
+Interarrival Interarrival::poisson(double rate) noexcept {
+  Interarrival law;
+  law.enabled_ = rate > 0.0;
+  law.scale_ = rate;
+  return law;
+}
+
+double Interarrival::operator()(util::Xoshiro256& rng) const {
+  if (!enabled_) {
     return std::numeric_limits<double>::infinity();
   }
-  switch (config.distribution) {
+  switch (distribution_) {
     case FailureDistribution::kExponential:
-      return util::exponential(rng, 1.0 / config.mtbf);
-    case FailureDistribution::kWeibull: {
-      // X = scale * (-ln U)^{1/k}; mean = scale * Gamma(1 + 1/k), so the
-      // scale is chosen to pin the mean at the MTBF.
-      const double k = config.shape;
-      const double scale = config.mtbf / std::tgamma(1.0 + 1.0 / k);
-      const double u = util::uniform01_open_low(rng);
-      return scale * std::pow(-std::log(u), 1.0 / k);
-    }
+      return util::exponential(rng, scale_);
+    case FailureDistribution::kWeibull:
+      return scale_ *
+             std::pow(-std::log(util::uniform01_open_low(rng)), exponent_);
     case FailureDistribution::kLogNormal: {
-      // X = exp(mu + sigma Z); mean = exp(mu + sigma^2/2), so
-      // mu = ln(mtbf) - sigma^2/2 pins the mean at the MTBF.
-      const double sigma = config.shape;
-      const double mu = std::log(config.mtbf) - 0.5 * sigma * sigma;
       // Box-Muller transform for a standard normal variate.
       const double u1 = util::uniform01_open_low(rng);
       const double u2 = util::uniform01(rng);
       const double z =
           std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
-      return std::exp(mu + sigma * z);
+      return std::exp(scale_ + exponent_ * z);
     }
   }
-  throw std::logic_error("sample_interarrival: unreachable");
+  throw std::logic_error("Interarrival: unreachable");
 }
 
-RenewalErrorModel::RenewalErrorModel(RenewalConfig fail_stop, RenewalConfig silent,
-                                     util::Xoshiro256 rng)
-    : fail_stop_(fail_stop), silent_(silent), rng_(rng) {
-  fail_stop_.validate();
-  silent_.validate();
-  until_fail_stop_ = sample_interarrival(fail_stop_, rng_);
-  until_silent_ = sample_interarrival(silent_, rng_);
-}
-
-FailStopOutcome RenewalErrorModel::sample_fail_stop(double length) {
-  FailStopOutcome outcome;
-  if (length <= 0.0 || until_fail_stop_ > length) {
-    outcome.time_survived = length;
-    until_fail_stop_ -= length;
-    return outcome;
+template <bool kOpsFactor>
+double ArrivalModel<kOpsFactor>::draw(const Interarrival& law) {
+  if (check_ != nullptr && (++draws_ & 4095u) == 0) {
+    (*check_)();
   }
-  outcome.struck = true;
-  outcome.time_survived = until_fail_stop_;
-  // Renewal: the countdown restarts at the failure instant.
-  until_fail_stop_ = sample_interarrival(fail_stop_, rng_);
-  return outcome;
+  return law(rng_);
 }
 
-bool RenewalErrorModel::sample_silent(double length) {
-  if (length <= 0.0) {
-    return false;
-  }
-  bool corrupted = false;
-  double remaining = length;
-  // Consume every silent arrival inside the window (there can be several
-  // for bursty distributions); the flag model only needs "at least one".
-  while (until_silent_ <= remaining) {
-    corrupted = true;
-    remaining -= until_silent_;
-    until_silent_ = sample_interarrival(silent_, rng_);
-  }
-  until_silent_ -= remaining;
-  return corrupted;
-}
+template class ArrivalModel<false>;
+template class ArrivalModel<true>;
 
-bool RenewalErrorModel::sample_detection(double recall) {
-  return util::bernoulli(rng_, recall);
-}
-
-std::unique_ptr<RenewalErrorModel> make_renewal_model(
-    const core::ErrorRates& rates, FailureDistribution distribution, double shape,
-    util::Xoshiro256 rng) {
-  RenewalConfig fail_stop;
-  fail_stop.distribution = distribution;
-  fail_stop.mtbf = rates.fail_stop > 0.0 ? 1.0 / rates.fail_stop : 0.0;
-  fail_stop.shape = shape;
-  RenewalConfig silent;
-  silent.distribution = distribution;
-  silent.mtbf = rates.silent > 0.0 ? 1.0 / rates.silent : 0.0;
-  silent.shape = shape;
-  return std::make_unique<RenewalErrorModel>(fail_stop, silent, rng);
+RenewalErrorModel make_renewal_model(const core::ErrorRates& rates,
+                                     FailureDistribution distribution,
+                                     double shape, util::Xoshiro256 rng,
+                                     double ops_factor) {
+  const auto source = [&](double rate) {
+    return RenewalConfig{distribution, rate > 0.0 ? 1.0 / rate : 0.0, shape};
+  };
+  return RenewalErrorModel(source(rates.fail_stop), source(rates.silent), rng,
+                           ops_factor);
 }
 
 }  // namespace resilience::sim

@@ -39,6 +39,33 @@ wait_for_port "$TMP/daemon.port" "$DAEMON_PID" "daemon"
 diff -u "$TMP/stdin.jsonl" "$TMP/daemon.jsonl" >&2 \
     || fail "daemon responses differ from the stdin run (exact bytes expected)"
 
+# Deadlines reach inside a Monte Carlo run: one run of one pattern in an
+# error storm retries a window about e^(lambda R) times, so these never
+# finish. Operations at 10000x the fail-stop rate, Weibull shape 0.01,
+# the default Poisson cell at 10000x the fail-stop rate, and a
+# silent-only platform with shape 0.01. Each must answer its located
+# deadline error on both front ends; `timeout 60` guards against a hang
+# and is not a timing gate.
+cat >"$TMP/deadline.jsonl" <<'EOF'
+{"id": "storm-ops", "platforms": ["hera"], "node_counts": [4096], "kinds": ["PD"], "mode": "simulate", "sim": {"seed": 1, "min_runs": 1, "max_runs": 1, "patterns_per_run": 1, "faulty_ops": [10000]}, "deadline_ms": 200}
+{"id": "storm-shape", "platforms": ["hera"], "node_counts": [4096], "kinds": ["PD"], "mode": "simulate", "sim": {"seed": 1, "min_runs": 1, "max_runs": 1, "patterns_per_run": 1, "weibull_shape": [0.01]}, "deadline_ms": 200}
+{"id": "storm-rate", "platforms": ["hera"], "node_counts": [4096], "kinds": ["PD"], "rate_factors": [{"fail_stop": 10000, "silent": 1}], "mode": "simulate", "sim": {"seed": 1, "min_runs": 1, "max_runs": 1, "patterns_per_run": 1}, "deadline_ms": 200}
+{"id": "storm-silent", "platforms": [{"name": "silent-only", "nodes": 1, "fail_stop": 0, "silent": 1e-6, "disk_checkpoint": 300, "memory_checkpoint": 15}], "node_counts": [1], "kinds": ["PDMV"], "mode": "simulate", "sim": {"seed": 1, "min_runs": 1, "max_runs": 1, "patterns_per_run": 1, "weibull_shape": [0.01]}, "deadline_ms": 200}
+EOF
+timeout 60 "$BUILD/sweep_server" --input="$TMP/deadline.jsonl" \
+    >"$TMP/deadline_stdin.jsonl" 2>>"$TMP/stdin.log"
+[ $? -eq 3 ] || fail "stdin server did not answer the storm requests with error lines"
+timeout 60 "$BUILD/sweep_client" --port="$(cat "$TMP/daemon.port")" \
+    --input="$TMP/deadline.jsonl" >"$TMP/deadline_daemon.jsonl" \
+    || fail "daemon did not answer the storm requests"
+for id in storm-ops storm-shape storm-rate storm-silent; do
+  for front in stdin daemon; do
+    grep "\"request\":\"$id\"" "$TMP/deadline_$front.jsonl" \
+        | grep -q '"type":"error".*"field":"deadline_ms"' \
+        || fail "$front answered no deadline_ms error line for $id"
+  done
+done
+
 # The admission cap: a cap below the file's budgets answers located
 # error lines before any compute, and within-cap requests still serve.
 "$BUILD/sweep_serverd" --port=0 --port-file="$TMP/capped.port" \

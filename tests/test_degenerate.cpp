@@ -60,9 +60,7 @@ TEST(Degenerate, SilentOnlySolutionsRemainFiniteAndSimulable) {
   EXPECT_GT(exact, 0.0);
 
   rs::ErrorModel errors(params.rates, ru::Xoshiro256(1));
-  rs::EngineConfig config;
-  config.patterns = 50;
-  const auto metrics = rs::simulate_run(pattern, params, errors, config);
+  const auto metrics = rs::simulate_patterns(pattern, params, errors, 50);
   EXPECT_EQ(metrics.disk_recoveries, 0u);
   EXPECT_EQ(metrics.fail_stop_errors, 0u);
   EXPECT_EQ(metrics.patterns_completed, 50u);

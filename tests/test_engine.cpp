@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "resilience/core/first_order.hpp"
 #include "resilience/core/platform.hpp"
+#include "resilience/sim/renewal.hpp"
 
 namespace rs = resilience::sim;
 namespace rc = resilience::core;
@@ -20,18 +22,17 @@ namespace {
 
 rc::ModelParams hera_params() { return rc::hera().model_params(); }
 
+/// A run of the per-operation reference sampler.
+template <typename Observer = rs::NullObserver>
 rs::RunMetrics simulate(const rc::PatternSpec& pattern, const rc::ModelParams& params,
                         std::uint64_t patterns, std::uint64_t seed = 1,
-                        const rs::EventObserver& observer = {}) {
+                        Observer&& observer = Observer{}) {
   rs::ErrorModel errors(params.rates, ru::Xoshiro256(seed));
-  rs::EngineConfig config;
-  config.patterns = patterns;
-  config.observer = observer ? &observer : nullptr;
-  return rs::simulate_run(pattern, params, errors, config);
+  return rs::simulate_patterns(pattern, params, errors, patterns,
+                               std::forward<Observer>(observer));
 }
 
-/// Same run through the arrival-driven fast path (devirtualized model,
-/// compile-time no-op observer).
+/// Same run through the arrival-driven fast path.
 rs::RunMetrics simulate_fast(const rc::PatternSpec& pattern,
                              const rc::ModelParams& params, std::uint64_t patterns,
                              std::uint64_t seed = 1) {
@@ -209,28 +210,6 @@ TEST(Engine, GuaranteedIntermediatesCostMorePerVerification) {
   EXPECT_NEAR(vg.elapsed_seconds - v.elapsed_seconds, extra, 1e-6);
 }
 
-TEST(EngineFastPath, TemplatedEngineMatchesTypeErasedWrapperBitExactly) {
-  // Same sampler, same seed: the devirtualized instantiation and the
-  // ErrorModelBase wrapper must walk the identical RNG stream and produce
-  // the identical metrics.
-  const auto params = hera_params();
-  const auto pattern = rc::make_pattern(rc::PatternKind::kDMV, 20000.0, 2, 2, 0.8);
-
-  rs::ErrorModel wrapped(params.rates, ru::Xoshiro256(13));
-  rs::EngineConfig config;
-  config.patterns = 80;
-  const auto via_wrapper = rs::simulate_run(pattern, params, wrapped, config);
-
-  rs::ErrorModel direct(params.rates, ru::Xoshiro256(13));
-  const auto via_template = rs::simulate_patterns(pattern, params, direct, 80);
-
-  EXPECT_DOUBLE_EQ(via_wrapper.elapsed_seconds, via_template.elapsed_seconds);
-  EXPECT_EQ(via_wrapper.fail_stop_errors, via_template.fail_stop_errors);
-  EXPECT_EQ(via_wrapper.silent_errors, via_template.silent_errors);
-  EXPECT_EQ(via_wrapper.disk_recoveries, via_template.disk_recoveries);
-  EXPECT_EQ(via_wrapper.memory_recoveries, via_template.memory_recoveries);
-}
-
 TEST(EngineFastPath, ErrorFreeRunMatchesReferenceExactly) {
   // With both rates zero, neither sampler draws anything: the two paths
   // must agree to the last bit.
@@ -290,17 +269,14 @@ TEST(EngineFastPath, StatefulLvalueObserverIsMutatedInPlace) {
 }
 
 TEST(EngineFastPath, ObserverPointerIsNotCopiedAndStillFires) {
-  // The config carries the std::function by pointer: events must reach the
+  // A std::function observer is taken by reference: events must reach the
   // very closure installed, with no per-run copies.
   const auto params = hera_params();
   const auto pattern = rc::make_pattern(rc::PatternKind::kD, 5000.0, 1, 1, 1.0);
   std::uint64_t events = 0;
   const rs::EventObserver observer = [&](rs::Event, double) { ++events; };
   rs::ErrorModel errors(params.rates, ru::Xoshiro256(5));
-  rs::EngineConfig config;
-  config.patterns = 10;
-  config.observer = &observer;
-  const auto metrics = rs::simulate_run(pattern, params, errors, config);
+  const auto metrics = rs::simulate_patterns(pattern, params, errors, 10, observer);
   EXPECT_GT(events, 0u);
   EXPECT_GE(events, metrics.patterns_completed);
 }

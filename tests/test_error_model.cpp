@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "resilience/sim/renewal.hpp"
 #include "resilience/util/stats.hpp"
 
 namespace rs = resilience::sim;

@@ -20,10 +20,11 @@ namespace {
 
 /// Sample mean of `n` inter-arrivals from a configuration.
 double sample_mean(const rs::RenewalConfig& config, std::uint64_t seed, int n) {
+  const rs::Interarrival interarrival(config);
   ru::Xoshiro256 rng(seed);
   ru::RunningStats stats;
   for (int i = 0; i < n; ++i) {
-    stats.add(rs::sample_interarrival(config, rng));
+    stats.add(interarrival(rng));
   }
   return stats.mean();
 }
@@ -31,15 +32,16 @@ double sample_mean(const rs::RenewalConfig& config, std::uint64_t seed, int n) {
 }  // namespace
 
 TEST(RenewalConfig, Validation) {
+  // A law validates its configuration once, when it is built.
   rs::RenewalConfig config;
   config.mtbf = -1.0;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
+  EXPECT_THROW(rs::Interarrival{config}, std::invalid_argument);
   config.mtbf = 100.0;
   config.distribution = rs::FailureDistribution::kWeibull;
   config.shape = 0.0;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
+  EXPECT_THROW(rs::Interarrival{config}, std::invalid_argument);
   config.shape = 0.7;
-  EXPECT_NO_THROW(config.validate());
+  EXPECT_NO_THROW(rs::Interarrival{config});
 }
 
 class InterarrivalMeanTest
@@ -74,10 +76,11 @@ TEST(Interarrival, WeibullShapeOneIsExponential) {
   config.distribution = rs::FailureDistribution::kWeibull;
   config.mtbf = 100.0;
   config.shape = 1.0;
+  const rs::Interarrival interarrival(config);
   ru::Xoshiro256 rng(5);
   ru::RunningStats stats;
   for (int i = 0; i < 400000; ++i) {
-    stats.add(rs::sample_interarrival(config, rng));
+    stats.add(interarrival(rng));
   }
   EXPECT_NEAR(stats.mean(), 100.0, 1.5);
   EXPECT_NEAR(stats.stddev(), 100.0, 3.0);
@@ -91,10 +94,11 @@ TEST(Interarrival, SubOneShapeIsBurstier) {
     config.distribution = rs::FailureDistribution::kWeibull;
     config.mtbf = 100.0;
     config.shape = shape;
+    const rs::Interarrival interarrival(config);
     ru::Xoshiro256 rng(7);
     ru::RunningStats stats;
     for (int i = 0; i < 200000; ++i) {
-      stats.add(rs::sample_interarrival(config, rng));
+      stats.add(interarrival(rng));
     }
     return stats.stddev() / stats.mean();
   };
@@ -106,7 +110,9 @@ TEST(Interarrival, DisabledSourceIsInfinite) {
   rs::RenewalConfig config;
   config.mtbf = 0.0;
   ru::Xoshiro256 rng(9);
-  EXPECT_TRUE(std::isinf(rs::sample_interarrival(config, rng)));
+  const ru::Xoshiro256 before = rng;
+  EXPECT_TRUE(std::isinf(rs::Interarrival(config)(rng)));
+  EXPECT_EQ(rng(), ru::Xoshiro256(before)());  // no draw
 }
 
 TEST(RenewalModel, ExponentialMatchesPoissonStrikeFrequency) {
@@ -177,9 +183,7 @@ TEST(RenewalModel, RunsThroughTheEngine) {
   auto model = rs::make_renewal_model(params.rates,
                                       rs::FailureDistribution::kWeibull, 0.7,
                                       ru::Xoshiro256(23));
-  rs::EngineConfig config;
-  config.patterns = 100;
-  const auto metrics = rs::simulate_run(pattern, params, *model, config);
+  const auto metrics = rs::simulate_patterns(pattern, params, model, 100);
   EXPECT_EQ(metrics.patterns_completed, 100u);
   EXPECT_GT(metrics.elapsed_seconds, metrics.useful_work_seconds);
 }
@@ -190,12 +194,12 @@ TEST(RenewalModel, MonteCarloFactoryIsDeterministic) {
   rs::MonteCarloConfig config;
   config.runs = 8;
   config.patterns_per_run = 20;
-  config.model_factory = [&](ru::Xoshiro256 rng) {
+  const auto weibull = [&](ru::Xoshiro256 rng) {
     return rs::make_renewal_model(params.rates, rs::FailureDistribution::kWeibull,
                                   0.7, rng);
   };
-  const auto a = rs::run_monte_carlo(pattern, params, config);
-  const auto b = rs::run_monte_carlo(pattern, params, config);
+  const auto a = rs::run_monte_carlo(pattern, params, config, weibull);
+  const auto b = rs::run_monte_carlo(pattern, params, config, weibull);
   EXPECT_DOUBLE_EQ(a.mean_overhead(), b.mean_overhead());
   EXPECT_EQ(a.totals.fail_stop_errors, b.totals.fail_stop_errors);
 }
@@ -213,13 +217,57 @@ TEST(RenewalModel, ExponentialFactoryMatchesDefaultPoissonStatistically) {
   poisson.patterns_per_run = 60;
   const auto base = rs::run_monte_carlo(pattern, params, poisson);
 
-  rs::MonteCarloConfig renewal = poisson;
-  renewal.model_factory = [&](ru::Xoshiro256 rng) {
-    return rs::make_renewal_model(params.rates,
-                                  rs::FailureDistribution::kExponential, 1.0, rng);
-  };
-  const auto alt = rs::run_monte_carlo(pattern, params, renewal);
+  const auto alt =
+      rs::run_monte_carlo(pattern, params, poisson, [&](ru::Xoshiro256 rng) {
+        return rs::make_renewal_model(
+            params.rates, rs::FailureDistribution::kExponential, 1.0, rng);
+      });
 
   EXPECT_NEAR(alt.mean_overhead(), base.mean_overhead(),
               4.0 * (base.overhead_ci() + alt.overhead_ci()));
+}
+
+TEST(RenewalModel, OpsFactorDilatesOperationWindowsOnly) {
+  // The faulty-operations factor: an operation window of length L is
+  // exposed as factor * L and its survived time maps back by / factor, on
+  // the same countdown computation windows use. Computation windows and a
+  // factor of 1 are untouched; a factor <= 0 never strikes and never draws.
+  const auto params = rc::hera().scaled_to(1u << 14).model_params();
+  const auto make = [&](double ops) {
+    return rs::make_renewal_model(params.rates,
+                                  rs::FailureDistribution::kWeibull, 0.7,
+                                  ru::Xoshiro256(29), ops);
+  };
+  auto scaled = make(0.5);
+  auto plain = make(1.0);
+  auto unit = make(1.0);
+  auto unit_reference = make(1.0);
+  for (int i = 0; i < 2000; ++i) {
+    const double length = 50.0 + i % 7;
+    const auto op = scaled.sample_fail_stop_op(length);
+    const auto ref = plain.sample_fail_stop(0.5 * length);
+    EXPECT_EQ(op.struck, ref.struck);
+    EXPECT_EQ(op.time_survived, ref.time_survived / 0.5);
+    const auto a = scaled.sample_fail_stop(length);
+    const auto b = plain.sample_fail_stop(length);
+    EXPECT_EQ(a.struck, b.struck);
+    EXPECT_EQ(a.time_survived, b.time_survived);
+    const auto u = unit.sample_fail_stop_op(length);
+    const auto v = unit_reference.sample_fail_stop(length);
+    EXPECT_EQ(u.struck, v.struck);
+    EXPECT_EQ(u.time_survived, v.time_survived);
+  }
+
+  auto error_free = make(0.0);
+  auto reference = make(0.0);
+  for (int i = 0; i < 1000; ++i) {
+    const auto op = error_free.sample_fail_stop_op(1e9);
+    EXPECT_FALSE(op.struck);
+    EXPECT_EQ(op.time_survived, 1e9);
+  }
+  // No draw happened: the two models' computation windows still agree.
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(error_free.sample_fail_stop(1000.0).time_survived,
+              reference.sample_fail_stop(1000.0).time_survived);
+  }
 }

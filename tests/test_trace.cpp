@@ -85,10 +85,7 @@ TEST(TraceRecorder, CapturesEngineRun) {
   rs::TraceRecorder trace;
   rs::ErrorModel errors(params.rates, ru::Xoshiro256(3));
   const rs::EventObserver observer = trace.observer();
-  rs::EngineConfig config;
-  config.patterns = 20;
-  config.observer = &observer;
-  const auto metrics = rs::simulate_run(pattern, params, errors, config);
+  const auto metrics = rs::simulate_patterns(pattern, params, errors, 20, observer);
 
   EXPECT_EQ(trace.count(rs::Event::kDiskCheckpoint), metrics.disk_checkpoints);
   EXPECT_EQ(trace.count(rs::Event::kPatternCompleted), 20u);
@@ -110,10 +107,7 @@ TEST(TraceRecorder, ClockIsMonotonic) {
   rs::TraceRecorder trace;
   rs::ErrorModel errors(params.rates, ru::Xoshiro256(7));
   const rs::EventObserver observer = trace.observer();
-  rs::EngineConfig config;
-  config.patterns = 50;
-  config.observer = &observer;
-  (void)rs::simulate_run(pattern, params, errors, config);
+  (void)rs::simulate_patterns(pattern, params, errors, 50, observer);
   double previous = 0.0;
   for (const auto& entry : trace.entries()) {
     EXPECT_GE(entry.clock, previous);
