@@ -11,6 +11,12 @@
 // hex doubles. A spill written by one build is served by another, so
 // every build must compute the same bits; a compiler that contracts
 // a*b+c into an FMA moves several of the analytic pins below.
+//
+// The line pins hold the exact bytes of response lines the wire goldens
+// (tests/golden/wire) never produce: a stats line with a transport
+// block, done lines carrying an opt-in stats block, shed and pong
+// answers, an error line that needs escaping, and cell lines carrying
+// non-finite, negative-zero, subnormal and beyond-2^53 values.
 
 #include <gtest/gtest.h>
 
@@ -18,12 +24,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "resilience/core/platform.hpp"
 #include "resilience/core/sweep.hpp"
 #include "resilience/net/hash_ring.hpp"
+#include "resilience/service/cost_model.hpp"
+#include "resilience/service/serialize.hpp"
 #include "resilience/service/sim_service.hpp"
 #include "resilience/service/sim_table.hpp"
 #include "resilience/service/sweep_service.hpp"
@@ -64,6 +73,47 @@ rs::ScenarioRequest simulate_request() {
 /// The bit pattern of a double, so a pin compares every bit, not a
 /// decimal rendering of it.
 std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// A ServiceStats whose every counter is distinct.
+rs::ServiceStats numbered_stats() {
+  rs::ServiceStats stats;
+  stats.submits = 1;
+  stats.cache_hits = 2;
+  stats.disk_hits = 3;
+  stats.joined_in_flight = 4;
+  stats.tables_computed = 5;
+  stats.seeded_computes = 6;
+  stats.deadline_timeouts = 7;
+  stats.cache_lookup_hits = 8;
+  stats.cache_lookup_misses = 9;
+  stats.seed_hits = 10;
+  stats.disk_loads = 11;
+  stats.disk_rejects = 12;
+  stats.cache_size = 13;
+  stats.cache_capacity = 64;
+  stats.sim_submits = 14;
+  stats.sim_cache_hits = 15;
+  stats.sim_disk_hits = 16;
+  stats.sim_cells = 17;
+  stats.sim_runs = 18;
+  stats.sim_early_stops = 19;
+  stats.sim_runs_per_second = 1234.5;
+  stats.engine_lattice_cells = 20;
+  stats.engine_w_probes = 21;
+  stats.engine_full_bracket_fallbacks = 22;
+  return stats;
+}
+
+/// numbered_stats()'s blocks, the members of its to_json() object.
+constexpr const char* kStatsMembers =
+    R"("service":{"submits":1,"cache_hits":2,"disk_hits":3,)"
+    R"("joined_in_flight":4,"tables_computed":5,"seeded_computes":6,)"
+    R"("deadline_timeouts":7},"cache":{"size":13,"capacity":64,"hits":8,)"
+    R"("misses":9,"seed_hits":10,"disk_loads":11,"disk_rejects":12},)"
+    R"("sim":{"submits":14,"cache_hits":15,"disk_hits":16,"cells":17,)"
+    R"("runs":18,"early_stops":19,"runs_per_second":1234.5},)"
+    R"("engine":{"lattice_cells":20,"w_probes":21,)"
+    R"("full_bracket_fallbacks":22})";
 
 std::string read_file(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -225,4 +275,122 @@ TEST(IdentityPins, SimulateResultBits) {
     EXPECT_EQ(bits(cell.ci_high), pins[i].ci_high) << where;
     EXPECT_EQ(cell.runs, 32u) << where;
   }
+}
+
+TEST(IdentityPins, StatsLineWithTransportBlock) {
+  const ru::JsonValue transport = ru::JsonValue::parse(
+      R"({"scheduler":{"admitted":3,"shed_overload":1,"drain_rate":0.25},)"
+      R"("latency_us":{"compute":{"count":2,"p50_us":16,"max_us":17.5}}})");
+  EXPECT_EQ(rs::stats_line("st-1", numbered_stats(), &transport),
+            std::string(R"({"type":"stats","request":"st-1",)") +
+                kStatsMembers +
+                R"(,"transport":{"scheduler":{"admitted":3,)"
+                R"("shed_overload":1,"drain_rate":0.25},"latency_us":)"
+                R"({"compute":{"count":2,"p50_us":16,"max_us":17.5}}}})");
+}
+
+TEST(IdentityPins, DoneLinesWithStatsBlocks) {
+  // A daemon's opt-in block: ServiceStats plus the admission "cost".
+  rs::CostEstimate cost;
+  cost.units = 2.375;
+  cost.cells = 4;
+  cost.chains = 2;
+  cost.seeded_chains = 1;
+  cost.identity_hit = true;
+  ru::JsonValue stats = rs::to_json(numbered_stats());
+  stats.set("cost", rs::to_json(cost));
+  rc::SweepTable table;
+  table.points.resize(2);
+  table.kinds = {rc::PatternKind::kD, rc::PatternKind::kDMV};
+  table.cells.resize(4);
+  EXPECT_EQ(rs::done_line("done-1", rc::GridSignature{0x0123456789abcdefULL},
+                          table, true, false, &stats),
+            std::string(R"({"type":"done","request":"done-1",)"
+                        R"("signature":"0123456789abcdef","points":2,)"
+                        R"("kinds":["PD","PDMV"],"cells":4,"cache_hit":true,)"
+                        R"("joined_in_flight":false,"stats":{)") +
+                kStatsMembers +
+                R"(,"cost":{"units":2.375,"cells":4,"chains":2,)"
+                R"("seeded_chains":1,"identity_hit":true}}})");
+
+  // A router's merged block rides on a simulate done line.
+  rs::SimTable sim;
+  sim.points.resize(1);
+  sim.kinds = {rc::PatternKind::kDV};
+  sim.params.weibull_shape = {0.7};
+  sim.params.faulty_ops = {0.0};
+  sim.cells.resize(2);
+  sim.cells[0].runs = 40;
+  sim.cells[1].runs = 24;
+  const ru::JsonValue shards = ru::JsonValue::parse(
+      R"({"shards":[{"id":"127.0.0.1:1","stats":{"cost":{"units":0.5}}},)"
+      R"({"id":"b","stats":{}}]})");
+  EXPECT_EQ(rs::sim_done_line("sim-done", rc::GridSignature{0x2ULL}, sim,
+                              false, &shards),
+            R"({"type":"done","request":"sim-done",)"
+            R"("signature":"0000000000000002","mode":"simulate","points":1,)"
+            R"("kinds":["PDV"],"cells":2,"runs":64,"cache_hit":false,)"
+            R"("stats":{"shards":[{"id":"127.0.0.1:1","stats":{"cost":)"
+            R"({"units":0.5}}},{"id":"b","stats":{}}]}})");
+}
+
+TEST(IdentityPins, ShedPongAndErrorLines) {
+  EXPECT_EQ(rs::overloaded_line("shed-1", 250),
+            R"({"type":"error","request":"shed-1","field":"",)"
+            R"("message":"server overloaded: request shed at admission; )"
+            R"(retry after 250 ms","code":"overloaded","retry_after_ms":250})");
+  EXPECT_EQ(rs::pong_line("ping-1"), R"({"type":"pong","request":"ping-1"})");
+  // A quote, a backslash, U+0001 and multi-byte UTF-8 (U+00E9, U+20AC),
+  // which passes through unescaped.
+  EXPECT_EQ(rs::error_line("err\"1", "grid.\\kinds",
+                           "bad \"quote\", back\\slash, ctl \x01, "
+                           "utf8 \xc3\xa9\xe2\x82\xac"),
+            R"({"type":"error","request":"err\"1","field":"grid.\\kinds",)"
+            R"("message":"bad \"quote\", back\\slash, ctl \u0001, utf8 )"
+            "\xc3\xa9\xe2\x82\xac\"}");
+}
+
+TEST(IdentityPins, CellLinesWithEdgeValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  rc::SweepCell cell;
+  cell.point_index = 3;
+  cell.kind = rc::PatternKind::kDMV;
+  cell.first_order.segments_n = 2;
+  cell.first_order.chunks_m = 5;
+  cell.first_order.rational_n = 5e-324;
+  cell.first_order.rational_m = 4.75;
+  cell.first_order.work = 1e21;
+  cell.first_order.overhead = 0.1;
+  cell.first_order.coefficients.error_free = 9007199254740993.0;
+  cell.first_order.coefficients.reexecuted_work = -1.5e-7;
+  cell.exact_at_first_order = kInf;
+  cell.chunks_m = 7;
+  cell.work = -0.0;
+  cell.overhead = -kInf;
+  cell.warm_started = true;
+  EXPECT_EQ(
+      rs::cell_line("cell-1", rc::GridSignature{0xfedcba9876543210ULL}, cell),
+      R"({"type":"cell","request":"cell-1","signature":"fedcba9876543210",)"
+      R"("point":3,"kind":"PDMV","first_order":{"segments_n":2,"chunks_m":5,)"
+      R"("rational_n":5e-324,"rational_m":4.75,"work":1e+21,"overhead":0.1,)"
+      R"("error_free":9007199254740992,"reexecuted_work":-1.5e-07},)"
+      R"("exact_at_first_order":Infinity,"segments_n":1,"chunks_m":7,)"
+      R"("work":-0,"overhead":-Infinity,"warm_started":true})");
+
+  // Integers travel as doubles: 2^53 + 1 runs print as 2^53.
+  rs::SimCell sim;
+  sim.point_index = 1;
+  sim.kind = rc::PatternKind::kDV;
+  sim.weibull_shape = 0.7;
+  sim.faulty_ops = 0.0;
+  sim.mean = std::numeric_limits<double>::quiet_NaN();
+  sim.ci_low = -0.0;
+  sim.ci_high = 5e-324;
+  sim.runs = 9007199254740993ULL;
+  sim.early_stopped = true;
+  EXPECT_EQ(rs::sim_cell_line("sim-1", rc::GridSignature{0x1ULL}, sim),
+            R"({"type":"cell","request":"sim-1","signature":"0000000000000001",)"
+            R"("point":1,"kind":"PDV","weibull_shape":0.7,"faulty_ops":0,)"
+            R"("mean":NaN,"ci_low":-0,"ci_high":5e-324,)"
+            R"("runs":9007199254740992,"early_stopped":true})");
 }
