@@ -438,7 +438,7 @@ JsonValue reuse_section(Gates& gates) {
   std::string before;
   {
     rv::SweepService service(persisted);
-    before = rv::to_json(*service.submit(base).table).dump();
+    before = rv::to_json_text(*service.submit(base).table);
   }  // destructor spills the LRU to cache_dir
   bool persistence_reload_bit_identical = false;
   {
@@ -447,7 +447,7 @@ JsonValue reuse_section(Gates& gates) {
     persistence_reload_bit_identical =
         reloaded.cache_hit && reloaded.disk_hit &&
         service.tables_computed() == 0 &&
-        rv::to_json(*reloaded.table).dump() == before;
+        rv::to_json_text(*reloaded.table) == before;
   }
   std::filesystem::remove_all(cache_dir, cleanup_error);
 

@@ -4,9 +4,21 @@
 // formatting lives. The figure drivers, the JSONL streaming service and
 // the cache persistence all emit through these functions, so a table
 // printed by a bench harness and a table streamed by sweep_server carry
-// byte-identical values: doubles use the canonical shortest-round-trip
-// form of util/json, and serialize -> parse -> re-serialize is
-// byte-identical (pinned by test_service).
+// byte-identical values: every byte goes through util::JsonWriter's one
+// set of rules, and serialize -> parse -> re-serialize is byte-identical
+// (pinned by test_service).
+//
+// Each type has one field list and one way out:
+//  * writer functions (util::JsonWriter, no tree) for the types on the
+//    per-line path: SweepCell and SimCell (write_members), and the
+//    tables that hold them (to_json_text, the spill payload);
+//  * tree builders (to_json -> util::JsonValue, written by walking the
+//    tree) for the types off it: platforms, params, points, ServiceStats
+//    and CostEstimate (requests: ScenarioRequest::to_json).
+// No type has both. A caller that needs a cell or a table as a tree
+// parses the writer's text. Every result line below is written through
+// the writer; cell and done lines build no tree, except the opt-in stats
+// block a caller hands a done line.
 
 #include <cstdint>
 #include <string>
@@ -21,10 +33,12 @@ struct CostEstimate;  // cost_model.hpp; serialization only reads it
 struct SimCell;       // sim_table.hpp; serialization only reads them
 struct SimTable;
 
-/// SweepCell <-> JSON. The cell's family is serialized once (as the
-/// paper's name, e.g. "PDMV*"); the nested first_order block omits it and
-/// re-inherits it on parse.
-[[nodiscard]] util::JsonValue to_json(const core::SweepCell& cell);
+/// SweepCell <-> JSON. write_members writes the cell's members ("point",
+/// "kind", "first_order", ..., "warm_started") into the writer's open
+/// object: a cell line's body, or one element of a table's "cells". The
+/// family is serialized once (as the paper's name, e.g. "PDMV*"); the
+/// nested first_order block omits it and re-inherits it on parse.
+void write_members(util::JsonWriter& out, const core::SweepCell& cell);
 [[nodiscard]] core::SweepCell cell_from_json(const util::JsonValue& json);
 
 /// Platform <-> JSON (name, nodes, platform-level rates and costs).
@@ -39,20 +53,25 @@ struct SimTable;
 [[nodiscard]] util::JsonValue to_json(const core::ScenarioPoint& point);
 [[nodiscard]] core::ScenarioPoint point_from_json(const util::JsonValue& json);
 
-/// SweepTable <-> JSON. table_from_json() re-indexes the family lookup,
-/// so cell() works on a deserialized table.
-[[nodiscard]] util::JsonValue to_json(const core::SweepTable& table);
+/// SweepTable <-> JSON. to_json_text writes the compact document
+/// {"type":"sweep_table","kinds","points","cells"}; table_from_json()
+/// re-indexes the family lookup, so cell() works on a deserialized table.
+[[nodiscard]] std::string to_json_text(const core::SweepTable& table);
 [[nodiscard]] core::SweepTable table_from_json(const util::JsonValue& json);
 
-/// SimCell <-> JSON (simulate mode); the family is serialized as the
-/// paper's name like SweepCell's.
-[[nodiscard]] util::JsonValue to_json(const SimCell& cell);
+/// SimCell <-> JSON (simulate mode): write_members writes "point",
+/// "kind" (the paper's name, like SweepCell's), "weibull_shape",
+/// "faulty_ops", "mean", "ci_low", "ci_high", "runs", "early_stopped"
+/// into the writer's open object.
+void write_members(util::JsonWriter& out, const SimCell& cell);
 [[nodiscard]] SimCell sim_cell_from_json(const util::JsonValue& json);
 
-/// SimTable <-> JSON. sim_table_from_json() re-validates the canonical
+/// SimTable <-> JSON. to_json_text writes the compact document
+/// {"type":"sim_table","kinds","points","sim","cells"};
+/// sim_table_from_json() re-validates the canonical
 /// point-major/family/shape/ops cell order, so index arithmetic works on
 /// a deserialized table.
-[[nodiscard]] util::JsonValue to_json(const SimTable& table);
+[[nodiscard]] std::string to_json_text(const SimTable& table);
 [[nodiscard]] SimTable sim_table_from_json(const util::JsonValue& json);
 
 /// ServiceStats -> JSON: {"service":{submission counters},"cache":{tier
@@ -84,12 +103,12 @@ struct SimTable;
 ///                  (nothing executed), unlike plain error lines
 ///   pong_line  -> {"type":"pong","request":...} — the health probe's
 ///                 answer; a terminal line like done/stats/error
-/// A done line's optional `stats` is appended verbatim as a trailing
-/// "stats" member (requests opt in via "stats": true): a daemon passes its
-/// ServiceStats blocks plus the admission-time "cost", the router its
-/// merged {"shards": [...]} block. stats_line's optional `transport`
-/// appends a transport-layer block (scheduler counters + latency
-/// histograms — see NetServer::overload_stats_json) after the
+/// A done line's optional `stats` is written, by walking the tree, as a
+/// trailing "stats" member (requests opt in via "stats": true): a daemon
+/// passes its ServiceStats blocks plus the admission-time "cost", the
+/// router its merged {"shards": [...]} block. stats_line's optional
+/// `transport` appends a transport-layer block (scheduler counters +
+/// latency histograms — see NetServer::overload_stats_json) after the
 /// service/cache blocks. Both are opt-in so the stdin path's bytes are
 /// untouched.
 [[nodiscard]] std::string cell_line(const std::string& request_id,

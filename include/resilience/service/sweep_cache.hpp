@@ -28,10 +28,10 @@
 //    and the signature the content must hash back to (grid_signature under
 //    the caller's options, or sim_signature over the table's own
 //    SimParams). Any file that fails — a tag that does not match the file
-//    name, a payload checksum mismatch, content that does not hash back to
-//    its filename — is rejected with a stderr warning. A corrupt or foreign
-//    spill (or one written under different result-affecting options) is
-//    never served.
+//    name, a payload checksum mismatch, points whose axis indices are out
+//    of grid order, content that does not hash back to its filename — is
+//    rejected with a stderr warning. A corrupt or foreign spill (or one
+//    written under different result-affecting options) is never served.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,23 +1,37 @@
 #pragma once
 
 // Dependency-free JSON: a small value type, a strict recursive-descent
-// reader (sufficient for service requests) and a canonical writer. The
-// writer is deterministic — objects keep insertion order, doubles use the
-// shortest representation that round-trips bit-exactly — so
-// serialize -> parse -> re-serialize is byte-identical. That identity is
-// what lets the sweep service cache and replay tables without ever
-// re-deriving floating-point values from text approximations.
+// reader (sufficient for service requests) and one canonical writer,
+// JsonWriter. The writer is the only place the formatting rules live;
+// JsonValue::dump walks its tree through it, format_json_number and
+// json_quote are thin wrappers over it, and the service writes its
+// result lines with it directly, without building a tree. The rules:
 //
-// One deliberate extension beyond RFC 8259: non-finite doubles are
-// written as the bare tokens Infinity / -Infinity / NaN and the reader
-// accepts them. Sweep cells legitimately carry +inf (evaluator-rejected
-// patterns), and both ends of the wire are this library.
+//   * numbers: the shortest decimal that reads back to the same double
+//     (std::to_chars, locale-independent); integers go through the same
+//     double path, so integers beyond 2^53 round like a double does;
+//   * non-finite doubles: the bare tokens Infinity, -Infinity and NaN
+//     (one deliberate extension beyond RFC 8259: sweep cells carry +inf
+//     for evaluator-rejected patterns, both ends of the wire are this
+//     library, and the reader accepts the tokens);
+//   * strings: '"' and '\' escaped, \b \f \n \r \t by name, every
+//     other byte below 0x20 as a lowercase \u00xx, every other byte
+//     (DEL and UTF-8 included) as is;
+//   * layout: compact (no whitespace), or indented with N spaces a
+//     level, one member or element a line, ": " after keys, and empty
+//     containers as {} and [].
+//
+// Objects keep insertion order, so serialize -> parse -> re-serialize is
+// byte-identical. That identity is what lets the sweep service cache and
+// replay tables without ever re-deriving floating-point values from text
+// approximations.
 
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -89,8 +103,9 @@ class JsonValue {
   void set(std::string key, JsonValue value);
   void push_back(JsonValue value);
 
-  /// Canonical serialization: compact (no whitespace) when indent < 0,
-  /// pretty-printed with `indent` spaces per level otherwise.
+  /// Canonical serialization through JsonWriter: compact (no
+  /// whitespace) when indent < 0, pretty-printed with `indent` spaces per
+  /// level otherwise. dump_to appends to `out`.
   [[nodiscard]] std::string dump(int indent = -1) const;
   void dump_to(std::string& out, int indent = -1) const;
 
@@ -98,8 +113,6 @@ class JsonValue {
   static JsonValue parse(std::string_view text);
 
  private:
-  void dump_impl(std::string& out, int indent, int depth) const;
-
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
@@ -108,13 +121,81 @@ class JsonValue {
   Object object_;
 };
 
-/// Shortest decimal representation of `value` that strtod()s back to the
+/// Streaming canonical emitter: appends one JSON document to a caller's
+/// string as it is described, with the rules in the header comment. The
+/// caller opens and closes containers and names each object member with
+/// key() before its value; the writer places commas, newlines and
+/// indentation. It does not check the sequence: a key outside an object
+/// or an unclosed container writes malformed text.
+///
+///   std::string line;
+///   JsonWriter(line).begin_object().member("type", "pong").end_object();
+class JsonWriter {
+ public:
+  /// Appends to `out` (never clears it). `indent` < 0 writes compact
+  /// JSON; otherwise the layout of JsonValue::dump(indent).
+  explicit JsonWriter(std::string& out, int indent = -1) noexcept
+      : out_(out), indent_(indent) {}
+
+  JsonWriter& begin_object() { return open('{'); }
+  JsonWriter& end_object() { return close('}'); }
+  JsonWriter& begin_array() { return open('['); }
+  JsonWriter& end_array() { return close(']'); }
+
+  /// Names the next member of the open object; any value call follows.
+  JsonWriter& key(std::string_view name);
+
+  JsonWriter& null() { return raw("null"); }
+  JsonWriter& value(bool flag) { return raw(flag ? "true" : "false"); }
+  JsonWriter& value(double number);
+  /// Integers are written as the double they convert to, like
+  /// JsonValue's integer constructors.
+  template <class Int>
+    requires(std::is_integral_v<Int> && !std::is_same_v<Int, bool>)
+  JsonWriter& value(Int number) {
+    return value(static_cast<double>(number));
+  }
+  JsonWriter& value(std::string_view text);
+  JsonWriter& value(const char* text) { return value(std::string_view(text)); }
+  JsonWriter& value(const std::string& text) {
+    return value(std::string_view(text));
+  }
+  /// Writes a tree by walking it.
+  JsonWriter& value(const JsonValue& tree);
+  /// Appends `json`, the canonical text of one value, as the next value;
+  /// the caller vouches for its bytes. Every scalar goes out through it.
+  JsonWriter& raw(std::string_view json);
+
+  /// key(name), then value(member_value).
+  template <class T>
+  JsonWriter& member(std::string_view name, const T& member_value) {
+    key(name);
+    return value(member_value);
+  }
+
+ private:
+  /// The separator before a value: nothing after a key or at the top
+  /// level, else a comma after an earlier sibling and the line break.
+  void before_value();
+  void newline();
+  JsonWriter& open(char bracket);
+  JsonWriter& close(char bracket);
+  void append_quoted(std::string_view text);
+
+  std::string& out_;
+  int indent_;
+  int depth_ = 0;
+  bool has_sibling_ = false;  ///< the open container has a value already
+  bool after_key_ = false;
+};
+
+/// Shortest decimal representation of `value` that reads back to the
 /// same bits ("3", "0.1", "1.25e-07"); Infinity/-Infinity/NaN for
-/// non-finite values. This is the one double formatter every serializer
-/// in the project uses — byte-identical round trips depend on it.
+/// non-finite values. A wrapper over JsonWriter::value(double).
 [[nodiscard]] std::string format_json_number(double value);
 
-/// Escaped, quoted JSON string literal for `text`.
+/// Escaped, quoted JSON string literal for `text`. A wrapper over
+/// JsonWriter::value(std::string_view).
 [[nodiscard]] std::string json_quote(std::string_view text);
 
 }  // namespace resilience::util

@@ -1,5 +1,6 @@
 #include "resilience/service/serialize.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -12,6 +13,7 @@ namespace resilience::service {
 namespace {
 
 using util::JsonValue;
+using util::JsonWriter;
 
 const JsonValue& require(const JsonValue& json, const char* field) {
   const JsonValue* value = json.find(field);
@@ -36,58 +38,130 @@ std::size_t require_index(const JsonValue& json, const char* field) {
 }
 
 /// The family names of a table, in its column order.
-JsonValue kind_names(const std::vector<core::PatternKind>& kinds) {
-  JsonValue names = JsonValue::array();
+void write_kind_names(JsonWriter& out,
+                      const std::vector<core::PatternKind>& kinds) {
+  out.begin_array();
   for (const core::PatternKind kind : kinds) {
-    names.push_back(core::pattern_name(kind));
+    out.value(core::pattern_name(kind));
   }
-  return names;
+  out.end_array();
 }
 
-/// The one builder of per-request result lines, cell and done alike, in
-/// both modes: "type", "request" and "signature", then `body`'s members in
-/// order (moved, not copied), then the optional "stats" block.
-std::string result_line(const char* type, const std::string& request_id,
-                        core::GridSignature signature, JsonValue body,
-                        const JsonValue* stats = nullptr) {
-  JsonValue line = JsonValue::object();
-  line.set("type", type);
-  line.set("request", request_id);
-  line.set("signature", signature.hex());
-  for (auto& [key, value] : body.as_object()) {
-    line.set(std::move(key), std::move(value));
+/// Opens a table document: "type", "kinds", then "points", each point
+/// written by walking its tree.
+void open_table(JsonWriter& out, const char* type,
+                const std::vector<core::PatternKind>& kinds,
+                const std::vector<core::ScenarioPoint>& points) {
+  out.begin_object().member("type", type).key("kinds");
+  write_kind_names(out, kinds);
+  out.key("points").begin_array();
+  for (const core::ScenarioPoint& point : points) {
+    out.value(to_json(point));
   }
-  if (stats != nullptr) {
-    line.set("stats", *stats);
+  out.end_array();
+}
+
+/// Closes a table document with its "cells", one object per cell.
+template <class Cell>
+void close_table(JsonWriter& out, const std::vector<Cell>& cells) {
+  out.key("cells").begin_array();
+  for (const Cell& cell : cells) {
+    out.begin_object();
+    write_members(out, cell);
+    out.end_object();
   }
-  return line.dump();
+  out.end_array().end_object();
+}
+
+/// Points must carry the axis indices resolve_points() gives them: the
+/// (platform, node, rate, cost) tuples of a full product grid, in
+/// lexicographic order. A table's signature covers each point's resolved
+/// parameters but not its indices, and the seed tier picks a chain's
+/// points by platform and cost index, so a spill edited to move a point
+/// to another chain must not load.
+void check_point_axes(const std::vector<core::ScenarioPoint>& points) {
+  std::size_t nodes_n = 0;
+  std::size_t rates_n = 0;
+  std::size_t costs_n = 0;
+  for (const core::ScenarioPoint& point : points) {
+    nodes_n = std::max(nodes_n, point.node_index + 1);
+    rates_n = std::max(rates_n, point.rate_index + 1);
+    costs_n = std::max(costs_n, point.cost_index + 1);
+  }
+  std::size_t platform = 0;
+  std::size_t node = 0;
+  std::size_t rate = 0;
+  std::size_t cost = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const core::ScenarioPoint& point = points[i];
+    if (point.platform_index != platform || point.node_index != node ||
+        point.rate_index != rate || point.cost_index != cost) {
+      throw std::runtime_error("serialize: point " + std::to_string(i) +
+                               " carries axis indices out of grid order");
+    }
+    if (++cost == costs_n) {
+      cost = 0;
+      if (++rate == rates_n) {
+        rate = 0;
+        if (++node == nodes_n) {
+          node = 0;
+          ++platform;
+        }
+      }
+    }
+  }
+  if (node != 0 || rate != 0 || cost != 0) {
+    throw std::runtime_error("serialize: points do not fill their grid");
+  }
+}
+
+/// Opens a result line, cell or done alike, in both modes: "type",
+/// "request" and "signature". The caller writes the mode's members and
+/// closes the object.
+JsonWriter& open_result_line(JsonWriter& out, const char* type,
+                             const std::string& request_id,
+                             core::GridSignature signature) {
+  return out.begin_object()
+      .member("type", type)
+      .member("request", request_id)
+      .member("signature", signature.hex());
+}
+
+/// A cell line of either mode: the envelope, then the cell's members.
+template <class Cell>
+std::string result_cell_line(const std::string& request_id,
+                             core::GridSignature signature, const Cell& cell) {
+  std::string line;
+  JsonWriter out(line);
+  open_result_line(out, "cell", request_id, signature);
+  write_members(out, cell);
+  out.end_object();
+  return line;
 }
 
 }  // namespace
 
-JsonValue to_json(const core::SweepCell& cell) {
-  JsonValue first_order = JsonValue::object();
-  first_order.set("segments_n", cell.first_order.segments_n);
-  first_order.set("chunks_m", cell.first_order.chunks_m);
-  first_order.set("rational_n", cell.first_order.rational_n);
-  first_order.set("rational_m", cell.first_order.rational_m);
-  first_order.set("work", cell.first_order.work);
-  first_order.set("overhead", cell.first_order.overhead);
-  first_order.set("error_free", cell.first_order.coefficients.error_free);
-  first_order.set("reexecuted_work",
-                  cell.first_order.coefficients.reexecuted_work);
-
-  JsonValue out = JsonValue::object();
-  out.set("point", cell.point_index);
-  out.set("kind", core::pattern_name(cell.kind));
-  out.set("first_order", std::move(first_order));
-  out.set("exact_at_first_order", cell.exact_at_first_order);
-  out.set("segments_n", cell.segments_n);
-  out.set("chunks_m", cell.chunks_m);
-  out.set("work", cell.work);
-  out.set("overhead", cell.overhead);
-  out.set("warm_started", cell.warm_started);
-  return out;
+void write_members(JsonWriter& out, const core::SweepCell& cell) {
+  const core::FirstOrderSolution& first_order = cell.first_order;
+  out.member("point", cell.point_index)
+      .member("kind", core::pattern_name(cell.kind))
+      .key("first_order")
+      .begin_object()
+      .member("segments_n", first_order.segments_n)
+      .member("chunks_m", first_order.chunks_m)
+      .member("rational_n", first_order.rational_n)
+      .member("rational_m", first_order.rational_m)
+      .member("work", first_order.work)
+      .member("overhead", first_order.overhead)
+      .member("error_free", first_order.coefficients.error_free)
+      .member("reexecuted_work", first_order.coefficients.reexecuted_work)
+      .end_object()
+      .member("exact_at_first_order", cell.exact_at_first_order)
+      .member("segments_n", cell.segments_n)
+      .member("chunks_m", cell.chunks_m)
+      .member("work", cell.work)
+      .member("overhead", cell.overhead)
+      .member("warm_started", cell.warm_started);
 }
 
 core::SweepCell cell_from_json(const JsonValue& json) {
@@ -197,21 +271,12 @@ core::ScenarioPoint point_from_json(const JsonValue& json) {
   return point;
 }
 
-JsonValue to_json(const core::SweepTable& table) {
-  JsonValue points = JsonValue::array();
-  for (const core::ScenarioPoint& point : table.points) {
-    points.push_back(to_json(point));
-  }
-  JsonValue cells = JsonValue::array();
-  for (const core::SweepCell& cell : table.cells) {
-    cells.push_back(to_json(cell));
-  }
-  JsonValue out = JsonValue::object();
-  out.set("type", "sweep_table");
-  out.set("kinds", kind_names(table.kinds));
-  out.set("points", std::move(points));
-  out.set("cells", std::move(cells));
-  return out;
+std::string to_json_text(const core::SweepTable& table) {
+  std::string text;
+  JsonWriter out(text);
+  open_table(out, "sweep_table", table.kinds, table.points);
+  close_table(out, table.cells);
+  return text;
 }
 
 core::SweepTable table_from_json(const JsonValue& json) {
@@ -222,6 +287,7 @@ core::SweepTable table_from_json(const JsonValue& json) {
   for (const JsonValue& point : require(json, "points").as_array()) {
     table.points.push_back(point_from_json(point));
   }
+  check_point_axes(table.points);
   for (const JsonValue& cell : require(json, "cells").as_array()) {
     table.cells.push_back(cell_from_json(cell));
   }
@@ -251,21 +317,19 @@ core::SweepTable table_from_json(const JsonValue& json) {
 std::string cell_line(const std::string& request_id,
                       core::GridSignature signature,
                       const core::SweepCell& cell) {
-  return result_line("cell", request_id, signature, to_json(cell));
+  return result_cell_line(request_id, signature, cell);
 }
 
-JsonValue to_json(const SimCell& cell) {
-  JsonValue out = JsonValue::object();
-  out.set("point", cell.point_index);
-  out.set("kind", core::pattern_name(cell.kind));
-  out.set("weibull_shape", cell.weibull_shape);
-  out.set("faulty_ops", cell.faulty_ops);
-  out.set("mean", cell.mean);
-  out.set("ci_low", cell.ci_low);
-  out.set("ci_high", cell.ci_high);
-  out.set("runs", cell.runs);
-  out.set("early_stopped", cell.early_stopped);
-  return out;
+void write_members(JsonWriter& out, const SimCell& cell) {
+  out.member("point", cell.point_index)
+      .member("kind", core::pattern_name(cell.kind))
+      .member("weibull_shape", cell.weibull_shape)
+      .member("faulty_ops", cell.faulty_ops)
+      .member("mean", cell.mean)
+      .member("ci_low", cell.ci_low)
+      .member("ci_high", cell.ci_high)
+      .member("runs", cell.runs)
+      .member("early_stopped", cell.early_stopped);
 }
 
 SimCell sim_cell_from_json(const JsonValue& json) {
@@ -282,38 +346,29 @@ SimCell sim_cell_from_json(const JsonValue& json) {
   return cell;
 }
 
-JsonValue to_json(const SimTable& table) {
-  JsonValue points = JsonValue::array();
-  for (const core::ScenarioPoint& point : table.points) {
-    points.push_back(to_json(point));
-  }
-  JsonValue shapes = JsonValue::array();
+std::string to_json_text(const SimTable& table) {
+  std::string text;
+  JsonWriter out(text);
+  open_table(out, "sim_table", table.kinds, table.points);
+  out.key("sim")
+      .begin_object()
+      .member("seed", table.params.seed)
+      .member("target_ci", table.params.target_ci)
+      .member("max_runs", table.params.max_runs)
+      .member("min_runs", table.params.min_runs)
+      .member("patterns_per_run", table.params.patterns_per_run)
+      .key("weibull_shape")
+      .begin_array();
   for (const double shape : table.params.weibull_shape) {
-    shapes.push_back(shape);
+    out.value(shape);
   }
-  JsonValue ops = JsonValue::array();
+  out.end_array().key("faulty_ops").begin_array();
   for (const double factor : table.params.faulty_ops) {
-    ops.push_back(factor);
+    out.value(factor);
   }
-  JsonValue sim = JsonValue::object();
-  sim.set("seed", table.params.seed);
-  sim.set("target_ci", table.params.target_ci);
-  sim.set("max_runs", table.params.max_runs);
-  sim.set("min_runs", table.params.min_runs);
-  sim.set("patterns_per_run", table.params.patterns_per_run);
-  sim.set("weibull_shape", std::move(shapes));
-  sim.set("faulty_ops", std::move(ops));
-  JsonValue cells = JsonValue::array();
-  for (const SimCell& cell : table.cells) {
-    cells.push_back(to_json(cell));
-  }
-  JsonValue out = JsonValue::object();
-  out.set("type", "sim_table");
-  out.set("kinds", kind_names(table.kinds));
-  out.set("points", std::move(points));
-  out.set("sim", std::move(sim));
-  out.set("cells", std::move(cells));
-  return out;
+  out.end_array().end_object();
+  close_table(out, table.cells);
+  return text;
 }
 
 SimTable sim_table_from_json(const JsonValue& json) {
@@ -324,6 +379,7 @@ SimTable sim_table_from_json(const JsonValue& json) {
   for (const JsonValue& point : require(json, "points").as_array()) {
     table.points.push_back(point_from_json(point));
   }
+  check_point_axes(table.points);
   const JsonValue& sim = require(json, "sim");
   table.params.seed =
       static_cast<std::uint64_t>(require_index(sim, "seed"));
@@ -424,36 +480,43 @@ JsonValue to_json(const CostEstimate& estimate) {
 
 std::string stats_line(const std::string& request_id, const ServiceStats& stats,
                        const util::JsonValue* transport) {
-  JsonValue line = JsonValue::object();
-  line.set("type", "stats");
-  line.set("request", request_id);
-  JsonValue blocks = to_json(stats);
-  for (auto& [key, value] : blocks.as_object()) {
-    line.set(std::move(key), std::move(value));
+  std::string line;
+  JsonWriter out(line);
+  out.begin_object().member("type", "stats").member("request", request_id);
+  const JsonValue blocks = to_json(stats);
+  for (const auto& [name, block] : blocks.as_object()) {
+    out.member(name, block);
   }
   if (transport != nullptr) {
-    line.set("transport", *transport);
+    out.member("transport", *transport);
   }
-  return line.dump();
+  out.end_object();
+  return line;
 }
 
 std::string done_line(const std::string& request_id,
                       core::GridSignature signature,
                       const core::SweepTable& table, bool cache_hit,
                       bool joined_in_flight, const JsonValue* stats) {
-  JsonValue summary = JsonValue::object();
-  summary.set("points", table.points.size());
-  summary.set("kinds", kind_names(table.kinds));
-  summary.set("cells", table.cells.size());
-  summary.set("cache_hit", cache_hit);
-  summary.set("joined_in_flight", joined_in_flight);
-  return result_line("done", request_id, signature, std::move(summary),
-                     stats);
+  std::string line;
+  JsonWriter out(line);
+  open_result_line(out, "done", request_id, signature)
+      .member("points", table.points.size())
+      .key("kinds");
+  write_kind_names(out, table.kinds);
+  out.member("cells", table.cells.size())
+      .member("cache_hit", cache_hit)
+      .member("joined_in_flight", joined_in_flight);
+  if (stats != nullptr) {
+    out.member("stats", *stats);
+  }
+  out.end_object();
+  return line;
 }
 
 std::string sim_cell_line(const std::string& request_id,
                           core::GridSignature signature, const SimCell& cell) {
-  return result_line("cell", request_id, signature, to_json(cell));
+  return result_cell_line(request_id, signature, cell);
 }
 
 std::string sim_done_line(const std::string& request_id,
@@ -463,32 +526,44 @@ std::string sim_done_line(const std::string& request_id,
   for (const SimCell& cell : table.cells) {
     total_runs += cell.runs;
   }
-  JsonValue summary = JsonValue::object();
-  summary.set("mode", "simulate");
-  summary.set("points", table.points.size());
-  summary.set("kinds", kind_names(table.kinds));
-  summary.set("cells", table.cells.size());
-  summary.set("runs", total_runs);
-  summary.set("cache_hit", cache_hit);
-  return result_line("done", request_id, signature, std::move(summary),
-                     stats);
+  std::string line;
+  JsonWriter out(line);
+  open_result_line(out, "done", request_id, signature)
+      .member("mode", "simulate")
+      .member("points", table.points.size())
+      .key("kinds");
+  write_kind_names(out, table.kinds);
+  out.member("cells", table.cells.size())
+      .member("runs", total_runs)
+      .member("cache_hit", cache_hit);
+  if (stats != nullptr) {
+    out.member("stats", *stats);
+  }
+  out.end_object();
+  return line;
 }
 
 std::string pong_line(const std::string& request_id) {
-  JsonValue line = JsonValue::object();
-  line.set("type", "pong");
-  line.set("request", request_id);
-  return line.dump();
+  std::string line;
+  JsonWriter(line)
+      .begin_object()
+      .member("type", "pong")
+      .member("request", request_id)
+      .end_object();
+  return line;
 }
 
 std::string error_line(const std::string& request_id, const std::string& field,
                        const std::string& message) {
-  JsonValue line = JsonValue::object();
-  line.set("type", "error");
-  line.set("request", request_id);
-  line.set("field", field);
-  line.set("message", message);
-  return line.dump();
+  std::string line;
+  JsonWriter(line)
+      .begin_object()
+      .member("type", "error")
+      .member("request", request_id)
+      .member("field", field)
+      .member("message", message)
+      .end_object();
+  return line;
 }
 
 std::string overloaded_line(const std::string& request_id,
@@ -497,16 +572,19 @@ std::string overloaded_line(const std::string& request_id,
   // "type":"error" still terminate the request) extended with the
   // machine-readable shed marker. "field" is empty: the request itself
   // was fine — the server's queue was not.
-  JsonValue line = JsonValue::object();
-  line.set("type", "error");
-  line.set("request", request_id);
-  line.set("field", "");
-  line.set("message",
-           "server overloaded: request shed at admission; retry after " +
-               std::to_string(retry_after_ms) + " ms");
-  line.set("code", "overloaded");
-  line.set("retry_after_ms", retry_after_ms);
-  return line.dump();
+  std::string line;
+  JsonWriter(line)
+      .begin_object()
+      .member("type", "error")
+      .member("request", request_id)
+      .member("field", "")
+      .member("message",
+              "server overloaded: request shed at admission; retry after " +
+                  std::to_string(retry_after_ms) + " ms")
+      .member("code", "overloaded")
+      .member("retry_after_ms", retry_after_ms)
+      .end_object();
+  return line;
 }
 
 }  // namespace resilience::service

@@ -47,18 +47,22 @@ core::GridSignature payload_checksum(const std::string& payload) {
 }
 
 /// The on-disk document: the canonical table JSON wrapped with its mode's
-/// format tag and its payload checksum. Assembled textually — every
-/// component is already canonical JSON, and parse -> re-dump of the
-/// payload is byte-identical, which is what lets the loader re-derive the
-/// checksum.
+/// format tag and its payload checksum. The payload is written first, so
+/// its checksum can precede it, and spliced into the document as is:
+/// parse -> re-dump of the payload is byte-identical, which is what lets
+/// the loader re-derive the checksum.
 std::string spill_document(const SweepCache::Table& table) {
-  const std::string payload =
-      std::visit([](const auto& shared) { return to_json(*shared).dump(); },
-                 table);
-  return std::string("{\"format\":\"") +
-         (is_sim(table) ? kSimSpillFormat : kSpillFormat) +
-         "\",\"payload_fnv\":\"" + payload_checksum(payload).hex() +
-         "\",\"table\":" + payload + "}";
+  const std::string payload = std::visit(
+      [](const auto& shared) { return to_json_text(*shared); }, table);
+  std::string document;
+  util::JsonWriter(document)
+      .begin_object()
+      .member("format", is_sim(table) ? kSimSpillFormat : kSpillFormat)
+      .member("payload_fnv", payload_checksum(payload).hex())
+      .key("table")
+      .raw(payload)
+      .end_object();
+  return document;
 }
 
 /// Writes one spill file atomically (util::write_file_atomic: unique

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <system_error>
@@ -432,106 +431,153 @@ std::string JsonValue::dump(int indent) const {
 }
 
 void JsonValue::dump_to(std::string& out, int indent) const {
-  dump_impl(out, indent, 0);
-}
-
-void JsonValue::dump_impl(std::string& out, int indent, int depth) const {
-  const auto newline_indent = [&](int level) {
-    if (indent >= 0) {
-      out += '\n';
-      out.append(static_cast<std::size_t>(indent) *
-                     static_cast<std::size_t>(level),
-                 ' ');
-    }
-  };
-  switch (type_) {
-    case Type::kNull: out += "null"; break;
-    case Type::kBool: out += bool_ ? "true" : "false"; break;
-    case Type::kNumber: out += format_json_number(number_); break;
-    case Type::kString: out += json_quote(string_); break;
-    case Type::kArray: {
-      out += '[';
-      for (std::size_t i = 0; i < array_.size(); ++i) {
-        if (i > 0) {
-          out += ',';
-        }
-        newline_indent(depth + 1);
-        array_[i].dump_impl(out, indent, depth + 1);
-      }
-      if (!array_.empty()) {
-        newline_indent(depth);
-      }
-      out += ']';
-      break;
-    }
-    case Type::kObject: {
-      out += '{';
-      for (std::size_t i = 0; i < object_.size(); ++i) {
-        if (i > 0) {
-          out += ',';
-        }
-        newline_indent(depth + 1);
-        out += json_quote(object_[i].first);
-        out += ':';
-        if (indent >= 0) {
-          out += ' ';
-        }
-        object_[i].second.dump_impl(out, indent, depth + 1);
-      }
-      if (!object_.empty()) {
-        newline_indent(depth);
-      }
-      out += '}';
-      break;
-    }
-  }
+  JsonWriter(out, indent).value(*this);
 }
 
 JsonValue JsonValue::parse(std::string_view text) {
   return Parser(text).run();
 }
 
-std::string format_json_number(double value) {
-  if (std::isnan(value)) {
-    return "NaN";
+void JsonWriter::newline() {
+  if (indent_ >= 0) {
+    out_ += '\n';
+    out_.append(static_cast<std::size_t>(indent_) *
+                    static_cast<std::size_t>(depth_),
+                ' ');
   }
-  if (std::isinf(value)) {
-    return value > 0 ? "Infinity" : "-Infinity";
+}
+
+void JsonWriter::before_value() {
+  if (after_key_) {
+    after_key_ = false;
+  } else if (depth_ > 0) {
+    if (has_sibling_) {
+      out_ += ',';
+    }
+    newline();
+  }
+}
+
+JsonWriter& JsonWriter::open(char bracket) {
+  before_value();
+  out_ += bracket;
+  ++depth_;
+  has_sibling_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  --depth_;
+  if (has_sibling_) {
+    newline();  // a non-empty container closes on its own line
+  }
+  out_ += bracket;
+  has_sibling_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  before_value();
+  append_quoted(name);
+  out_ += indent_ >= 0 ? ": " : ":";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(double number) {
+  if (std::isnan(number)) {
+    return raw("NaN");
+  }
+  if (std::isinf(number)) {
+    return raw(number > 0 ? "Infinity" : "-Infinity");
   }
   // to_chars: the shortest representation that round-trips bit-exactly,
   // independent of the process locale (snprintf %g honors LC_NUMERIC and
   // would emit "1,5" under a comma-decimal locale, breaking both the
-  // byte-identity guarantee and JSON validity).
-  char buffer[40];
-  const auto result = std::to_chars(buffer, buffer + sizeof buffer, value);
-  return std::string(buffer, result.ptr);
+  // byte-identity guarantee and JSON validity). The longest such form,
+  // "-2.2250738585072014e-308", is 24 characters.
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof buffer, number);
+  return raw({buffer, static_cast<std::size_t>(result.ptr - buffer)});
+}
+
+JsonWriter& JsonWriter::value(std::string_view text) {
+  before_value();
+  append_quoted(text);
+  has_sibling_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(const JsonValue& tree) {
+  switch (tree.type()) {
+    case JsonValue::Type::kNull: return null();
+    case JsonValue::Type::kBool: return value(tree.as_bool());
+    case JsonValue::Type::kNumber: return value(tree.as_double());
+    case JsonValue::Type::kString: return value(tree.as_string());
+    case JsonValue::Type::kArray:
+      begin_array();
+      for (const JsonValue& element : tree.as_array()) {
+        value(element);
+      }
+      return end_array();
+    case JsonValue::Type::kObject:
+      begin_object();
+      for (const auto& [name, member_value] : tree.as_object()) {
+        key(name);
+        value(member_value);
+      }
+      return end_object();
+  }
+  return *this;
+}
+
+JsonWriter& JsonWriter::raw(std::string_view json) {
+  before_value();
+  out_ += json;
+  has_sibling_ = true;
+  return *this;
+}
+
+void JsonWriter::append_quoted(std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out_ += '"';
+  // Bytes that need no escape are appended a run at a time.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto byte = static_cast<unsigned char>(text[i]);
+    if (byte >= 0x20 && byte != '"' && byte != '\\') {
+      continue;
+    }
+    out_.append(text, run, i - run);
+    run = i + 1;
+    switch (byte) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\b': out_ += "\\b"; break;
+      case '\f': out_ += "\\f"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\t': out_ += "\\t"; break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[byte >> 4],
+                               kHex[byte & 0xF]};
+        out_.append(escape, sizeof escape);
+      }
+    }
+  }
+  out_.append(text, run, text.size() - run);
+  out_ += '"';
+}
+
+std::string format_json_number(double value) {
+  std::string out;
+  JsonWriter(out).value(value);
+  return out;
 }
 
 std::string json_quote(std::string_view text) {
   std::string out;
-  out.reserve(text.size() + 2);
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
+  JsonWriter(out).value(text);
   return out;
 }
 

@@ -1,10 +1,11 @@
 // Seeded mutation fuzzer over the request front, service::classify_line —
 // the one parser every front end (stdin, daemon admission, router) runs
 // on untrusted request bytes. Seeds are every line of tests/data/*.jsonl
-// plus a few lines reaching fields those files never use; each input is a seed after one to four mutations drawn from a
-// util::SplitMix64 stream (byte flips, span deletions and duplications,
-// token insertions), so a run is reproducible from its seed and a failing
-// input can be replayed and kept as a named case below.
+// plus a few lines reaching fields those files never use; each input is
+// a seed after one to four mutations (fuzz_mutator.hpp: byte flips, span
+// deletions and duplications, token insertions), so a run is
+// reproducible from its seed and a failing input can be replayed and
+// kept as a named case below.
 //
 // The gate, for every input:
 //   * no crash and no sanitizer report (the CI ASan/UBSan job runs this);
@@ -25,10 +26,10 @@
 #include <string_view>
 #include <vector>
 
+#include "fuzz_mutator.hpp"
 #include "resilience/service/line_session.hpp"
 #include "resilience/service/serialize.hpp"
 #include "resilience/util/json.hpp"
-#include "resilience/util/random.hpp"
 
 namespace rs = resilience::service;
 namespace ru = resilience::util;
@@ -80,48 +81,6 @@ std::vector<std::string> seed_corpus() {
   lines.insert(lines.end(), kExtraSeeds.begin(), kExtraSeeds.end());
   return lines;
 }
-
-class Mutator {
- public:
-  explicit Mutator(std::uint64_t seed) : rng_(seed) {}
-
-  [[nodiscard]] std::string mutate(std::string input) {
-    const std::size_t rounds = 1 + below(4);
-    for (std::size_t round = 0; round < rounds; ++round) {
-      switch (below(4)) {
-        case 0:  // flip one bit of one byte
-          if (!input.empty()) {
-            input[below(input.size())] ^=
-                static_cast<char>(1u << below(8));
-          }
-          break;
-        case 1: {  // delete a span
-          const std::size_t at = below(input.size() + 1);
-          input.erase(at, 1 + below(16));
-          break;
-        }
-        case 2: {  // duplicate a span somewhere
-          const std::size_t at = below(input.size() + 1);
-          const std::string span = input.substr(at, 1 + below(32));
-          input.insert(below(input.size() + 1), span);
-          break;
-        }
-        default:  // insert a token
-          input.insert(below(input.size() + 1),
-                       kTokens[below(kTokens.size())]);
-          break;
-      }
-    }
-    return input;
-  }
-
- private:
-  [[nodiscard]] std::size_t below(std::size_t n) {
-    return n == 0 ? 0 : static_cast<std::size_t>(rng_.next() % n);
-  }
-
-  ru::SplitMix64 rng_;
-};
 
 /// The gate; a failure names the input (as a JSON literal, so it can be
 /// pasted back as a named case).
@@ -187,7 +146,7 @@ TEST(RequestFuzz, SeedCorpusClassifiesCleanly) {
 TEST(RequestFuzz, MutatedLinesClassifyOrErrorCleanly) {
   const std::vector<std::string> corpus = seed_corpus();
   ASSERT_FALSE(corpus.empty());
-  Mutator mutator(kSeed);
+  resilience::fuzz::Mutator mutator(kSeed, kTokens);
   std::array<std::size_t, 5> kinds{};
   for (std::size_t i = 0; i < kInputs; ++i) {
     const std::string input = mutator.mutate(corpus[i % corpus.size()]);

@@ -18,16 +18,20 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "resilience/core/sweep.hpp"
 #include "resilience/net/client.hpp"
 #include "resilience/net/hash_ring.hpp"
 #include "resilience/net/router.hpp"
 #include "resilience/net/server.hpp"
 #include "resilience/net/socket.hpp"
 #include "resilience/service/jsonl_session.hpp"
+#include "resilience/service/line_session.hpp"
 #include "resilience/util/json.hpp"
 
+namespace rc = resilience::core;
 namespace rn = resilience::net;
 namespace rs = resilience::service;
 
@@ -221,6 +225,55 @@ rn::RouterOptions fleet_options(const std::vector<std::uint16_t>& ports) {
   return options;
 }
 
+/// The chains of each scenario request in `workload`, as the router plans
+/// them: default sweep options with the request's numeric_optimum.
+std::vector<std::vector<rc::GridChain>> workload_chains(const Lines& workload) {
+  std::vector<std::vector<rc::GridChain>> chains;
+  for (std::size_t i = 0; i < workload.size(); ++i) {
+    const rs::RequestLine line = rs::classify_line(workload[i], i + 1);
+    if (line.kind == rs::RequestLine::Kind::kScenario) {
+      rc::SweepOptions sweep;
+      sweep.numeric_optimum = line.request.numeric_optimum;
+      chains.push_back(rc::grid_chains(line.request.grid, sweep));
+    }
+  }
+  return chains;
+}
+
+/// Sub-requests one run of `workload` sends each shard when the ring is
+/// as it is now: one per (platform, cost override) among the chains the
+/// shard owns, per request.
+std::map<std::string, std::uint64_t> expected_sub_requests(
+    const rn::ShardFleet& fleet, const Lines& workload) {
+  std::map<std::string, std::uint64_t> expected;
+  for (const std::string& id : fleet.shard_ids()) {
+    expected[id] = 0;
+  }
+  for (const auto& chains : workload_chains(workload)) {
+    std::set<std::tuple<std::string, std::size_t, std::size_t>> units;
+    for (const rc::GridChain& chain : chains) {
+      units.emplace(fleet.route(chain.key.value).value(), chain.platform_index,
+                    chain.cost_index);
+    }
+    for (const auto& unit : units) {
+      ++expected[std::get<0>(unit)];
+    }
+  }
+  return expected;
+}
+
+/// Each shard's "requests" counter from the fleet stats block.
+std::map<std::string, std::uint64_t> served_sub_requests(
+    const rn::ShardFleet& fleet) {
+  std::map<std::string, std::uint64_t> served;
+  const resilience::util::JsonValue stats = fleet.stats_json();
+  for (const auto& shard : stats.find("shards")->as_array()) {
+    served[shard.find("id")->as_string()] =
+        static_cast<std::uint64_t>(shard.find("requests")->as_double());
+  }
+  return served;
+}
+
 Lines flatten(const std::vector<Lines>& responses) {
   Lines out;
   for (const Lines& response : responses) {
@@ -378,14 +431,16 @@ TEST(Router, ThreeShardMergeIsByteIdenticalToASingleDaemon) {
   // order, including the done line's cache_hit flag.
   EXPECT_EQ(warm, warm_reference);
 
-  // The workload's chains actually spread: every shard served requests.
-  const auto stats = fleet.stats_json().dump();
+  // Each shard served exactly the sub-requests the ring gives it, over
+  // the cold and the warm run: the workload's chains really spread.
   EXPECT_EQ(fleet.up_count(), 3u);
   EXPECT_EQ(fleet.stats().failovers, 0u);
-  for (const std::string& id : fleet.shard_ids()) {
-    SCOPED_TRACE(id);
-    EXPECT_NE(stats.find("\"id\":\"" + id + "\""), std::string::npos);
+  std::map<std::string, std::uint64_t> expected =
+      expected_sub_requests(fleet, workload);
+  for (auto& [id, count] : expected) {
+    count *= 2;
   }
+  EXPECT_EQ(served_sub_requests(fleet), expected);
 }
 
 TEST(Router, FailoverReroutesADeadShardsChainsWithoutChangingBytes) {
@@ -399,13 +454,22 @@ TEST(Router, FailoverReroutesADeadShardsChainsWithoutChangingBytes) {
   const std::vector<Lines> warm_reference =
       run_reference(reference_daemon.port(), workload);
 
-  auto s1 = std::make_unique<TestDaemon>();
-  auto s2 = std::make_unique<TestDaemon>();
-  auto s3 = std::make_unique<TestDaemon>();
-  rn::ShardFleet fleet{fleet_options({s1->port(), s2->port(), s3->port()})};
+  std::vector<std::unique_ptr<TestDaemon>> shards;
+  std::vector<std::uint16_t> ports;
+  for (int i = 0; i < 3; ++i) {
+    shards.push_back(std::make_unique<TestDaemon>());
+    ports.push_back(shards.back()->port());
+  }
+  rn::ShardFleet fleet{fleet_options(ports)};
   run_router(fleet, workload);  // warm every shard's cache
 
-  s2.reset();  // fail-stop: the shard is gone, its port closed
+  // Fail-stop the shard that owns the workload's first chain: the ring
+  // hashes ephemeral ports, so a fixed shard owns none of the chains in
+  // about 1 run in 40, and then nothing fails over.
+  const std::string victim =
+      fleet.route(workload_chains(workload).front().front().key.value).value();
+  const std::vector<std::string> ids = fleet.shard_ids();
+  shards[std::find(ids.begin(), ids.end(), victim) - ids.begin()].reset();
 
   // First post-kill run: chains owned by the dead shard fail over and
   // recompute cold on survivors, so a response's done flag is the warm

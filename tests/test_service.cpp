@@ -2,7 +2,7 @@
 // field-naming errors, grid signatures, the LRU table cache (hits
 // bit-identical to recomputes at several pool sizes), streaming delivery
 // (exact cell set, no dupes/drops), in-flight dedupe, and the
-// byte-identical SweepTable JSON round trip.
+// byte-identical JSON round trips of tables and of every result line.
 
 #include "resilience/service/sweep_service.hpp"
 
@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "resilience/service/cost_model.hpp"
 #include "resilience/service/jsonl_session.hpp"
 #include "resilience/service/scenario_request.hpp"
 #include "resilience/service/serialize.hpp"
@@ -430,7 +431,7 @@ TEST(Persistence, EvictionSpillsAndReloadsByteIdentical) {
   grid_b.node_counts = {1024};
 
   const rs::SubmitResult first = service.submit(grid_a);
-  const std::string before = rs::to_json(*first.table).dump();
+  const std::string before = rs::to_json_text(*first.table);
   (void)service.submit(grid_b);  // capacity 1: evicts + spills grid_a
   EXPECT_TRUE(std::filesystem::exists(
       dir.path() / (first.signature.hex() + ".json")));
@@ -440,7 +441,7 @@ TEST(Persistence, EvictionSpillsAndReloadsByteIdentical) {
   EXPECT_TRUE(reloaded.disk_hit);
   EXPECT_EQ(service.tables_computed(), 2u);  // reload did not recompute
   EXPECT_TRUE(rc::tables_bit_identical(*first.table, *reloaded.table));
-  EXPECT_EQ(rs::to_json(*reloaded.table).dump(), before);  // byte-identical
+  EXPECT_EQ(rs::to_json_text(*reloaded.table), before);  // byte-identical
 }
 
 TEST(Persistence, RestartKeepsIdentityCacheAndSeedIndex) {
@@ -454,7 +455,7 @@ TEST(Persistence, RestartKeepsIdentityCacheAndSeedIndex) {
     rs::ServiceOptions options;
     options.cache_dir = dir.str();
     rs::SweepService service(options);
-    before = rs::to_json(*service.submit(base).table).dump();
+    before = rs::to_json_text(*service.submit(base).table);
   }  // shutdown spills the LRU + seed sidecar
   EXPECT_TRUE(std::filesystem::exists(dir.path() / "seed_index.json"));
 
@@ -467,7 +468,7 @@ TEST(Persistence, RestartKeepsIdentityCacheAndSeedIndex) {
   EXPECT_TRUE(reloaded.cache_hit);
   EXPECT_TRUE(reloaded.disk_hit);
   EXPECT_EQ(service.tables_computed(), 0u);
-  EXPECT_EQ(rs::to_json(*reloaded.table).dump(), before);
+  EXPECT_EQ(rs::to_json_text(*reloaded.table), before);
 
   // Seed tier: a related grid warm-starts from the reloaded entry.
   const rs::SubmitResult seeded = service.submit(extended);
@@ -827,9 +828,9 @@ TEST(Serialize, SweepTableJsonRoundTripIsByteIdentical) {
   grid.cost_overrides = {cd};  // exercise override fields in the points
   const rc::SweepTable table = rc::SweepRunner().run(grid);
 
-  const std::string once = rs::to_json(table).dump();
+  const std::string once = rs::to_json_text(table);
   const rc::SweepTable parsed = rs::table_from_json(ru::JsonValue::parse(once));
-  const std::string twice = rs::to_json(parsed).dump();
+  const std::string twice = rs::to_json_text(parsed);
   EXPECT_EQ(once, twice);
   EXPECT_TRUE(rc::tables_bit_identical(table, parsed));
   // The deserialized table is indexed: O(1) cell() works.
@@ -845,7 +846,7 @@ TEST(Serialize, TableFromJsonRejectsPermutedCells) {
   rc::SweepTable tampered = table;
   std::swap(tampered.cells[0], tampered.cells[1]);
   EXPECT_THROW((void)rs::table_from_json(ru::JsonValue::parse(
-                   rs::to_json(tampered).dump())),
+                   rs::to_json_text(tampered))),
                std::runtime_error);
 }
 
@@ -856,8 +857,57 @@ TEST(Serialize, InfinityCellSurvivesRoundTrip) {
   cell.kind = rc::PatternKind::kDV;
   cell.exact_at_first_order = std::numeric_limits<double>::infinity();
   const rc::SweepCell parsed = rs::cell_from_json(
-      ru::JsonValue::parse(rs::to_json(cell).dump()));
+      ru::JsonValue::parse(rs::cell_line("inf", rc::GridSignature{}, cell)));
   EXPECT_TRUE(rc::cells_bit_identical(cell, parsed));
+}
+
+/// ROADMAP item 2's round-trip gate: every line the service writes
+/// parses back to a tree that dumps to the same bytes.
+void expect_line_round_trips(const std::string& line) {
+  EXPECT_EQ(ru::JsonValue::parse(line).dump(), line);
+}
+
+TEST(Serialize, CatalogCellAndDoneLinesRoundTrip) {
+  // The 96-cell catalog grid: every platform x 256..16384 nodes x every
+  // family.
+  rs::ScenarioRequest request;
+  request.id = "catalog";
+  request.grid.platforms = rc::all_platforms();
+  request.grid.node_counts = {256, 1024, 4096, 16384};
+  rs::SweepService service;
+  const rs::SubmitResult result = service.submit(request);
+  ASSERT_EQ(result.table->cells.size(), 96u);
+  for (const rc::SweepCell& cell : result.table->cells) {
+    expect_line_round_trips(rs::cell_line(request.id, result.signature, cell));
+  }
+  for (const bool cache_hit : {false, true}) {
+    expect_line_round_trips(rs::done_line(request.id, result.signature,
+                                          *result.table, cache_hit, false));
+  }
+  ru::JsonValue stats = rs::to_json(service.stats());
+  stats.set("cost", rs::to_json(rs::estimate_cost(request, &service)));
+  expect_line_round_trips(rs::done_line(request.id, result.signature,
+                                        *result.table, true, true, &stats));
+}
+
+TEST(Serialize, SimSmokeLinesRoundTrip) {
+  // Every line the stdin front answers to sim_smoke's requests: simulate
+  // cell and done lines, and its error lines.
+  std::ifstream in(std::filesystem::path(__FILE__).parent_path() / "data" /
+                   "sim_smoke.jsonl");
+  ASSERT_TRUE(in.good());
+  rs::SweepService service;
+  std::vector<std::string> lines;
+  rs::JsonlSession session(service, [&](std::string&& line, bool) {
+    lines.push_back(std::move(line));
+  });
+  for (std::string request; std::getline(in, request);) {
+    session.handle_line(request);
+  }
+  ASSERT_EQ(lines.size(), 72u);  // as in tests/golden/wire/sim_smoke.jsonl
+  for (const std::string& line : lines) {
+    expect_line_round_trips(line);
+  }
 }
 
 TEST(Serialize, RequestRoundTrip) {

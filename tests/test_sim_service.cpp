@@ -35,6 +35,16 @@ namespace ru = resilience::util;
 
 namespace {
 
+/// A cell's members as one compact object, through the writer.
+std::string cell_text(const rs::SimCell& cell) {
+  std::string text;
+  ru::JsonWriter out(text);
+  out.begin_object();
+  rs::write_members(out, cell);
+  out.end_object();
+  return text;
+}
+
 /// Small simulate request: 2 points x 2 families x 2 shapes x 2 ops
 /// factors = 16 cells, budgets sized so the whole suite runs in seconds.
 rs::ScenarioRequest small_sim_request() {
@@ -233,11 +243,11 @@ TEST(SimService, BitIdenticalAcrossPoolSizes) {
   EXPECT_EQ(streamed1.size(), streamed2.size());
   EXPECT_EQ(streamed1.size(), streamed8.size());
   for (std::size_t i = 0; i < streamed1.size(); ++i) {
-    EXPECT_EQ(rs::to_json(streamed1[i]).dump(),
-              rs::to_json(at1.table->cells[i]).dump())
+    EXPECT_EQ(cell_text(streamed1[i]),
+              cell_text(at1.table->cells[i]))
         << "cell " << i;
-    EXPECT_EQ(rs::to_json(streamed1[i]).dump(),
-              rs::to_json(streamed8[i]).dump())
+    EXPECT_EQ(cell_text(streamed1[i]),
+              cell_text(streamed8[i]))
         << "cell " << i;
   }
 
@@ -338,8 +348,8 @@ TEST(SimService, SecondSubmitReplaysFromTheMemoryTier) {
   EXPECT_TRUE(rs::sim_tables_bit_identical(*cold.table, *warm.table));
   ASSERT_EQ(replayed.size(), cold.table->cell_count());
   for (std::size_t i = 0; i < replayed.size(); ++i) {
-    EXPECT_EQ(rs::to_json(replayed[i]).dump(),
-              rs::to_json(cold.table->cells[i]).dump());
+    EXPECT_EQ(cell_text(replayed[i]),
+              cell_text(cold.table->cells[i]));
   }
   EXPECT_EQ(service.sim().submits(), 2u);
   EXPECT_EQ(service.sim().cache_hits(), 1u);
@@ -353,7 +363,7 @@ TEST(SimService, DiskTierServesAcrossARestartBitIdentically) {
     rs::ServiceOptions options;
     options.cache_dir = dir.str();
     rs::SweepService service(options);
-    before = rs::to_json(*service.sim().submit(request).table).dump();
+    before = rs::to_json_text(*service.sim().submit(request).table);
   }  // destructor spills the sim tier to cache_dir
   {
     rs::ServiceOptions options;
@@ -362,7 +372,7 @@ TEST(SimService, DiskTierServesAcrossARestartBitIdentically) {
     const auto reloaded = service.sim().submit(request);
     EXPECT_TRUE(reloaded.cache_hit);
     EXPECT_TRUE(reloaded.disk_hit);
-    EXPECT_EQ(rs::to_json(*reloaded.table).dump(), before);
+    EXPECT_EQ(rs::to_json_text(*reloaded.table), before);
     EXPECT_EQ(service.sim().cells_computed(), 0u);
   }
 }
@@ -531,7 +541,7 @@ TEST(SimService, SpillFromAnEarlierBuildIsServedAndRewrittenByteForByte) {
     EXPECT_EQ(service.sim().cells_computed(), 0u);
     EXPECT_EQ(service.cache().disk_rejects(), 0u);
     ASSERT_EQ(result.table->cells.size(), 2u);
-    EXPECT_EQ(rs::to_json(result.table->cells[1]).dump(),
+    EXPECT_EQ(cell_text(result.table->cells[1]),
               R"({"point":0,"kind":"PD","weibull_shape":0.7,"faulty_ops":1,)"
               R"("mean":0.13800812931745127,"ci_low":0.10617558871990154,)"
               R"("ci_high":0.169840669915001,"runs":32,"early_stopped":false})");
@@ -666,16 +676,16 @@ TEST(JsonlSessionSim, ServerCapAnswersALocatedErrorBeforeAnyCompute) {
 
 TEST(SimSerialization, TableRoundTripIsBitAndByteIdentical) {
   const auto result = submit_at_pool(small_sim_request(), 2);
-  const std::string dumped = rs::to_json(*result.table).dump();
+  const std::string dumped = rs::to_json_text(*result.table);
   const rs::SimTable reparsed =
       rs::sim_table_from_json(ru::JsonValue::parse(dumped));
   EXPECT_TRUE(rs::sim_tables_bit_identical(*result.table, reparsed));
-  EXPECT_EQ(rs::to_json(reparsed).dump(), dumped);
+  EXPECT_EQ(rs::to_json_text(reparsed), dumped);
 
   // And one cell on its own.
   const rs::SimCell& cell = result.table->cells.front();
-  const std::string cell_dump = rs::to_json(cell).dump();
+  const std::string cell_dump = cell_text(cell);
   const rs::SimCell cell_back =
       rs::sim_cell_from_json(ru::JsonValue::parse(cell_dump));
-  EXPECT_EQ(rs::to_json(cell_back).dump(), cell_dump);
+  EXPECT_EQ(cell_text(cell_back), cell_dump);
 }
