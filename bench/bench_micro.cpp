@@ -45,7 +45,6 @@
 #include "resilience/net/server.hpp"
 #include "resilience/service/jsonl_session.hpp"
 #include "resilience/service/serialize.hpp"
-#include "resilience/service/sim_service.hpp"
 #include "resilience/service/sim_table.hpp"
 #include "resilience/service/sweep_service.hpp"
 #include "resilience/sim/engine.hpp"
@@ -446,7 +445,7 @@ JsonValue reuse_section(Gates& gates) {
     const rv::SubmitResult reloaded = service.submit(base);
     persistence_reload_bit_identical =
         reloaded.cache_hit && reloaded.disk_hit &&
-        service.tables_computed() == 0 &&
+        service.stats().tables_computed == 0 &&
         rv::to_json_text(*reloaded.table) == before;
   }
   std::filesystem::remove_all(cache_dir, cleanup_error);
@@ -1194,8 +1193,8 @@ JsonValue overload_section(Gates& gates) {
 /// pool sizes 1, 2 and 8. The determinism contract says the response
 /// stream is byte-identical at ANY pool size — parallelism lives inside a
 /// cell's campaign, never across the emission order — so the gate diffs
-/// the emitted lines across the three pools; throughput is the
-/// SimService's runs/sec counter at the largest pool. A warm replay of
+/// the emitted lines across the three pools; throughput is the service's
+/// sim.runs_per_second counter at the largest pool. A warm replay of
 /// the same request must hit the sim cache tier and serve a table
 /// bit-identical to a cold recompute.
 JsonValue simulate_section(Gates& gates) {
@@ -1225,15 +1224,16 @@ JsonValue simulate_section(Gates& gates) {
     streams.push_back(std::move(lines));
 
     if (threads == pool_sizes[std::size(pool_sizes) - 1]) {
-      runs = service.sim().runs_executed();
-      runs_per_sec = service.sim().runs_per_second();
+      const rv::ServiceStats stats = service.stats();
+      runs = stats.sim_runs;
+      runs_per_sec = stats.sim_runs_per_second;
 
       // Warm replay vs a genuinely cold recompute, bit for bit.
       const rv::ScenarioRequest request =
           rv::ScenarioRequest::parse(request_line);
-      const rv::SimSubmitResult warm = service.sim().submit(request);
+      const rv::SimSubmitResult warm = service.simulate(request);
       rv::SweepService cold_service(options);
-      const rv::SimSubmitResult cold = cold_service.sim().submit(request);
+      const rv::SimSubmitResult cold = cold_service.simulate(request);
       cells = warm.table->cell_count();
       replay_identical = warm.cache_hit && !cold.cache_hit &&
                          rv::sim_tables_bit_identical(*warm.table, *cold.table);

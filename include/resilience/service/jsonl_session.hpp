@@ -11,10 +11,13 @@
 //   * scenario request object — submitted (cells streamed as cell_lines),
 //                               finished with a done_line (carrying a
 //                               stats block when the request set
-//                               "stats": true); "mode": "simulate"
-//                               requests route to the SimService instead
+//                               "stats": true); one streaming path for
+//                               both modes: an analytic request goes to
+//                               SweepService::submit, a "mode":
+//                               "simulate" one to SweepService::simulate
 //                               (Monte Carlo cells, a "mode":"simulate"
-//                               done line) through the same emit seam.
+//                               done line), and the line builders'
+//                               per-mode overloads write the lines.
 //
 // Cancellation: a front-end may hand in a shared cancel flag (the
 // daemon's per-connection token, set on disconnect). Once it reads true

@@ -88,13 +88,13 @@ void write_members(util::JsonWriter& out, const SimCell& cell);
 
 /// One streamed-response JSONL line (no trailing newline). Cell and done
 /// lines of both modes share one envelope — "type", "request",
-/// "signature", then the mode's own fields:
-///   cell_line      -> {"type":"cell", ..., <SweepCell>}
-///   done_line      -> {"type":"done", ..., summary of the finished table}
-///   sim_cell_line  -> {"type":"cell", ..., <SimCell>: "mean","ci_low",
-///                      "ci_high","runs","early_stopped"}
-///   sim_done_line  -> {"type":"done", ..., "mode":"simulate", ..., "runs"
-///                      (total over all cells)}
+/// "signature", then the mode's own fields; each builder has one overload
+/// per mode:
+///   cell_line  -> {"type":"cell", ..., <SweepCell>}, or <SimCell>:
+///                 ..., "mean","ci_low","ci_high","runs","early_stopped"
+///   done_line  -> {"type":"done", ..., summary of the finished table};
+///                 a SimTable's adds "mode":"simulate" and "runs" (total
+///                 over all cells) and has no "joined_in_flight"
 ///   stats_line -> {"type":"stats","request":...,<ServiceStats blocks>}
 ///   error_line -> {"type":"error","request":...,"field":...,"message":...}
 ///   overloaded_line -> an error line extended with a machine-readable
@@ -119,6 +119,15 @@ void write_members(util::JsonWriter& out, const SimCell& cell);
                                     const core::SweepTable& table,
                                     bool cache_hit, bool joined_in_flight,
                                     const util::JsonValue* stats = nullptr);
+[[nodiscard]] std::string cell_line(const std::string& request_id,
+                                    core::GridSignature signature,
+                                    const SimCell& cell);
+[[nodiscard]] std::string done_line(const std::string& request_id,
+                                    core::GridSignature signature,
+                                    const SimTable& table, bool cache_hit,
+                                    const util::JsonValue* stats = nullptr);
+/// The simulate builders under their former names, for the benchmark
+/// package's tracer; ROADMAP 7(c) deletes them.
 [[nodiscard]] std::string sim_cell_line(const std::string& request_id,
                                         core::GridSignature signature,
                                         const SimCell& cell);

@@ -54,7 +54,8 @@ struct SimTable;  // sim_table.hpp; the cache only stores shared tables
 /// grid. The hash is not cryptographic and request bytes are
 /// client-controlled, so a colliding grid must fall through to its own
 /// computation rather than silently receive another grid's cells. Works on
-/// both table types (SimService additionally compares the SimParams).
+/// both table types (SweepService::simulate additionally compares the
+/// SimParams).
 template <class Table>
 [[nodiscard]] bool table_matches_grid(
     const Table& table, const std::vector<core::ScenarioPoint>& points,

@@ -1,31 +1,38 @@
 #pragma once
 
-// The serving front-end over the sweep engine: submit scenario batches,
-// get shared immutable tables back, and optionally stream cells as they
-// resolve. Four layers of reuse, checked in this order:
+// The serving front-end over both engines: submit scenario batches, get
+// shared immutable tables back, and optionally stream cells as they
+// resolve. submit() runs the analytic sweep engine, simulate() the Monte
+// Carlo compute step (sim_service.hpp); both climb one reuse ladder:
 //
-//   1. cache hit    — the table was computed before (same GridSignature),
-//                     in memory or spilled to the cache_dir disk tier;
-//                     cells replay from the cached table in table order.
+//   1. cache hit    — the table was computed before (same signature), in
+//                     memory or spilled to the cache_dir disk tier; cells
+//                     replay from it in table order.
 //   2. in-flight    — another submission of the same signature is being
 //      join           computed right now; this call waits for it instead
 //                     of computing a duplicate, then replays cells.
-//   3. seeded       — this call is the compute leader, and cached tables
-//      compute        share chains (same platform + cost override + family
-//                     + result-affecting options) with the new grid: the
-//                     runner reuses bit-equal points outright and
-//                     warm-starts the genuinely new ones from the nearest
-//                     cached optima (request flag `reuse_seeds`, on by
-//                     default).
-//   4. compute      — cold leader: runs the SweepRunner (streaming cells
-//                     live as chains finish them), publishes the table to
-//                     the cache, and wakes joiners.
+//   3. compute      — this call leads: it runs the mode's compute step
+//                     (streaming cells live), publishes the table to the
+//                     cache, and wakes joiners. An analytic leader also
+//                     consults the seed tier: cached tables sharing chains
+//                     (same platform + cost override + family +
+//                     result-affecting options) let the runner reuse
+//                     bit-equal points outright and warm-start the new
+//                     ones from the nearest cached optima (request flag
+//                     `reuse_seeds`, on by default).
 //
-// Whatever path serves a request, the delivered cell set and the returned
-// table are bit-identical — reuse is an optimization, never a relaxation.
+// A hit or join must pass the collision guard (the table OF this
+// request's resolved grid and mode; simulate also compares SimParams);
+// one that fails is recomputed for this call alone and never published.
+// The identity lookup and the in-flight registration share one lock and
+// a leader publishes before it leaves the in-flight map, so identical
+// concurrent submissions compute exactly once. Whatever path serves a
+// request, the delivered cell set and the returned table are
+// bit-identical — reuse is an optimization, never a relaxation.
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -33,15 +40,15 @@
 
 #include "resilience/core/sweep.hpp"
 #include "resilience/service/scenario_request.hpp"
+#include "resilience/service/sim_table.hpp"
 #include "resilience/service/sweep_cache.hpp"
 
 namespace resilience::service {
 
-class SimService;  // sim_service.hpp; owned via pointer
-
 struct ServiceOptions {
   /// Execution options for cache misses. The pool/warm-start/seed fields
-  /// do not enter the grid signature (they cannot change results).
+  /// do not enter the grid signature (they cannot change results). The
+  /// pool also runs every simulate campaign.
   core::SweepOptions sweep;
   /// LRU capacity in tables, analytic and simulate together; 0 disables
   /// caching (every submit computes).
@@ -62,7 +69,8 @@ struct ServiceOptions {
 /// internally consistent only counter by counter (each is read
 /// atomically, the set is not one transaction).
 struct ServiceStats {
-  // Submission outcomes (SweepService).
+  // Submission outcomes: analytic submits, except joined_in_flight and
+  // deadline_timeouts, which count both modes.
   std::uint64_t submits = 0;
   std::uint64_t cache_hits = 0;         ///< served from the table cache
   std::uint64_t disk_hits = 0;          ///< ...of which lazily reloaded
@@ -78,9 +86,9 @@ struct ServiceStats {
   std::uint64_t disk_rejects = 0; ///< spill files rejected (corrupt/foreign)
   std::size_t cache_size = 0;
   std::size_t cache_capacity = 0;
-  // Simulate mode (SimService).
+  // Simulate submits and Monte Carlo work.
   std::uint64_t sim_submits = 0;
-  std::uint64_t sim_cache_hits = 0;   ///< served from the sim table cache
+  std::uint64_t sim_cache_hits = 0;   ///< served from the table cache
   std::uint64_t sim_disk_hits = 0;    ///< ...of which lazily reloaded
   std::uint64_t sim_cells = 0;        ///< cells computed (not replayed)
   std::uint64_t sim_runs = 0;         ///< Monte Carlo runs executed
@@ -94,36 +102,45 @@ struct ServiceStats {
   std::uint64_t engine_full_bracket_fallbacks = 0;  ///< pinned-edge re-runs
 };
 
-/// Outcome of one submission.
-struct SubmitResult {
-  std::shared_ptr<const core::SweepTable> table;
+/// Outcome of one submission; `Table` is core::SweepTable (submit) or
+/// SimTable (simulate).
+template <class Table>
+struct BasicSubmitResult {
+  std::shared_ptr<const Table> table;
   core::GridSignature signature;
   bool cache_hit = false;         ///< served from the table cache
   bool disk_hit = false;          ///< the hit was lazily reloaded from disk
   bool joined_in_flight = false;  ///< deduped onto a concurrent submission
-  /// The compute consumed at least one cross-grid seed (diagnostics only:
-  /// the table is bit-identical with or without seeds).
+  /// The compute consumed at least one cross-grid seed (analytic only;
+  /// diagnostics: the table is bit-identical with or without seeds).
   bool seeded = false;
 };
+using SubmitResult = BasicSubmitResult<core::SweepTable>;
+using SimSubmitResult = BasicSubmitResult<SimTable>;
+
+/// Receives every finished simulate cell exactly once, in canonical table
+/// order (live on a compute, replayed on a cache hit or join).
+using SimCellFn = std::function<void(const SimCell&)>;
 
 class SweepService {
  public:
   explicit SweepService(ServiceOptions options = {});
-  ~SweepService();
 
-  /// Serves a parsed request; request.numeric_optimum overrides the
-  /// service-level sweep option (and participates in the signature). When
+  /// Serves a parsed analytic request; request.numeric_optimum overrides
+  /// the service-level sweep option (and participates in the signature).
+  /// Throws std::invalid_argument on a "mode": "simulate" request. When
   /// `sink` is non-null every cell of the result is delivered exactly
   /// once: live from the runner on a compute, replayed in table order on
   /// a cache hit or in-flight join. submit() is safe to call from
   /// multiple threads (but not from inside a pool task).
   ///
   /// `cancel` is polled at cell granularity on every path (compute and
-  /// replay); when it fires, submit throws core::SweepCancelled and no
-  /// partial table is published or returned. A submission whose compute
-  /// leader gets cancelled by a DIFFERENT caller's token does not fail:
-  /// the joiner transparently retries (re-checking the cache, possibly
-  /// becoming the new leader under its own token).
+  /// replay) and while waiting on a leader; when it fires, submit throws
+  /// core::SweepCancelled and no partial table is published or returned.
+  /// A submission whose compute leader gets cancelled by a DIFFERENT
+  /// caller's token does not fail: the joiner transparently retries
+  /// (re-checking the cache, possibly becoming the new leader under its
+  /// own token).
   SubmitResult submit(const ScenarioRequest& request,
                       core::CellSink* sink = nullptr,
                       core::CancelToken cancel = {});
@@ -133,9 +150,16 @@ class SweepService {
                       core::CellSink* sink = nullptr,
                       core::CancelToken cancel = {});
 
-  /// The signature submit(request) will use (the request's
-  /// numeric_optimum applied over the service sweep options). Lets
-  /// front-ends build per-request sinks before submitting.
+  /// Serves a parsed "mode": "simulate" request through the same ladder,
+  /// with the same cancellation and thread-safety contract as submit();
+  /// throws std::invalid_argument on an analytic request.
+  SimSubmitResult simulate(const ScenarioRequest& request,
+                           const SimCellFn& sink = nullptr,
+                           core::CancelToken cancel = {});
+
+  /// The signature submit(request) or simulate(request) will use (see
+  /// request_signature). Lets front-ends build per-request sinks before
+  /// submitting.
   [[nodiscard]] core::GridSignature signature_for(
       const ScenarioRequest& request) const;
 
@@ -144,42 +168,67 @@ class SweepService {
   }
   [[nodiscard]] SweepCache& cache() noexcept { return cache_; }
   [[nodiscard]] const SweepCache& cache() const noexcept { return cache_; }
-  /// The simulate-mode companion: shares this service's cache and
-  /// executor pool, serves "mode": "simulate" requests (see
-  /// sim_service.hpp). Its counters fold into stats() as the sim block.
-  [[nodiscard]] SimService& sim() noexcept { return *sim_; }
-  [[nodiscard]] const SimService& sim() const noexcept { return *sim_; }
-  /// Number of tables actually computed (cache misses that led compute);
-  /// lets tests assert that concurrent identical submissions deduped.
-  [[nodiscard]] std::uint64_t tables_computed() const noexcept {
-    return tables_computed_.load(std::memory_order_relaxed);
-  }
 
   /// Snapshot of every service/cache counter (see ServiceStats).
   [[nodiscard]] ServiceStats stats() const;
 
- private:
-  using TablePtr = std::shared_ptr<const core::SweepTable>;
+  /// Forwards for the benchmark package's tracer, which still calls
+  /// service.sim().submit and .signature_for; nothing in this project
+  /// does. ROADMAP 7(c) deletes them once 7(b) has moved the tracer.
+  struct SimView {
+    SweepService& service;
+    SimSubmitResult submit(const ScenarioRequest& request,
+                           const SimCellFn& sink = nullptr) {
+      return service.simulate(request, sink);
+    }
+    [[nodiscard]] core::GridSignature signature_for(
+        const ScenarioRequest& request) const {
+      return service.signature_for(request);
+    }
+  };
+  [[nodiscard]] SimView sim() noexcept { return SimView{*this}; }
 
-  SubmitResult submit_impl(const core::ScenarioGrid& grid,
-                           const core::SweepOptions& sweep,
-                           core::CellSink* sink, bool reuse_seeds,
-                           const core::CancelToken& cancel);
+ private:
+  /// Per-mode submission counters.
+  struct ModeCounters {
+    std::atomic<std::uint64_t> submits{0};
+    std::atomic<std::uint64_t> cache_hits{0};
+    std::atomic<std::uint64_t> disk_hits{0};
+  };
+
+  /// The one reuse ladder (top of this file). Per mode: `matches` is the
+  /// collision guard, `compute(lead)` the compute step (lead is false for
+  /// an unpublished collision recompute), `deliver` a replay's per-cell
+  /// sink, `chains` what the published table indexes for the seed tier.
+  template <class Table, class Matches, class Compute, class Deliver,
+            class Chains>
+  BasicSubmitResult<Table> climb(core::GridSignature signature,
+                                 const core::SweepOptions& sweep,
+                                 ModeCounters& counters,
+                                 const Matches& matches,
+                                 const Compute& compute,
+                                 const Deliver& deliver, const Chains& chains,
+                                 const core::CancelToken& cancel);
 
   ServiceOptions options_;
   SweepCache cache_;
-  std::unique_ptr<SimService> sim_;  // after cache_: shares it, so it must
-                                     // be destroyed first
+  /// Tables being computed, by signature; the lookup and the registration
+  /// happen under this lock (lock order: this, then the cache's).
   std::mutex in_flight_mutex_;
-  std::unordered_map<std::uint64_t, std::shared_future<TablePtr>> in_flight_;
-  std::atomic<std::uint64_t> tables_computed_{0};
-  std::atomic<std::uint64_t> submits_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> disk_hits_{0};
+  std::unordered_map<std::uint64_t, std::shared_future<SweepCache::Table>>
+      in_flight_;
+  ModeCounters analytic_;
+  ModeCounters simulate_;
   std::atomic<std::uint64_t> joins_{0};
-  std::atomic<std::uint64_t> seeded_computes_{0};
   std::atomic<std::uint64_t> deadline_timeouts_{0};
+  std::atomic<std::uint64_t> tables_computed_{0};
+  std::atomic<std::uint64_t> seeded_computes_{0};
   core::EngineCounters engine_;  // every compute's optimizer counts here
+  // Monte Carlo work over every simulate compute.
+  std::atomic<std::uint64_t> sim_cells_{0};
+  std::atomic<std::uint64_t> sim_runs_{0};
+  std::atomic<std::uint64_t> sim_early_stops_{0};
+  std::atomic<std::uint64_t> sim_compute_micros_{0};
 };
 
 }  // namespace resilience::service

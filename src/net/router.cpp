@@ -437,9 +437,9 @@ std::string RouterSession::stats_answer(const std::string& id) {
 
 void RouterSession::serve_scenario(service::ScenarioRequest& request) {
   const core::ScenarioGrid& grid = request.grid;
-  // The shards run default sweep options with the request's
-  // numeric_optimum applied (SweepService::signature_for does the same),
-  // so signatures and chain keys computed here match theirs.
+  // The shards run default sweep options, so signatures (request_signature
+  // under default options) and chain keys (grid_chains with the request's
+  // numeric_optimum applied) computed here match theirs.
   core::SweepOptions sweep;
   sweep.numeric_optimum = request.numeric_optimum;
 
@@ -449,12 +449,8 @@ void RouterSession::serve_scenario(service::ScenarioRequest& request) {
   // — but identify and merge as a SimTable: per-cell RNG streams are
   // content-addressed (sim_cell_seed), so a shard computing one slice
   // emits the same cell bytes a whole-grid compute would.
-  const auto signature_of = [&](const std::vector<core::ScenarioPoint>& at,
-                                const std::vector<core::PatternKind>& of) {
-    return request.simulate ? service::sim_signature(at, of, request.sim)
-                            : core::grid_signature(at, of, sweep);
-  };
-  const core::GridSignature signature = signature_of(points, kinds);
+  const core::GridSignature signature =
+      service::request_signature(request, points, kinds, {});
   const std::vector<core::GridChain> chains = core::grid_chains(grid, sweep);
 
   // The merged result is assembled into a full parent table — an
@@ -639,9 +635,9 @@ void RouterSession::serve_scenario(service::ScenarioRequest& request) {
         // What the shard must answer with — a mismatch means the shard
         // runs different result-affecting options than the router
         // assumes, and wrong bytes must fail loudly, not merge quietly.
-        const core::GridSignature sub_signature =
-            signature_of(core::resolve_points(sub.grid),
-                         sub.grid.resolved_kinds());
+        const core::GridSignature sub_signature = service::request_signature(
+            sub, core::resolve_points(sub.grid), sub.grid.resolved_kinds(),
+            {});
 
         Client::Response response;
         try {
@@ -870,10 +866,10 @@ void RouterSession::serve_scenario(service::ScenarioRequest& request) {
   const util::JsonValue* stats = request.include_stats ? &stats_block : nullptr;
   if (request.simulate) {
     for (const service::SimCell& cell : sim_table.cells) {
-      emit(service::sim_cell_line(request.id, signature, cell), false);
+      emit(service::cell_line(request.id, signature, cell), false);
     }
-    emit(service::sim_done_line(request.id, signature, sim_table,
-                                all_cache_hit, stats),
+    emit(service::done_line(request.id, signature, sim_table, all_cache_hit,
+                            stats),
          true);
     return;
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "resilience/service/line_session.hpp"
-#include "resilience/service/sim_service.hpp"
 #include "resilience/service/sweep_service.hpp"
 
 namespace resilience::service {
@@ -12,20 +11,26 @@ CostEstimate estimate_cost(const ScenarioRequest& request,
                            const SweepService* service) {
   CostEstimate estimate;
   const core::ScenarioGrid& grid = request.grid;
+  estimate.cells = grid.cell_count();
+  if (request.simulate) {
+    estimate.cells *= request.sim.weibull_shape.size() *
+                      request.sim.faulty_ops.size();
+  }
+
+  // Identity tier first, both modes: an exact-signature hit replays the
+  // finished table — cost is per-cell serialization, not compute.
+  if (service != nullptr &&
+      service->cache().contains(service->signature_for(request))) {
+    estimate.identity_hit = true;
+    estimate.units = static_cast<double>(estimate.cells) * kCostReplayCell;
+    return estimate;
+  }
 
   if (request.simulate) {
     // Simulate requests are priced from their run budget — the cost the
     // admission controller/fair queue must bound is Monte Carlo draws,
     // not (n, m, W) searches. max_runs is the upper bound; target_ci can
     // only make cells cheaper.
-    estimate.cells = grid.cell_count() * request.sim.weibull_shape.size() *
-                     request.sim.faulty_ops.size();
-    if (service != nullptr &&
-        service->cache().contains(service->sim().signature_for(request))) {
-      estimate.identity_hit = true;
-      estimate.units = static_cast<double>(estimate.cells) * kCostReplayCell;
-      return estimate;
-    }
     const double per_cell =
         std::max(kCostFirstOrderCell,
                  static_cast<double>(request.sim.max_runs) *
@@ -35,20 +40,10 @@ CostEstimate estimate_cost(const ScenarioRequest& request,
     return estimate;
   }
 
-  estimate.cells = grid.cell_count();
   const double per_cell =
       request.numeric_optimum ? kCostColdCell : kCostFirstOrderCell;
-
   if (service == nullptr) {
     estimate.units = static_cast<double>(estimate.cells) * per_cell;
-    return estimate;
-  }
-
-  // Identity tier first: an exact-signature hit replays the finished
-  // table — cost is per-cell serialization, not search.
-  if (service->cache().contains(service->signature_for(request))) {
-    estimate.identity_hit = true;
-    estimate.units = static_cast<double>(estimate.cells) * kCostReplayCell;
     return estimate;
   }
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "resilience/service/cost_model.hpp"
-#include "resilience/service/sim_service.hpp"
 
 namespace resilience::service {
 
@@ -79,32 +78,28 @@ void JsonlSession::serve_scenario(ScenarioRequest& request) {
       stats.set("cost", to_json(cost));
       return &stats;
     };
-    if (request.simulate) {
-      const core::GridSignature signature = service_.sim().signature_for(request);
-      SimCellFn sink;
-      if (options_.stream) {
-        sink = [this, &request, signature](const SimCell& cell) {
-          if (!cancelled()) {
-            emit(sim_cell_line(request.id, signature, cell), false);
-          }
-        };
+    // One streaming path, both modes: each cell as it resolves, then the
+    // done line, through the mode's overload of each line builder.
+    const core::GridSignature signature = service_.signature_for(request);
+    const auto stream = [&](const auto& cell) {
+      if (options_.stream && !cancelled()) {
+        emit(cell_line(request.id, signature, cell), false);
       }
+    };
+    if (request.simulate) {
       const SimSubmitResult result =
-          service_.sim().submit(request, sink, cancel);
-      emit(sim_done_line(request.id, result.signature, *result.table,
-                         result.cache_hit, done_stats()),
+          service_.simulate(request, stream, cancel);
+      emit(done_line(request.id, result.signature, *result.table,
+                     result.cache_hit, done_stats()),
            true);
       return;
     }
-    const core::GridSignature signature = service_.signature_for(request);
     std::vector<core::SweepCell> cells;  // kept for the outcome hook
     CellFnSink sink([&](const core::SweepCell& cell) {
       if (options_.collect) {
         cells.push_back(cell);
       }
-      if (options_.stream && !cancelled()) {
-        emit(cell_line(request.id, signature, cell), false);
-      }
+      stream(cell);
     });
     const bool need_sink = options_.stream || options_.collect;
     const SubmitResult result =

@@ -514,14 +514,14 @@ std::string done_line(const std::string& request_id,
   return line;
 }
 
-std::string sim_cell_line(const std::string& request_id,
-                          core::GridSignature signature, const SimCell& cell) {
+std::string cell_line(const std::string& request_id,
+                      core::GridSignature signature, const SimCell& cell) {
   return result_cell_line(request_id, signature, cell);
 }
 
-std::string sim_done_line(const std::string& request_id,
-                          core::GridSignature signature, const SimTable& table,
-                          bool cache_hit, const JsonValue* stats) {
+std::string done_line(const std::string& request_id,
+                      core::GridSignature signature, const SimTable& table,
+                      bool cache_hit, const JsonValue* stats) {
   std::uint64_t total_runs = 0;
   for (const SimCell& cell : table.cells) {
     total_runs += cell.runs;
@@ -541,6 +541,17 @@ std::string sim_done_line(const std::string& request_id,
   }
   out.end_object();
   return line;
+}
+
+std::string sim_cell_line(const std::string& request_id,
+                          core::GridSignature signature, const SimCell& cell) {
+  return cell_line(request_id, signature, cell);
+}
+
+std::string sim_done_line(const std::string& request_id,
+                          core::GridSignature signature, const SimTable& table,
+                          bool cache_hit, const JsonValue* stats) {
+  return done_line(request_id, signature, table, cache_hit, stats);
 }
 
 std::string pong_line(const std::string& request_id) {

@@ -1,9 +1,5 @@
 #include "resilience/service/sim_service.hpp"
 
-#include <chrono>
-#include <stdexcept>
-#include <utility>
-
 #include "resilience/core/first_order.hpp"
 #include "resilience/sim/adaptive.hpp"
 #include "resilience/sim/renewal.hpp"
@@ -20,85 +16,18 @@ void throw_if_cancelled(const core::CancelToken& cancel) {
 
 }  // namespace
 
-SimService::SimService(SweepCache* cache, util::ThreadPool* pool)
-    : cache_(cache), pool_(pool) {}
-
-core::GridSignature SimService::signature_for(
-    const ScenarioRequest& request) const {
-  return sim_signature(core::resolve_points(request.grid),
-                       request.grid.resolved_kinds(), request.sim);
-}
-
-double SimService::runs_per_second() const noexcept {
-  const std::uint64_t micros = compute_micros_.load(std::memory_order_relaxed);
-  if (micros == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(runs_.load(std::memory_order_relaxed)) /
-         (static_cast<double>(micros) * 1e-6);
-}
-
-SimSubmitResult SimService::submit(const ScenarioRequest& request,
-                                   const SimCellFn& sink,
-                                   core::CancelToken cancel) {
-  if (!request.simulate) {
-    throw std::invalid_argument(
-        "SimService::submit: request is not a simulate request");
-  }
-  submits_.fetch_add(1, std::memory_order_relaxed);
-
-  const std::vector<core::ScenarioPoint> points =
-      core::resolve_points(request.grid);
-  const std::vector<core::PatternKind> kinds = request.grid.resolved_kinds();
-
-  SimSubmitResult out;
-  out.signature = sim_signature(points, kinds, request.sim);
-
-  if (cache_ != nullptr) {
-    bool from_disk = false;
-    std::shared_ptr<const SimTable> cached =
-        cache_->find<SimTable>(out.signature, {}, &from_disk);
-    if (cached != nullptr && table_matches_grid(*cached, points, kinds) &&
-        cached->params == request.sim) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (from_disk) {
-        disk_hits_.fetch_add(1, std::memory_order_relaxed);
-      }
-      // Replay in table order — the canonical wire order — polling the
-      // token at cell granularity like the compute path does.
-      for (const SimCell& cell : cached->cells) {
-        throw_if_cancelled(cancel);
-        if (sink) {
-          sink(cell);
-        }
-      }
-      out.table = std::move(cached);
-      out.cache_hit = true;
-      out.disk_hit = from_disk;
-      return out;
-    }
-  }
-
-  out.table = compute(request, sink, cancel);
-  if (cache_ != nullptr) {
-    cache_->insert(out.signature, out.table);
-  }
-  return out;
-}
-
-std::shared_ptr<const SimTable> SimService::compute(
-    const ScenarioRequest& request, const SimCellFn& sink,
+std::shared_ptr<const SimTable> compute_sim_table(
+    const std::vector<core::ScenarioPoint>& points,
+    const std::vector<core::PatternKind>& kinds, const SimParams& sim,
+    util::ThreadPool* pool, const SimCellFn& sink,
     const core::CancelToken& cancel) {
   auto table = std::make_shared<SimTable>();
-  table->points = core::resolve_points(request.grid);
-  table->kinds = request.grid.resolved_kinds();
-  table->params = request.sim;
+  table->points = points;
+  table->kinds = kinds;
+  table->params = sim;
   table->cells.reserve(table->cell_count());
 
   const auto check_cancel = [&cancel] { throw_if_cancelled(cancel); };
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t total_runs = 0;
-  std::uint64_t early = 0;
 
   // Canonical order, sequentially: parallelism lives INSIDE each cell's
   // campaign (runs fan out on the pool), never across cells, so the
@@ -119,7 +48,7 @@ std::shared_ptr<const SimTable> SimService::compute(
           config.max_runs = table->params.max_runs;
           config.min_runs = table->params.min_runs;
           config.patterns_per_run = table->params.patterns_per_run;
-          config.pool = pool_;
+          config.pool = pool;
           config.check_cancel = check_cancel;
           // Model choice is a pure function of the cell's (shape, ops):
           // the default cell runs the Poisson fast path, any other cell the
@@ -149,10 +78,6 @@ std::shared_ptr<const SimTable> SimService::compute(
           cell.runs = result.runs;
           cell.early_stopped = result.early_stopped;
 
-          total_runs += result.runs;
-          if (result.early_stopped) {
-            ++early;
-          }
           table->cells.push_back(cell);
           if (sink) {
             sink(cell);
@@ -161,14 +86,6 @@ std::shared_ptr<const SimTable> SimService::compute(
       }
     }
   }
-
-  const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::steady_clock::now() - start);
-  cells_.fetch_add(table->cells.size(), std::memory_order_relaxed);
-  runs_.fetch_add(total_runs, std::memory_order_relaxed);
-  early_stops_.fetch_add(early, std::memory_order_relaxed);
-  compute_micros_.fetch_add(static_cast<std::uint64_t>(elapsed.count()),
-                            std::memory_order_relaxed);
   return table;
 }
 

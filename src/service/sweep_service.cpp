@@ -1,6 +1,9 @@
 #include "resilience/service/sweep_service.hpp"
 
 #include <atomic>
+#include <chrono>
+#include <exception>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -10,22 +13,12 @@ namespace resilience::service {
 
 namespace {
 
-/// Cache hits and joins deliver the already-finished table's cells in
-/// point-major table order (a valid instance of the "delivery order may
-/// vary" contract — contents are bit-identical to the live stream's).
-/// Polls the token per cell like the runner does, so even a replay honors
-/// deadlines/disconnects (in practice replays are memory-speed and finish
-/// long before a sane deadline).
-void replay(const core::SweepTable& table, core::CellSink* sink,
-            const core::CancelToken& cancel) {
-  if (sink == nullptr) {
-    return;
-  }
-  for (const core::SweepCell& cell : table.cells) {
-    if (cancel.cancelled()) {
-      throw core::SweepCancelled(cancel.deadline_expired());
-    }
-    sink->on_cell(cell);
+/// How often a joiner waiting on a leader re-checks its own token.
+constexpr std::chrono::milliseconds kJoinPoll{1};
+
+void throw_if_cancelled(const core::CancelToken& cancel) {
+  if (cancel.cancelled()) {
+    throw core::SweepCancelled(cancel.deadline_expired());
   }
 }
 
@@ -61,41 +54,136 @@ class CacheSeedSource final : public core::SeedSource {
 
 SweepService::SweepService(ServiceOptions options)
     : options_(std::move(options)),
-      cache_(options_.cache_capacity, options_.cache_dir),
-      sim_(std::make_unique<SimService>(&cache_, options_.sweep.pool)) {}
-
-SweepService::~SweepService() = default;
+      cache_(options_.cache_capacity, options_.cache_dir) {}
 
 SubmitResult SweepService::submit(const ScenarioRequest& request,
                                   core::CellSink* sink,
                                   core::CancelToken cancel) {
+  if (request.simulate) {
+    throw std::invalid_argument("SweepService::submit: a simulate request");
+  }
+  // One resolve serves validation, the signature and the collision guard.
+  const std::vector<core::ScenarioPoint> points =
+      core::resolve_points(request.grid);
+  const std::vector<core::PatternKind> kinds = request.grid.resolved_kinds();
+  const core::GridSignature signature =
+      request_signature(request, points, kinds, options_.sweep);
   core::SweepOptions sweep = options_.sweep;
   sweep.numeric_optimum = request.numeric_optimum;
-  return submit_impl(request.grid, sweep, sink, request.reuse_seeds, cancel);
+
+  // Cross-grid seeding only helps numeric sweeps; the sweep options the
+  // seed source verifies disk loads against must be the signature's (no
+  // seed_source field set, so the key/signature derivations agree).
+  const bool seeds_enabled = request.reuse_seeds && options_.reuse_seeds &&
+                             sweep.numeric_optimum;
+  CacheSeedSource seed_source(cache_, sweep);
+  const auto compute = [&](bool lead) {
+    core::SweepOptions run_options = sweep;
+    // Explicitly null on cold computes: a caller may have parked their own
+    // seed source on ServiceOptions.sweep, and reuse_seeds=false (or a
+    // collision recompute) must mean genuinely cold.
+    run_options.seed_source = lead && seeds_enabled ? &seed_source : nullptr;
+    run_options.cancel = cancel;
+    run_options.optimizer.counters = &engine_;
+    const core::SweepRunner runner(run_options);
+    auto table = std::make_shared<const core::SweepTable>(
+        sink != nullptr ? runner.run(request.grid, *sink)
+                        : runner.run(request.grid));
+    tables_computed_.fetch_add(1, std::memory_order_relaxed);
+    return table;
+  };
+  SubmitResult result = climb<core::SweepTable>(
+      signature, sweep, analytic_,
+      [&](const core::SweepTable& table) {
+        return table_matches_grid(table, points, kinds);
+      },
+      compute,
+      [sink](const core::SweepCell& cell) {
+        if (sink != nullptr) {
+          sink->on_cell(cell);
+        }
+      },
+      [&] { return core::grid_chains(request.grid, sweep); }, cancel);
+  // Only this call's own leading compute consults the seed source.
+  result.seeded = seed_source.supplied() > 0;
+  if (result.seeded) {
+    seeded_computes_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return result;
 }
 
 SubmitResult SweepService::submit(const core::ScenarioGrid& grid,
                                   core::CellSink* sink,
                                   core::CancelToken cancel) {
-  return submit_impl(grid, options_.sweep, sink, /*reuse_seeds=*/true, cancel);
+  ScenarioRequest request;
+  request.grid = grid;
+  request.numeric_optimum = options_.sweep.numeric_optimum;
+  return submit(request, sink, std::move(cancel));
+}
+
+SimSubmitResult SweepService::simulate(const ScenarioRequest& request,
+                                       const SimCellFn& sink,
+                                       core::CancelToken cancel) {
+  if (!request.simulate) {
+    throw std::invalid_argument("SweepService::simulate: an analytic request");
+  }
+  const std::vector<core::ScenarioPoint> points =
+      core::resolve_points(request.grid);
+  const std::vector<core::PatternKind> kinds = request.grid.resolved_kinds();
+  const core::GridSignature signature =
+      request_signature(request, points, kinds, options_.sweep);
+  const auto compute = [&](bool /*lead*/) {
+    const auto start = std::chrono::steady_clock::now();
+    std::shared_ptr<const SimTable> table = compute_sim_table(
+        points, kinds, request.sim, options_.sweep.pool, sink, cancel);
+    const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - start);
+    std::uint64_t runs = 0;
+    std::uint64_t early_stops = 0;
+    for (const SimCell& cell : table->cells) {
+      runs += cell.runs;
+      early_stops += cell.early_stopped ? 1 : 0;
+    }
+    sim_cells_.fetch_add(table->cells.size(), std::memory_order_relaxed);
+    sim_runs_.fetch_add(runs, std::memory_order_relaxed);
+    sim_early_stops_.fetch_add(early_stops, std::memory_order_relaxed);
+    sim_compute_micros_.fetch_add(static_cast<std::uint64_t>(elapsed.count()),
+                                  std::memory_order_relaxed);
+    return table;
+  };
+  return climb<SimTable>(
+      signature, options_.sweep, simulate_,
+      [&](const SimTable& table) {
+        return table_matches_grid(table, points, kinds) &&
+               table.params == request.sim;
+      },
+      compute,
+      [&sink](const SimCell& cell) {
+        if (sink) {
+          sink(cell);
+        }
+      },
+      [] { return std::vector<core::GridChain>(); }, cancel);
 }
 
 core::GridSignature SweepService::signature_for(
     const ScenarioRequest& request) const {
-  core::SweepOptions sweep = options_.sweep;
-  sweep.numeric_optimum = request.numeric_optimum;
-  return core::grid_signature(request.grid, sweep);
+  return request_signature(request, core::resolve_points(request.grid),
+                           request.grid.resolved_kinds(), options_.sweep);
 }
 
 ServiceStats SweepService::stats() const {
+  const auto load = [](const std::atomic<std::uint64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
   ServiceStats stats;
-  stats.submits = submits_.load(std::memory_order_relaxed);
-  stats.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  stats.disk_hits = disk_hits_.load(std::memory_order_relaxed);
-  stats.joined_in_flight = joins_.load(std::memory_order_relaxed);
-  stats.tables_computed = tables_computed_.load(std::memory_order_relaxed);
-  stats.seeded_computes = seeded_computes_.load(std::memory_order_relaxed);
-  stats.deadline_timeouts = deadline_timeouts_.load(std::memory_order_relaxed);
+  stats.submits = load(analytic_.submits);
+  stats.cache_hits = load(analytic_.cache_hits);
+  stats.disk_hits = load(analytic_.disk_hits);
+  stats.joined_in_flight = load(joins_);
+  stats.tables_computed = load(tables_computed_);
+  stats.seeded_computes = load(seeded_computes_);
+  stats.deadline_timeouts = load(deadline_timeouts_);
   stats.cache_lookup_hits = cache_.hits();
   stats.cache_lookup_misses = cache_.misses();
   stats.seed_hits = cache_.seed_hits();
@@ -103,151 +191,122 @@ ServiceStats SweepService::stats() const {
   stats.disk_rejects = cache_.disk_rejects();
   stats.cache_size = cache_.size();
   stats.cache_capacity = cache_.capacity();
-  stats.sim_submits = sim_->submits();
-  stats.sim_cache_hits = sim_->cache_hits();
-  stats.sim_disk_hits = sim_->disk_hits();
-  stats.sim_cells = sim_->cells_computed();
-  stats.sim_runs = sim_->runs_executed();
-  stats.sim_early_stops = sim_->early_stops();
-  stats.sim_runs_per_second = sim_->runs_per_second();
-  stats.engine_lattice_cells =
-      engine_.lattice_cells.load(std::memory_order_relaxed);
-  stats.engine_w_probes = engine_.w_probes.load(std::memory_order_relaxed);
-  stats.engine_full_bracket_fallbacks =
-      engine_.full_bracket_fallbacks.load(std::memory_order_relaxed);
+  stats.sim_submits = load(simulate_.submits);
+  stats.sim_cache_hits = load(simulate_.cache_hits);
+  stats.sim_disk_hits = load(simulate_.disk_hits);
+  stats.sim_cells = load(sim_cells_);
+  stats.sim_runs = load(sim_runs_);
+  stats.sim_early_stops = load(sim_early_stops_);
+  const std::uint64_t micros = load(sim_compute_micros_);
+  stats.sim_runs_per_second =
+      micros == 0 ? 0.0
+                  : static_cast<double>(stats.sim_runs) /
+                        (static_cast<double>(micros) * 1e-6);
+  stats.engine_lattice_cells = load(engine_.lattice_cells);
+  stats.engine_w_probes = load(engine_.w_probes);
+  stats.engine_full_bracket_fallbacks = load(engine_.full_bracket_fallbacks);
   return stats;
 }
 
-SubmitResult SweepService::submit_impl(const core::ScenarioGrid& grid,
-                                       const core::SweepOptions& sweep,
-                                       core::CellSink* sink, bool reuse_seeds,
-                                       const core::CancelToken& cancel) {
+template <class Table, class Matches, class Compute, class Deliver,
+          class Chains>
+BasicSubmitResult<Table> SweepService::climb(
+    core::GridSignature signature, const core::SweepOptions& sweep,
+    ModeCounters& counters,
+    const Matches& matches, const Compute& compute, const Deliver& deliver,
+    const Chains& chains, const core::CancelToken& cancel) {
+  using TablePtr = std::shared_ptr<const Table>;
+  counters.submits.fetch_add(1, std::memory_order_relaxed);
   try {
-    submits_.fetch_add(1, std::memory_order_relaxed);
-    // One resolve serves validation, the signature and collision checks.
-    const std::vector<core::ScenarioPoint> points = core::resolve_points(grid);
-    const std::vector<core::PatternKind> kinds = grid.resolved_kinds();
-    const core::GridSignature signature =
-        core::grid_signature(points, kinds, sweep);
-
-    // Cross-grid seeding only helps numeric sweeps; the sweep options the
-    // seed source verifies disk loads against must be the signature's (no
-    // seed_source field set, so the key/signature derivations agree).
-    const bool seeds_enabled =
-        reuse_seeds && options_.reuse_seeds && sweep.numeric_optimum;
-    CacheSeedSource seed_source(cache_, sweep);
-
-    const auto compute = [&](bool with_seeds) -> TablePtr {
-      core::SweepOptions run_options = sweep;
-      // Explicitly null on cold computes: a caller may have parked their own
-      // seed source on ServiceOptions.sweep, and reuse_seeds=false (or a
-      // collision recompute) must mean genuinely cold.
-      run_options.seed_source = with_seeds ? &seed_source : nullptr;
-      run_options.cancel = cancel;
-      run_options.optimizer.counters = &engine_;
-      const core::SweepRunner runner(run_options);
-      return sink != nullptr ? std::make_shared<const core::SweepTable>(
-                                   runner.run(grid, *sink))
-                             : std::make_shared<const core::SweepTable>(
-                                   runner.run(grid));
-    };
-
-    // The reuse ladder retries from the top when a compute LEADER this
-    // call was following gets cancelled by its own client's token — the
+    // The ladder retries from the top when a compute LEADER this call
+    // was following gets cancelled by its own client's token — the
     // failure is the leader's, not ours; by the next iteration the table
     // may be cached (another leader won) or this call becomes the leader
     // under its own token. Our own cancellation always exits via throw.
     for (;;) {
-      if (cancel.cancelled()) {
-        throw core::SweepCancelled(cancel.deadline_expired());
-      }
+      throw_if_cancelled(cancel);
 
+      // Identity lookup and in-flight registration under one lock. A
+      // leader publishes to the cache before it erases its entry, so a
+      // miss here always finds a running computation to join: identical
+      // submissions compute once under any interleaving.
       bool disk_hit = false;
-      if (TablePtr table = cache_.find(signature, sweep, &disk_hit)) {
-        if (!table_matches_grid(*table, points, kinds)) {
-          // Signature collision: compute this grid directly, bypassing the
-          // cache (two colliding grids cannot share the signature-keyed
-          // slot).
-          TablePtr fresh = compute(/*with_seeds=*/false);
-          tables_computed_.fetch_add(1, std::memory_order_relaxed);
-          return {std::move(fresh), signature, /*cache_hit=*/false,
-                  /*disk_hit=*/false, /*joined_in_flight=*/false,
-                  /*seeded=*/false};
-        }
-        replay(*table, sink, cancel);
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (disk_hit) {
-          disk_hits_.fetch_add(1, std::memory_order_relaxed);
-        }
-        return {std::move(table), signature, /*cache_hit=*/true, disk_hit,
-                /*joined_in_flight=*/false, /*seeded=*/false};
-      }
-
-      // Miss: either join a concurrent computation of the same signature
-      // or become its leader. The promise lives on the heap so the leader
-      // can fulfill it after dropping the lock.
-      std::shared_ptr<std::promise<TablePtr>> promise;
-      std::shared_future<TablePtr> future;
+      TablePtr table;
+      std::shared_ptr<std::promise<SweepCache::Table>> promise;
+      std::shared_future<SweepCache::Table> future;
       {
         const std::lock_guard<std::mutex> lock(in_flight_mutex_);
-        const auto it = in_flight_.find(signature.value);
-        if (it != in_flight_.end()) {
-          future = it->second;
-        } else {
-          promise = std::make_shared<std::promise<TablePtr>>();
-          future = promise->get_future().share();
-          in_flight_.emplace(signature.value, future);
+        table = cache_.find<Table>(signature, sweep, &disk_hit);
+        if (table == nullptr) {
+          const auto it = in_flight_.find(signature.value);
+          if (it != in_flight_.end()) {
+            future = it->second;
+          } else {
+            promise = std::make_shared<std::promise<SweepCache::Table>>();
+            future = promise->get_future().share();
+            in_flight_.emplace(signature.value, future);
+          }
         }
       }
 
-      if (promise == nullptr) {  // follower: wait, then replay
-        TablePtr table;
+      BasicSubmitResult<Table> result;
+      result.signature = signature;
+      if (promise != nullptr) {  // leader: compute, publish, wake joiners
+        std::exception_ptr failure;
         try {
-          table = future.get();  // rethrows the leader's failure
+          result.table = compute(/*lead=*/true);
+          cache_.insert(signature, result.table, chains());
+        } catch (...) {
+          failure = std::current_exception();
+        }
+        {
+          const std::lock_guard<std::mutex> lock(in_flight_mutex_);
+          in_flight_.erase(signature.value);
+        }
+        if (failure != nullptr) {
+          promise->set_exception(failure);
+          std::rethrow_exception(failure);
+        }
+        promise->set_value(result.table);
+        return result;
+      }
+
+      const bool joined = table == nullptr;
+      if (joined) {
+        // Wait for the leader, polling our own token: a joiner's deadline
+        // or disconnect fires even while its leader has none.
+        while (future.wait_for(kJoinPoll) != std::future_status::ready) {
+          throw_if_cancelled(cancel);
+        }
+        try {
+          const SweepCache::Table leader = future.get();
+          const TablePtr* typed = std::get_if<TablePtr>(&leader);
+          table = typed != nullptr ? *typed : nullptr;
         } catch (const core::SweepCancelled&) {
           continue;  // the LEADER was cancelled, not us — retry the ladder
         }
-        if (!table_matches_grid(*table, points, kinds)) {
-          TablePtr fresh = compute(/*with_seeds=*/false);  // in-flight collision
-          tables_computed_.fetch_add(1, std::memory_order_relaxed);
-          return {std::move(fresh), signature, /*cache_hit=*/false,
-                  /*disk_hit=*/false, /*joined_in_flight=*/false,
-                  /*seeded=*/false};
-        }
-        replay(*table, sink, cancel);
-        joins_.fetch_add(1, std::memory_order_relaxed);
-        return {std::move(table), signature, /*cache_hit=*/false,
-                /*disk_hit=*/false, /*joined_in_flight=*/true,
-                /*seeded=*/false};
       }
-
-      TablePtr table;
-      try {
-        table = compute(seeds_enabled);
-      } catch (...) {
-        promise->set_exception(std::current_exception());
-        const std::lock_guard<std::mutex> lock(in_flight_mutex_);
-        in_flight_.erase(signature.value);
-        throw;
+      if (table == nullptr || !matches(*table)) {
+        // Signature collision (a colliding grid, or the other mode's
+        // table): compute this request directly and publish nothing — two
+        // colliding requests cannot share the signature-keyed slot.
+        result.table = compute(/*lead=*/false);
+        return result;
       }
-      tables_computed_.fetch_add(1, std::memory_order_relaxed);
-      const bool seeded = seed_source.supplied() > 0;
-      if (seeded) {
-        seeded_computes_.fetch_add(1, std::memory_order_relaxed);
+      for (const auto& cell : table->cells) {
+        throw_if_cancelled(cancel);
+        deliver(cell);
       }
-
-      // Publish to the cache — chains indexed so future related grids can
-      // seed from this table — before waking joiners/erasing the in-flight
-      // entry, so a submission arriving at any interleaving finds the
-      // table through one of the reuse paths.
-      cache_.insert(signature, table, core::grid_chains(grid, sweep));
-      promise->set_value(table);
-      {
-        const std::lock_guard<std::mutex> lock(in_flight_mutex_);
-        in_flight_.erase(signature.value);
+      (joined ? joins_ : counters.cache_hits)
+          .fetch_add(1, std::memory_order_relaxed);
+      if (disk_hit) {
+        counters.disk_hits.fetch_add(1, std::memory_order_relaxed);
       }
-      return {std::move(table), signature, /*cache_hit=*/false,
-              /*disk_hit=*/false, /*joined_in_flight=*/false, seeded};
+      result.table = std::move(table);
+      result.cache_hit = !joined;
+      result.disk_hit = disk_hit;
+      result.joined_in_flight = joined;
+      return result;
     }
   } catch (const core::SweepCancelled& cancelled) {
     if (cancelled.deadline_expired()) {

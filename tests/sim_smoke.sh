@@ -45,12 +45,16 @@ diff -u "$TMP/stdin.jsonl" "$TMP/daemon.jsonl" >&2 \
 # the default Poisson cell at 10000x the fail-stop rate, and a
 # silent-only platform with shape 0.01. Each must answer its located
 # deadline error on both front ends; `timeout 60` guards against a hang
-# and is not a timing gate.
+# and is not a timing gate. The closing stats line must count all four
+# expiries: in deadline_timeouts on stdin, and on the daemon in
+# deadline_timeouts plus the scheduler's shed_expired (a request whose
+# deadline passes while it is still queued is shed there, not run).
 cat >"$TMP/deadline.jsonl" <<'EOF'
 {"id": "storm-ops", "platforms": ["hera"], "node_counts": [4096], "kinds": ["PD"], "mode": "simulate", "sim": {"seed": 1, "min_runs": 1, "max_runs": 1, "patterns_per_run": 1, "faulty_ops": [10000]}, "deadline_ms": 200}
 {"id": "storm-shape", "platforms": ["hera"], "node_counts": [4096], "kinds": ["PD"], "mode": "simulate", "sim": {"seed": 1, "min_runs": 1, "max_runs": 1, "patterns_per_run": 1, "weibull_shape": [0.01]}, "deadline_ms": 200}
 {"id": "storm-rate", "platforms": ["hera"], "node_counts": [4096], "kinds": ["PD"], "rate_factors": [{"fail_stop": 10000, "silent": 1}], "mode": "simulate", "sim": {"seed": 1, "min_runs": 1, "max_runs": 1, "patterns_per_run": 1}, "deadline_ms": 200}
 {"id": "storm-silent", "platforms": [{"name": "silent-only", "nodes": 1, "fail_stop": 0, "silent": 1e-6, "disk_checkpoint": 300, "memory_checkpoint": 15}], "node_counts": [1], "kinds": ["PDMV"], "mode": "simulate", "sim": {"seed": 1, "min_runs": 1, "max_runs": 1, "patterns_per_run": 1, "weibull_shape": [0.01]}, "deadline_ms": 200}
+{"type": "stats", "id": "storm-stats"}
 EOF
 timeout 60 "$BUILD/sweep_server" --input="$TMP/deadline.jsonl" \
     >"$TMP/deadline_stdin.jsonl" 2>>"$TMP/stdin.log"
@@ -65,6 +69,19 @@ for id in storm-ops storm-shape storm-rate storm-silent; do
         || fail "$front answered no deadline_ms error line for $id"
   done
 done
+# counter NAME FILE: the value of the first "NAME":<integer> member in
+# FILE's stats line (0 when absent).
+counter() {
+  value=$(grep '"type":"stats"' "$2" | grep -o "\"$1\":[0-9]*" | head -n 1 \
+      | cut -d: -f2)
+  echo "${value:-0}"
+}
+[ "$(counter deadline_timeouts "$TMP/deadline_stdin.jsonl")" -eq 4 ] \
+    || fail "stdin stats do not count 4 deadline_timeouts"
+expired=$(( $(counter deadline_timeouts "$TMP/deadline_daemon.jsonl") \
+    + $(counter shed_expired "$TMP/deadline_daemon.jsonl") ))
+[ "$expired" -eq 4 ] \
+    || fail "daemon stats count $expired deadline expiries, not 4"
 
 # The admission cap: a cap below the file's budgets answers located
 # error lines before any compute, and within-cap requests still serve.

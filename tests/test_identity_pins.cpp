@@ -33,7 +33,6 @@
 #include "resilience/net/hash_ring.hpp"
 #include "resilience/service/cost_model.hpp"
 #include "resilience/service/serialize.hpp"
-#include "resilience/service/sim_service.hpp"
 #include "resilience/service/sim_table.hpp"
 #include "resilience/service/sweep_service.hpp"
 #include "resilience/util/json.hpp"
@@ -158,7 +157,7 @@ TEST(IdentityPins, SpillNamesAndPayloadChecksum) {
     options.cache_dir = dir.string();
     rs::SweepService service(options);
     (void)service.submit(analytic_request());
-    (void)service.sim().submit(simulate_request());
+    (void)service.simulate(simulate_request());
   }  // shutdown spills both tables
   const std::string analytic = read_file(dir / "6cb66bdce53df6e2.json");
   ASSERT_FALSE(analytic.empty());
@@ -240,8 +239,10 @@ TEST(IdentityPins, SimulateResultBits) {
   request.sim.patterns_per_run = 20;
   request.sim.weibull_shape = {1.0, 0.7};
   request.sim.faulty_ops = {1.0, 0.5, 0.0};
+  rs::ServiceOptions uncached;
+  uncached.cache_capacity = 0;
   const rs::SimSubmitResult result =
-      rs::SimService(nullptr, nullptr).submit(request);
+      rs::SweepService(uncached).simulate(request);
 
   struct Pin {
     std::uint64_t mean;
@@ -325,8 +326,8 @@ TEST(IdentityPins, DoneLinesWithStatsBlocks) {
   const ru::JsonValue shards = ru::JsonValue::parse(
       R"({"shards":[{"id":"127.0.0.1:1","stats":{"cost":{"units":0.5}}},)"
       R"({"id":"b","stats":{}}]})");
-  EXPECT_EQ(rs::sim_done_line("sim-done", rc::GridSignature{0x2ULL}, sim,
-                              false, &shards),
+  EXPECT_EQ(rs::done_line("sim-done", rc::GridSignature{0x2ULL}, sim, false,
+                          &shards),
             R"({"type":"done","request":"sim-done",)"
             R"("signature":"0000000000000002","mode":"simulate","points":1,)"
             R"("kinds":["PDV"],"cells":2,"runs":64,"cache_hit":false,)"
@@ -388,7 +389,7 @@ TEST(IdentityPins, CellLinesWithEdgeValues) {
   sim.ci_high = 5e-324;
   sim.runs = 9007199254740993ULL;
   sim.early_stopped = true;
-  EXPECT_EQ(rs::sim_cell_line("sim-1", rc::GridSignature{0x1ULL}, sim),
+  EXPECT_EQ(rs::cell_line("sim-1", rc::GridSignature{0x1ULL}, sim),
             R"({"type":"cell","request":"sim-1","signature":"0000000000000001",)"
             R"("point":1,"kind":"PDV","weibull_shape":0.7,"faulty_ops":0,)"
             R"("mean":NaN,"ci_low":-0,"ci_high":5e-324,)"

@@ -2,16 +2,20 @@
 // arbitrary read boundaries, CRLF tolerance, unterminated-tail delivery
 // at EOF, and oversized lines rejected with a located (line number +
 // stream offset) latched error — including boundaries drawn from the
-// chaos injector's seeded split schedules.
+// chaos injector's seeded split schedules, and a seeded fuzzer requiring
+// any chunking of a hostile stream to frame exactly like one feed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "resilience/net/fault.hpp"
 #include "resilience/net/framing.hpp"
+#include "resilience/util/random.hpp"
 
 namespace rn = resilience::net;
 
@@ -267,6 +271,83 @@ TEST(LineFramer, StreamOffsetsAccumulateAcrossSplitLines) {
   EXPECT_FALSE(framer.feed("ghi", collect(lines)));
   EXPECT_EQ(framer.error_line(), 2u);
   EXPECT_EQ(framer.error_offset(), 3u);  // the 'c' right after "ab\n"
+}
+
+// ---------------------------------------------------------------- fuzz --
+
+/// Everything a feed sequence can observe of the framer.
+struct Framed {
+  Lines lines;
+  bool fed = true;  ///< every feed() returned true
+  bool finished = false;
+  std::size_t lines_delivered = 0;
+  bool failed = false;
+  std::string error;
+  std::size_t error_line = 0;
+  std::size_t error_offset = 0;
+
+  bool operator==(const Framed&) const = default;
+};
+
+/// Feeds `stream` in chunks of the given sizes (the last one takes what
+/// is left), then finish().
+Framed frame(const std::string& stream, const std::vector<std::size_t>& cuts,
+             std::size_t max_line_bytes) {
+  rn::LineFramer framer(max_line_bytes);
+  Framed out;
+  std::size_t offset = 0;
+  for (std::size_t i = 0; offset < stream.size(); ++i) {
+    const std::size_t len =
+        i < cuts.size() ? cuts[i] : stream.size() - offset;
+    out.fed = framer.feed(std::string_view(stream).substr(offset, len),
+                          collect(out.lines)) &&
+              out.fed;
+    offset += len;
+  }
+  out.finished = framer.finish(collect(out.lines));
+  out.lines_delivered = framer.lines_delivered();
+  out.failed = framer.failed();
+  out.error = framer.error_message();
+  out.error_line = framer.error_line();
+  out.error_offset = framer.error_offset();
+  return out;
+}
+
+TEST(LineFramerFuzz, AnyChunkingMatchesOneWholeStreamFeed) {
+  // Seeded streams of '\n', "\r\n", bare '\r', NUL, short text and runs
+  // of the limit's length give or take two bytes; each is framed in one
+  // feed, then in random chunkings, which must observe exactly the same
+  // lines, counters, latched error and finish() result.
+  constexpr std::size_t kStreams = 3000;
+  constexpr std::size_t kChunkings = 8;
+  const std::string_view pieces[] = {"\n", "\r\n", "\r",
+                                     std::string_view("\0", 1), "ab", "{}"};
+  resilience::util::SplitMix64 rng(0xf4a3'5eedULL);
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next() % n);
+  };
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    const std::size_t limit = std::size_t{2} << below(6);  // 2 .. 64
+    const std::size_t max_line_bytes = below(4) == 0 ? 0 : limit;
+    std::string stream;
+    for (std::size_t piece = below(24); piece > 0; --piece) {
+      if (below(4) == 0) {
+        stream.append(limit - 2 + below(5), 'x');  // limit - 2 .. limit + 2
+      } else {
+        stream.append(pieces[below(std::size(pieces))]);
+      }
+    }
+    const Framed whole = frame(stream, {stream.size()}, max_line_bytes);
+    for (std::size_t c = 0; c < kChunkings; ++c) {
+      std::vector<std::size_t> cuts;
+      for (std::size_t left = stream.size(); left > 0;) {
+        cuts.push_back(std::min(left, 1 + below(1 + limit + 2)));
+        left -= cuts.back();
+      }
+      ASSERT_EQ(frame(stream, cuts, max_line_bytes), whole)
+          << "stream " << s << ", chunking " << c;
+    }
+  }
 }
 
 }  // namespace

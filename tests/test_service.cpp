@@ -20,7 +20,6 @@
 #include "resilience/service/jsonl_session.hpp"
 #include "resilience/service/scenario_request.hpp"
 #include "resilience/service/serialize.hpp"
-#include "resilience/service/sim_service.hpp"
 #include "resilience/service/sim_table.hpp"
 #include "resilience/util/thread_pool.hpp"
 
@@ -73,7 +72,7 @@ std::shared_ptr<const rs::SimTable> cold_sim_table(
     const rs::ScenarioRequest& request) {
   rs::ServiceOptions options;
   options.cache_capacity = 0;
-  return rs::SweepService(options).sim().submit(request).table;
+  return rs::SweepService(options).simulate(request).table;
 }
 
 /// Collects streamed cells for set comparisons.
@@ -327,7 +326,7 @@ TEST(SweepCache, HitIsBitIdenticalToRecomputeAcrossPoolSizes) {
     EXPECT_TRUE(rc::tables_bit_identical(*cached.table, recomputed))
         << "pool size " << threads;
   }
-  EXPECT_EQ(service.tables_computed(), 1u);
+  EXPECT_EQ(service.stats().tables_computed, 1u);
 }
 
 TEST(SweepCache, EvictsLeastRecentlyUsed) {
@@ -350,7 +349,7 @@ TEST(SweepCache, ZeroCapacityDisablesCaching) {
   const auto grid = small_grid();
   EXPECT_FALSE(service.submit(grid).cache_hit);
   EXPECT_FALSE(service.submit(grid).cache_hit);
-  EXPECT_EQ(service.tables_computed(), 2u);
+  EXPECT_EQ(service.stats().tables_computed, 2u);
 }
 
 // ---------------------------------------------------- cross-grid reuse --
@@ -439,7 +438,7 @@ TEST(Persistence, EvictionSpillsAndReloadsByteIdentical) {
   const rs::SubmitResult reloaded = service.submit(grid_a);
   EXPECT_TRUE(reloaded.cache_hit);
   EXPECT_TRUE(reloaded.disk_hit);
-  EXPECT_EQ(service.tables_computed(), 2u);  // reload did not recompute
+  EXPECT_EQ(service.stats().tables_computed, 2u);  // reload did not recompute
   EXPECT_TRUE(rc::tables_bit_identical(*first.table, *reloaded.table));
   EXPECT_EQ(rs::to_json_text(*reloaded.table), before);  // byte-identical
 }
@@ -467,7 +466,7 @@ TEST(Persistence, RestartKeepsIdentityCacheAndSeedIndex) {
   const rs::SubmitResult reloaded = service.submit(base);
   EXPECT_TRUE(reloaded.cache_hit);
   EXPECT_TRUE(reloaded.disk_hit);
-  EXPECT_EQ(service.tables_computed(), 0u);
+  EXPECT_EQ(service.stats().tables_computed, 0u);
   EXPECT_EQ(rs::to_json_text(*reloaded.table), before);
 
   // Seed tier: a related grid warm-starts from the reloaded entry.
@@ -541,7 +540,7 @@ TEST(Persistence, CorruptSpillIsRejectedNotServed) {
     rs::SweepService service(options);
     const rs::SubmitResult result = service.submit(grid);
     EXPECT_FALSE(result.cache_hit) << name;  // recomputed, never served
-    EXPECT_EQ(service.tables_computed(), 1u) << name;
+    EXPECT_EQ(service.stats().tables_computed, 1u) << name;
     EXPECT_GE(service.cache().disk_rejects(), 1u) << name;
     EXPECT_TRUE(
         rc::tables_bit_identical(*result.table, rc::SweepRunner().run(grid)))
@@ -562,7 +561,7 @@ TEST(Persistence, CorruptSpillIsRejectedNotServed) {
       rs::ServiceOptions options;
       options.cache_dir = dir.str();
       rs::SweepService service(options);
-      signature = service.sim().submit(request).signature;
+      signature = service.simulate(request).signature;
     }
     const std::filesystem::path file =
         dir.path() / (signature.hex() + ".sim.json");
@@ -572,9 +571,9 @@ TEST(Persistence, CorruptSpillIsRejectedNotServed) {
     rs::ServiceOptions options;
     options.cache_dir = dir.str();
     rs::SweepService service(options);
-    const rs::SimSubmitResult result = service.sim().submit(request);
+    const rs::SimSubmitResult result = service.simulate(request);
     EXPECT_FALSE(result.cache_hit) << name;  // recomputed, never served
-    EXPECT_EQ(service.sim().cells_computed(), result.table->cells.size())
+    EXPECT_EQ(service.stats().sim_cells, result.table->cells.size())
         << name;
     EXPECT_GE(service.cache().disk_rejects(), 1u) << name;
     EXPECT_TRUE(rs::sim_tables_bit_identical(*result.table,
@@ -627,8 +626,8 @@ TEST(Persistence, ForeignSpillUnderWrongNameIsRejected) {
     rs::ServiceOptions sim_options;
     sim_options.cache_dir = sim_dir.str();
     rs::SweepService sim_service(sim_options);
-    sim_signature_a = sim_service.sim().submit(sim_a).signature;
-    sim_signature_b = sim_service.sim().submit(sim_b).signature;
+    sim_signature_a = sim_service.simulate(sim_a).signature;
+    sim_signature_b = sim_service.simulate(sim_b).signature;
   }
   std::filesystem::copy_file(
       sim_dir.path() / (sim_signature_b.hex() + ".sim.json"),
@@ -638,7 +637,7 @@ TEST(Persistence, ForeignSpillUnderWrongNameIsRejected) {
   rs::ServiceOptions sim_options;
   sim_options.cache_dir = sim_dir.str();
   rs::SweepService sim_service(sim_options);
-  const rs::SimSubmitResult sim_result = sim_service.sim().submit(sim_a);
+  const rs::SimSubmitResult sim_result = sim_service.simulate(sim_a);
   EXPECT_FALSE(sim_result.cache_hit);
   EXPECT_GE(sim_service.cache().disk_rejects(), 1u);
   EXPECT_TRUE(
@@ -692,7 +691,7 @@ TEST(Persistence, SpillFromTheGoldenSectionFormatIsRejectedNotServed) {
     const rs::SubmitResult result = service.submit(grid);
     EXPECT_FALSE(result.cache_hit);
     EXPECT_NE(result.signature.hex(), v1_signature);
-    EXPECT_EQ(service.tables_computed(), 1u);
+    EXPECT_EQ(service.stats().tables_computed, 1u);
     EXPECT_TRUE(
         rc::tables_bit_identical(*result.table, rc::SweepRunner().run(grid)));
     const auto stale = rc::GridSignature::from_hex(v1_signature);
@@ -811,7 +810,7 @@ TEST(SweepService, ConcurrentIdenticalSubmissionsDedupe) {
 
   // However the submissions interleaved, exactly one compute happened and
   // every caller got the full, identical cell set.
-  EXPECT_EQ(service.tables_computed(), 1u);
+  EXPECT_EQ(service.stats().tables_computed, 1u);
   for (std::size_t i = 0; i < kThreads; ++i) {
     ASSERT_NE(results[i].table, nullptr);
     EXPECT_TRUE(rc::tables_bit_identical(*results[0].table, *results[i].table));

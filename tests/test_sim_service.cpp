@@ -6,19 +6,25 @@
 // simulate tables in the shared cache (memory hits, disk spill/reload,
 // one capacity for both modes, cross-mode misses and spill rejection, a
 // spill from an earlier build served byte for byte), cost-model
-// pricing, and the JsonlSession wire behavior (streamed cell lines, a
-// "mode":"simulate" done line, the server-side sim_max_runs cap).
-
-#include "resilience/service/sim_service.hpp"
+// pricing, SweepService's one reuse ladder in simulate mode (identical
+// concurrent requests compute once, collision recomputes are not
+// published, deadlines count and fire while joined, each entry point
+// rejects the other mode), and the JsonlSession wire behavior (streamed
+// cell lines, a "mode":"simulate" done line, the server-side
+// sim_max_runs cap).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "resilience/service/cost_model.hpp"
@@ -64,6 +70,24 @@ rs::ScenarioRequest small_sim_request() {
   return request;
 }
 
+/// One cell in an error storm (operations at 10000x the fail-stop
+/// rate): a run retries a window about e^{lambda R} times, so it only
+/// ends when its token fires.
+rs::ScenarioRequest storm_request() {
+  rs::ScenarioRequest request;
+  request.id = "storm";
+  request.grid.platforms = {rc::hera()};
+  request.grid.node_counts = {4096};
+  request.grid.kinds = {rc::PatternKind::kD};
+  request.simulate = true;
+  request.sim.seed = 1;
+  request.sim.min_runs = 1;
+  request.sim.max_runs = 1;
+  request.sim.patterns_per_run = 1;
+  request.sim.faulty_ops = {10000.0};
+  return request;
+}
+
 /// Same request as JSON text (the wire form of small_sim_request).
 std::string small_sim_request_line() {
   return small_sim_request().to_json().dump();
@@ -80,7 +104,7 @@ rs::SimSubmitResult submit_at_pool(const rs::ScenarioRequest& request,
   if (streamed != nullptr) {
     sink = [streamed](const rs::SimCell& cell) { streamed->push_back(cell); };
   }
-  return service.sim().submit(request, sink);
+  return service.simulate(request, sink);
 }
 
 /// RAII scratch directory under the test working directory (never /tmp:
@@ -225,7 +249,7 @@ TEST(SimCellSeed, ContentAddressedNotPositional) {
 
 // --------------------------------------------------------- determinism --
 
-TEST(SimService, BitIdenticalAcrossPoolSizes) {
+TEST(Simulate, BitIdenticalAcrossPoolSizes) {
   const auto request = small_sim_request();
   std::vector<rs::SimCell> streamed1;
   const auto at1 = submit_at_pool(request, 1, &streamed1);
@@ -261,7 +285,7 @@ TEST(SimService, BitIdenticalAcrossPoolSizes) {
   }
 }
 
-TEST(SimService, SubGridSplitMatchesWholeGridCellForCell) {
+TEST(Simulate, SubGridSplitMatchesWholeGridCellForCell) {
   // The router property: a shard computing one slice of the grid derives
   // the same per-cell seeds (content-addressed), so its cells are
   // bit-identical to the whole-grid compute's.
@@ -292,7 +316,7 @@ TEST(SimService, SubGridSplitMatchesWholeGridCellForCell) {
   }
 }
 
-TEST(SimService, RaisingMaxRunsNeverChangesAnEarlyStoppedCell) {
+TEST(Simulate, RaisingMaxRunsNeverChangesAnEarlyStoppedCell) {
   // The adaptive stopper's batch schedule is a pure function of
   // min_runs, so a cell that met target_ci under a low cap stops at the
   // same run count — with bit-identical statistics — under a higher cap.
@@ -330,18 +354,18 @@ TEST(SimService, RaisingMaxRunsNeverChangesAnEarlyStoppedCell) {
 
 // --------------------------------------------------------------- cache --
 
-TEST(SimService, SecondSubmitReplaysFromTheMemoryTier) {
+TEST(Simulate, SecondSubmitReplaysFromTheMemoryTier) {
   ru::ThreadPool pool(2);
   rs::ServiceOptions options;
   options.sweep.pool = &pool;
   rs::SweepService service(options);
   const auto request = small_sim_request();
 
-  const auto cold = service.sim().submit(request);
+  const auto cold = service.simulate(request);
   EXPECT_FALSE(cold.cache_hit);
 
   std::vector<rs::SimCell> replayed;
-  const auto warm = service.sim().submit(
+  const auto warm = service.simulate(
       request, [&](const rs::SimCell& cell) { replayed.push_back(cell); });
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_FALSE(warm.disk_hit);
@@ -351,11 +375,11 @@ TEST(SimService, SecondSubmitReplaysFromTheMemoryTier) {
     EXPECT_EQ(cell_text(replayed[i]),
               cell_text(cold.table->cells[i]));
   }
-  EXPECT_EQ(service.sim().submits(), 2u);
-  EXPECT_EQ(service.sim().cache_hits(), 1u);
+  EXPECT_EQ(service.stats().sim_submits, 2u);
+  EXPECT_EQ(service.stats().sim_cache_hits, 1u);
 }
 
-TEST(SimService, DiskTierServesAcrossARestartBitIdentically) {
+TEST(Simulate, DiskTierServesAcrossARestartBitIdentically) {
   ScratchDir dir("sim_disk_tier");
   const auto request = small_sim_request();
   std::string before;
@@ -363,21 +387,21 @@ TEST(SimService, DiskTierServesAcrossARestartBitIdentically) {
     rs::ServiceOptions options;
     options.cache_dir = dir.str();
     rs::SweepService service(options);
-    before = rs::to_json_text(*service.sim().submit(request).table);
+    before = rs::to_json_text(*service.simulate(request).table);
   }  // destructor spills the sim tier to cache_dir
   {
     rs::ServiceOptions options;
     options.cache_dir = dir.str();
     rs::SweepService service(options);
-    const auto reloaded = service.sim().submit(request);
+    const auto reloaded = service.simulate(request);
     EXPECT_TRUE(reloaded.cache_hit);
     EXPECT_TRUE(reloaded.disk_hit);
     EXPECT_EQ(rs::to_json_text(*reloaded.table), before);
-    EXPECT_EQ(service.sim().cells_computed(), 0u);
+    EXPECT_EQ(service.stats().sim_cells, 0u);
   }
 }
 
-TEST(SimService, CacheCapacityCountsTablesOfBothModes) {
+TEST(Simulate, CacheCapacityCountsTablesOfBothModes) {
   // One LRU for both modes: at capacity 1 a simulate table evicts the
   // analytic one, and size() counts it.
   rs::SweepCache cache(1);
@@ -396,14 +420,14 @@ TEST(SimService, CacheCapacityCountsTablesOfBothModes) {
   analytic.simulate = false;
   EXPECT_FALSE(service.submit(analytic).cache_hit);
   EXPECT_EQ(service.stats().cache_size, 1u);
-  EXPECT_FALSE(service.sim().submit(request).cache_hit);
+  EXPECT_FALSE(service.simulate(request).cache_hit);
   EXPECT_EQ(service.stats().cache_size, 1u);
-  EXPECT_TRUE(service.sim().submit(request).cache_hit);
+  EXPECT_TRUE(service.simulate(request).cache_hit);
   EXPECT_FALSE(service.submit(analytic).cache_hit);  // evicted
-  EXPECT_EQ(service.tables_computed(), 2u);
+  EXPECT_EQ(service.stats().tables_computed, 2u);
 }
 
-TEST(SimService, ALookupThatFindsTheOtherModesTableIsAMiss) {
+TEST(Simulate, ALookupThatFindsTheOtherModesTableIsAMiss) {
   // Both table types under one forced signature value: the entry holds
   // the last insert, and a lookup asking for the other type misses.
   rs::SweepCache cache(4);
@@ -424,20 +448,24 @@ TEST(SimService, ALookupThatFindsTheOtherModesTableIsAMiss) {
   // table, parked under the request's signature is recomputed, not served.
   rs::SweepService service;
   const auto request = small_sim_request();
-  const rc::GridSignature signature = service.sim().signature_for(request);
+  const rc::GridSignature signature = service.signature_for(request);
   rs::ScenarioRequest analytic_request = request;
   analytic_request.simulate = false;
   service.cache().insert(signature, service.submit(analytic_request).table);
-  EXPECT_FALSE(service.sim().submit(request).cache_hit);
+  EXPECT_FALSE(service.simulate(request).cache_hit);
   rs::ScenarioRequest other = request;
   other.sim.seed = 7;
-  service.cache().insert(signature, service.sim().submit(other).table);
-  const auto result = service.sim().submit(request);
+  service.cache().insert(signature, service.simulate(other).table);
+  const auto result = service.simulate(request);
   EXPECT_FALSE(result.cache_hit);
   EXPECT_EQ(result.table->params.seed, 42u);
+  // The collision recompute was not published over the parked table.
+  const auto parked = service.cache().find<rs::SimTable>(signature);
+  ASSERT_NE(parked, nullptr);
+  EXPECT_EQ(parked->params.seed, 7u);
 }
 
-TEST(SimService, SpillsCopiedAcrossModesAreRejectedNotServed) {
+TEST(Simulate, SpillsCopiedAcrossModesAreRejectedNotServed) {
   // A simulate spill copied over an analytic signature's '.json' name,
   // and the reverse: each is rejected and recomputed, never served.
   const auto request = small_sim_request();
@@ -449,7 +477,7 @@ TEST(SimService, SpillsCopiedAcrossModesAreRejectedNotServed) {
     options.cache_dir = dir.str();
     rs::SweepService service(options);
     *a = service.submit(analytic).signature;
-    *s = service.sim().submit(request).signature;
+    *s = service.simulate(request).signature;
   };
   rc::GridSignature analytic_signature;
   rc::GridSignature sim_signature;
@@ -465,11 +493,11 @@ TEST(SimService, SpillsCopiedAcrossModesAreRejectedNotServed) {
     rs::SweepService service(options);
     const auto result = service.submit(analytic);
     EXPECT_FALSE(result.cache_hit);
-    EXPECT_EQ(service.tables_computed(), 1u);
+    EXPECT_EQ(service.stats().tables_computed, 1u);
     EXPECT_EQ(service.cache().disk_rejects(), 1u);
     EXPECT_TRUE(rc::tables_bit_identical(*result.table,
                                          rc::SweepRunner().run(analytic.grid)));
-    EXPECT_TRUE(service.sim().submit(request).disk_hit);  // its own file
+    EXPECT_TRUE(service.simulate(request).disk_hit);  // its own file
   }
   {
     const ScratchDir dir("analytic_over_sim");
@@ -481,9 +509,9 @@ TEST(SimService, SpillsCopiedAcrossModesAreRejectedNotServed) {
     rs::ServiceOptions options;
     options.cache_dir = dir.str();
     rs::SweepService service(options);
-    const auto result = service.sim().submit(request);
+    const auto result = service.simulate(request);
     EXPECT_FALSE(result.cache_hit);
-    EXPECT_EQ(service.sim().cells_computed(), result.table->cells.size());
+    EXPECT_EQ(service.stats().sim_cells, result.table->cells.size());
     EXPECT_EQ(service.cache().disk_rejects(), 1u);
     EXPECT_TRUE(rs::sim_tables_bit_identical(
         *result.table, *submit_at_pool(request, 1).table));
@@ -491,7 +519,7 @@ TEST(SimService, SpillsCopiedAcrossModesAreRejectedNotServed) {
   }
 }
 
-TEST(SimService, SpillFromAnEarlierBuildIsServedAndRewrittenByteForByte) {
+TEST(Simulate, SpillFromAnEarlierBuildIsServedAndRewrittenByteForByte) {
   // A simulate spill exactly as an earlier build wrote it, when each mode
   // had its own cache tier (one point, PD, two Weibull shapes). It must be
   // served with zero recomputes, and a fresh compute must spill the very
@@ -534,11 +562,11 @@ TEST(SimService, SpillFromAnEarlierBuildIsServedAndRewrittenByteForByte) {
     rs::ServiceOptions options;
     options.cache_dir = dir.str();
     rs::SweepService service(options);
-    const auto result = service.sim().submit(request);
+    const auto result = service.simulate(request);
     EXPECT_TRUE(result.cache_hit);
     EXPECT_TRUE(result.disk_hit);
     EXPECT_EQ(result.signature.hex() + ".sim.json", name);
-    EXPECT_EQ(service.sim().cells_computed(), 0u);
+    EXPECT_EQ(service.stats().sim_cells, 0u);
     EXPECT_EQ(service.cache().disk_rejects(), 0u);
     ASSERT_EQ(result.table->cells.size(), 2u);
     EXPECT_EQ(cell_text(result.table->cells[1]),
@@ -552,7 +580,7 @@ TEST(SimService, SpillFromAnEarlierBuildIsServedAndRewrittenByteForByte) {
       rs::ServiceOptions options;
       options.cache_dir = dir.str();
       rs::SweepService service(options);
-      EXPECT_FALSE(service.sim().submit(request).cache_hit);
+      EXPECT_FALSE(service.simulate(request).cache_hit);
     }  // shutdown spills
     std::ifstream in(dir.path() / name, std::ios::binary);
     std::stringstream written;
@@ -561,11 +589,100 @@ TEST(SimService, SpillFromAnEarlierBuildIsServedAndRewrittenByteForByte) {
   }
 }
 
-TEST(SimService, RejectsAnalyticRequests) {
+TEST(Simulate, EachEntryPointRejectsTheOtherMode) {
   rs::SweepService service;
-  auto request = small_sim_request();
-  request.simulate = false;
-  EXPECT_THROW(service.sim().submit(request), std::invalid_argument);
+  const auto request = small_sim_request();
+  EXPECT_THROW(service.submit(request), std::invalid_argument);
+  auto analytic = request;
+  analytic.simulate = false;
+  EXPECT_THROW(service.simulate(analytic), std::invalid_argument);
+  const rs::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.submits + stats.sim_submits, 0u);
+  EXPECT_EQ(stats.cache_size, 0u);
+}
+
+// -------------------------------------------------- the one reuse ladder --
+
+TEST(Simulate, ConcurrentIdenticalSubmissionsComputeOnce) {
+  ru::ThreadPool pool(2);
+  rs::ServiceOptions options;
+  options.sweep.pool = &pool;
+  rs::SweepService service(options);
+  const auto request = small_sim_request();
+
+  constexpr std::size_t kThreads = 6;
+  std::vector<rs::SimSubmitResult> results(kThreads);
+  std::vector<std::vector<std::string>> streamed(kThreads);
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        results[i] = service.simulate(request, [&, i](const rs::SimCell& cell) {
+          streamed[i].push_back(cell_text(cell));
+        });
+      });
+    }
+    for (auto& thread : threads) {
+      thread.join();
+    }
+  }
+
+  // However the submissions interleaved, exactly one campaign ran, every
+  // caller got the same table, and every stream is the table in order.
+  const rs::ServiceStats stats = service.stats();
+  ASSERT_NE(results[0].table, nullptr);
+  EXPECT_EQ(stats.sim_cells, results[0].table->cell_count());
+  EXPECT_EQ(stats.sim_submits, kThreads);
+  EXPECT_EQ(stats.sim_cache_hits + stats.joined_in_flight, kThreads - 1);
+  std::vector<std::string> table_order;
+  for (const rs::SimCell& cell : results[0].table->cells) {
+    table_order.push_back(cell_text(cell));
+  }
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    ASSERT_NE(results[i].table, nullptr);
+    EXPECT_TRUE(rs::sim_tables_bit_identical(*results[0].table,
+                                             *results[i].table));
+    EXPECT_EQ(streamed[i], table_order) << "caller " << i;
+  }
+}
+
+TEST(Simulate, DeadlineExpiryCountsInDeadlineTimeouts) {
+  // An error storm (operations at 10000x the fail-stop rate) never
+  // finishes; its deadline must fire inside the run and be counted.
+  rs::SweepService service;
+  const auto request = storm_request();
+  rc::CancelToken cancel;
+  cancel.set_deadline(std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(50));
+  EXPECT_THROW(service.simulate(request, nullptr, cancel), rc::SweepCancelled);
+  EXPECT_EQ(service.stats().deadline_timeouts, 1u);
+  EXPECT_EQ(service.stats().cache_size, 0u);  // nothing published
+}
+
+TEST(Simulate, AJoinersDeadlineFiresWhileItsLeaderRuns) {
+  // The leader has no deadline (only a flag this test sets at the end);
+  // an identical request with a deadline must not wait for it.
+  rs::SweepService service;
+  const auto request = storm_request();
+  auto stop = std::make_shared<std::atomic<bool>>(false);
+  std::thread leader([&] {
+    EXPECT_THROW(service.simulate(request, nullptr, rc::CancelToken(stop)),
+                 rc::SweepCancelled);
+  });
+  while (service.stats().sim_submits == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  rc::CancelToken deadline;
+  deadline.set_deadline(std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(50));
+  EXPECT_THROW(service.simulate(request, nullptr, deadline),
+               rc::SweepCancelled);
+  stop->store(true);
+  leader.join();
+  // The joiner's expiry counts; the leader's flag cancellation does not.
+  EXPECT_EQ(service.stats().deadline_timeouts, 1u);
 }
 
 // ----------------------------------------------------------- cost model --
@@ -587,7 +704,7 @@ TEST(CostModel, SimulateRequestsPriceByRunBudgetThenReplay) {
           rs::kCostSimDrawsPerUnit);
   EXPECT_DOUBLE_EQ(cold.units, static_cast<double>(sim_cells) * per_cell);
 
-  service.sim().submit(request);
+  service.simulate(request);
   const rs::CostEstimate warm = rs::estimate_cost(request, &service);
   EXPECT_TRUE(warm.identity_hit);
   EXPECT_DOUBLE_EQ(warm.units,
@@ -662,7 +779,7 @@ TEST(JsonlSessionSim, ServerCapAnswersALocatedErrorBeforeAnyCompute) {
   EXPECT_NE(line.find("\"type\":\"error\""), std::string::npos) << line;
   EXPECT_NE(line.find("\"field\":\"sim.max_runs\""), std::string::npos) << line;
   EXPECT_TRUE(session.any_request_errors());
-  EXPECT_EQ(service.sim().submits(), 0u);
+  EXPECT_EQ(service.stats().sim_submits, 0u);
 
   // A request within the cap still serves.
   auto request = small_sim_request();
