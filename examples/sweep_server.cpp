@@ -64,10 +64,11 @@ namespace {
 /// service used, so --check exercises cache hits, disk reloads and seeded
 /// computes against a genuine cold compute instead of a bespoke runner
 /// call).
-bool check_request(const rs::ScenarioRequest& request,
+bool check_request(const rs::ResolvedRequest& resolved,
                    const rs::SubmitResult& result,
                    const std::vector<rc::SweepCell>& streamed,
                    rs::SweepService& verify_service) {
+  const rs::ScenarioRequest& request = resolved.request;
   bool ok = true;
   const rc::SweepTable& table = *result.table;
 
@@ -108,7 +109,7 @@ bool check_request(const rs::ScenarioRequest& request,
     ok = false;
   }
 
-  const rs::SubmitResult recomputed = verify_service.submit(request);
+  const rs::SubmitResult recomputed = verify_service.submit(resolved);
   if (recomputed.cache_hit || recomputed.seeded) {
     std::fprintf(stderr,
                  "sweep_server: request '%s': verification service was not "

@@ -42,8 +42,6 @@ class CancelToken {
     has_deadline_ = true;
   }
 
-  [[nodiscard]] bool has_deadline() const noexcept { return has_deadline_; }
-
   /// True once the deadline (if any) has passed. Does not consult the
   /// flag — callers distinguishing "timed out" from "abandoned" use this.
   [[nodiscard]] bool deadline_expired() const noexcept {

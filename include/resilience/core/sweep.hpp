@@ -73,7 +73,8 @@ struct ScenarioGrid {
   std::vector<CostOverride> cost_overrides;  ///< empty = no override
   std::vector<PatternKind> kinds;            ///< empty = all six families
 
-  [[nodiscard]] std::size_t point_count() const noexcept;
+  /// Both counts throw std::length_error when they overflow size_t.
+  [[nodiscard]] std::size_t point_count() const;
   [[nodiscard]] std::size_t cell_count() const;
   [[nodiscard]] std::vector<PatternKind> resolved_kinds() const;
 

@@ -27,8 +27,10 @@
 //   * health   — every shard is Up or Down. Down shards are excluded
 //     from the ring. State changes come from {"type":"ping"} probes (a
 //     background prober, plus probe_round() on demand) and from request
-//     failures (a shard whose ResilientClient exhausts its attempts is
-//     declared Down).
+//     failures: a shard whose ResilientClient exhausts its attempts, or
+//     whose answer is malformed (unparsable, short, signed for other
+//     options, a cell outside its unit), is declared Down. Only a shard's
+//     own error line (deadline, engine failure) fails the request.
 //   * failover — chains owned by a dead shard are re-routed through the
 //     ring of survivors and replayed. Replays are at-least-once safe for
 //     the same reason PR 6's client retries are: responses are
@@ -155,7 +157,6 @@ class ShardFleet {
   /// flipped (and the ring membership changed — a "rebalance").
   bool mark_down(const std::string& id);
   bool mark_up(const std::string& id);
-  [[nodiscard]] bool is_up(const std::string& id) const;
   [[nodiscard]] std::size_t up_count() const;
 
   /// Counter hooks for the router sessions.
@@ -227,7 +228,12 @@ class RouterSession final : public service::LineSession {
 
  private:
   std::string stats_answer(const std::string& id) override;
-  void serve_scenario(service::ScenarioRequest& request) override;
+  void serve_scenario(service::ResolvedRequest& request) override;
+  /// Plan, dispatch and merge rounds until every chain merged or the
+  /// request failed, then one emission in table order. `Table` is the
+  /// mode's merged table (core::SweepTable or service::SimTable).
+  template <class Table>
+  void route(service::ResolvedRequest& request);
 
   ShardFleet& fleet_;
 };

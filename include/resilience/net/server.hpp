@@ -11,10 +11,11 @@
 // edges.
 //
 // Admission: the loop thread numbers each received line per connection
-// and classifies it once (service::classify_line) — blank and comment
-// lines end there; every other line queues as its classified request,
-// which a worker later hands to the session's serve(). The loop thread
-// never calls into a session and no line is parsed twice.
+// and classifies it once (service::classify_line resolves, signs and
+// chains a scenario) — blank and comment lines end there; every other
+// line queues as its classified request for a worker to hand to the
+// session's serve(). The loop thread never calls into a session, and no
+// line is parsed or resolved twice.
 //
 // Scheduling & overload control (PR 8): received request lines no longer
 // drain FIFO into the executor. Each scenario is *priced* at admission

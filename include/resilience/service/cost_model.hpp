@@ -55,22 +55,22 @@ struct CostEstimate {
   bool identity_hit = false;      ///< exact table cached (memory or disk)
 };
 
-/// Estimates `request` against `service`'s cache state. Never throws for
-/// a request that parsed successfully (ScenarioRequest::from_json already
-/// validated the grid). `service` may be null — e.g. a transport hosting
-/// a custom session with no local service — in which case every request
-/// estimates cold (no cache probes).
-[[nodiscard]] CostEstimate estimate_cost(const ScenarioRequest& request,
+/// Estimates `request` against `service`'s cache state from the fields
+/// resolved at classification (signature, chains); never throws.
+/// `service` may be null — e.g. a transport hosting a custom session with
+/// no local service — in which case every request estimates cold (no
+/// cache probes).
+[[nodiscard]] CostEstimate estimate_cost(const ResolvedRequest& request,
                                          const SweepService* service);
 
-/// Prices one raw input line: classify_line() plus estimate_cost(). The
-/// daemon's admission prices the request it already classified instead;
-/// this wrapper serves callers holding only the line's bytes. Lines that
-/// do not classify as scenario requests (pings, stats, blanks, invalid
-/// lines) report scenario=false — they answer in microseconds, so
-/// schedulers give them a nominal cost and always admit them
-/// (observability must keep working under overload). The third argument
-/// is unused: deadlines are read from the classified request.
+/// Prices one raw input line: classify_line() plus estimate_cost(), a
+/// forward for callers holding only the line's bytes (the benchmark
+/// package's tracer); the daemon prices the request it already
+/// classified. Lines that do not classify as scenario requests (pings,
+/// stats, blanks, invalid lines) report scenario=false — they answer in
+/// microseconds, so schedulers give them a nominal cost and always admit
+/// them (observability must keep working under overload). The third
+/// argument is unused: deadlines are read from the classified request.
 struct LineCost {
   bool scenario = false;  ///< classified as a valid scenario request
   CostEstimate estimate;  ///< meaningful only when scenario

@@ -72,7 +72,7 @@ class JsonlSession final : public LineSession {
 
   /// Everything sweep_server --check needs about one served request.
   struct Outcome {
-    ScenarioRequest request;
+    ResolvedRequest request;
     SubmitResult result;
     std::vector<core::SweepCell> cells;  ///< filled when options.collect
   };
@@ -89,7 +89,7 @@ class JsonlSession final : public LineSession {
 
  private:
   std::string stats_answer(const std::string& id) override;
-  void serve_scenario(ScenarioRequest& request) override;
+  void serve_scenario(ResolvedRequest& resolved) override;
 
   SweepService& service_;
   Options options_;

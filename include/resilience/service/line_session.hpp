@@ -35,8 +35,9 @@ struct RequestLine {
   Kind kind = Kind::kSkip;
   /// Response id of a ping, stats or invalid line ("line-N" by default).
   std::string id;
-  /// kScenario: the validated request, its id defaulted to "line-N".
-  ScenarioRequest request;
+  /// kScenario: the request resolved, signed and chained once (its id
+  /// defaulted to "line-N"); every later stage reads it.
+  ResolvedRequest scenario;
   /// kInvalid: the offending field path ("" when none) and the message.
   std::string field;
   std::string message;
@@ -101,7 +102,7 @@ class LineSession {
 
   [[nodiscard]] virtual std::string stats_answer(const std::string& id) = 0;
   /// Executes one scenario request, emitting its whole response.
-  virtual void serve_scenario(ScenarioRequest& request) = 0;
+  virtual void serve_scenario(ResolvedRequest& request) = 0;
 
  private:
   LineFn emit_;

@@ -29,6 +29,7 @@
 //            "weibull_shape": [1.0, 0.7],  // extra grid axes the analytic
 //            "faulty_ops": [1.0, 0.0]}}    //   path cannot express
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -39,6 +40,16 @@
 #include "resilience/util/json.hpp"
 
 namespace resilience::service {
+
+/// The most cells (points x families x the two sim axes) one request may
+/// ask for. Grids are resolved on the daemon's event-loop thread before
+/// admission can weigh them, and request bytes are untrusted: a 16 KB
+/// line of 600 x 600 axis entries resolves 360,000 points, four 2^16-entry
+/// axes in 1 MB ask for 2^64. The project's own grids (the paper's
+/// figures, the smokes, perfbench, bench_micro's deadline grid, which
+/// grows with machine speed) stay at a few hundred cells, so 2^16 leaves
+/// two orders of magnitude; a bigger campaign splits into requests.
+inline constexpr std::size_t kMaxRequestCells = std::size_t{1} << 16;
 
 /// A request that failed validation. `field` is the JSON path of the
 /// offending value ("" when the problem is not tied to one field).
@@ -108,7 +119,8 @@ struct ScenarioRequest {
   /// `simulate` is true (the `sim` field is rejected otherwise).
   SimParams sim;
 
-  /// Parses and validates a request object; throws RequestError.
+  /// Parses and validates a request object (its grid included, which
+  /// takes resolving it); throws RequestError.
   static ScenarioRequest from_json(const util::JsonValue& json);
   /// Parses request text (one JSON object); JSON syntax errors are
   /// rethrown as RequestError with field "".
@@ -117,5 +129,31 @@ struct ScenarioRequest {
   /// Re-serialization (catalog platforms are inlined); used by docs/tests.
   [[nodiscard]] util::JsonValue to_json() const;
 };
+
+/// A request with everything derived from it computed once, at
+/// classification: the admission price, the session, the reuse ladder
+/// and the router's plan read these fields instead of re-deriving them.
+struct ResolvedRequest {
+  ScenarioRequest request;
+  std::vector<core::ScenarioPoint> points;  ///< resolve_points(request.grid)
+  std::vector<core::PatternKind> kinds;     ///< grid.resolved_kinds()
+  /// The default sweep options plus the request's numeric_optimum: what
+  /// every service runs, so a router and its shards sign alike.
+  core::SweepOptions sweep;
+  /// grid_signature under `sweep`, or sim_signature for a simulate one.
+  core::GridSignature signature;
+  /// grid_chains under `sweep`: routing keys and the seed tier's index.
+  std::vector<core::GridChain> chains;
+
+  /// Heap bytes of the derived fields: what a request parked in a
+  /// connection's backlog holds beyond its line.
+  [[nodiscard]] std::size_t resolved_bytes() const noexcept;
+};
+
+/// The one resolve: validates `request` and derives the other fields.
+/// Throws RequestError like from_json.
+[[nodiscard]] ResolvedRequest resolve_request(ScenarioRequest request);
+/// Parses a request object and resolves it, the grid once.
+[[nodiscard]] ResolvedRequest resolve_request(const util::JsonValue& json);
 
 }  // namespace resilience::service

@@ -80,17 +80,6 @@ struct SimTable {
     const std::vector<core::ScenarioPoint>& points,
     const std::vector<core::PatternKind>& kinds, const SimParams& params);
 
-/// The one rule for a request's signature: sim_signature over the sim
-/// block for a simulate request; otherwise grid_signature under `sweep`
-/// with the request's numeric_optimum applied. `points` and `kinds` are
-/// the request's grid resolved (core::resolve_points, resolved_kinds).
-/// SweepService passes its sweep options, the router the defaults its
-/// shards run.
-[[nodiscard]] core::GridSignature request_signature(
-    const ScenarioRequest& request,
-    const std::vector<core::ScenarioPoint>& points,
-    const std::vector<core::PatternKind>& kinds, core::SweepOptions sweep);
-
 /// RNG stream key of one cell: a pure function of the request seed and
 /// the cell's fully resolved content (family, point parameters by bit
 /// pattern, shape, ops) — NOT of the cell's position in any particular

@@ -37,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "resilience/core/sweep.hpp"
 #include "resilience/service/scenario_request.hpp"
@@ -45,11 +46,15 @@
 
 namespace resilience::service {
 
+/// How a service runs; nothing here can change a result: every request
+/// runs under its own ResolvedRequest::sweep, so daemons and shards sign
+/// a request alike.
 struct ServiceOptions {
-  /// Execution options for cache misses. The pool/warm-start/seed fields
-  /// do not enter the grid signature (they cannot change results). The
-  /// pool also runs every simulate campaign.
-  core::SweepOptions sweep;
+  struct {
+    /// Pool the sweep chains and the simulate campaigns fan out across
+    /// (nullptr = the global pool).
+    util::ThreadPool* pool = nullptr;
+  } sweep;
   /// LRU capacity in tables, analytic and simulate together; 0 disables
   /// caching (every submit computes).
   std::size_t cache_capacity = 64;
@@ -126,13 +131,13 @@ class SweepService {
  public:
   explicit SweepService(ServiceOptions options = {});
 
-  /// Serves a parsed analytic request; request.numeric_optimum overrides
-  /// the service-level sweep option (and participates in the signature).
-  /// Throws std::invalid_argument on a "mode": "simulate" request. When
-  /// `sink` is non-null every cell of the result is delivered exactly
-  /// once: live from the runner on a compute, replayed in table order on
-  /// a cache hit or in-flight join. submit() is safe to call from
-  /// multiple threads (but not from inside a pool task).
+  /// Serves a resolved analytic request under request.sweep and
+  /// request.signature. Throws std::invalid_argument on a "mode":
+  /// "simulate" request. When `sink` is non-null every cell of the result
+  /// is delivered exactly once: live from the runner on a compute,
+  /// replayed in table order on a cache hit or in-flight join. submit()
+  /// is safe to call from multiple threads (but not from inside a pool
+  /// task).
   ///
   /// `cancel` is polled at cell granularity on every path (compute and
   /// replay) and while waiting on a leader; when it fires, submit throws
@@ -141,27 +146,40 @@ class SweepService {
   /// caller's token does not fail: the joiner transparently retries
   /// (re-checking the cache, possibly becoming the new leader under its
   /// own token).
-  SubmitResult submit(const ScenarioRequest& request,
+  SubmitResult submit(const ResolvedRequest& request,
                       core::CellSink* sink = nullptr,
                       core::CancelToken cancel = {});
 
-  /// Grid-level variant using the service's sweep options as-is.
-  SubmitResult submit(const core::ScenarioGrid& grid,
-                      core::CellSink* sink = nullptr,
-                      core::CancelToken cancel = {});
-
-  /// Serves a parsed "mode": "simulate" request through the same ladder,
-  /// with the same cancellation and thread-safety contract as submit();
-  /// throws std::invalid_argument on an analytic request.
-  SimSubmitResult simulate(const ScenarioRequest& request,
+  /// Serves a resolved "mode": "simulate" request through the same
+  /// ladder, with the same cancellation and thread-safety contract as
+  /// submit(); throws std::invalid_argument on an analytic request.
+  SimSubmitResult simulate(const ResolvedRequest& request,
                            const SimCellFn& sink = nullptr,
                            core::CancelToken cancel = {});
 
-  /// The signature submit(request) or simulate(request) will use (see
-  /// request_signature). Lets front-ends build per-request sinks before
-  /// submitting.
+  /// Forwards for callers holding an unresolved request or a bare grid
+  /// (tests, benchmarks); the serving paths pass the resolved request.
+  SubmitResult submit(const ScenarioRequest& request,
+                      core::CellSink* sink = nullptr,
+                      core::CancelToken cancel = {}) {
+    return submit(resolve_request(request), sink, std::move(cancel));
+  }
+  SubmitResult submit(const core::ScenarioGrid& grid,
+                      core::CellSink* sink = nullptr,
+                      core::CancelToken cancel = {}) {
+    ScenarioRequest request;
+    request.grid = grid;
+    return submit(request, sink, std::move(cancel));
+  }
+  SimSubmitResult simulate(const ScenarioRequest& request,
+                           const SimCellFn& sink = nullptr,
+                           core::CancelToken cancel = {}) {
+    return simulate(resolve_request(request), sink, std::move(cancel));
+  }
   [[nodiscard]] core::GridSignature signature_for(
-      const ScenarioRequest& request) const;
+      const ScenarioRequest& request) const {
+    return resolve_request(request).signature;
+  }
 
   [[nodiscard]] const ServiceOptions& options() const noexcept {
     return options_;
@@ -196,18 +214,15 @@ class SweepService {
     std::atomic<std::uint64_t> disk_hits{0};
   };
 
-  /// The one reuse ladder (top of this file). Per mode: `matches` is the
-  /// collision guard, `compute(lead)` the compute step (lead is false for
-  /// an unpublished collision recompute), `deliver` a replay's per-cell
-  /// sink, `chains` what the published table indexes for the seed tier.
-  template <class Table, class Matches, class Compute, class Deliver,
-            class Chains>
-  BasicSubmitResult<Table> climb(core::GridSignature signature,
-                                 const core::SweepOptions& sweep,
+  /// The one reuse ladder (top of this file) for `request`'s table.
+  /// Per mode: `compute(lead)` is the compute step (lead is false for an
+  /// unpublished collision recompute) and `deliver` a replay's per-cell
+  /// sink.
+  template <class Table, class Compute, class Deliver>
+  BasicSubmitResult<Table> climb(const ResolvedRequest& request,
                                  ModeCounters& counters,
-                                 const Matches& matches,
                                  const Compute& compute,
-                                 const Deliver& deliver, const Chains& chains,
+                                 const Deliver& deliver,
                                  const core::CancelToken& cancel);
 
   ServiceOptions options_;

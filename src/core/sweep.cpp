@@ -20,6 +20,16 @@ std::size_t axis_size(std::size_t declared) noexcept {
   return declared == 0 ? 1 : declared;
 }
 
+/// a * b, or std::length_error when the product does not fit: axis
+/// lengths come from request bytes, and four axes of 2^16 entries wrap a
+/// 64-bit product to 0.
+std::size_t checked_product(std::size_t a, std::size_t b) {
+  if (b != 0 && a > std::numeric_limits<std::size_t>::max() / b) {
+    throw std::length_error("ScenarioGrid: the grid size overflows");
+  }
+  return a * b;
+}
+
 std::string axis_error(const char* axis, std::size_t index,
                        const std::string& what) {
   return "ScenarioGrid." + std::string(axis) + "[" + std::to_string(index) +
@@ -86,13 +96,16 @@ bool parse_hex64(std::string_view text, std::uint64_t& out) {
 
 }  // namespace
 
-std::size_t ScenarioGrid::point_count() const noexcept {
-  return platforms.size() * axis_size(node_counts.size()) *
-         axis_size(rate_factors.size()) * axis_size(cost_overrides.size());
+std::size_t ScenarioGrid::point_count() const {
+  return checked_product(
+      checked_product(checked_product(platforms.size(),
+                                      axis_size(node_counts.size())),
+                      axis_size(rate_factors.size())),
+      axis_size(cost_overrides.size()));
 }
 
 std::size_t ScenarioGrid::cell_count() const {
-  return point_count() * resolved_kinds().size();
+  return checked_product(point_count(), resolved_kinds().size());
 }
 
 std::vector<PatternKind> ScenarioGrid::resolved_kinds() const {
@@ -137,7 +150,7 @@ std::vector<ScenarioPoint> resolve_points(const ScenarioGrid& grid) {
   const std::size_t costs_n = axis_size(grid.cost_overrides.size());
 
   std::vector<ScenarioPoint> points;
-  points.reserve(grid.platforms.size() * nodes_n * rates_n * costs_n);
+  points.reserve(grid.point_count());
   for (std::size_t ip = 0; ip < grid.platforms.size(); ++ip) {
     for (std::size_t in = 0; in < nodes_n; ++in) {
       for (std::size_t ir = 0; ir < rates_n; ++ir) {

@@ -4,7 +4,9 @@
 #include <array>
 #include <chrono>
 #include <exception>
+#include <numeric>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -21,93 +23,335 @@ std::string default_shard_id(const ShardConfig& config) {
   return config.host + ":" + std::to_string(config.port);
 }
 
-/// Index of `value` in a simulate axis, -1 when absent. Exact double
-/// comparison is correct here: canonical JSON round-trips doubles
-/// bit-exactly, so a shard's cell echoes the very axis values the
-/// router's sub-request carried.
-int axis_index(const std::vector<double>& axis, double value) {
-  for (std::size_t i = 0; i < axis.size(); ++i) {
-    if (axis[i] == value) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-/// Where sub-response cells land in the merged table. A unit's sub-grid
-/// keeps the parent's node and rate axes (and the simulate axes), so a
-/// cell keeps its family and axis values and only its point index moves:
-/// sub point s of unit (platform p, cost override c) is parent point
-/// (p * chain_len + s) * costs_n + c. A cell's analytic slot is parent
-/// point * families + family slot; a simulate cell's slot is that times
-/// (shapes x ops), plus its (shape, ops) offset.
-struct MergeLayout {
-  std::size_t chain_len = 1;        ///< points per unit: nodes x rates
-  std::size_t costs_n = 1;          ///< cost-override axis length
-  std::size_t kinds_n = 1;          ///< families in the parent grid
-  std::size_t cells_per_point = 1;  ///< shapes x ops; 1 for analytic
-  std::array<int, core::kPatternKindCount> kind_slot{};  ///< -1 = absent
-  const service::SimParams* sim = nullptr;  ///< the axes; null for analytic
+/// One sub-request: chains with one owning shard, platform and cost
+/// override. The shard runs the unit's families as one grid on its own
+/// pool while the router runs shards in parallel.
+struct Unit {
+  std::size_t platform_index = 0;
+  std::size_t cost_index = 0;
+  std::vector<std::size_t> chain_indices;  ///< into the request's chains
 };
+/// One dispatch round's units for one shard (by id).
+using ShardUnits = std::pair<std::string, std::vector<Unit>>;
 
-MergeLayout merge_layout(const service::ScenarioRequest& request,
-                         const std::vector<core::PatternKind>& kinds) {
-  const core::ScenarioGrid& grid = request.grid;
-  MergeLayout layout;
-  layout.chain_len = std::max<std::size_t>(1, grid.node_counts.size()) *
-                     std::max<std::size_t>(1, grid.rate_factors.size());
-  layout.costs_n = std::max<std::size_t>(1, grid.cost_overrides.size());
-  layout.kinds_n = kinds.size();
-  layout.kind_slot.fill(-1);
-  for (std::size_t k = 0; k < kinds.size(); ++k) {
-    layout.kind_slot[static_cast<std::size_t>(kinds[k])] = static_cast<int>(k);
+/// Plan: routes the pending chains through the current ring and groups
+/// them into units — shards in configuration order, units in first-seen
+/// chain order. nullopt when a chain has no live owner.
+std::optional<std::vector<ShardUnits>> plan(
+    const ShardFleet& fleet, const std::vector<core::GridChain>& chains,
+    const std::vector<std::size_t>& pending) {
+  std::vector<ShardUnits> work;
+  for (const std::string& id : fleet.shard_ids()) {
+    work.emplace_back(id, std::vector<Unit>());
   }
-  if (request.simulate) {
-    layout.cells_per_point =
-        request.sim.weibull_shape.size() * request.sim.faulty_ops.size();
-    layout.sim = &request.sim;
+  for (const std::size_t index : pending) {
+    const core::GridChain& chain = chains[index];
+    const std::optional<std::string> owner = fleet.route(chain.key.value);
+    const auto shard = std::find_if(work.begin(), work.end(), [&](auto& w) {
+      return owner == w.first;
+    });
+    if (shard == work.end()) {
+      return std::nullopt;
+    }
+    std::vector<Unit>& units = shard->second;
+    auto unit = std::find_if(units.begin(), units.end(), [&](auto& u) {
+      return u.platform_index == chain.platform_index &&
+             u.cost_index == chain.cost_index;
+    });
+    if (unit == units.end()) {
+      unit = units.insert(units.end(),
+                          Unit{chain.platform_index, chain.cost_index, {}});
+    }
+    unit->chain_indices.push_back(index);
   }
-  return layout;
+  std::erase_if(work, [](const ShardUnits& w) { return w.second.empty(); });
+  return work;
 }
 
-/// (shape, ops) offset of a cell inside its (point, family) slot; -1 when
-/// an echoed axis value is not on the parent's axes.
-int axis_offset(const core::SweepCell&, const MergeLayout&) { return 0; }
-int axis_offset(const service::SimCell& cell, const MergeLayout& layout) {
-  const int shape = axis_index(layout.sim->weibull_shape, cell.weibull_shape);
-  const int ops = axis_index(layout.sim->faulty_ops, cell.faulty_ops);
-  return shape < 0 || ops < 0
-             ? -1
-             : shape * static_cast<int>(layout.sim->faulty_ops.size()) + ops;
+/// The unit's sub-request: the parent request with its grid restricted
+/// to one platform and one cost override, families = the unit's chains.
+/// Everything else travels verbatim: the simulate mode and every sim
+/// field (budgets AND axes, all result-affecting), the deadline, and the
+/// stats opt-in. The explicit id survives resilient retries onto fresh
+/// connections (where default line numbering restarts) and never reaches
+/// the merged output.
+service::ScenarioRequest sub_request(const service::ResolvedRequest& parent,
+                                     const Unit& unit) {
+  const core::ScenarioGrid& grid = parent.request.grid;
+  service::ScenarioRequest sub = parent.request;
+  sub.grid.platforms = {grid.platforms[unit.platform_index]};
+  if (!grid.cost_overrides.empty()) {
+    sub.grid.cost_overrides = {grid.cost_overrides[unit.cost_index]};
+  }
+  sub.grid.kinds.clear();
+  for (const std::size_t index : unit.chain_indices) {
+    sub.grid.kinds.push_back(parent.chains[index].kind);
+  }
+  sub.id = parent.request.id + "#" +
+           parent.chains[unit.chain_indices.front()].key.hex();
+  return sub;
 }
 
-/// The merge of one unit's sub-response into the parent table, both
-/// modes: renumbers each cell's point and stores it in its slot. A
-/// replayed unit simply overwrites identical content. False when a cell
-/// lies outside the unit's sub-grid.
-template <class Cell>
-bool merge_unit_cells(std::vector<Cell>& cells, std::size_t platform_index,
-                      std::size_t cost_index, const MergeLayout& layout,
-                      std::vector<Cell>& merged,
-                      std::vector<unsigned char>& filled) {
-  for (Cell& cell : cells) {
-    const int slot = layout.kind_slot[static_cast<std::size_t>(cell.kind)];
-    const int offset = axis_offset(cell, layout);
-    if (cell.point_index >= layout.chain_len || slot < 0 || offset < 0) {
+ResilientClientOptions shard_client_options(const RouterOptions& options,
+                                            const ShardConfig& config) {
+  ResilientClientOptions client;
+  client.host = config.host;
+  client.port = config.port;
+  client.connect_timeout_ms = options.connect_timeout_ms;
+  client.receive_timeout_ms = options.receive_timeout_ms;
+  client.max_attempts = std::max(1, options.attempts_per_shard);
+  client.backoff_initial_ms = options.backoff_initial_ms;
+  client.backoff_max_ms = options.backoff_max_ms;
+  client.jitter_seed = options.jitter_seed;
+  // A busy shard's retry_after_ms is honored, but capped low: the router
+  // holds whole rounds of work while one client waits.
+  client.retry_after_cap_ms = std::max(1, options.overload_backoff_cap_ms);
+  return client;
+}
+
+std::string string_member(const util::JsonValue& json, const char* key,
+                          const char* fallback) {
+  const util::JsonValue* value = json.find(key);
+  return value != nullptr && value->is_string() ? value->as_string()
+                                                : fallback;
+}
+
+/// One routed request's merge, both modes: the parent table every unit's
+/// cells land in, and the state its dispatch threads share.
+///
+/// A unit's sub-grid keeps the parent's node and rate axes (and the sim
+/// axes), so a cell keeps its family and axis values and only its point
+/// index moves: sub point s of unit (platform p, cost override c) is
+/// parent point (p * chain_len + s) * costs_n + c. Its slot is (point *
+/// families + family slot) * cells_per_point + its (shape, ops) offset.
+template <class Table>
+struct Merge {
+  using Cell = typename decltype(Table::cells)::value_type;
+  static constexpr bool kSimulate = std::is_same_v<Table, service::SimTable>;
+
+  explicit Merge(service::ResolvedRequest& request)
+      : sim(request.request.sim), chains(request.chains) {
+    const core::ScenarioGrid& grid = request.request.grid;
+    chain_len = std::max<std::size_t>(1, grid.node_counts.size()) *
+                std::max<std::size_t>(1, grid.rate_factors.size());
+    costs_n = std::max<std::size_t>(1, grid.cost_overrides.size());
+    if constexpr (kSimulate) {
+      cells_per_point = sim.weibull_shape.size() * sim.faulty_ops.size();
+      table.params = sim;
+    }
+    table.points = std::move(request.points);  // only their count is sent
+    table.kinds = request.kinds;
+    for (std::size_t k = 0; k < table.kinds.size(); ++k) {
+      kind_slot[static_cast<std::size_t>(table.kinds[k])] = k;
+    }
+    table.cells.resize(table.points.size() * table.kinds.size() *
+                       cells_per_point);
+    placed.resize(table.cells.size());
+  }
+
+  /// Merges one unit's answer. False, leaving the table as it was, when
+  /// the answer is malformed: a line that is not a cell, done or error
+  /// line, a line signed other than `signature`, or cells that do not
+  /// fill the unit's slots exactly once each. A shard's own error line
+  /// (deadline, engine failure) is kept as the request's error.
+  bool add(const Unit& unit, const std::string& shard,
+           const std::vector<std::string>& lines,
+           core::GridSignature signature) {
+    std::vector<Cell> cells;
+    bool done = false;
+    bool cache_hit = false;
+    bool joined = false;
+    std::optional<util::JsonValue> stats;
+    std::optional<std::pair<std::string, std::string>> shard_error;
+    try {
+      for (const std::string& line : lines) {
+        const util::JsonValue json = util::JsonValue::parse(line);
+        const std::string type = string_member(json, "type", "");
+        if (type == "error") {
+          shard_error.emplace(string_member(json, "field", ""),
+                              string_member(json, "message", "shard error"));
+          continue;
+        }
+        const util::JsonValue* signed_as = json.find("signature");
+        if ((type != "cell" && type != "done") || signed_as == nullptr ||
+            signed_as->as_string() != signature.hex()) {
+          return false;
+        }
+        if (type == "cell") {
+          if constexpr (kSimulate) {
+            cells.push_back(service::sim_cell_from_json(json));
+          } else {
+            cells.push_back(service::cell_from_json(json));
+          }
+        } else {
+          const util::JsonValue* hit = json.find("cache_hit");
+          const util::JsonValue* join = json.find("joined_in_flight");
+          cache_hit = hit != nullptr && hit->as_bool();
+          joined = join != nullptr && join->as_bool();
+          if (const util::JsonValue* block = json.find("stats")) {
+            stats = *block;
+          }
+          done = true;
+        }
+      }
+    } catch (const std::exception&) {
       return false;
     }
-    cell.point_index =
-        (platform_index * layout.chain_len + cell.point_index) *
-            layout.costs_n +
-        cost_index;
-    const std::size_t position =
-        (cell.point_index * layout.kinds_n + static_cast<std::size_t>(slot)) *
-            layout.cells_per_point +
-        static_cast<std::size_t>(offset);
-    merged[position] = cell;
-    filled[position] = 1;
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (shard_error) {
+      if (!error) {
+        error = std::move(shard_error);
+      }
+      return true;
+    }
+    if (!done || !place(unit, cells)) {
+      return false;
+    }
+    all_cache_hit = all_cache_hit && cache_hit;
+    all_joined = all_joined && joined;
+    if (stats) {
+      shard_stats[shard] = std::move(*stats);
+    }
+    return true;
   }
-  return true;
+
+  /// Stores the unit's cells in their parent slots, renumbered; false,
+  /// storing nothing, unless they fill the unit's slots exactly once.
+  bool place(const Unit& unit, std::vector<Cell>& cells) {
+    if (cells.size() !=
+        chain_len * cells_per_point * unit.chain_indices.size()) {
+      return false;
+    }
+    unsigned unit_kinds = 0;  // bit k: family k is one of the unit's chains
+    for (const std::size_t index : unit.chain_indices) {
+      unit_kinds |= 1u << static_cast<unsigned>(chains[index].kind);
+    }
+    ++epoch;
+    std::vector<std::size_t> slots;
+    slots.reserve(cells.size());
+    for (Cell& cell : cells) {
+      const auto kind = static_cast<std::size_t>(cell.kind);
+      if (cell.point_index >= chain_len || ((unit_kinds >> kind) & 1u) == 0) {
+        return false;
+      }
+      cell.point_index =
+          (unit.platform_index * chain_len + cell.point_index) * costs_n +
+          unit.cost_index;
+      std::size_t offset = 0;
+      if constexpr (kSimulate) {
+        // Exact comparison: canonical JSON round-trips doubles, so a
+        // shard echoes the very axis values its sub-request carried.
+        const auto& shapes = sim.weibull_shape;
+        const auto& ops = sim.faulty_ops;
+        const auto shape = std::find(shapes.begin(), shapes.end(),
+                                     cell.weibull_shape) - shapes.begin();
+        const auto op = std::find(ops.begin(), ops.end(), cell.faulty_ops) -
+                        ops.begin();
+        if (shape == std::ssize(shapes) || op == std::ssize(ops)) {
+          return false;
+        }
+        offset = static_cast<std::size_t>(shape) * ops.size() +
+                 static_cast<std::size_t>(op);
+      }
+      const std::size_t slot =
+          (cell.point_index * table.kinds.size() + kind_slot[kind]) *
+              cells_per_point +
+          offset;
+      if (placed[slot] == epoch) {
+        return false;  // a slot twice
+      }
+      placed[slot] = epoch;
+      slots.push_back(slot);
+    }
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      table.cells[slots[i]] = cells[i];
+    }
+    return true;
+  }
+
+  const service::SimParams& sim;
+  const std::vector<core::GridChain>& chains;
+  std::size_t chain_len = 1;        ///< points per unit: nodes x rates
+  std::size_t costs_n = 1;          ///< cost-override axis length
+  std::size_t cells_per_point = 1;  ///< shapes x ops; 1 for analytic
+  /// Family -> column in the parent table (families it has only).
+  std::array<std::size_t, core::kPatternKindCount> kind_slot{};
+  Table table;
+
+  std::mutex mutex;  ///< guards `table` and everything below
+  std::vector<std::uint32_t> placed;  ///< per slot: the place() that filled it
+  std::uint32_t epoch = 0;            ///< place() calls so far
+  std::vector<std::size_t> pending;  ///< chains for the next round
+  bool round_overload = false;       ///< some unit was shed this round
+  std::int64_t overload_hint_ms = 0; ///< largest retry_after_ms seen
+  std::optional<std::pair<std::string, std::string>> error;  ///< field, message
+  bool all_cache_hit = true;
+  bool all_joined = true;
+  /// Per-shard "stats" blocks from sub-response done lines. A block is a
+  /// service-GLOBAL snapshot, so the latest one wins — summing across
+  /// units or replay rounds would double-count.
+  std::unordered_map<std::string, util::JsonValue> shard_stats;
+};
+
+/// Dispatch: sends one shard its units, one sub-request each, and merges
+/// the answers. A lost or malformed answer marks the shard down and puts
+/// its unmerged chains back in pending for the survivors; an overloaded
+/// one puts back only that unit's chains and keeps the shard up.
+template <class Table>
+void dispatch(ShardFleet& fleet, const service::ResolvedRequest& request,
+              const ShardUnits& work, Merge<Table>& merge) {
+  const std::string& shard = work.first;
+  const std::optional<ShardConfig> config = fleet.config(shard);
+  ResilientClient client(
+      shard_client_options(fleet.options(), config.value_or(ShardConfig())));
+  bool dead = !config;
+  std::vector<std::size_t> leftover;
+  for (const Unit& unit : work.second) {
+    const auto requeue = [&unit](std::vector<std::size_t>& into) {
+      into.insert(into.end(), unit.chain_indices.begin(),
+                  unit.chain_indices.end());
+    };
+    if (dead) {
+      requeue(leftover);
+      continue;
+    }
+    const service::ScenarioRequest sub = sub_request(request, unit);
+    Client::Response response;
+    try {
+      response = client.transact(sub.to_json().dump());
+    } catch (const std::exception&) {
+      // Lost: response stays incomplete.
+    }
+    std::int64_t hint_ms = 0;
+    if (is_overloaded_response(response, &hint_ms)) {
+      fleet.note_shed(shard);
+      const std::lock_guard<std::mutex> lock(merge.mutex);
+      merge.round_overload = true;
+      merge.overload_hint_ms = std::max(merge.overload_hint_ms, hint_ms);
+      requeue(merge.pending);
+      continue;
+    }
+    if (response.complete) {
+      fleet.note_request(shard);
+    }
+    // The shard must sign as the router does; another signature means
+    // other result-affecting options, and wrong bytes must not merge.
+    if (!response.complete ||
+        !merge.add(unit, shard, response.lines,
+                   service::resolve_request(sub).signature)) {
+      fleet.note_failure(shard);
+      dead = true;
+      requeue(leftover);
+    }
+  }
+  if (dead) {
+    if (fleet.mark_down(shard)) {
+      fleet.note_failover();
+    }
+    const std::lock_guard<std::mutex> lock(merge.mutex);
+    merge.pending.insert(merge.pending.end(), leftover.begin(),
+                         leftover.end());
+  }
 }
 
 }  // namespace
@@ -173,15 +417,11 @@ void ShardFleet::probe_round() {
     }
   }
   for (const ShardConfig& config : configs) {
-    ResilientClientOptions probe_options;
-    probe_options.host = config.host;
-    probe_options.port = config.port;
-    probe_options.connect_timeout_ms = options_.connect_timeout_ms;
-    probe_options.receive_timeout_ms = options_.receive_timeout_ms;
+    ResilientClientOptions probe_options =
+        shard_client_options(options_, config);
     probe_options.max_attempts = 1;
     probe_options.backoff_initial_ms = 1;
     probe_options.backoff_max_ms = 1;
-    probe_options.jitter_seed = options_.jitter_seed;
     ResilientClient prober(probe_options);
     const bool alive = prober.ping();
     {
@@ -254,12 +494,6 @@ bool ShardFleet::mark_up(const std::string& id) {
   ring_.add(id);
   ++counters_.rebalances;
   return true;
-}
-
-bool ShardFleet::is_up(const std::string& id) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Shard* shard = find_locked(id);
-  return shard != nullptr && shard->up;
 }
 
 std::size_t ShardFleet::up_count() const {
@@ -368,11 +602,8 @@ util::JsonValue ShardFleet::collect_shard_stats() {
   std::size_t reporting = 0;
   util::JsonValue merged = util::JsonValue::object();
   for (const ShardConfig& config : up_configs) {
-    ResilientClientOptions client_options;
-    client_options.host = config.host;
-    client_options.port = config.port;
-    client_options.connect_timeout_ms = options_.connect_timeout_ms;
-    client_options.receive_timeout_ms = options_.receive_timeout_ms;
+    ResilientClientOptions client_options =
+        shard_client_options(options_, config);
     client_options.max_attempts = 1;  // a stats miss is not worth a retry
     client_options.probe_on_connect = false;
     ResilientClient client(client_options);
@@ -435,74 +666,24 @@ std::string RouterSession::stats_answer(const std::string& id) {
   return stats.dump();
 }
 
-void RouterSession::serve_scenario(service::ScenarioRequest& request) {
-  const core::ScenarioGrid& grid = request.grid;
-  // The shards run default sweep options, so signatures (request_signature
-  // under default options) and chain keys (grid_chains with the request's
-  // numeric_optimum applied) computed here match theirs.
-  core::SweepOptions sweep;
-  sweep.numeric_optimum = request.numeric_optimum;
-
-  std::vector<core::ScenarioPoint> points = core::resolve_points(grid);
-  const std::vector<core::PatternKind> kinds = grid.resolved_kinds();
+void RouterSession::serve_scenario(service::ResolvedRequest& request) {
   // Simulate requests shard exactly like analytic ones — by grid chains
-  // — but identify and merge as a SimTable: per-cell RNG streams are
-  // content-addressed (sim_cell_seed), so a shard computing one slice
-  // emits the same cell bytes a whole-grid compute would.
-  const core::GridSignature signature =
-      service::request_signature(request, points, kinds, {});
-  const std::vector<core::GridChain> chains = core::grid_chains(grid, sweep);
-
-  // The merged result is assembled into a full parent table — an
-  // analytic SweepTable or a SimTable spanning the two extra sim axes:
-  // replayed cells after a failover simply overwrite identical content,
-  // so at-least-once dispatch can never duplicate (or drop) a response
-  // line. Emission happens once, at the end, in table order — the same
-  // deterministic order a warm cache-hit replay streams.
-  const MergeLayout layout = merge_layout(request, kinds);
-  core::SweepTable table;
-  service::SimTable sim_table;
-  if (request.simulate) {
-    sim_table.points = std::move(points);
-    sim_table.kinds = kinds;
-    sim_table.params = request.sim;
-    sim_table.cells.assign(sim_table.cell_count(), service::SimCell{});
+  // — but merge as a SimTable: per-cell RNG streams are content-addressed
+  // (sim_cell_seed), so a shard computing one slice emits the same cell
+  // bytes a whole-grid compute would.
+  if (request.request.simulate) {
+    route<service::SimTable>(request);
   } else {
-    table.points = std::move(points);
-    table.kinds = kinds;
-    table.cells.assign(table.points.size() * kinds.size(), core::SweepCell{});
+    route<core::SweepTable>(request);
   }
-  std::vector<unsigned char> filled(
-      request.simulate ? sim_table.cells.size() : table.cells.size(), 0);
+}
 
-  // Work units: chains grouped by (owning shard, platform, cost
-  // override) — one sub-request per unit, so a shard parallelizes the
-  // unit's families across its own pool while the router parallelizes
-  // across shards.
-  struct Unit {
-    std::size_t platform_index = 0;
-    std::size_t cost_index = 0;
-    std::vector<std::size_t> chain_indices;  ///< into `chains`
-  };
-
-  std::mutex merge_mutex;
-  bool any_error = false;
-  std::string error_field;
-  std::string error_message;
-  bool all_cache_hit = true;
-  bool all_joined = true;
-  /// Per-shard "stats" blocks harvested from sub-response done lines
-  /// (only when the parent asked for stats). A shard's block is a
-  /// service-GLOBAL snapshot, so the latest one seen wins — summing
-  /// across units or replay rounds would double-count.
-  std::unordered_map<std::string, util::JsonValue> shard_stats;
-  bool round_overload = false;       ///< some unit was shed this round
-  std::int64_t overload_hint_ms = 0; ///< largest retry_after_ms seen
-
-  std::vector<std::size_t> pending(chains.size());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    pending[i] = i;
-  }
+template <class Table>
+void RouterSession::route(service::ResolvedRequest& request) {
+  const std::string& id = request.request.id;
+  Merge<Table> merge(request);
+  merge.pending.resize(request.chains.size());
+  std::iota(merge.pending.begin(), merge.pending.end(), std::size_t{0});
 
   const RouterOptions& options = fleet_.options();
   // Every non-overload round either finishes or removes at least one
@@ -510,375 +691,101 @@ void RouterSession::serve_scenario(service::ScenarioRequest& request) {
   // with rejoins racing; overload rounds (busy shard, ring unchanged)
   // have their own budget on top.
   const int max_rounds = static_cast<int>(options.shards.size()) + 2;
-  const int max_overload_rounds = std::max(0, options.overload_rounds);
   int round = 0;
-  int overload_rounds_used = 0;
-
-  while (!pending.empty() && !any_error) {
+  int overload_rounds = 0;
+  while (!merge.pending.empty() && !merge.error) {
     if (cancelled()) {
       return;  // client is gone: stop dispatching on its behalf
     }
-    ++round;
-    if (round > 1) {
-      fleet_.note_replays(pending.size());
+    if (++round > 1) {
+      fleet_.note_replays(merge.pending.size());
     }
-    round_overload = false;
-
-    // Route every pending chain through the current ring. An exhausted
-    // round budget answers like an empty ring: a located error, never a
-    // hang (a shard flapping up and down forever is indistinguishable
-    // from one that is down).
-    std::unordered_map<std::string, std::vector<std::size_t>> by_shard;
-    for (const std::size_t chain_index : pending) {
-      const std::optional<std::string> owner =
-          round - overload_rounds_used > max_rounds
-              ? std::optional<std::string>()
-              : fleet_.route(chains[chain_index].key.value);
-      if (!owner) {
-        fail(service::error_line(
-            request.id, "shards",
-            "no shard available: " + std::to_string(options.shards.size()) +
-                " configured shard(s), " + std::to_string(fleet_.up_count()) +
-                " up"));
-        return;
-      }
-      by_shard[*owner].push_back(chain_index);
+    merge.round_overload = false;
+    // An exhausted round budget answers like an empty ring: a located
+    // error, never a hang (a shard flapping up and down forever is
+    // indistinguishable from one that is down).
+    const std::optional<std::vector<ShardUnits>> work =
+        round - overload_rounds > max_rounds
+            ? std::nullopt
+            : plan(fleet_, request.chains, merge.pending);
+    if (!work) {
+      fail(service::error_line(
+          id, "shards",
+          "no shard available: " + std::to_string(options.shards.size()) +
+              " configured shard(s), " + std::to_string(fleet_.up_count()) +
+              " up"));
+      return;
     }
-    pending.clear();
-
-    // Deterministic shard order (configuration order) for the dispatch
-    // round; within a shard, units in first-seen chain order.
-    struct ShardWork {
-      std::string shard;
-      std::vector<Unit> units;
-    };
-    std::vector<ShardWork> work;
-    for (const std::string& shard_id : fleet_.shard_ids()) {
-      const auto it = by_shard.find(shard_id);
-      if (it == by_shard.end()) {
-        continue;
-      }
-      ShardWork shard_work;
-      shard_work.shard = shard_id;
-      for (const std::size_t chain_index : it->second) {
-        const core::GridChain& chain = chains[chain_index];
-        Unit* unit = nullptr;
-        for (Unit& candidate : shard_work.units) {
-          if (candidate.platform_index == chain.platform_index &&
-              candidate.cost_index == chain.cost_index) {
-            unit = &candidate;
-            break;
-          }
-        }
-        if (unit == nullptr) {
-          shard_work.units.push_back(
-              Unit{chain.platform_index, chain.cost_index, {}});
-          unit = &shard_work.units.back();
-        }
-        unit->chain_indices.push_back(chain_index);
-      }
-      work.push_back(std::move(shard_work));
-    }
-
-    const auto run_shard = [&](const ShardWork& shard_work) {
-      const std::optional<ShardConfig> config =
-          fleet_.config(shard_work.shard);
-      bool shard_dead = !config.has_value();
-      std::vector<std::size_t> leftover;
-
-      ResilientClientOptions client_options;
-      if (config) {
-        client_options.host = config->host;
-        client_options.port = config->port;
-      }
-      client_options.connect_timeout_ms = options.connect_timeout_ms;
-      client_options.receive_timeout_ms = options.receive_timeout_ms;
-      client_options.max_attempts = std::max(1, options.attempts_per_shard);
-      client_options.backoff_initial_ms = options.backoff_initial_ms;
-      client_options.backoff_max_ms = options.backoff_max_ms;
-      client_options.jitter_seed = options.jitter_seed;
-      // A busy shard's retry_after_ms is honored, but capped low: the
-      // router holds whole rounds of work while one client waits.
-      client_options.retry_after_cap_ms =
-          std::max(1, options.overload_backoff_cap_ms);
-      ResilientClient client(client_options);
-
-      for (const Unit& unit : shard_work.units) {
-        if (shard_dead) {
-          leftover.insert(leftover.end(), unit.chain_indices.begin(),
-                          unit.chain_indices.end());
-          continue;
-        }
-
-        // The unit's sub-request: the parent request with its grid
-        // restricted to one platform and one cost override, families =
-        // the unit's chains. Everything else travels verbatim: the
-        // simulate mode and every sim field (budgets AND axes, all
-        // result-affecting), the deadline, and the stats opt-in (the
-        // merged done line carries the per-shard blocks as a "shards"
-        // array).
-        service::ScenarioRequest sub = request;
-        sub.grid.platforms = {grid.platforms[unit.platform_index]};
-        if (!grid.cost_overrides.empty()) {
-          sub.grid.cost_overrides = {grid.cost_overrides[unit.cost_index]};
-        }
-        sub.grid.kinds.clear();
-        for (const std::size_t chain_index : unit.chain_indices) {
-          sub.grid.kinds.push_back(chains[chain_index].kind);
-        }
-        // Explicit id: resilient retries land on fresh connections where
-        // default line numbering restarts. The id never reaches the
-        // merged output (cells re-emit under the parent id).
-        sub.id = request.id + "#" +
-                 chains[unit.chain_indices.front()].key.hex();
-        const std::string sub_line = sub.to_json().dump();
-        // What the shard must answer with — a mismatch means the shard
-        // runs different result-affecting options than the router
-        // assumes, and wrong bytes must fail loudly, not merge quietly.
-        const core::GridSignature sub_signature = service::request_signature(
-            sub, core::resolve_points(sub.grid), sub.grid.resolved_kinds(),
-            {});
-
-        Client::Response response;
-        try {
-          response = client.transact(sub_line);
-        } catch (const std::exception&) {
-          fleet_.note_failure(shard_work.shard);
-          shard_dead = true;
-          leftover.insert(leftover.end(), unit.chain_indices.begin(),
-                          unit.chain_indices.end());
-          continue;
-        }
-
-        // Backpressure, not death: an admission-shed answer means the
-        // shard is healthy but full. It keeps its ring positions (no
-        // failover — the survivors are probably just as loaded) and the
-        // unit's chains go back to pending for a later overload round.
-        std::int64_t shed_hint_ms = 0;
-        if (is_overloaded_response(response, &shed_hint_ms)) {
-          fleet_.note_shed(shard_work.shard);
-          const std::lock_guard<std::mutex> lock(merge_mutex);
-          round_overload = true;
-          overload_hint_ms = std::max(overload_hint_ms, shed_hint_ms);
-          pending.insert(pending.end(), unit.chain_indices.begin(),
-                         unit.chain_indices.end());
-          continue;
-        }
-        fleet_.note_request(shard_work.shard);
-
-        // Parse the sub-response: cells to remap, one terminal line.
-        bool done_seen = false;
-        bool malformed = false;
-        bool unit_error = false;
-        std::string unit_error_field;
-        std::string unit_error_message;
-        bool unit_cache_hit = false;
-        bool unit_joined = false;
-        bool unit_has_stats = false;
-        util::JsonValue unit_stats;
-        std::vector<core::SweepCell> cells;
-        std::vector<service::SimCell> sim_cells;
-        try {
-          for (const std::string& response_line : response.lines) {
-            const util::JsonValue response_json =
-                util::JsonValue::parse(response_line);
-            const util::JsonValue* type = response_json.find("type");
-            const std::string type_name =
-                type != nullptr && type->is_string() ? type->as_string() : "";
-            if (type_name == "cell") {
-              const util::JsonValue* cell_signature =
-                  response_json.find("signature");
-              if (cell_signature == nullptr ||
-                  cell_signature->as_string() != sub_signature.hex()) {
-                malformed = true;
-                break;
-              }
-              if (request.simulate) {
-                sim_cells.push_back(
-                    service::sim_cell_from_json(response_json));
-              } else {
-                cells.push_back(service::cell_from_json(response_json));
-              }
-            } else if (type_name == "done") {
-              const util::JsonValue* done_signature =
-                  response_json.find("signature");
-              if (done_signature == nullptr ||
-                  done_signature->as_string() != sub_signature.hex()) {
-                malformed = true;
-                break;
-              }
-              unit_cache_hit = response_json.find("cache_hit") != nullptr &&
-                               response_json.find("cache_hit")->as_bool();
-              unit_joined =
-                  response_json.find("joined_in_flight") != nullptr &&
-                  response_json.find("joined_in_flight")->as_bool();
-              if (const util::JsonValue* stats_field =
-                      response_json.find("stats")) {
-                unit_stats = *stats_field;
-                unit_has_stats = true;
-              }
-              done_seen = true;
-            } else if (type_name == "error") {
-              const util::JsonValue* field = response_json.find("field");
-              const util::JsonValue* message = response_json.find("message");
-              unit_error = true;
-              unit_error_field =
-                  field != nullptr && field->is_string() ? field->as_string()
-                                                         : "";
-              unit_error_message = message != nullptr && message->is_string()
-                                       ? message->as_string()
-                                       : "shard error";
-            } else {
-              malformed = true;
-              break;
-            }
-          }
-        } catch (const std::exception&) {
-          malformed = true;
-        }
-
-        const std::lock_guard<std::mutex> lock(merge_mutex);
-        if (unit_has_stats) {
-          shard_stats[shard_work.shard] = std::move(unit_stats);
-        }
-        if (unit_error) {
-          // A protocol-level answer (deadline expiry, shard-side engine
-          // failure): the parent request fails with the shard's own
-          // field/message — exactly the line a single daemon would have
-          // answered, re-tagged with the parent id.
-          if (!any_error) {
-            any_error = true;
-            error_field = unit_error_field;
-            error_message = unit_error_message;
-          }
-          continue;
-        }
-        const std::size_t unit_cells =
-            request.simulate ? sim_cells.size() : cells.size();
-        if (malformed || !done_seen ||
-            unit_cells != layout.chain_len * layout.cells_per_point *
-                              unit.chain_indices.size()) {
-          if (!any_error) {
-            any_error = true;
-            error_field = "";
-            error_message = "internal error: shard " + shard_work.shard +
-                            " returned an invalid response for " + sub.id;
-          }
-          continue;
-        }
-        const bool in_grid =
-            request.simulate
-                ? merge_unit_cells(sim_cells, unit.platform_index,
-                                   unit.cost_index, layout, sim_table.cells,
-                                   filled)
-                : merge_unit_cells(cells, unit.platform_index,
-                                   unit.cost_index, layout, table.cells,
-                                   filled);
-        if (!in_grid && !any_error) {
-          any_error = true;
-          error_field = "";
-          error_message = "internal error: shard " + shard_work.shard +
-                          " returned an out-of-grid cell for " + sub.id;
-        }
-        all_cache_hit = all_cache_hit && unit_cache_hit;
-        all_joined = all_joined && unit_joined;
-      }
-
-      if (shard_dead) {
-        if (fleet_.mark_down(shard_work.shard)) {
-          fleet_.note_failover();
-        }
-        const std::lock_guard<std::mutex> lock(merge_mutex);
-        pending.insert(pending.end(), leftover.begin(), leftover.end());
-      }
-    };
-
-    if (work.size() == 1) {
-      run_shard(work.front());  // no thread spawn on the single-shard path
+    merge.pending.clear();
+    if (work->size() == 1) {
+      dispatch(fleet_, request, work->front(), merge);  // no thread spawn
     } else {
       std::vector<std::thread> threads;
-      threads.reserve(work.size());
-      for (const ShardWork& shard_work : work) {
-        threads.emplace_back([&run_shard, &shard_work] {
-          run_shard(shard_work);
+      for (const ShardUnits& shard_units : *work) {
+        threads.emplace_back([&, &shard_units = shard_units] {
+          dispatch(fleet_, request, shard_units, merge);
         });
       }
       for (std::thread& thread : threads) {
         thread.join();
       }
     }
-
-    if (round_overload && !pending.empty() && !any_error) {
-      ++overload_rounds_used;
-      if (overload_rounds_used > max_overload_rounds) {
+    if (merge.round_overload && !merge.pending.empty() && !merge.error) {
+      if (++overload_rounds > std::max(0, options.overload_rounds)) {
         // Budget spent waiting on busy shards: give up RETRIABLY — the
         // parent answer is the same "overloaded" error a single daemon
         // sheds with, so the client's own retry_after backoff takes over.
         fail(service::overloaded_line(
-            request.id, overload_hint_ms > 0 ? overload_hint_ms : 1000));
+            id, merge.overload_hint_ms > 0 ? merge.overload_hint_ms : 1000));
         return;
       }
-      const std::int64_t wait = std::min<std::int64_t>(
-          std::max<std::int64_t>(overload_hint_ms, 1),
-          std::max(1, options.overload_backoff_cap_ms));
-      std::this_thread::sleep_for(std::chrono::milliseconds(wait));
+      const int cap_ms = std::max(1, options.overload_backoff_cap_ms);
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          std::clamp<std::int64_t>(merge.overload_hint_ms, 1, cap_ms)));
     }
   }
-
   if (cancelled()) {
     return;
   }
-  if (any_error) {
-    fail(service::error_line(request.id, error_field, error_message));
+  if (merge.error) {
+    fail(service::error_line(id, merge.error->first, merge.error->second));
     return;
   }
-  for (const unsigned char was_filled : filled) {
-    if (was_filled == 0) {
-      fail(service::error_line(request.id, "",
-                               "internal error: merged response is missing "
-                               "cells"));
-      return;
-    }
-  }
 
-  // The merged stream: every cell in table order (the warm replay
-  // order), then the done summary whose reuse flags are the AND over
-  // the sub-responses. When the parent asked for stats, the harvested
-  // per-shard blocks merge into one {"shards": [...]} stats block in
-  // fleet configuration order (shards that served no unit are absent).
-  util::JsonValue stats_block;
-  if (request.include_stats) {
-    util::JsonValue shard_array = util::JsonValue::array();
+  // Merge emits once: every cell in table order (the warm replay order),
+  // then the done summary whose reuse flags are the AND over the
+  // sub-responses. Asked for stats, the harvested per-shard blocks form
+  // one {"shards": [...]} block in fleet configuration order (shards
+  // that served no unit are absent).
+  util::JsonValue stats;
+  if (request.request.include_stats) {
+    util::JsonValue shards = util::JsonValue::array();
     for (const std::string& shard_id : fleet_.shard_ids()) {
-      const auto it = shard_stats.find(shard_id);
-      if (it == shard_stats.end()) {
-        continue;
+      const auto it = merge.shard_stats.find(shard_id);
+      if (it != merge.shard_stats.end()) {
+        util::JsonValue entry = util::JsonValue::object();
+        entry.set("id", shard_id);
+        entry.set("stats", it->second);
+        shards.push_back(std::move(entry));
       }
-      util::JsonValue entry = util::JsonValue::object();
-      entry.set("id", shard_id);
-      entry.set("stats", it->second);
-      shard_array.push_back(std::move(entry));
     }
-    stats_block = util::JsonValue::object();
-    stats_block.set("shards", std::move(shard_array));
+    stats = util::JsonValue::object();
+    stats.set("shards", std::move(shards));
   }
-
-  const util::JsonValue* stats = request.include_stats ? &stats_block : nullptr;
-  if (request.simulate) {
-    for (const service::SimCell& cell : sim_table.cells) {
-      emit(service::cell_line(request.id, signature, cell), false);
-    }
-    emit(service::done_line(request.id, signature, sim_table, all_cache_hit,
-                            stats),
+  const util::JsonValue* stats_block = stats.is_null() ? nullptr : &stats;
+  for (const auto& cell : merge.table.cells) {
+    emit(service::cell_line(id, request.signature, cell), false);
+  }
+  if constexpr (Merge<Table>::kSimulate) {
+    emit(service::done_line(id, request.signature, merge.table,
+                            merge.all_cache_hit, stats_block),
          true);
-    return;
+  } else {
+    emit(service::done_line(id, request.signature, merge.table,
+                            merge.all_cache_hit, merge.all_joined,
+                            stats_block),
+         true);
   }
-  for (const core::SweepCell& cell : table.cells) {
-    emit(service::cell_line(request.id, signature, cell), false);
-  }
-  emit(service::done_line(request.id, signature, table, all_cache_hit,
-                          all_joined, stats),
-       true);
 }
 
 }  // namespace resilience::net

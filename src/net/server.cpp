@@ -84,7 +84,9 @@ struct NetServer::Impl {
     /// One received line, classified once at admission (admit_line).
     struct Item {
       service::RequestLine request;  ///< what a worker serves
-      std::size_t bytes = 0;  ///< received line size (read-pause accounting)
+      /// Read-pause accounting: the line's size plus, for a queued
+      /// scenario, the bytes its resolved points and chains hold.
+      std::size_t bytes = 0;
       /// Pre-formatted answer the loop thread sends itself (a framing
       /// error or an admission shed); such an item never reaches a worker.
       std::string answer;
@@ -346,7 +348,7 @@ struct NetServer::Impl {
     const bool scenario =
         request.kind == service::RequestLine::Kind::kScenario;
     item.cost =
-        scenario ? std::max(service::estimate_cost(request.request, &service)
+        scenario ? std::max(service::estimate_cost(request.scenario, &service)
                                 .units,
                             kMinScenarioCost)
                  : kNonScenarioCost;
@@ -357,7 +359,8 @@ struct NetServer::Impl {
         ++ostats.shed_overload;
         retry_after = retry_after_ms_locked();
       }
-      item.answer = service::overloaded_line(request.request.id, retry_after);
+      item.answer =
+          service::overloaded_line(request.scenario.request.id, retry_after);
     } else {
       // Admitted: charge the waiting budget and stamp the fair-queue
       // tag. Start-time fair queueing: the tag is where the global
@@ -374,9 +377,12 @@ struct NetServer::Impl {
           ostats.queued_cost += item.cost;
           ++ostats.queued_depth;
         }
-        item.deadline_ms = request.request.deadline_ms > 0
-                               ? request.request.deadline_ms
+        item.deadline_ms = request.scenario.request.deadline_ms > 0
+                               ? request.scenario.request.deadline_ms
                                : options.default_deadline_ms;
+        // Parked until a worker takes it: its resolved points count
+        // toward the read-pause bound with its text.
+        item.bytes += request.scenario.resolved_bytes();
         if (item.deadline_ms > 0) {
           item.has_queue_deadline = true;
           item.queue_deadline =
@@ -444,7 +450,7 @@ struct NetServer::Impl {
           ++ostats.shed_expired;
         }
         head.answer = service::error_line(
-            head.request.request.id, "deadline_ms",
+            head.request.scenario.request.id, "deadline_ms",
             "deadline of " + std::to_string(head.deadline_ms) +
                 " ms expired while the request was queued");
       }
@@ -459,11 +465,19 @@ struct NetServer::Impl {
   }
 
   /// Removes and returns the head item, releasing its bytes from the
-  /// read-pause accounting.
+  /// read-pause accounting. The pause lifts here, where bytes leave the
+  /// backlog — to a worker or as an inline answer (shed, queue expiry) —
+  /// once it is under the resume watermark; epoll then reports a socket
+  /// that is already readable.
   Conn::Item pop_head(const ConnPtr& conn) {
     conn->backlog_bytes -= conn->backlog.front().bytes;
     Conn::Item item = std::move(conn->backlog.front());
     conn->backlog.pop_front();
+    if (conn->read_hold && !draining && !conn->input_closed &&
+        backlog_under_resume_watermark(conn)) {
+      conn->read_hold = false;
+      conn->socket->set_read_hold(false);
+    }
     return item;
   }
 
@@ -585,11 +599,6 @@ struct NetServer::Impl {
     conn->write_start = now;
     if (!conn->socket->closed()) {
       if (flush_conn(conn)) {
-        if (conn->read_hold && !draining && !conn->input_closed &&
-            backlog_under_resume_watermark(conn)) {
-          conn->read_hold = false;
-          conn->socket->set_read_hold(false);
-        }
         // pump() reads only when input is open and unpaused, and always
         // advances the pipeline — including the deferred framing-error
         // item of an input_closed connection.

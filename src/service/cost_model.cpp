@@ -7,11 +7,11 @@
 
 namespace resilience::service {
 
-CostEstimate estimate_cost(const ScenarioRequest& request,
+CostEstimate estimate_cost(const ResolvedRequest& resolved,
                            const SweepService* service) {
+  const ScenarioRequest& request = resolved.request;
   CostEstimate estimate;
-  const core::ScenarioGrid& grid = request.grid;
-  estimate.cells = grid.cell_count();
+  estimate.cells = resolved.points.size() * resolved.kinds.size();
   if (request.simulate) {
     estimate.cells *= request.sim.weibull_shape.size() *
                       request.sim.faulty_ops.size();
@@ -19,8 +19,7 @@ CostEstimate estimate_cost(const ScenarioRequest& request,
 
   // Identity tier first, both modes: an exact-signature hit replays the
   // finished table — cost is per-cell serialization, not compute.
-  if (service != nullptr &&
-      service->cache().contains(service->signature_for(request))) {
+  if (service != nullptr && service->cache().contains(resolved.signature)) {
     estimate.identity_hit = true;
     estimate.units = static_cast<double>(estimate.cells) * kCostReplayCell;
     return estimate;
@@ -40,30 +39,17 @@ CostEstimate estimate_cost(const ScenarioRequest& request,
     return estimate;
   }
 
+  // Miss: price chain by chain where the seed tier may help.
   const double per_cell =
       request.numeric_optimum ? kCostColdCell : kCostFirstOrderCell;
-  if (service == nullptr) {
+  estimate.chains = service != nullptr ? resolved.chains.size() : 0;
+  if (service == nullptr || !request.numeric_optimum ||
+      !request.reuse_seeds || !service->options().reuse_seeds) {
     estimate.units = static_cast<double>(estimate.cells) * per_cell;
     return estimate;
   }
-
-  // Miss: price chain by chain. The chain list needs the same effective
-  // options the service will submit under (numeric_optimum is the only
-  // per-request override).
-  core::SweepOptions sweep = service->options().sweep;
-  sweep.numeric_optimum = request.numeric_optimum;
-  const std::vector<core::GridChain> chains = core::grid_chains(grid, sweep);
-  estimate.chains = chains.size();
-  const std::size_t cells_per_chain =
-      chains.empty() ? 0 : estimate.cells / chains.size();
-
-  const bool seeds_apply = request.numeric_optimum && request.reuse_seeds &&
-                           service->options().reuse_seeds;
-  if (!seeds_apply) {
-    estimate.units = static_cast<double>(estimate.cells) * per_cell;
-    return estimate;
-  }
-  for (const core::GridChain& chain : chains) {
+  const std::size_t cells_per_chain = estimate.cells / estimate.chains;
+  for (const core::GridChain& chain : resolved.chains) {
     const bool seeded = service->cache().has_seeds(chain.key);
     if (seeded) {
       ++estimate.seeded_chains;
@@ -77,12 +63,10 @@ CostEstimate estimate_cost(const ScenarioRequest& request,
 LineCost estimate_line_cost(std::string_view line, const SweepService* service,
                             int /*default_deadline_ms*/) {
   const RequestLine request = classify_line(line, 0);
-  LineCost cost;
-  cost.scenario = request.kind == RequestLine::Kind::kScenario;
-  if (cost.scenario) {
-    cost.estimate = estimate_cost(request.request, service);
+  if (request.kind != RequestLine::Kind::kScenario) {
+    return {};
   }
-  return cost;
+  return {true, estimate_cost(request.scenario, service)};
 }
 
 }  // namespace resilience::service

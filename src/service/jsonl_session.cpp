@@ -35,7 +35,8 @@ std::string JsonlSession::stats_answer(const std::string& id) {
                     transport.is_null() ? nullptr : &transport);
 }
 
-void JsonlSession::serve_scenario(ScenarioRequest& request) {
+void JsonlSession::serve_scenario(ResolvedRequest& resolved) {
+  const ScenarioRequest& request = resolved.request;
   // Compute budget: the request's own deadline wins; the session default
   // covers requests that state none. Anchored here — execution start —
   // so transport/queue wait never eats into the stated budget.
@@ -64,7 +65,7 @@ void JsonlSession::serve_scenario(ScenarioRequest& request) {
     // very request published its table. Only when the client asked for
     // stats — the probe is cheap but not free.
     const CostEstimate cost = request.include_stats
-                                  ? estimate_cost(request, &service_)
+                                  ? estimate_cost(resolved, &service_)
                                   : CostEstimate{};
     // The opt-in done-line stats block: the counters after the submit,
     // then that estimate AFTER the counter blocks — consumers match the
@@ -80,15 +81,14 @@ void JsonlSession::serve_scenario(ScenarioRequest& request) {
     };
     // One streaming path, both modes: each cell as it resolves, then the
     // done line, through the mode's overload of each line builder.
-    const core::GridSignature signature = service_.signature_for(request);
     const auto stream = [&](const auto& cell) {
       if (options_.stream && !cancelled()) {
-        emit(cell_line(request.id, signature, cell), false);
+        emit(cell_line(request.id, resolved.signature, cell), false);
       }
     };
     if (request.simulate) {
       const SimSubmitResult result =
-          service_.simulate(request, stream, cancel);
+          service_.simulate(resolved, stream, cancel);
       emit(done_line(request.id, result.signature, *result.table,
                      result.cache_hit, done_stats()),
            true);
@@ -103,12 +103,12 @@ void JsonlSession::serve_scenario(ScenarioRequest& request) {
     });
     const bool need_sink = options_.stream || options_.collect;
     const SubmitResult result =
-        service_.submit(request, need_sink ? &sink : nullptr, cancel);
+        service_.submit(resolved, need_sink ? &sink : nullptr, cancel);
     emit(done_line(request.id, result.signature, *result.table,
                    result.cache_hit, result.joined_in_flight, done_stats()),
          true);
     if (outcome_) {
-      outcome_(Outcome{std::move(request), result, std::move(cells)});
+      outcome_(Outcome{std::move(resolved), result, std::move(cells)});
     }
   } catch (const core::SweepCancelled& cancelled) {
     if (!cancelled.deadline_expired()) {

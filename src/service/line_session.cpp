@@ -67,7 +67,7 @@ RequestLine classify_line(std::string_view line, std::size_t line_number) {
   }
 
   try {
-    out.request = ScenarioRequest::from_json(json);
+    out.scenario = resolve_request(json);
   } catch (const RequestError& error) {
     return invalid(default_id, error.field, error.text);
   } catch (const std::exception& error) {
@@ -77,8 +77,8 @@ RequestLine classify_line(std::string_view line, std::size_t line_number) {
     return invalid(default_id, "",
                    std::string("internal error: ") + error.what());
   }
-  if (out.request.id.empty()) {
-    out.request.id = default_id;
+  if (out.scenario.request.id.empty()) {
+    out.scenario.request.id = default_id;
   }
   out.kind = RequestLine::Kind::kScenario;
   return out;
@@ -93,7 +93,8 @@ void LineSession::serve(RequestLine&& line) {
     return;  // nothing to answer, or the client is gone
   }
   const std::string& id =
-      line.kind == RequestLine::Kind::kScenario ? line.request.id : line.id;
+      line.kind == RequestLine::Kind::kScenario ? line.scenario.request.id
+                                                : line.id;
   try {
     switch (line.kind) {
       case RequestLine::Kind::kPing:
@@ -106,7 +107,7 @@ void LineSession::serve(RequestLine&& line) {
         fail(error_line(id, line.field, line.message));
         break;
       case RequestLine::Kind::kScenario:
-        serve_scenario(line.request);
+        serve_scenario(line.scenario);
         break;
       case RequestLine::Kind::kSkip:
         break;

@@ -1,12 +1,20 @@
 #include "resilience/service/scenario_request.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
 #include "resilience/core/platform.hpp"
 #include "resilience/service/serialize.hpp"
+#include "resilience/service/sim_table.hpp"
 
 namespace resilience::service {
+
+RequestError::RequestError(std::string field_path, const std::string& message)
+    : std::runtime_error(field_path.empty() ? message
+                                            : field_path + ": " + message),
+      field(std::move(field_path)),
+      text(field.empty() ? message : field + ": " + message) {}
 
 namespace {
 
@@ -231,15 +239,34 @@ SimParams parse_sim_params(const JsonValue& value) {
   return sim;
 }
 
-}  // namespace
+/// Rejects a grid of more than kMaxRequestCells cells before anything is
+/// resolved, naming the axis that carries the running product past the
+/// bound. The product cannot overflow: it is at most the bound times one
+/// axis length, and no axis is longer than the request line.
+void check_grid_size(const ScenarioRequest& request) {
+  std::uint64_t cells = 1;
+  const auto axis = [&cells](const char* field, std::size_t length) {
+    cells *= std::max<std::uint64_t>(length, 1);
+    if (cells > kMaxRequestCells) {
+      throw RequestError(field, "the grid has more than " +
+                                    std::to_string(kMaxRequestCells) +
+                                    " cells (points x families x sim axes); "
+                                    "split it into several requests");
+    }
+  };
+  const core::ScenarioGrid& grid = request.grid;
+  axis("platforms", grid.platforms.size());
+  axis("node_counts", grid.node_counts.size());
+  axis("rate_factors", grid.rate_factors.size());
+  axis("cost_overrides", grid.cost_overrides.size());
+  axis("kinds", grid.resolved_kinds().size());
+  axis("sim.weibull_shape", request.sim.weibull_shape.size());
+  axis("sim.faulty_ops", request.sim.faulty_ops.size());
+}
 
-RequestError::RequestError(std::string field_path, const std::string& message)
-    : std::runtime_error(field_path.empty() ? message
-                                            : field_path + ": " + message),
-      field(std::move(field_path)),
-      text(field.empty() ? message : field + ": " + message) {}
-
-ScenarioRequest ScenarioRequest::from_json(const JsonValue& json) {
+/// Every field of a request object, the grid bound included; the grid
+/// itself is not resolved yet.
+ScenarioRequest parse_fields(const JsonValue& json) {
   if (!json.is_object()) {
     throw RequestError("", "request must be a JSON object");
   }
@@ -353,16 +380,53 @@ ScenarioRequest ScenarioRequest::from_json(const JsonValue& json) {
     request.sim = parse_sim_params(*sim);
   }
 
-  // Axis semantics (positivity, override sentinels) and the resolved
-  // parameter combinations: surface every problem at parse time, not when
-  // a worker thread touches the point. The thrown messages already name
-  // the axis and index ("ScenarioGrid.rate_factors[2]: ...").
+  check_grid_size(request);
+  return request;
+}
+
+/// Axis semantics (positivity, override sentinels) and the resolved
+/// parameter combinations: every problem surfaces at parse time, not when
+/// a worker touches the point. The thrown messages already name the axis
+/// and index ("ScenarioGrid.rate_factors[2]: ...").
+std::vector<core::ScenarioPoint> resolve_grid(const core::ScenarioGrid& grid) {
   try {
-    (void)core::resolve_points(request.grid);
+    return core::resolve_points(grid);
   } catch (const std::invalid_argument& error) {
     throw RequestError("", error.what());
   }
+}
+
+}  // namespace
+
+ScenarioRequest ScenarioRequest::from_json(const JsonValue& json) {
+  ScenarioRequest request = parse_fields(json);
+  (void)resolve_grid(request.grid);
   return request;
+}
+
+ResolvedRequest resolve_request(ScenarioRequest request) {
+  ResolvedRequest resolved;
+  resolved.points = resolve_grid(request.grid);
+  resolved.kinds = request.grid.resolved_kinds();
+  resolved.sweep.numeric_optimum = request.numeric_optimum;
+  resolved.signature =
+      request.simulate
+          ? sim_signature(resolved.points, resolved.kinds, request.sim)
+          : core::grid_signature(resolved.points, resolved.kinds,
+                                 resolved.sweep);
+  resolved.chains = core::grid_chains(request.grid, resolved.sweep);
+  resolved.request = std::move(request);
+  return resolved;
+}
+
+ResolvedRequest resolve_request(const JsonValue& json) {
+  return resolve_request(parse_fields(json));
+}
+
+std::size_t ResolvedRequest::resolved_bytes() const noexcept {
+  return points.size() * sizeof(core::ScenarioPoint) +
+         kinds.size() * sizeof(core::PatternKind) +
+         chains.size() * sizeof(core::GridChain);
 }
 
 ScenarioRequest ScenarioRequest::parse(std::string_view text) {

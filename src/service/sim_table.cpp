@@ -42,17 +42,6 @@ core::GridSignature sim_signature(
   return core::GridSignature{hasher.value()};
 }
 
-core::GridSignature request_signature(
-    const ScenarioRequest& request,
-    const std::vector<core::ScenarioPoint>& points,
-    const std::vector<core::PatternKind>& kinds, core::SweepOptions sweep) {
-  if (request.simulate) {
-    return sim_signature(points, kinds, request.sim);
-  }
-  sweep.numeric_optimum = request.numeric_optimum;
-  return core::grid_signature(points, kinds, sweep);
-}
-
 std::uint64_t sim_cell_seed(const SimParams& params, core::PatternKind kind,
                             const core::ModelParams& point_params,
                             double weibull_shape, double faulty_ops) {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,17 @@ namespace {
 
 /// How often a joiner waiting on a leader re-checks its own token.
 constexpr std::chrono::milliseconds kJoinPoll{1};
+
+/// The collision guard: a cached or joined table may serve `request`
+/// only if it is the table OF its resolved grid (and, for simulate, of
+/// its sim block).
+bool matches(const core::SweepTable& table, const ResolvedRequest& request) {
+  return table_matches_grid(table, request.points, request.kinds);
+}
+bool matches(const SimTable& table, const ResolvedRequest& request) {
+  return table_matches_grid(table, request.points, request.kinds) &&
+         table.params == request.request.sim;
+}
 
 void throw_if_cancelled(const core::CancelToken& cancel) {
   if (cancel.cancelled()) {
@@ -56,54 +68,40 @@ SweepService::SweepService(ServiceOptions options)
     : options_(std::move(options)),
       cache_(options_.cache_capacity, options_.cache_dir) {}
 
-SubmitResult SweepService::submit(const ScenarioRequest& request,
+SubmitResult SweepService::submit(const ResolvedRequest& request,
                                   core::CellSink* sink,
                                   core::CancelToken cancel) {
-  if (request.simulate) {
+  if (request.request.simulate) {
     throw std::invalid_argument("SweepService::submit: a simulate request");
   }
-  // One resolve serves validation, the signature and the collision guard.
-  const std::vector<core::ScenarioPoint> points =
-      core::resolve_points(request.grid);
-  const std::vector<core::PatternKind> kinds = request.grid.resolved_kinds();
-  const core::GridSignature signature =
-      request_signature(request, points, kinds, options_.sweep);
-  core::SweepOptions sweep = options_.sweep;
-  sweep.numeric_optimum = request.numeric_optimum;
-
-  // Cross-grid seeding only helps numeric sweeps; the sweep options the
-  // seed source verifies disk loads against must be the signature's (no
-  // seed_source field set, so the key/signature derivations agree).
-  const bool seeds_enabled = request.reuse_seeds && options_.reuse_seeds &&
-                             sweep.numeric_optimum;
-  CacheSeedSource seed_source(cache_, sweep);
+  // Cross-grid seeding only helps numeric sweeps; the seed source
+  // verifies disk loads under the request's own sweep options.
+  const bool seeds_enabled = request.request.reuse_seeds &&
+                             options_.reuse_seeds &&
+                             request.sweep.numeric_optimum;
+  CacheSeedSource seed_source(cache_, request.sweep);
   const auto compute = [&](bool lead) {
-    core::SweepOptions run_options = sweep;
-    // Explicitly null on cold computes: a caller may have parked their own
-    // seed source on ServiceOptions.sweep, and reuse_seeds=false (or a
-    // collision recompute) must mean genuinely cold.
+    core::SweepOptions run_options = request.sweep;
+    run_options.pool = options_.sweep.pool;
+    // A collision recompute (lead false) or reuse_seeds=false runs cold.
     run_options.seed_source = lead && seeds_enabled ? &seed_source : nullptr;
     run_options.cancel = cancel;
     run_options.optimizer.counters = &engine_;
     const core::SweepRunner runner(run_options);
+    const core::ScenarioGrid& grid = request.request.grid;
     auto table = std::make_shared<const core::SweepTable>(
-        sink != nullptr ? runner.run(request.grid, *sink)
-                        : runner.run(request.grid));
+        sink != nullptr ? runner.run(grid, *sink) : runner.run(grid));
     tables_computed_.fetch_add(1, std::memory_order_relaxed);
     return table;
   };
   SubmitResult result = climb<core::SweepTable>(
-      signature, sweep, analytic_,
-      [&](const core::SweepTable& table) {
-        return table_matches_grid(table, points, kinds);
-      },
-      compute,
+      request, analytic_, compute,
       [sink](const core::SweepCell& cell) {
         if (sink != nullptr) {
           sink->on_cell(cell);
         }
       },
-      [&] { return core::grid_chains(request.grid, sweep); }, cancel);
+      cancel);
   // Only this call's own leading compute consults the seed source.
   result.seeded = seed_source.supplied() > 0;
   if (result.seeded) {
@@ -112,30 +110,17 @@ SubmitResult SweepService::submit(const ScenarioRequest& request,
   return result;
 }
 
-SubmitResult SweepService::submit(const core::ScenarioGrid& grid,
-                                  core::CellSink* sink,
-                                  core::CancelToken cancel) {
-  ScenarioRequest request;
-  request.grid = grid;
-  request.numeric_optimum = options_.sweep.numeric_optimum;
-  return submit(request, sink, std::move(cancel));
-}
-
-SimSubmitResult SweepService::simulate(const ScenarioRequest& request,
+SimSubmitResult SweepService::simulate(const ResolvedRequest& request,
                                        const SimCellFn& sink,
                                        core::CancelToken cancel) {
-  if (!request.simulate) {
+  if (!request.request.simulate) {
     throw std::invalid_argument("SweepService::simulate: an analytic request");
   }
-  const std::vector<core::ScenarioPoint> points =
-      core::resolve_points(request.grid);
-  const std::vector<core::PatternKind> kinds = request.grid.resolved_kinds();
-  const core::GridSignature signature =
-      request_signature(request, points, kinds, options_.sweep);
   const auto compute = [&](bool /*lead*/) {
     const auto start = std::chrono::steady_clock::now();
-    std::shared_ptr<const SimTable> table = compute_sim_table(
-        points, kinds, request.sim, options_.sweep.pool, sink, cancel);
+    std::shared_ptr<const SimTable> table =
+        compute_sim_table(request.points, request.kinds, request.request.sim,
+                          options_.sweep.pool, sink, cancel);
     const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
         std::chrono::steady_clock::now() - start);
     std::uint64_t runs = 0;
@@ -152,24 +137,13 @@ SimSubmitResult SweepService::simulate(const ScenarioRequest& request,
     return table;
   };
   return climb<SimTable>(
-      signature, options_.sweep, simulate_,
-      [&](const SimTable& table) {
-        return table_matches_grid(table, points, kinds) &&
-               table.params == request.sim;
-      },
-      compute,
+      request, simulate_, compute,
       [&sink](const SimCell& cell) {
         if (sink) {
           sink(cell);
         }
       },
-      [] { return std::vector<core::GridChain>(); }, cancel);
-}
-
-core::GridSignature SweepService::signature_for(
-    const ScenarioRequest& request) const {
-  return request_signature(request, core::resolve_points(request.grid),
-                           request.grid.resolved_kinds(), options_.sweep);
+      cancel);
 }
 
 ServiceStats SweepService::stats() const {
@@ -208,14 +182,14 @@ ServiceStats SweepService::stats() const {
   return stats;
 }
 
-template <class Table, class Matches, class Compute, class Deliver,
-          class Chains>
-BasicSubmitResult<Table> SweepService::climb(
-    core::GridSignature signature, const core::SweepOptions& sweep,
-    ModeCounters& counters,
-    const Matches& matches, const Compute& compute, const Deliver& deliver,
-    const Chains& chains, const core::CancelToken& cancel) {
+template <class Table, class Compute, class Deliver>
+BasicSubmitResult<Table> SweepService::climb(const ResolvedRequest& request,
+                                             ModeCounters& counters,
+                                             const Compute& compute,
+                                             const Deliver& deliver,
+                                             const core::CancelToken& cancel) {
   using TablePtr = std::shared_ptr<const Table>;
+  const core::GridSignature signature = request.signature;
   counters.submits.fetch_add(1, std::memory_order_relaxed);
   try {
     // The ladder retries from the top when a compute LEADER this call
@@ -236,7 +210,7 @@ BasicSubmitResult<Table> SweepService::climb(
       std::shared_future<SweepCache::Table> future;
       {
         const std::lock_guard<std::mutex> lock(in_flight_mutex_);
-        table = cache_.find<Table>(signature, sweep, &disk_hit);
+        table = cache_.find<Table>(signature, request.sweep, &disk_hit);
         if (table == nullptr) {
           const auto it = in_flight_.find(signature.value);
           if (it != in_flight_.end()) {
@@ -255,7 +229,11 @@ BasicSubmitResult<Table> SweepService::climb(
         std::exception_ptr failure;
         try {
           result.table = compute(/*lead=*/true);
-          cache_.insert(signature, result.table, chains());
+          // The seed tier indexes analytic tables by their chains.
+          cache_.insert(signature, result.table,
+                        std::is_same_v<Table, core::SweepTable>
+                            ? request.chains
+                            : std::vector<core::GridChain>());
         } catch (...) {
           failure = std::current_exception();
         }
@@ -286,7 +264,7 @@ BasicSubmitResult<Table> SweepService::climb(
           continue;  // the LEADER was cancelled, not us — retry the ladder
         }
       }
-      if (table == nullptr || !matches(*table)) {
+      if (table == nullptr || !matches(*table, request)) {
         // Signature collision (a colliding grid, or the other mode's
         // table): compute this request directly and publish nothing — two
         // colliding requests cannot share the signature-keyed slot.

@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +24,9 @@
 #include "resilience/net/server.hpp"
 #include "resilience/net/socket.hpp"
 #include "resilience/service/cost_model.hpp"
+#include "resilience/service/line_session.hpp"
 #include "resilience/service/scenario_request.hpp"
+#include "resilience/service/serialize.hpp"
 #include "resilience/service/sweep_service.hpp"
 #include "resilience/util/json.hpp"
 
@@ -103,8 +108,10 @@ TEST(CostModel, ColdHeavyCostsMoreThanColdCheap) {
       rs::ScenarioRequest::parse(heavy_request("h", 0));
   const rs::ScenarioRequest cheap =
       rs::ScenarioRequest::parse(cheap_request("c", 512));
-  const rs::CostEstimate heavy_cost = rs::estimate_cost(heavy, nullptr);
-  const rs::CostEstimate cheap_cost = rs::estimate_cost(cheap, nullptr);
+  const rs::CostEstimate heavy_cost =
+      rs::estimate_cost(rs::resolve_request(heavy), nullptr);
+  const rs::CostEstimate cheap_cost =
+      rs::estimate_cost(rs::resolve_request(cheap), nullptr);
   EXPECT_GT(heavy_cost.units, 100.0 * cheap_cost.units);
   EXPECT_EQ(heavy_cost.cells, 864u);
   EXPECT_EQ(cheap_cost.cells, 1u);
@@ -115,10 +122,12 @@ TEST(CostModel, WarmIdentityReplayEstimatesNearZero) {
   rs::SweepService service;
   const rs::ScenarioRequest request =
       rs::ScenarioRequest::parse(cheap_request("w", 768));
-  const rs::CostEstimate cold = rs::estimate_cost(request, &service);
+  const rs::CostEstimate cold =
+      rs::estimate_cost(rs::resolve_request(request), &service);
   EXPECT_FALSE(cold.identity_hit);
   service.submit(request, nullptr, {});
-  const rs::CostEstimate warm = rs::estimate_cost(request, &service);
+  const rs::CostEstimate warm =
+      rs::estimate_cost(rs::resolve_request(request), &service);
   EXPECT_TRUE(warm.identity_hit);
   EXPECT_LT(warm.units, cold.units / 100.0);
 }
@@ -413,4 +422,173 @@ TEST(Overload, StatsAnswerCarriesTransportBlock) {
   EXPECT_NE(latency->find("queue_wait"), nullptr);
   EXPECT_NE(latency->find("compute"), nullptr);
   EXPECT_NE(latency->find("write"), nullptr);
+}
+
+namespace {
+
+/// Holds every scenario until `release` is ready, then answers it with
+/// a pong line: requests behind the held one park in the backlog.
+class HeldSession final : public rs::LineSession {
+ public:
+  HeldSession(std::shared_future<void> release, LineFn emit,
+              std::shared_ptr<const std::atomic<bool>> cancelled)
+      : LineSession(std::move(emit), std::move(cancelled)),
+        release_(std::move(release)) {}
+
+ private:
+  std::string stats_answer(const std::string& id) override {
+    return rs::pong_line(id);
+  }
+  void serve_scenario(rs::ResolvedRequest& request) override {
+    release_.wait();
+    emit(rs::pong_line(request.request.id), true);
+  }
+
+  std::shared_future<void> release_;
+};
+
+/// A one-worker daemon of HeldSessions. Reading pauses once a
+/// connection's backlog holds 128 KiB (write_buffer_limit / 2), counted
+/// in bytes only (no pipeline-depth bound).
+class HeldDaemon {
+ public:
+  HeldDaemon() : daemon_(options(released_)) {}
+  ~HeldDaemon() { release(); }  // the drain must not wait on a held session
+
+  void release() {
+    if (!released_yet_) {
+      released_yet_ = true;
+      gate_.set_value();
+    }
+  }
+  TestDaemon& operator*() noexcept { return daemon_; }
+
+ private:
+  static rn::NetServerOptions options(std::shared_future<void> released) {
+    rn::NetServerOptions options;
+    options.request_workers = 1;
+    options.max_pipeline_depth = 0;
+    options.write_buffer_limit = 256 * 1024;
+    options.session_factory =
+        [released](rs::LineSession::LineFn emit,
+                   std::shared_ptr<std::atomic<bool>> cancel) {
+          return std::make_unique<HeldSession>(released, std::move(emit),
+                                               std::move(cancel));
+        };
+    return options;
+  }
+
+  std::promise<void> gate_;
+  std::shared_future<void> released_ = gate_.get_future().share();
+  bool released_yet_ = false;
+  TestDaemon daemon_;
+};
+
+/// A ~700-byte line that resolves 1,024 points (64 node counts x 16 rate
+/// factors, ~180 KB): one parked copy crosses HeldDaemon's 128 KiB mark.
+std::string kilo_point_line(const std::string& id,
+                            const std::string& extra = "") {
+  std::string nodes;
+  for (int i = 0; i < 64; ++i) {
+    nodes += (i == 0 ? "" : ", ") + std::to_string(256 + i);
+  }
+  std::string rates;
+  for (int i = 0; i < 16; ++i) {
+    rates += std::string(i == 0 ? "" : ", ") + "{\"fail_stop\": " +
+             std::to_string(1 + i) + "}";
+  }
+  return "{\"id\": \"" + id +
+         "\", \"platforms\": [\"hera\"], \"kinds\": [\"PD\"], "
+         "\"node_counts\": [" +
+         nodes + "], \"rate_factors\": [" + rates + "]" + extra + "}\n";
+}
+
+}  // namespace
+
+TEST(Overload, ParkedResolvedPointsCountTowardTheReadPause) {
+  // Each request here resolves 1,024 points, so one parked request
+  // crosses the read-pause mark while the 100 lines' text (~70 KB) never
+  // does: only by counting the resolved points does the pause bound what
+  // a pipelining client parks. A one-point request goes first and is
+  // held on the one worker; the other 99 follow in one write. A read
+  // takes at most 16 KiB, so the daemon admits a few dozen of them at
+  // most; without the points counted it reads and resolves all of them.
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  HeldDaemon held;
+  TestDaemon& daemon = *held;
+  constexpr std::size_t kLines = 100;
+  const std::string first =
+      "{\"id\": \"p0\", \"platforms\": [\"hera\"], \"kinds\": [\"PD\"]}\n";
+  std::string burst;
+  for (std::size_t i = 1; i < kLines; ++i) {
+    burst += kilo_point_line("p" + std::to_string(i));
+  }
+  ASSERT_LT(first.size() + burst.size(), 128u * 1024u);
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.send_raw(first);
+  ASSERT_TRUE(
+      eventually([&] { return daemon->stats().requests_started >= 1; }));
+  client.send_raw(burst);
+
+  const auto admitted = [&] { return daemon->overload_stats().admitted; };
+  ASSERT_TRUE(eventually([&] { return admitted() >= 2; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LT(admitted(), kLines) << "the backlog's resolved points did not "
+                                   "pause reading";
+
+  held.release();
+  for (std::size_t i = 0; i < kLines; ++i) {
+    const rn::Client::Response response = client.read_response();
+    ASSERT_TRUE(response.complete) << "response " << i;
+    ASSERT_EQ(response.lines,
+              Lines{"{\"type\":\"pong\",\"request\":\"p" +
+                    std::to_string(i) + "\"}"});
+  }
+  EXPECT_EQ(admitted(), kLines);
+}
+
+TEST(Overload, AQueueExpiryLiftsTheReadPauseItsGridHeld) {
+  // One parked 1,024-point grid holds the read-pause by itself. When it
+  // expires in the queue its deadline error is answered inline, without
+  // a worker; the pause must lift there as it does when a request runs,
+  // or the connection's next line is never read. The ping usually waits
+  // in the socket before the expiry, so epoll must report it on the lift.
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  HeldDaemon held;
+  TestDaemon& daemon = *held;
+  rn::Client holder;  // keeps the one worker busy
+  holder.connect("127.0.0.1", daemon.port());
+  holder.set_receive_timeout(30000);
+  holder.send_raw(
+      "{\"id\": \"h\", \"platforms\": [\"hera\"], \"kinds\": [\"PD\"]}\n");
+  ASSERT_TRUE(
+      eventually([&] { return daemon->stats().requests_started >= 1; }));
+
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.set_receive_timeout(10000);
+  client.send_raw(kilo_point_line("g", ", \"deadline_ms\": 300"));
+  ASSERT_TRUE(
+      eventually([&] { return daemon->overload_stats().admitted >= 2; }));
+  client.send_raw("{\"type\": \"ping\"}\n");
+  const rn::Client::Response expired = client.read_response();
+  ASSERT_TRUE(expired.complete);
+  ASSERT_EQ(expired.lines.size(), 1u);
+  EXPECT_NE(expired.lines[0].find("expired while the request was queued"),
+            std::string::npos)
+      << expired.lines[0];
+  EXPECT_EQ(daemon->overload_stats().shed_expired, 1u);
+
+  held.release();
+  ASSERT_TRUE(holder.read_response().complete);
+  rn::Client::Response pong;
+  ASSERT_NO_THROW(pong = client.read_response())
+      << "the line after the expired grid was never read";
+  EXPECT_EQ(pong.lines,
+            Lines{"{\"type\":\"pong\",\"request\":\"line-2\"}"});
 }

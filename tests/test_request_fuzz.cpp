@@ -14,6 +14,8 @@
 //   * a scenario's to_json().dump() classifies back to a scenario whose
 //     to_json().dump() is byte-identical — the router's sub-requests
 //     depend on that round trip.
+// The named cases below keep findings, and pin the grid-size bound
+// (kMaxRequestCells) on hostile axis lengths.
 
 #include <gtest/gtest.h>
 
@@ -107,11 +109,11 @@ void check_line(const std::string& input, std::size_t line_number) {
       break;
     }
     case rs::RequestLine::Kind::kScenario: {
-      const std::string dumped = line.request.to_json().dump();
+      const std::string dumped = line.scenario.request.to_json().dump();
       const rs::RequestLine again = rs::classify_line(dumped, line_number);
       ASSERT_EQ(again.kind, rs::RequestLine::Kind::kScenario)
           << again.field << ": " << again.message << "\n  dumped: " << dumped;
-      EXPECT_EQ(again.request.to_json().dump(), dumped);
+      EXPECT_EQ(again.scenario.request.to_json().dump(), dumped);
       break;
     }
   }
@@ -127,6 +129,63 @@ TEST(RequestFuzz, NulInAFieldNameKeepsTheWholeMessage) {
   ASSERT_EQ(line.kind, rs::RequestLine::Kind::kInvalid);
   EXPECT_EQ(line.field, std::string("\0type", 5));
   EXPECT_EQ(line.message, std::string("\0type: unknown field '\0type'", 28));
+}
+
+/// One axis member of a request object: `key` with `count` copies of
+/// `entry`.
+std::string axis(std::string_view key, std::string_view entry,
+                 std::size_t count) {
+  std::string out = "\"" + std::string(key) + "\": [";
+  for (std::size_t i = 0; i < count; ++i) {
+    out += i == 0 ? "" : ",";
+    out += entry;
+  }
+  return out + "]";
+}
+
+void expect_grid_bound_error(const std::string& input,
+                             const std::string& field) {
+  check_line(input, 1);
+  const rs::RequestLine line = rs::classify_line(input, 1);
+  ASSERT_EQ(line.kind, rs::RequestLine::Kind::kInvalid);
+  EXPECT_EQ(line.field, field);
+  EXPECT_EQ(line.message,
+            field + ": the grid has more than 65536 cells (points x "
+                    "families x sim axes); split it into several requests");
+}
+
+TEST(RequestFuzz, AxesWhosePointCountWrapsGetALocatedError) {
+  // Four valid 2^16-entry axes, about 1 MB (under the daemon's 4 MiB
+  // line limit): 2^64 points, a product that wraps a 64-bit size_t to 0.
+  // Resolving it once reserved nothing and appended points for ~2^64
+  // iterations on the daemon's event-loop thread.
+  const std::size_t n = std::size_t{1} << 16;
+  expect_grid_bound_error(
+      "{" + axis("platforms", "\"hera\"", n) + ", " +
+          axis("node_counts", "1", n) + ", " + axis("rate_factors", "{}", n) +
+          ", " + axis("cost_overrides", "{}", n) + "}",
+      "node_counts");
+}
+
+TEST(RequestFuzz, AGridJustOverTheCellBoundGetsALocatedError) {
+  // 256 node counts x 256 rate factors x one family is the bound itself.
+  const std::string nodes = axis("node_counts", "1024", 256);
+  const std::string at_bound = R"({"platforms": ["hera"], "kinds": ["PD"], )" +
+                               nodes + ", " +
+                               axis("rate_factors", "{}", 256) + "}";
+  const rs::RequestLine line = rs::classify_line(at_bound, 1);
+  ASSERT_EQ(line.kind, rs::RequestLine::Kind::kScenario) << line.message;
+  EXPECT_EQ(line.scenario.points.size(), rs::kMaxRequestCells);
+  // One more rate factor, or a second Weibull shape on half the points.
+  expect_grid_bound_error(R"({"platforms": ["hera"], "kinds": ["PD"], )" +
+                              nodes + ", " + axis("rate_factors", "{}", 257) +
+                              "}",
+                          "rate_factors");
+  expect_grid_bound_error(
+      R"({"platforms": ["hera"], "kinds": ["PD"], "mode": "simulate", )" +
+          nodes + ", " + axis("rate_factors", "{}", 129) +
+          R"(, "sim": {"weibull_shape": [1.0, 0.7]}})",
+      "sim.weibull_shape");
 }
 
 // ------------------------------------------------------------ corpus --

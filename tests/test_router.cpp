@@ -226,15 +226,13 @@ rn::RouterOptions fleet_options(const std::vector<std::uint16_t>& ports) {
 }
 
 /// The chains of each scenario request in `workload`, as the router plans
-/// them: default sweep options with the request's numeric_optimum.
+/// them: the ones classification resolves.
 std::vector<std::vector<rc::GridChain>> workload_chains(const Lines& workload) {
   std::vector<std::vector<rc::GridChain>> chains;
   for (std::size_t i = 0; i < workload.size(); ++i) {
     const rs::RequestLine line = rs::classify_line(workload[i], i + 1);
     if (line.kind == rs::RequestLine::Kind::kScenario) {
-      rc::SweepOptions sweep;
-      sweep.numeric_optimum = line.request.numeric_optimum;
-      chains.push_back(rc::grid_chains(line.request.grid, sweep));
+      chains.push_back(line.scenario.chains);
     }
   }
   return chains;

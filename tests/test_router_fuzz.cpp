@@ -87,6 +87,11 @@ class FuzzShard {
 
   [[nodiscard]] std::uint16_t port() const noexcept { return server_.port(); }
   void set_mutating(bool on) { mutating_.store(on); }
+  /// Garbles every scenario answer, which still arrives complete:
+  /// kSignature zeroes its done line's signature, kCellTwice sends its
+  /// first cell line again in place of the second (one slot twice).
+  enum class Garble { kNone, kSignature, kCellTwice };
+  void set_garbling(Garble garble) { garble_.store(garble); }
   [[nodiscard]] std::size_t mutated_answers() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return mutated_answers_;
@@ -112,6 +117,27 @@ class FuzzShard {
   }
 
   void mutate(std::string& line, bool end_of_response) {
+    const Garble garble = garble_.load();
+    if (garble == Garble::kSignature &&
+        line.starts_with("{\"type\":\"done\"")) {
+      const std::string key = "\"signature\":\"";
+      line.replace(line.find(key) + key.size(), 16, std::string(16, '0'));
+      return;
+    }
+    if (garble == Garble::kCellTwice) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (line.starts_with("{\"type\":\"cell\"") && ++cells_seen_ <= 2) {
+        if (cells_seen_ == 1) {
+          first_cell_ = line;
+        } else {
+          line = first_cell_;
+        }
+      }
+      if (end_of_response) {
+        cells_seen_ = 0;
+      }
+      return;
+    }
     if (!mutating_.load() || !(line.starts_with("{\"type\":\"cell\"") ||
                                line.starts_with("{\"type\":\"done\"") ||
                                line.starts_with("{\"type\":\"error\""))) {
@@ -130,6 +156,9 @@ class FuzzShard {
 
   rs::SweepService service_;
   std::atomic<bool> mutating_{false};
+  std::atomic<Garble> garble_{Garble::kNone};
+  std::size_t cells_seen_ = 0;  ///< cell lines of the current answer
+  std::string first_cell_;
   mutable std::mutex mutex_;
   ru::SplitMix64 coin_{kSeed};
   resilience::fuzz::Mutator mutator_{kSeed + 1, kTokens};
@@ -182,10 +211,7 @@ void check_response(const std::vector<std::string>& response,
     return;
   }
   ASSERT_EQ(last.find("type")->as_string(), "done") << response.back();
-  const std::string signature =
-      rs::request_signature(request, rc::resolve_points(request.grid),
-                            request.grid.resolved_kinds(), {})
-          .hex();
+  const std::string signature = rs::resolve_request(request).signature.hex();
   EXPECT_EQ(last.find("signature")->as_string(), signature);
   ASSERT_EQ(response.size() - 1,
             static_cast<std::size_t>(last.find("cells")->as_double()));
@@ -199,12 +225,9 @@ void check_response(const std::vector<std::string>& response,
   }
 }
 
-TEST(RouterFuzz, MutatedShardAnswersYieldOneValidTerminalLine) {
-  if (!rn::transport_supported()) {
-    GTEST_SKIP() << "transport requires Linux";
-  }
-  FuzzShard first;
-  FuzzShard second;
+/// The fleet both cases route over: the two shards, short timeouts.
+rn::RouterOptions fleet_options(const FuzzShard& first,
+                                const FuzzShard& second) {
   rn::RouterOptions options;
   for (const std::uint16_t port : {first.port(), second.port()}) {
     rn::ShardConfig shard;
@@ -216,7 +239,59 @@ TEST(RouterFuzz, MutatedShardAnswersYieldOneValidTerminalLine) {
   options.attempts_per_shard = 2;
   options.backoff_initial_ms = 1;
   options.backoff_max_ms = 5;
-  rn::ShardFleet fleet(options);
+  return options;
+}
+
+TEST(RouterFuzz, AShardGarblingEveryAnswerFailsOverToTheHonestOne) {
+  // A malformed answer is handled like a lost one: the shard goes down
+  // and its chains fail over, so the request still gets the single
+  // daemon's bytes. Two garbles: a done line signed for other options,
+  // and a slot sent twice with the cell count kept. Each request is routed twice, with a probe between
+  // (the garbling shard answers pongs and rejoins): the second answer
+  // comes from the honest shard's cache, as a single daemon's second
+  // answer does.
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  FuzzShard first;
+  FuzzShard second;
+  rn::ShardFleet fleet(fleet_options(first, second));
+  const rc::GridChain chain =
+      rs::resolve_request(rs::ScenarioRequest::parse(kAnalytic)).chains.front();
+  FuzzShard& garbling =
+      *fleet.route(chain.key.value) == fleet.shard_ids().front() ? first
+                                                                 : second;
+  Collector routed;
+  rn::RouterSession session(fleet, routed.fn());
+  rs::SweepService daemon_service;
+  Collector daemon;
+  rs::JsonlSession single(daemon_service, daemon.fn());
+  for (const FuzzShard::Garble garble :
+       {FuzzShard::Garble::kSignature, FuzzShard::Garble::kCellTwice}) {
+    garbling.set_garbling(garble);
+    for (const std::string_view line : {kAnalytic, kSimulate}) {
+      const std::uint64_t failovers = fleet.stats().failovers;
+      for (int pass = 0; pass < 2; ++pass) {
+        fleet.probe_round();
+        session.handle_line(line);
+        single.handle_line(line);
+      }
+      EXPECT_GE(fleet.stats().failovers, failovers + 2) << line;
+      ASSERT_EQ(routed.responses.size(), daemon.responses.size());
+      EXPECT_EQ(routed.responses.back(), daemon.responses.back()) << line;
+      EXPECT_TRUE(daemon.responses.back().back().starts_with(
+          "{\"type\":\"done\""));
+    }
+  }
+}
+
+TEST(RouterFuzz, MutatedShardAnswersYieldOneValidTerminalLine) {
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  FuzzShard first;
+  FuzzShard second;
+  rn::ShardFleet fleet(fleet_options(first, second));
   Collector collector;
   rn::RouterSession session(fleet, collector.fn());
 

@@ -696,7 +696,7 @@ TEST(Persistence, SpillFromTheGoldenSectionFormatIsRejectedNotServed) {
         rc::tables_bit_identical(*result.table, rc::SweepRunner().run(grid)));
     const auto stale = rc::GridSignature::from_hex(v1_signature);
     ASSERT_TRUE(stale.has_value());
-    EXPECT_EQ(service.cache().find(*stale, service.options().sweep), nullptr);
+    EXPECT_EQ(service.cache().find(*stale), nullptr);
     EXPECT_EQ(service.stats().disk_rejects, 1u);
   }
   {  // The seed tier: a grid extending the stale one finds no seeds.
@@ -884,7 +884,8 @@ TEST(Serialize, CatalogCellAndDoneLinesRoundTrip) {
                                           *result.table, cache_hit, false));
   }
   ru::JsonValue stats = rs::to_json(service.stats());
-  stats.set("cost", rs::to_json(rs::estimate_cost(request, &service)));
+  stats.set("cost", rs::to_json(rs::estimate_cost(rs::resolve_request(request),
+                                                  &service)));
   expect_line_round_trips(rs::done_line(request.id, result.signature,
                                         *result.table, true, true, &stats));
 }
@@ -1111,9 +1112,9 @@ TEST(JsonlSession, LineNumberingAndErrorTracking) {
 
 TEST(JsonlSession, GridTooLargeToResolveAnswersAnErrorLine) {
   // Four 20000-entry axes: every entry is valid, but the point count
-  // (1.6e17) exceeds what a vector can hold, so resolving the grid throws
-  // a non-validation exception. The daemon classifies lines on its event
-  // loop, so this must come back as an answer, never as an exception.
+  // (1.6e17) exceeds what a vector can hold. The daemon classifies lines
+  // on its event loop, so this must come back as an answer, never as an
+  // exception: the grid bound rejects it, located, before resolving.
   const auto axis = [](const char* key, const char* entry) {
     std::string out = std::string("\"") + key + "\": [";
     for (int i = 0; i < 20000; ++i) {
@@ -1134,8 +1135,9 @@ TEST(JsonlSession, GridTooLargeToResolveAnswersAnErrorLine) {
   session.handle_line(huge);
   session.handle_line("{\"type\": \"ping\", \"id\": \"after\"}");
   ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"request\":\"line-1\",\"field\":\"\","
-                          "\"message\":\"internal error: "),
+  EXPECT_NE(lines[0].find("\"request\":\"line-1\",\"field\":\"node_counts\","
+                          "\"message\":\"node_counts: the grid has more "
+                          "than 65536 cells"),
             std::string::npos)
       << lines[0];
   EXPECT_EQ(lines[1], "{\"type\":\"pong\",\"request\":\"after\"}");

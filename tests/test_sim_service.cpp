@@ -694,7 +694,8 @@ TEST(CostModel, SimulateRequestsPriceByRunBudgetThenReplay) {
   rs::SweepService service(options);
   const auto request = small_sim_request();
 
-  const rs::CostEstimate cold = rs::estimate_cost(request, &service);
+  const rs::CostEstimate cold =
+      rs::estimate_cost(rs::resolve_request(request), &service);
   const std::size_t sim_cells = 2 * 2 * 2 * 2;
   EXPECT_EQ(cold.cells, sim_cells);
   EXPECT_FALSE(cold.identity_hit);
@@ -705,7 +706,8 @@ TEST(CostModel, SimulateRequestsPriceByRunBudgetThenReplay) {
   EXPECT_DOUBLE_EQ(cold.units, static_cast<double>(sim_cells) * per_cell);
 
   service.simulate(request);
-  const rs::CostEstimate warm = rs::estimate_cost(request, &service);
+  const rs::CostEstimate warm =
+      rs::estimate_cost(rs::resolve_request(request), &service);
   EXPECT_TRUE(warm.identity_hit);
   EXPECT_DOUBLE_EQ(warm.units,
                    static_cast<double>(sim_cells) * rs::kCostReplayCell);
