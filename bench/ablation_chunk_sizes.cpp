@@ -37,9 +37,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   rb::CommonOptions common = rb::parse_common_flags(cli);
-  const auto runs = static_cast<std::uint64_t>(cli.get_int("runs"));
-  const auto patterns = static_cast<std::uint64_t>(cli.get_int("patterns"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto [runs, patterns, seed] = rb::parse_simulation_flags(cli);
 
   const auto params = rc::hera().model_params();
   const auto solution = rc::solve_first_order(rc::PatternKind::kDMV, params);

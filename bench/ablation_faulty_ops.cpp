@@ -21,9 +21,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   rb::CommonOptions common = rb::parse_common_flags(cli);
-  const auto runs = static_cast<std::uint64_t>(cli.get_int("runs"));
-  const auto patterns = static_cast<std::uint64_t>(cli.get_int("patterns"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto [runs, patterns, seed] = rb::parse_simulation_flags(cli);
 
   rb::print_header(
       "Ablation: plain model vs Section-5 refinement vs simulation (P_DMV)");

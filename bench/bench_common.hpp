@@ -107,6 +107,26 @@ inline void add_simulation_flags(util::CliParser& cli, const char* default_runs,
   cli.add_flag("seed", "1", "base RNG seed");
 }
 
+/// Parsed values of the simulation flag triple.
+struct SimulationOptions {
+  std::uint64_t runs = 0;
+  std::uint64_t patterns = 0;
+  std::uint64_t seed = 0;
+};
+
+/// Reads --runs and --patterns (whole counts >= 1) and --seed (any
+/// unsigned 64-bit value); a bad value exits 2 after the parser's
+/// diagnostic.
+inline SimulationOptions parse_simulation_flags(const util::CliParser& cli) {
+  const auto runs = cli.checked_uint64("runs", 1);
+  const auto patterns = cli.checked_uint64("patterns", 1);
+  const auto seed = cli.checked_uint64("seed");
+  if (!runs || !patterns || !seed) {
+    std::exit(2);
+  }
+  return {*runs, *patterns, *seed};
+}
+
 /// Shared --threads/--json-out pair: every fig/ablation driver registers
 /// and interprets these two identically (add right after construction so
 /// --help lists them uniformly).
@@ -136,16 +156,15 @@ struct CommonOptions {
   std::unique_ptr<util::ThreadPool> owned_pool_;
 };
 
+/// Reads the common pair; a bad --threads exits 2 after the parser's
+/// diagnostic.
 inline CommonOptions parse_common_flags(const util::CliParser& cli) {
-  const std::int64_t threads = cli.get_int("threads");
-  if (threads < 0) {
-    // A negative count would wrap to SIZE_MAX workers; fail loudly.
-    std::fprintf(stderr, "error: --threads must be >= 0 (got %lld)\n",
-                 static_cast<long long>(threads));
+  const auto threads = cli.checked_int("threads", 0);
+  if (!threads) {
     std::exit(2);
   }
   CommonOptions common;
-  common.threads = static_cast<std::size_t>(threads);
+  common.threads = static_cast<std::size_t>(*threads);
   common.json_out = cli.get_string("json-out");
   return common;
 }

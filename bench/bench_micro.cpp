@@ -1,6 +1,6 @@
 // Microbenchmarks for the hot paths: the analytical evaluator, the
-// optimizers, the simulation engine (arrival-driven fast path vs. the
-// per-operation reference sampler) and the stencil kernel.
+// optimizers and the simulation engine (arrival-driven fast path vs. the
+// per-operation reference sampler).
 //
 // Two modes:
 //   * default: Google Benchmark suite (when the library is available),
@@ -52,8 +52,6 @@
 
 #if RESILIENCE_HAVE_GBENCH
 #include <benchmark/benchmark.h>
-
-#include "resilience/app/stencil.hpp"
 #endif
 
 namespace rc = resilience::core;
@@ -1312,8 +1310,6 @@ int run_json_mode(std::uint64_t patterns, const std::string& out_path) {
 
 namespace {
 
-namespace ra = resilience::app;
-
 void BM_SolveFirstOrder(benchmark::State& state) {
   const auto kind = rc::all_pattern_kinds()[static_cast<std::size_t>(state.range(0))];
   for (auto _ : state) {
@@ -1420,21 +1416,6 @@ void BM_MonteCarloFanout(benchmark::State& state) {
                           static_cast<std::int64_t>(config.runs * 50));
 }
 BENCHMARK(BM_MonteCarloFanout)->Arg(64)->Unit(benchmark::kMillisecond);
-
-void BM_StencilStep(benchmark::State& state) {
-  const auto side = static_cast<std::size_t>(state.range(0));
-  ra::StencilConfig config;
-  config.nx = side;
-  config.ny = side;
-  ra::HeatField field(config);
-  for (auto _ : state) {
-    field.advance(1);
-    benchmark::DoNotOptimize(field.data().data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(side * side));
-}
-BENCHMARK(BM_StencilStep)->Arg(64)->Arg(256);
 
 void BM_QuadraticForm(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));

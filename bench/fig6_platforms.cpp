@@ -26,9 +26,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 1;
   }
-  const auto runs = static_cast<std::uint64_t>(cli.get_int("runs"));
-  const auto patterns = static_cast<std::uint64_t>(cli.get_int("patterns"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto [runs, patterns, seed] = rb::parse_simulation_flags(cli);
   rb::CommonOptions common = rb::parse_common_flags(cli);
 
   rc::ScenarioGrid grid;

@@ -99,10 +99,15 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) {
     return 1;
   }
-  const auto runs = static_cast<std::uint64_t>(cli.get_int("runs"));
-  const auto patterns = static_cast<std::uint64_t>(cli.get_int("patterns"));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto grid_points = static_cast<std::size_t>(cli.get_int("grid"));
+  const auto [runs, patterns, seed] = rb::parse_simulation_flags(cli);
+  // At least two points span [0.2, 2]; at most 181 keeps the surface
+  // (181^2 points x 2 families) within kMaxRequestCells, the bound the
+  // service puts on one request's grid.
+  const auto grid_flag = cli.checked_int("grid", 2, 181);
+  if (!grid_flag) {
+    return 2;
+  }
+  const auto grid_points = static_cast<std::size_t>(*grid_flag);
   rb::CommonOptions common = rb::parse_common_flags(cli);
 
   rb::print_header("Figure 9: error-rate impact on Hera @ 100,000 nodes");

@@ -29,10 +29,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // A million days (~3.4M patterns of Hera's PDMV per run) keeps the
+  // pattern count far inside 64 bits.
+  const auto days = cli.checked_double("days", 0.0, 1e6);
+  const auto runs = cli.checked_uint64("runs", 1);
+  const auto seed = cli.checked_uint64("seed");
+  if (!days || !runs || !seed) {
+    return 2;
+  }
+
   const auto platform = rc::platform_by_name(cli.get_string("platform"));
   const auto kind = rc::pattern_kind_from_name(cli.get_string("pattern"));
   const auto params = platform.model_params();
-  const double work_seconds = cli.get_double("days") * 86400.0;
+  const double work_seconds = *days * 86400.0;
 
   const auto solution = rc::solve_first_order(kind, params);
   const auto pattern = solution.to_pattern(params.costs.recall);
@@ -41,15 +50,15 @@ int main(int argc, char** argv) {
 
   std::printf("Simulating %.0f days of work on %s under %s "
               "(%llu patterns of %.2f h)...\n\n",
-              cli.get_double("days"), platform.name.c_str(),
+              *days, platform.name.c_str(),
               rc::pattern_name(kind).c_str(),
               static_cast<unsigned long long>(patterns_needed),
               solution.work / 3600.0);
 
   rs::MonteCarloConfig config;
-  config.runs = static_cast<std::uint64_t>(cli.get_int("runs"));
+  config.runs = *runs;
   config.patterns_per_run = patterns_needed;
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  config.seed = *seed;
   const auto result = rs::run_monte_carlo(pattern, params, config);
 
   const double exact =

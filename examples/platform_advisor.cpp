@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 
 #include "resilience/core/expected_time.hpp"
 #include "resilience/core/first_order.hpp"
@@ -32,9 +33,18 @@ int main(int argc, char** argv) {
   rc::ModelParams params;
   std::string label;
   if (cli.was_set("lambda-f") || cli.was_set("lambda-s")) {
-    params.costs = rc::CostParams::paper_defaults(cli.get_double("cd"),
-                                                  cli.get_double("cm"));
-    params.rates = {cli.get_double("lambda-f"), cli.get_double("lambda-s")};
+    // The service's rule for a request's platform: rates >= 0, costs > 0.
+    constexpr double kMax = std::numeric_limits<double>::max();
+    constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+    const auto lambda_f = cli.checked_double("lambda-f", 0.0, kMax);
+    const auto lambda_s = cli.checked_double("lambda-s", 0.0, kMax);
+    const auto cd = cli.checked_double("cd", kPositive, kMax);
+    const auto cm = cli.checked_double("cm", kPositive, kMax);
+    if (!lambda_f || !lambda_s || !cd || !cm) {
+      return 2;
+    }
+    params.costs = rc::CostParams::paper_defaults(*cd, *cm);
+    params.rates = {*lambda_f, *lambda_s};
     label = "custom platform";
   } else {
     const auto platform = rc::platform_by_name(cli.get_string("platform"));

@@ -37,6 +37,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -154,20 +155,15 @@ int main(int argc, char** argv) {
     return 2;  // usage (also --help; CliParser does not distinguish)
   }
   const std::string input = cli.get_string("input");
-  const std::int64_t threads_raw = cli.get_int("threads");
-  const std::int64_t capacity_raw = cli.get_int("cache-capacity");
-  const std::int64_t deadline_raw = cli.get_int("default-deadline-ms");
+  const auto threads_flag = cli.checked_int("threads", 0);
+  const auto capacity = cli.checked_int("cache-capacity", 0);
+  const auto deadline_ms =
+      cli.checked_int("default-deadline-ms", 0, std::numeric_limits<int>::max());
   const auto sim_max_runs = cli.checked_uint64("sim-max-runs");
-  if (!sim_max_runs) {
+  if (!threads_flag || !capacity || !deadline_ms || !sim_max_runs) {
     return 2;
   }
-  if (threads_raw < 0 || capacity_raw < 0 || deadline_raw < 0) {
-    // A negative count would wrap to SIZE_MAX; fail loudly.
-    std::fprintf(stderr,
-                 "sweep_server: count/deadline flags must be >= 0\n");
-    return 2;
-  }
-  const auto threads = static_cast<std::size_t>(threads_raw);
+  const auto threads = static_cast<std::size_t>(*threads_flag);
   const bool stream = !cli.get_bool("no-stream");
   const bool check = cli.get_bool("check");
 
@@ -184,7 +180,7 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<ru::ThreadPool> pool;
   rs::ServiceOptions options;
-  options.cache_capacity = static_cast<std::size_t>(capacity_raw);
+  options.cache_capacity = static_cast<std::size_t>(*capacity);
   options.cache_dir = cli.get_string("cache-dir");
   if (threads > 0) {
     pool = std::make_unique<ru::ThreadPool>(threads);
@@ -205,7 +201,7 @@ int main(int argc, char** argv) {
 
   bool check_failed = false;
   rs::JsonlSession::Options session_options{stream, /*collect=*/check,
-                                            static_cast<int>(deadline_raw)};
+                                            static_cast<int>(*deadline_ms)};
   session_options.sim_max_runs = *sim_max_runs;
   rs::JsonlSession session(
       service,

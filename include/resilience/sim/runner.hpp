@@ -30,11 +30,6 @@ struct MonteCarloConfig {
   /// campaign would — without replaying earlier runs.
   std::uint64_t first_run = 0;
   util::ThreadPool* pool = nullptr;   ///< defaults to the global pool
-  /// Optional event hook, not owned; threaded by pointer to every run (the
-  /// std::function is never copied). Invoked concurrently from pool
-  /// workers, so the callee must be thread-safe. Installing one disables
-  /// the compile-time no-op observer of the fast path.
-  const EventObserver* observer = nullptr;
 };
 
 /// Result of a Monte Carlo campaign.
@@ -71,7 +66,6 @@ template <typename MakeModel>
                                                const MakeModel& make_model) {
   params.validate();
   util::ThreadPool& pool = config.pool ? *config.pool : util::global_pool();
-  const bool observed = config.observer != nullptr && *config.observer;
 
   // Per-run metrics are collected positionally, then folded sequentially so
   // the aggregate is independent of scheduling order.
@@ -88,10 +82,7 @@ template <typename MakeModel>
       auto errors = make_model(stream_rng);
       stream_rng.jump();
       per_run[run_index] =
-          observed ? simulate_patterns(pattern, params, errors,
-                                       config.patterns_per_run, *config.observer)
-                   : simulate_patterns(pattern, params, errors,
-                                       config.patterns_per_run);
+          simulate_patterns(pattern, params, errors, config.patterns_per_run);
     }
   });
 

@@ -26,18 +26,14 @@ class CliParser {
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get_string(const std::string& name) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name) const;
-  [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
   [[nodiscard]] bool was_set(const std::string& name) const;
 
-  /// Strict numeric flag accessors — THE one place every binary's "is
-  /// this flag a sane number" check lives, so the tools can't drift
-  /// apart in what they accept (get_int's std::stoll tolerates trailing
-  /// junk and throws raw exceptions on garbage; these do neither).
-  /// The whole value must parse, be finite, and land in [min, max];
-  /// otherwise a one-line "<program>: --<name> ..." diagnostic goes to
-  /// stderr and nullopt comes back — callers exit 2 (usage error).
+  /// Numeric flag accessors, the only way to read a number, so the tools
+  /// can't drift apart in what they accept. The whole value must parse
+  /// (no trailing junk), be finite, and land in [min, max]; otherwise a
+  /// one-line "<program>: --<name> ..." diagnostic goes to stderr and
+  /// nullopt comes back — callers exit 2 (usage error).
   [[nodiscard]] std::optional<std::int64_t> checked_int(
       const std::string& name, std::int64_t min_value,
       std::int64_t max_value = INT64_MAX) const;

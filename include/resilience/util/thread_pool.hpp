@@ -4,7 +4,7 @@
 // parallel_for whose per-call cost is one shared control block plus at most
 // one queue entry per worker — never per index. This is the only parallel
 // substrate in the project: the Monte Carlo runner, the pattern optimizer
-// and the stencil kernels fan work out through it, keeping the rest of the
+// and the scenario sweep fan work out through it, keeping the rest of the
 // code free of raw thread management (C++ Core Guidelines CP.*).
 //
 // parallel_for hands out work as ticket ranges claimed off a shared
@@ -82,8 +82,8 @@ class ThreadPool {
   }
 
   /// Ticket-range variant giving the callee whole [begin, end) ranges;
-  /// useful when per-iteration dispatch would dominate (stencil rows, RNG
-  /// sub-stream batches).
+  /// useful when per-iteration dispatch would dominate (the Monte Carlo
+  /// runner's RNG sub-stream batches).
   template <typename Body>
   void parallel_for_ranges(std::size_t count, Body&& body, std::size_t grain = 0) {
     using Fn = std::remove_reference_t<Body>;
@@ -114,7 +114,8 @@ class ThreadPool {
 };
 
 /// Process-wide pool, sized from hardware concurrency on first use. The
-/// simulator and stencil default to this so examples need no plumbing.
+/// simulator, the optimizer and the sweep default to this so examples need
+/// no plumbing.
 ThreadPool& global_pool();
 
 }  // namespace resilience::util

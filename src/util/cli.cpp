@@ -69,14 +69,6 @@ std::string CliParser::get_string(const std::string& name) const {
   return it->second.value.value_or(it->second.default_value);
 }
 
-std::int64_t CliParser::get_int(const std::string& name) const {
-  return std::stoll(get_string(name));
-}
-
-double CliParser::get_double(const std::string& name) const {
-  return std::stod(get_string(name));
-}
-
 bool CliParser::get_bool(const std::string& name) const {
   const std::string v = get_string(name);
   return v == "true" || v == "1" || v == "yes" || v == "on";

@@ -37,8 +37,8 @@ TEST(Cli, DefaultsApplyWhenUnset) {
   auto parser = make_parser();
   const std::array argv = {"prog"};
   ASSERT_TRUE(parser.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_EQ(parser.get_int("runs"), 100);
-  EXPECT_DOUBLE_EQ(parser.get_double("rate"), 0.5);
+  EXPECT_EQ(parser.checked_int("runs", 0), 100);
+  EXPECT_EQ(parser.checked_double("rate", 0.0, 1.0), 0.5);
   EXPECT_EQ(parser.get_string("name"), "hera");
   EXPECT_FALSE(parser.get_bool("verbose"));
   EXPECT_FALSE(parser.was_set("runs"));
@@ -48,7 +48,7 @@ TEST(Cli, SpaceSeparatedValues) {
   auto parser = make_parser();
   const std::array argv = {"prog", "--runs", "250", "--name", "atlas"};
   ASSERT_TRUE(parser.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_EQ(parser.get_int("runs"), 250);
+  EXPECT_EQ(parser.checked_int("runs", 0), 250);
   EXPECT_EQ(parser.get_string("name"), "atlas");
   EXPECT_TRUE(parser.was_set("runs"));
 }
@@ -57,7 +57,7 @@ TEST(Cli, EqualsSeparatedValues) {
   auto parser = make_parser();
   const std::array argv = {"prog", "--rate=0.125"};
   ASSERT_TRUE(parser.parse(static_cast<int>(argv.size()), argv.data()));
-  EXPECT_DOUBLE_EQ(parser.get_double("rate"), 0.125);
+  EXPECT_EQ(parser.checked_double("rate", 0.0, 1.0), 0.125);
 }
 
 TEST(Cli, BoolFlagForms) {

@@ -146,13 +146,28 @@ TEST(Engine, EventStreamIsConsistentWithCounters) {
   params.rates = {5e-5, 2e-4};
   const auto pattern = rc::make_pattern(rc::PatternKind::kDMV, 8000.0, 2, 2, 0.8);
 
+  // A pattern commits its disk checkpoint only after running error-free
+  // once, so consecutive disk checkpoints (the first one counted from the
+  // start of the run) are at least W plus its verifications and
+  // checkpoints apart.
+  const double error_free = 8000.0 +
+                            2.0 * (params.costs.guaranteed_verification +
+                                   params.costs.memory_checkpoint) +
+                            2.0 * params.costs.partial_verification +
+                            params.costs.disk_checkpoint;
   std::vector<rs::Event> events;
   double last_clock = 0.0;
+  double last_disk_checkpoint = 0.0;
   const auto metrics = simulate(pattern, params, 100, 3,
                                 [&](rs::Event event, double clock) {
                                   events.push_back(event);
                                   EXPECT_GE(clock, last_clock);  // time moves forward
                                   last_clock = clock;
+                                  if (event == rs::Event::kDiskCheckpoint) {
+                                    EXPECT_GE(clock - last_disk_checkpoint,
+                                              error_free - 1e-6);
+                                    last_disk_checkpoint = clock;
+                                  }
                                 });
 
   const auto count = [&](rs::Event type) {

@@ -1,13 +1,9 @@
 // Cross-module integration tests: the full pipeline a downstream user
-// follows — platform description -> optimal pattern -> simulation -> (for
-// the demo app) protected execution with measured detector parameters.
+// follows — platform description -> optimal pattern -> simulation — plus
+// detector selection and the numeric optimizer against simulation.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
-#include "resilience/app/detectors.hpp"
-#include "resilience/app/protected_run.hpp"
 #include "resilience/core/expected_time.hpp"
 #include "resilience/core/first_order.hpp"
 #include "resilience/core/optimizer.hpp"
@@ -17,10 +13,10 @@
 
 namespace rc = resilience::core;
 namespace rs = resilience::sim;
-namespace ra = resilience::app;
 
 TEST(Integration, PlatformToPatternToSimulationPipeline) {
-  // The DESIGN.md "quickstart" path, end to end.
+  // examples/quickstart.cpp's path (platform -> Table 1 solution), carried
+  // on through the exact model and simulation.
   const auto platform = rc::platform_by_name("hera");
   const auto params = platform.model_params();
 
@@ -39,25 +35,6 @@ TEST(Integration, PlatformToPatternToSimulationPipeline) {
 
   EXPECT_NEAR(result.mean_overhead(), exact,
               4.0 * result.overhead_ci() + 0.01 * (1.0 + exact));
-}
-
-TEST(Integration, MeasuredDetectorFeedsTheModel) {
-  // Measure the time-series detector's real recall on the stencil, install
-  // it into the cost model, and verify the optimizer reacts sensibly: a
-  // cheap partial verification must not make the optimum worse than not
-  // having one.
-  ra::TimeSeriesDetector detector;
-  const double measured_cost = 0.154;  // paper's V = V*/100 scale on Hera
-  const auto measured = ra::measure_recall(detector, measured_cost, 100);
-  ASSERT_GT(measured.recall, 0.0);
-  ASSERT_LE(measured.recall, 1.0);
-
-  rc::ModelParams params = rc::hera().model_params();
-  params.costs = rc::with_detector(params.costs, measured);
-
-  const auto with_partial = rc::solve_first_order(rc::PatternKind::kDMV, params);
-  const auto without_partial = rc::solve_first_order(rc::PatternKind::kDMVg, params);
-  EXPECT_LE(with_partial.overhead, without_partial.overhead * (1.0 + 1e-9));
 }
 
 TEST(Integration, DetectorSelectionPrefersMeasuredCheapDetector) {
@@ -91,31 +68,6 @@ TEST(Integration, NumericOptimizerAgreesWithSimulation) {
 
   EXPECT_LT(sim_numeric.mean_overhead(),
             sim_first.mean_overhead() + 4.0 * sim_first.overhead_ci());
-}
-
-TEST(Integration, ProtectedRunUsesOptimizerShapes) {
-  // Drive the end-to-end app with a pattern shape chosen by the optimizer
-  // (translated from seconds to steps) and verify correct completion.
-  const auto params = rc::hera().model_params();
-  const auto solution = rc::solve_first_order(rc::PatternKind::kDMV, params);
-
-  ra::ProtectedJobConfig config;
-  config.stencil.nx = 32;
-  config.stencil.ny = 32;
-  config.total_steps = 256;
-  config.steps_per_chunk = 8;
-  config.chunks_per_segment = std::max<std::uint64_t>(1, solution.chunks_m);
-  config.segments_per_pattern = std::max<std::uint64_t>(1, solution.segments_n);
-  config.silent_fault_probability = 0.1;
-  config.fail_stop_probability = 0.05;
-  config.scratch_directory = std::filesystem::temp_directory_path() /
-                             "resilience_integration_scratch";
-  const auto report = ra::run_protected(config);
-  EXPECT_TRUE(report.completed);
-  EXPECT_DOUBLE_EQ(report.final_error_vs_reference, 0.0);
-
-  std::error_code ec;
-  std::filesystem::remove_all(config.scratch_directory, ec);
 }
 
 TEST(Integration, WeakScalingOverheadGrowsWithNodeCount) {

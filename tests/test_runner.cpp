@@ -72,24 +72,6 @@ TEST(Runner, ReferenceSamplerViaFactoryStaysConsistentWithFastPath) {
   EXPECT_NEAR(fast.mean_overhead(), reference.mean_overhead(), 2.0 * ci);
 }
 
-TEST(Runner, ObserverThreadedByPointerSeesEveryRun) {
-  const auto params = hera_params();
-  const auto pattern = rc::make_pattern(rc::PatternKind::kD, 10000.0, 1, 1, 1.0);
-  std::atomic<std::uint64_t> completions{0};
-  const rs::EventObserver observer = [&](rs::Event event, double) {
-    if (event == rs::Event::kPatternCompleted) {
-      completions.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  rs::MonteCarloConfig config;
-  config.runs = 8;
-  config.patterns_per_run = 5;
-  config.observer = &observer;
-  const auto result = rs::run_monte_carlo(pattern, params, config);
-  EXPECT_EQ(completions.load(), result.totals.patterns_completed);
-  EXPECT_EQ(completions.load(), 40u);
-}
-
 TEST(Runner, SeedChangesResults) {
   const auto params = hera_params();
   const auto pattern = rc::make_pattern(rc::PatternKind::kD, 20000.0, 1, 1, 1.0);
