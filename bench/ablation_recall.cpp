@@ -22,8 +22,11 @@ int main(int argc, char** argv) {
   }
   resilience::bench::CommonOptions common =
       resilience::bench::parse_common_flags(cli);
-  const auto platform = rc::platform_by_name(cli.get_string("platform"));
-  const auto base = platform.model_params();
+  const auto platform = cli.checked_name("platform", rc::platform_by_name);
+  if (!platform) {
+    return 2;
+  }
+  const auto base = platform->model_params();
 
   resilience::bench::print_header(
       "Ablation: partial-verification recall/cost sweep (first-order model)");
@@ -39,7 +42,7 @@ int main(int argc, char** argv) {
   const std::vector<double> recalls = {0.05, 0.2, 0.5, 0.8, 0.99};
 
   rc::ScenarioGrid grid;
-  grid.platforms = {platform};
+  grid.platforms = {*platform};
   for (const double cost_fraction : cost_fractions) {
     for (const double recall : recalls) {
       rc::CostOverride detector_override;

@@ -52,8 +52,11 @@ int main(int argc, char** argv) {
   }
   rb::CommonOptions common = rb::parse_common_flags(cli);
   const auto [runs, patterns, seed] = rb::parse_simulation_flags(cli);
-  const auto platform = rc::platform_by_name(cli.get_string("platform"));
-  const auto params = platform.model_params();
+  const auto platform = cli.checked_name("platform", rc::platform_by_name);
+  if (!platform) {
+    return 2;
+  }
+  const auto params = platform->model_params();
 
   rb::print_header(
       "Ablation: exponential-optimal patterns under renewal failures "

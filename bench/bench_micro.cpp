@@ -45,7 +45,6 @@
 #include "resilience/net/server.hpp"
 #include "resilience/service/jsonl_session.hpp"
 #include "resilience/service/serialize.hpp"
-#include "resilience/service/sim_table.hpp"
 #include "resilience/service/sweep_service.hpp"
 #include "resilience/sim/engine.hpp"
 #include "resilience/sim/runner.hpp"
@@ -1234,7 +1233,7 @@ JsonValue simulate_section(Gates& gates) {
       const rv::SimSubmitResult cold = cold_service.simulate(request);
       cells = warm.table->cell_count();
       replay_identical = warm.cache_hit && !cold.cache_hit &&
-                         rv::sim_tables_bit_identical(*warm.table, *cold.table);
+                         rc::tables_bit_identical(*warm.table, *cold.table);
     }
   }
   const bool pool_identical = streams.size() == std::size(pool_sizes) &&

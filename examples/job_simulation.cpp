@@ -34,24 +34,24 @@ int main(int argc, char** argv) {
   const auto days = cli.checked_double("days", 0.0, 1e6);
   const auto runs = cli.checked_uint64("runs", 1);
   const auto seed = cli.checked_uint64("seed");
-  if (!days || !runs || !seed) {
+  const auto platform = cli.checked_name("platform", rc::platform_by_name);
+  const auto kind = cli.checked_name("pattern", rc::pattern_kind_from_name);
+  if (!days || !runs || !seed || !platform || !kind) {
     return 2;
   }
 
-  const auto platform = rc::platform_by_name(cli.get_string("platform"));
-  const auto kind = rc::pattern_kind_from_name(cli.get_string("pattern"));
-  const auto params = platform.model_params();
+  const auto params = platform->model_params();
   const double work_seconds = *days * 86400.0;
 
-  const auto solution = rc::solve_first_order(kind, params);
+  const auto solution = rc::solve_first_order(*kind, params);
   const auto pattern = solution.to_pattern(params.costs.recall);
   const auto patterns_needed =
       static_cast<std::uint64_t>(work_seconds / solution.work) + 1;
 
   std::printf("Simulating %.0f days of work on %s under %s "
               "(%llu patterns of %.2f h)...\n\n",
-              *days, platform.name.c_str(),
-              rc::pattern_name(kind).c_str(),
+              *days, platform->name.c_str(),
+              rc::pattern_name(*kind).c_str(),
               static_cast<unsigned long long>(patterns_needed),
               solution.work / 3600.0);
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 
 #include "resilience/core/expected_time.hpp"
 #include "resilience/core/first_order.hpp"
@@ -47,35 +48,44 @@ int main(int argc, char** argv) {
     params.rates = {*lambda_f, *lambda_s};
     label = "custom platform";
   } else {
-    const auto platform = rc::platform_by_name(cli.get_string("platform"));
-    params = platform.model_params();
-    label = platform.name;
+    const auto platform = cli.checked_name("platform", rc::platform_by_name);
+    if (!platform) {
+      return 2;
+    }
+    params = platform->model_params();
+    label = platform->name;
   }
   params.validate();
-
-  std::printf("Pattern comparison on %s (MTBF %.1f hours)\n\n", label.c_str(),
-              params.rates.platform_mtbf() / 3600.0);
 
   ru::Table table({"pattern", "W* (h)", "n*", "m*", "H* first-order",
                    "H exact", "H numeric-opt"});
   double best_overhead = 1e300;
   rc::PatternKind best_kind = rc::PatternKind::kD;
-  for (const auto kind : rc::all_pattern_kinds()) {
-    const auto solution = rc::solve_first_order(kind, params);
-    const double exact =
-        rc::evaluate_pattern(solution.to_pattern(params.costs.recall), params)
-            .overhead;
-    const auto numeric = rc::optimize_pattern(kind, params);
-    table.add_row({rc::pattern_name(kind), ru::format_double(solution.work / 3600.0, 2),
-                   std::to_string(solution.segments_n),
-                   std::to_string(solution.chunks_m),
-                   ru::format_percent(solution.overhead),
-                   ru::format_percent(exact), ru::format_percent(numeric.overhead)});
-    if (numeric.overhead < best_overhead) {
-      best_overhead = numeric.overhead;
-      best_kind = kind;
+  try {
+    for (const auto kind : rc::all_pattern_kinds()) {
+      const auto solution = rc::solve_first_order(kind, params);
+      const double exact =
+          rc::evaluate_pattern(solution.to_pattern(params.costs.recall), params)
+              .overhead;
+      const auto numeric = rc::optimize_pattern(kind, params);
+      table.add_row({rc::pattern_name(kind), ru::format_double(solution.work / 3600.0, 2),
+                     std::to_string(solution.segments_n),
+                     std::to_string(solution.chunks_m),
+                     ru::format_percent(solution.overhead),
+                     ru::format_percent(exact), ru::format_percent(numeric.overhead)});
+      if (numeric.overhead < best_overhead) {
+        best_overhead = numeric.overhead;
+        best_kind = kind;
+      }
     }
+  } catch (const std::logic_error& error) {  // custom rates no pattern fits
+    std::fprintf(stderr, "platform_advisor: --lambda-f, --lambda-s: %s\n",
+                 error.what());
+    return 2;
   }
+
+  std::printf("Pattern comparison on %s (MTBF %.1f hours)\n\n", label.c_str(),
+              params.rates.platform_mtbf() / 3600.0);
   table.print(std::cout);
 
   std::printf("\nRecommendation: use %s (%.2f%% overhead).\n",

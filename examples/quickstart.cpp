@@ -22,22 +22,26 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto platform = resilience::core::platform_by_name(cli.get_string("platform"));
+  const auto platform =
+      cli.checked_name("platform", resilience::core::platform_by_name);
   const auto kind =
-      resilience::core::pattern_kind_from_name(cli.get_string("pattern"));
-  const auto params = platform.model_params();
+      cli.checked_name("pattern", resilience::core::pattern_kind_from_name);
+  if (!platform || !kind) {
+    return 2;
+  }
+  const auto params = platform->model_params();
 
   std::printf("Platform %s: %zu nodes, lambda_f = %.3g /s, lambda_s = %.3g /s\n",
-              platform.name.c_str(), platform.nodes, params.rates.fail_stop,
+              platform->name.c_str(), platform->nodes, params.rates.fail_stop,
               params.rates.silent);
   std::printf("Costs: C_D = %.1fs, C_M = %.1fs, V* = %.1fs, V = %.3fs (r = %.2f)\n\n",
               params.costs.disk_checkpoint, params.costs.memory_checkpoint,
               params.costs.guaranteed_verification, params.costs.partial_verification,
               params.costs.recall);
 
-  const auto solution = resilience::core::solve_first_order(kind, params);
+  const auto solution = resilience::core::solve_first_order(*kind, params);
   std::printf("Optimal %s pattern:\n",
-              resilience::core::pattern_name(kind).c_str());
+              resilience::core::pattern_name(*kind).c_str());
   std::printf("  period W*                = %.0f s (%.2f hours)\n", solution.work,
               solution.work / 3600.0);
   std::printf("  memory checkpoints n*    = %zu per pattern\n", solution.segments_n);

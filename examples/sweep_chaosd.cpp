@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
   const auto upstream_port = cli.checked_int("upstream-port", 1, 65535);
   const auto max_chunk = cli.checked_int("max-chunk", 1);
   const auto stall_every = cli.checked_int("stall-every", 0);
-  const auto stall_max_ms = cli.checked_int("stall-max-ms", 0);
+  const auto stall_max_ms = cli.checked_int("stall-max-ms", 0, INT_MAX);
   const auto kill_every = cli.checked_int("kill-every", 0);
   const auto kill_budget = cli.checked_int("kill-budget", 0);
   const auto seed = cli.checked_uint64("seed");

@@ -26,6 +26,7 @@
 // server-side), 1 on connection failures or a short response stream,
 // 2 on usage errors.
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -64,9 +65,9 @@ int main(int argc, char** argv) {
     return 2;  // usage (also --help; CliParser does not distinguish)
   }
   const auto port_value = cli.checked_int("port", 1, 65535);
-  const auto retries_value = cli.checked_int("retries", 0);
-  const auto connect_value = cli.checked_int("connect-timeout-ms", 0);
-  const auto receive_value = cli.checked_int("receive-timeout-ms", 0);
+  const auto retries_value = cli.checked_int("retries", 0, INT_MAX);
+  const auto connect_value = cli.checked_int("connect-timeout-ms", 0, INT_MAX);
+  const auto receive_value = cli.checked_int("receive-timeout-ms", 0, INT_MAX);
   const auto jitter_value = cli.checked_uint64("jitter-seed");
   if (!port_value || !retries_value || !connect_value || !receive_value ||
       !jitter_value) {

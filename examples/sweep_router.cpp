@@ -12,6 +12,8 @@
 // errors (bad flags, unparsable --shards), 1 on fatal runtime errors
 // (bind failure, epoll breakage).
 
+#include <charconv>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <memory>
@@ -56,16 +58,15 @@ bool parse_shards(const std::string& text,
         config.host = entry.substr(0, colon);
         port_text = entry.substr(colon + 1);
       }
-      std::int64_t port = -1;
-      try {
-        port = std::stoll(port_text);
-      } catch (...) {
-        port = -1;
-      }
-      if (config.host.empty() || port <= 0 || port > 65535) {
+      std::uint16_t port = 0;  // the whole text: "7000abc" is no port
+      const char* const port_end = port_text.data() + port_text.size();
+      const auto [last, error] =
+          std::from_chars(port_text.data(), port_end, port);
+      if (config.host.empty() || error != std::errc() || last != port_end ||
+          port == 0) {
         return false;
       }
-      config.port = static_cast<std::uint16_t>(port);
+      config.port = port;
       shards.push_back(std::move(config));
     }
     start = end + 1;
@@ -125,16 +126,16 @@ int main(int argc, char** argv) {
 
   const auto port = cli.checked_int("port", 0, 65535);
   const auto vnodes = cli.checked_int("vnodes", 1);
-  const auto probe_ms = cli.checked_int("probe-interval-ms", 0);
-  const auto attempts = cli.checked_int("attempts-per-shard", 1);
-  const auto connect_ms = cli.checked_int("connect-timeout-ms", 0);
-  const auto receive_ms = cli.checked_int("receive-timeout-ms", 0);
+  const auto probe_ms = cli.checked_int("probe-interval-ms", 0, INT_MAX);
+  const auto attempts = cli.checked_int("attempts-per-shard", 1, INT_MAX);
+  const auto connect_ms = cli.checked_int("connect-timeout-ms", 0, INT_MAX);
+  const auto receive_ms = cli.checked_int("receive-timeout-ms", 0, INT_MAX);
   const auto workers = cli.checked_int("request-workers", 0);
   const auto max_conns = cli.checked_int("max-conns", 0);
   const auto depth = cli.checked_int("max-pipeline-depth", 0);
-  const auto drain_ms = cli.checked_int("drain-timeout-ms", 0);
+  const auto drain_ms = cli.checked_int("drain-timeout-ms", 0, INT_MAX);
   const auto jitter = cli.checked_uint64("jitter-seed");
-  const auto overload_rounds = cli.checked_int("overload-rounds", 0);
+  const auto overload_rounds = cli.checked_int("overload-rounds", 0, INT_MAX);
   const auto queue_cost = cli.checked_double("max-queue-cost", 0.0, 1e18);
   const auto queue_depth = cli.checked_int("max-queue-depth", 0);
   if (!port || !vnodes || !probe_ms || !attempts || !connect_ms ||

@@ -15,6 +15,7 @@
 // Exit codes: 0 after a graceful drain, 2 on usage errors, 1 on fatal
 // runtime errors (bind failure, epoll breakage).
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <memory>
@@ -104,8 +105,8 @@ int main(int argc, char** argv) {
   const auto write_buf = cli.checked_int("write-buf-limit", 0);
   const auto max_line = cli.checked_int("max-line-bytes", 0);
   const auto depth = cli.checked_int("max-pipeline-depth", 0);
-  const auto drain_ms = cli.checked_int("drain-timeout-ms", 0);
-  const auto deadline_ms = cli.checked_int("default-deadline-ms", 0);
+  const auto drain_ms = cli.checked_int("drain-timeout-ms", 0, INT_MAX);
+  const auto deadline_ms = cli.checked_int("default-deadline-ms", 0, INT_MAX);
   const auto queue_cost = cli.checked_double("max-queue-cost", 0.0, 1e18);
   const auto queue_depth = cli.checked_int("max-queue-depth", 0);
   const auto sim_max_runs = cli.checked_uint64("sim-max-runs");

@@ -26,11 +26,17 @@
 // functions of (kind, params, result-affecting options)), and otherwise
 // warm-starts cold chain heads from the nearest supplied point. Either
 // way the table stays bit-identical to a sweep without any seeds.
+//
+// ResultTable<Cell, Header> is the table type of both modes: SweepTable
+// here, service::SimTable (sim_table.hpp) for Monte Carlo cells. Code
+// that handles tables is written once over the cell and header hooks.
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -120,26 +126,78 @@ struct SweepCell {
   bool warm_started = false;
 };
 
+/// An analytic table's header: empty, as a cell sits at its (point,
+/// family) alone. A simulate table's SimParams header adds sub-cells.
+struct SweepHeader {};
+
+/// Per-header hooks: the sub-cells of one (point, family), a cell's
+/// offset among them (sub_cells(header) when it fits none), and bitwise
+/// header equality.
+[[nodiscard]] constexpr std::size_t sub_cells(const SweepHeader&) noexcept {
+  return 1;
+}
+[[nodiscard]] constexpr std::size_t sub_index(const SweepCell&,
+                                              const SweepHeader&) noexcept {
+  return 0;
+}
+[[nodiscard]] constexpr bool headers_bit_identical(
+    const SweepHeader&, const SweepHeader&) noexcept {
+  return true;
+}
+
 /// Deterministic result table: cells are stored point-major in the
-/// resolve_points() order, family-minor in resolved_kinds() order.
-struct SweepTable {
+/// resolve_points() order, then by family in `kinds` order, then by
+/// sub-cell, which is the canonical wire order.
+template <class Cell, class Header>
+struct ResultTable {
   std::vector<ScenarioPoint> points;
   std::vector<PatternKind> kinds;
-  std::vector<SweepCell> cells;
-  /// kind -> column slot in the family-minor layout (-1 = family absent).
-  /// Tables from SweepRunner::run() and the service deserializer arrive
-  /// indexed; hand-assembled tables must call index_kinds() before cell().
+  Header header;
+  std::vector<Cell> cells;
+  /// kind -> column slot in the family layout (-1 = family absent).
+  /// Tables from the engines, the service deserializer and the router
+  /// arrive indexed; hand-assembled tables must call index_kinds() first.
   std::array<std::int8_t, kPatternKindCount> kind_slot = {-1, -1, -1,
                                                           -1, -1, -1};
 
   /// Rebuilds kind_slot from kinds.
-  void index_kinds();
+  void index_kinds() {
+    kind_slot.fill(-1);
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+      kind_slot[static_cast<std::size_t>(kinds[k])] =
+          static_cast<std::int8_t>(k);
+    }
+  }
 
-  /// O(1) lookup by index arithmetic on the point-major/family-minor
-  /// layout; throws std::out_of_range for an unknown point or family.
-  [[nodiscard]] const SweepCell& cell(std::size_t point_index,
-                                      PatternKind kind) const;
+  [[nodiscard]] std::size_t cells_per_point() const noexcept {
+    return kinds.size() * sub_cells(header);
+  }
+  [[nodiscard]] std::size_t cell_count() const noexcept {
+    return points.size() * cells_per_point();
+  }
+
+  /// Storage slot of (point, family column, sub-cell) by index arithmetic.
+  [[nodiscard]] std::size_t cell_index(std::size_t point_index,
+                                       std::size_t kind_index,
+                                       std::size_t sub = 0) const noexcept {
+    return point_index * cells_per_point() + kind_index * sub_cells(header) +
+           sub;
+  }
+
+  /// O(1) lookup by index arithmetic; throws std::out_of_range for an
+  /// unknown point, family or sub-cell.
+  [[nodiscard]] const Cell& cell(std::size_t point_index, PatternKind kind,
+                                 std::size_t sub = 0) const {
+    const auto k = static_cast<std::size_t>(kind);
+    const std::int8_t slot = k < kind_slot.size() ? kind_slot[k] : -1;
+    if (point_index >= points.size() || slot < 0 || sub >= sub_cells(header)) {
+      throw std::out_of_range("ResultTable::cell: no such point/family");
+    }
+    return cells[cell_index(point_index, static_cast<std::size_t>(slot), sub)];
+  }
 };
+
+using SweepTable = ResultTable<SweepCell, SweepHeader>;
 
 /// Stable 64-bit content identity of a sweep computation: a hash over the
 /// fully resolved grid points (platform identity, node counts, rates and
@@ -258,18 +316,40 @@ class SeedSource {
     const std::vector<ScenarioPoint>& points,
     const std::vector<PatternKind>& kinds, const SweepOptions& options);
 
+/// The per-header signature hook: an analytic table signs as
+/// grid_signature under `options`.
+[[nodiscard]] inline GridSignature table_signature(
+    const std::vector<ScenarioPoint>& points,
+    const std::vector<PatternKind>& kinds, const SweepHeader&,
+    const SweepOptions& options) {
+  return grid_signature(points, kinds, options);
+}
+
 /// Field-by-field bitwise equality — doubles compared by bit pattern (so
 /// NaN == NaN, -0.0 != 0.0). This is the "bit-identical" relation the
 /// determinism, streaming and caching guarantees are stated in, used by
 /// the tests, bench_micro and sweep_server --check.
+[[nodiscard]] bool same_bits(double a, double b) noexcept;
 [[nodiscard]] bool cells_bit_identical(const SweepCell& a,
                                        const SweepCell& b) noexcept;
 [[nodiscard]] bool params_bit_identical(const ModelParams& a,
                                         const ModelParams& b) noexcept;
 [[nodiscard]] bool points_bit_identical(const ScenarioPoint& a,
                                         const ScenarioPoint& b) noexcept;
-[[nodiscard]] bool tables_bit_identical(const SweepTable& a,
-                                        const SweepTable& b) noexcept;
+
+template <class Cell, class Header>
+[[nodiscard]] bool tables_bit_identical(
+    const ResultTable<Cell, Header>& a,
+    const ResultTable<Cell, Header>& b) noexcept {
+  const auto same_cells = [](const Cell& x, const Cell& y) {
+    return cells_bit_identical(x, y);
+  };
+  return a.kinds == b.kinds && headers_bit_identical(a.header, b.header) &&
+         std::equal(a.points.begin(), a.points.end(), b.points.begin(),
+                    b.points.end(), points_bit_identical) &&
+         std::equal(a.cells.begin(), a.cells.end(), b.cells.begin(),
+                    b.cells.end(), same_cells);
+}
 
 /// Receives cells as chains finish them. SweepRunner::run(grid, sink)
 /// invokes on_cell exactly once per (point, family) cell, serialized under

@@ -231,9 +231,11 @@ class RouterSession final : public service::LineSession {
   void serve_scenario(service::ResolvedRequest& request) override;
   /// Plan, dispatch and merge rounds until every chain merged or the
   /// request failed, then one emission in table order. `Table` is the
-  /// mode's merged table (core::SweepTable or service::SimTable).
+  /// mode's merged table (core::SweepTable or service::SimTable), and
+  /// `header` its header.
   template <class Table>
-  void route(service::ResolvedRequest& request);
+  void route(service::ResolvedRequest& request,
+             decltype(Table::header) header);
 
   ShardFleet& fleet_;
 };

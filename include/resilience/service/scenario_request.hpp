@@ -16,7 +16,8 @@
 //    "node_counts": [1024, 4096],     // optional axes, as in ScenarioGrid
 //    "rate_factors": [{"fail_stop": 1.0, "silent": 2.0}],
 //    "cost_overrides": [{"disk_checkpoint": 90.0}],
-//    "kinds": ["PD", "PDMV"],         // optional; default all six families
+//    "kinds": ["PD", "PDMV"],         // optional; default all six families;
+//                                     //   each family listed once
 //    "numeric_optimum": true,         // optional; default true
 //    "reuse_seeds": true,             // optional; default true (bit-identical
 //                                     //   either way; see SweepService)
@@ -27,7 +28,8 @@
 //            "target_ci": 0.05,       //   CI-bounded Monte Carlo per cell
 //            "max_runs": 1000, "min_runs": 64, "patterns_per_run": 100,
 //            "weibull_shape": [1.0, 0.7],  // extra grid axes the analytic
-//            "faulty_ops": [1.0, 0.0]}}    //   path cannot express
+//            "faulty_ops": [1.0, 0.0]}}    //   path cannot express; each
+//                                          //   value listed once
 
 #include <cstddef>
 #include <cstdint>
@@ -89,6 +91,12 @@ struct SimParams {
 
   [[nodiscard]] bool operator==(const SimParams&) const = default;
 };
+
+/// Parses a request's `sim` block (or a simulate table's header): budgets
+/// capped at 1e15 like every request integer, axis values finite and
+/// positive (weibull_shape) / non-negative (faulty_ops), each listed once.
+/// Throws RequestError naming the "sim.<field>" path.
+[[nodiscard]] SimParams sim_params_from_json(const util::JsonValue& json);
 
 /// One parsed scenario batch.
 struct ScenarioRequest {

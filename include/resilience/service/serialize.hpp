@@ -13,33 +13,42 @@
 //    per-line path: SweepCell and SimCell (write_members), and the
 //    tables that hold them (to_json_text, the spill payload);
 //  * tree builders (to_json -> util::JsonValue, written by walking the
-//    tree) for the types off it: platforms, params, points, ServiceStats
-//    and CostEstimate (requests: ScenarioRequest::to_json).
+//    tree) for the types off it: platforms, params, sim blocks, points,
+//    ServiceStats and CostEstimate (requests: ScenarioRequest::to_json).
 // No type has both. A caller that needs a cell or a table as a tree
 // parses the writer's text. Every result line below is written through
 // the writer; cell and done lines build no tree, except the opt-in stats
 // block a caller hands a done line.
+// Both modes' tables are one core::ResultTable, so its writer, verified
+// decoder and cell line are written once, over the per-cell hooks below.
 
 #include <cstdint>
 #include <string>
 
 #include "resilience/core/sweep.hpp"
+#include "resilience/service/sim_table.hpp"
 #include "resilience/util/json.hpp"
 
 namespace resilience::service {
 
 struct ServiceStats;  // sweep_service.hpp; serialization only reads it
 struct CostEstimate;  // cost_model.hpp; serialization only reads it
-struct SimCell;       // sim_table.hpp; serialization only reads them
-struct SimTable;
 
-/// SweepCell <-> JSON. write_members writes the cell's members ("point",
-/// "kind", "first_order", ..., "warm_started") into the writer's open
-/// object: a cell line's body, or one element of a table's "cells". The
-/// family is serialized once (as the paper's name, e.g. "PDMV*"); the
-/// nested first_order block omits it and re-inherits it on parse.
+/// Cell <-> JSON, one field list per cell type. write_members writes the
+/// cell's members into the writer's open object: a cell line's body, or
+/// one element of a table's "cells"; cell_from_json<Cell> reads them
+/// back. Both name the family once, as the paper's name (e.g. "PDMV*").
+///  * SweepCell: "point", "kind", "first_order", ..., "warm_started"; the
+///    nested first_order block omits the family and re-inherits it on
+///    parse.
+///  * SimCell: "point", "kind", "weibull_shape", "faulty_ops", "mean",
+///    "ci_low", "ci_high", "runs", "early_stopped".
 void write_members(util::JsonWriter& out, const core::SweepCell& cell);
-[[nodiscard]] core::SweepCell cell_from_json(const util::JsonValue& json);
+void write_members(util::JsonWriter& out, const SimCell& cell);
+template <class Cell = core::SweepCell>
+[[nodiscard]] Cell cell_from_json(const util::JsonValue& json);
+template <> core::SweepCell cell_from_json(const util::JsonValue& json);
+template <> SimCell cell_from_json(const util::JsonValue& json);
 
 /// Platform <-> JSON (name, nodes, platform-level rates and costs).
 [[nodiscard]] util::JsonValue to_json(const core::Platform& platform);
@@ -49,30 +58,24 @@ void write_members(util::JsonWriter& out, const core::SweepCell& cell);
 [[nodiscard]] util::JsonValue to_json(const core::ModelParams& params);
 [[nodiscard]] core::ModelParams params_from_json(const util::JsonValue& json);
 
+/// SimParams -> JSON, every field (defaults included, so no reader falls
+/// back to its own); read back by sim_params_from_json.
+[[nodiscard]] util::JsonValue to_json(const SimParams& sim);
+
 /// ScenarioPoint <-> JSON (axis indices + resolved platform and params).
 [[nodiscard]] util::JsonValue to_json(const core::ScenarioPoint& point);
 [[nodiscard]] core::ScenarioPoint point_from_json(const util::JsonValue& json);
 
-/// SweepTable <-> JSON. to_json_text writes the compact document
-/// {"type":"sweep_table","kinds","points","cells"}; table_from_json()
-/// re-indexes the family lookup, so cell() works on a deserialized table.
-[[nodiscard]] std::string to_json_text(const core::SweepTable& table);
-[[nodiscard]] core::SweepTable table_from_json(const util::JsonValue& json);
-
-/// SimCell <-> JSON (simulate mode): write_members writes "point",
-/// "kind" (the paper's name, like SweepCell's), "weibull_shape",
-/// "faulty_ops", "mean", "ci_low", "ci_high", "runs", "early_stopped"
-/// into the writer's open object.
-void write_members(util::JsonWriter& out, const SimCell& cell);
-[[nodiscard]] SimCell sim_cell_from_json(const util::JsonValue& json);
-
-/// SimTable <-> JSON. to_json_text writes the compact document
-/// {"type":"sim_table","kinds","points","sim","cells"};
-/// sim_table_from_json() re-validates the canonical
-/// point-major/family/shape/ops cell order, so index arithmetic works on
-/// a deserialized table.
-[[nodiscard]] std::string to_json_text(const SimTable& table);
-[[nodiscard]] SimTable sim_table_from_json(const util::JsonValue& json);
+/// Table <-> JSON, both modes. to_json_text writes the compact document
+/// {"type":"sweep_table","kinds","points","cells"}, or for a SimTable
+/// {"type":"sim_table","kinds","points","sim","cells"}. table_from_json
+/// verifies what index arithmetic relies on: points in grid order, and
+/// each cell in its own (point, family, sub-cell) slot.
+template <class Cell, class Header>
+[[nodiscard]] std::string to_json_text(
+    const core::ResultTable<Cell, Header>& table);
+template <class Table = core::SweepTable>
+[[nodiscard]] Table table_from_json(const util::JsonValue& json);
 
 /// ServiceStats -> JSON: {"service":{submission counters},"cache":{tier
 /// counters},"sim":{simulate-mode counters},"engine":{analytic search
@@ -88,12 +91,11 @@ void write_members(util::JsonWriter& out, const SimCell& cell);
 
 /// One streamed-response JSONL line (no trailing newline). Cell and done
 /// lines of both modes share one envelope — "type", "request",
-/// "signature", then the mode's own fields; each builder has one overload
-/// per mode:
-///   cell_line  -> {"type":"cell", ..., <SweepCell>}, or <SimCell>:
-///                 ..., "mean","ci_low","ci_high","runs","early_stopped"
+/// "signature", then the mode's own fields:
+///   cell_line  -> {"type":"cell", ..., <the cell's members>}
 ///   done_line  -> {"type":"done", ..., summary of the finished table};
-///                 a SimTable's adds "mode":"simulate" and "runs" (total
+///                 one overload per mode, with one parameter list: a
+///                 SimTable's adds "mode":"simulate" and "runs" (total
 ///                 over all cells) and has no "joined_in_flight"
 ///   stats_line -> {"type":"stats","request":...,<ServiceStats blocks>}
 ///   error_line -> {"type":"error","request":...,"field":...,"message":...}
@@ -111,23 +113,22 @@ void write_members(util::JsonWriter& out, const SimCell& cell);
 /// latency histograms — see NetServer::overload_stats_json) after the
 /// service/cache blocks. Both are opt-in so the stdin path's bytes are
 /// untouched.
+template <class Cell>
 [[nodiscard]] std::string cell_line(const std::string& request_id,
                                     core::GridSignature signature,
-                                    const core::SweepCell& cell);
+                                    const Cell& cell);
 [[nodiscard]] std::string done_line(const std::string& request_id,
                                     core::GridSignature signature,
                                     const core::SweepTable& table,
                                     bool cache_hit, bool joined_in_flight,
                                     const util::JsonValue* stats = nullptr);
-[[nodiscard]] std::string cell_line(const std::string& request_id,
-                                    core::GridSignature signature,
-                                    const SimCell& cell);
 [[nodiscard]] std::string done_line(const std::string& request_id,
                                     core::GridSignature signature,
                                     const SimTable& table, bool cache_hit,
+                                    bool joined_in_flight,
                                     const util::JsonValue* stats = nullptr);
 /// The simulate builders under their former names, for the benchmark
-/// package's tracer; ROADMAP 7(c) deletes them.
+/// package's tracer; ROADMAP 2(c) deletes them.
 [[nodiscard]] std::string sim_cell_line(const std::string& request_id,
                                         core::GridSignature signature,
                                         const SimCell& cell);

@@ -1,15 +1,13 @@
 #pragma once
 
 // Result types of the simulate mode ("mode": "simulate" requests): a
-// SimTable is to the Monte Carlo path what core::SweepTable is to the
-// analytic one — an immutable, deterministically ordered result grid the
-// cache can share between identical requests. Both table types live in
-// the same SweepCache (one LRU, one disk tier) and stream through the
-// same line envelope (service/serialize.hpp). Cells are laid out
-// point-major, then family, then weibull_shape, then faulty_ops (the two
-// sim-only axes), so streaming a table in storage order IS the canonical
-// wire order and byte-identity across pool sizes, transports and router
-// splits reduces to bit-identical cell values.
+// SimTable is core::ResultTable over SimCells with the request's
+// SimParams as its header, so the analytic table's writer, decoder,
+// bit-identity check, cache and router merge serve it through the hooks
+// below. Cells are laid out point-major, then family, then weibull_shape,
+// then faulty_ops (the two sim-only axes), so streaming a table in
+// storage order IS the canonical wire order and byte-identity across pool
+// sizes, transports and router splits reduces to bit-identical cells.
 //
 // Identity: sim_signature() extends the analytic grid_signature with the
 // SimParams (every field is result-affecting — budgets move stopping
@@ -42,31 +40,25 @@ struct SimCell {
   bool early_stopped = false;  ///< target_ci met before max_runs
 };
 
-/// Deterministic simulate result grid; cells in point-major, family,
-/// shape, ops order (see cell_index).
-struct SimTable {
-  std::vector<core::ScenarioPoint> points;
-  std::vector<core::PatternKind> kinds;
-  SimParams params;  ///< the request's sim block (axes included)
-  std::vector<SimCell> cells;
+/// The simulate table's hooks (core/sweep.hpp): every (point, family)
+/// holds shapes x ops sub-cells, shape-major. A cell's offset compares its
+/// axis values exactly: canonical JSON round-trips doubles, and requests
+/// repeat no axis value.
+[[nodiscard]] inline std::size_t sub_cells(const SimParams& sim) noexcept {
+  return sim.weibull_shape.size() * sim.faulty_ops.size();
+}
+[[nodiscard]] std::size_t sub_index(const SimCell& cell,
+                                    const SimParams& sim) noexcept;
+/// Field-by-field bitwise equality (doubles by bit pattern), the relation
+/// the simulate determinism guarantees are stated in.
+[[nodiscard]] bool cells_bit_identical(const SimCell& a,
+                                       const SimCell& b) noexcept;
+[[nodiscard]] bool headers_bit_identical(const SimParams& a,
+                                         const SimParams& b) noexcept;
 
-  [[nodiscard]] std::size_t cell_count() const noexcept {
-    return points.size() * kinds.size() * params.weibull_shape.size() *
-           params.faulty_ops.size();
-  }
-
-  /// Storage slot of (point, kind, shape, ops) by index arithmetic.
-  [[nodiscard]] std::size_t cell_index(std::size_t point_index,
-                                       std::size_t kind_index,
-                                       std::size_t shape_index,
-                                       std::size_t ops_index) const noexcept {
-    return ((point_index * kinds.size() + kind_index) *
-                params.weibull_shape.size() +
-            shape_index) *
-               params.faulty_ops.size() +
-           ops_index;
-  }
-};
+/// Deterministic simulate result grid: cells in point-major, family,
+/// shape, ops order.
+using SimTable = core::ResultTable<SimCell, SimParams>;
 
 /// Content identity of a simulate computation: the analytic grid signature
 /// of (points, kinds) under default options, extended with every
@@ -80,6 +72,15 @@ struct SimTable {
     const std::vector<core::ScenarioPoint>& points,
     const std::vector<core::PatternKind>& kinds, const SimParams& params);
 
+/// The signature hook: sim_signature over the header (a simulate table
+/// has no result-affecting SweepOptions).
+[[nodiscard]] inline core::GridSignature table_signature(
+    const std::vector<core::ScenarioPoint>& points,
+    const std::vector<core::PatternKind>& kinds, const SimParams& sim,
+    const core::SweepOptions& /*options*/) {
+  return sim_signature(points, kinds, sim);
+}
+
 /// RNG stream key of one cell: a pure function of the request seed and
 /// the cell's fully resolved content (family, point parameters by bit
 /// pattern, shape, ops) — NOT of the cell's position in any particular
@@ -90,11 +91,5 @@ struct SimTable {
                                           const core::ModelParams& point_params,
                                           double weibull_shape,
                                           double faulty_ops);
-
-/// Field-by-field bitwise equality over every cell (doubles by bit
-/// pattern), the relation the simulate determinism guarantees are stated
-/// in — mirrors core::tables_bit_identical.
-[[nodiscard]] bool sim_tables_bit_identical(const SimTable& a,
-                                            const SimTable& b) noexcept;
 
 }  // namespace resilience::service

@@ -24,13 +24,14 @@
 //    byte-identical, wrapped with a format tag and a payload checksum;
 //    a 'seed_index.json' sidecar records each spilled analytic table's
 //    chains. Both the identity and seed tiers reload lazily: a lookup that
-//    misses memory parses the file, and the format tag picks the decoder
-//    and the signature the content must hash back to (grid_signature under
-//    the caller's options, or sim_signature over the table's own
-//    SimParams). Any file that fails — a tag that does not match the file
-//    name, a payload checksum mismatch, points whose axis indices are out
-//    of grid order, content that does not hash back to its filename — is
-//    rejected with a stderr warning. A corrupt or foreign spill (or one
+//    misses memory parses the file, and the format tag picks the table
+//    type, decoded by the one verified table_from_json and signed by its
+//    table_signature hook (grid_signature under the caller's options, or
+//    sim_signature over the table's own SimParams). Any file that fails —
+//    a tag that does not match the file name, a payload checksum
+//    mismatch, a table the decoder rejects (points out of grid order, a
+//    cell out of its slot), content that does not hash back to its
+//    filename — is rejected with a stderr warning. A corrupt or foreign spill (or one
 //    written under different result-affecting options) is never served.
 
 #include <cstddef>
@@ -44,18 +45,16 @@
 #include <vector>
 
 #include "resilience/core/sweep.hpp"
+#include "resilience/service/sim_table.hpp"
 
 namespace resilience::service {
-
-struct SimTable;  // sim_table.hpp; the cache only stores shared tables
 
 /// Collision guard for every signature-keyed reuse path: a cached table
 /// may serve a request only if it is the table OF that request's resolved
 /// grid. The hash is not cryptographic and request bytes are
 /// client-controlled, so a colliding grid must fall through to its own
 /// computation rather than silently receive another grid's cells. Works on
-/// both table types (SweepService::simulate additionally compares the
-/// SimParams).
+/// both table types (SweepService additionally compares the header).
 template <class Table>
 [[nodiscard]] bool table_matches_grid(
     const Table& table, const std::vector<core::ScenarioPoint>& points,

@@ -22,7 +22,7 @@
 //                     `reuse_seeds`, on by default).
 //
 // A hit or join must pass the collision guard (the table OF this
-// request's resolved grid and mode; simulate also compares SimParams);
+// request's resolved grid, mode and header: simulate's is its SimParams);
 // one that fails is recomputed for this call alone and never published.
 // The identity lookup and the in-flight registration share one lock and
 // a leader publishes before it leaves the in-flight map, so identical
@@ -215,11 +215,12 @@ class SweepService {
   };
 
   /// The one reuse ladder (top of this file) for `request`'s table.
-  /// Per mode: `compute(lead)` is the compute step (lead is false for an
-  /// unpublished collision recompute) and `deliver` a replay's per-cell
-  /// sink.
+  /// Per mode: `header` is its table's header, `compute(lead)` the
+  /// compute step (lead is false for an unpublished collision recompute)
+  /// and `deliver` a replay's per-cell sink.
   template <class Table, class Compute, class Deliver>
   BasicSubmitResult<Table> climb(const ResolvedRequest& request,
+                                 const decltype(Table::header)& header,
                                  ModeCounters& counters,
                                  const Compute& compute,
                                  const Deliver& deliver,

@@ -5,8 +5,10 @@
 // automatic --help generation; deliberately tiny, no external dependency.
 
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,6 +46,21 @@ class CliParser {
       std::uint64_t max_value = UINT64_MAX) const;
   [[nodiscard]] std::optional<double> checked_double(
       const std::string& name, double min_value, double max_value) const;
+  /// A flag naming what `lookup` resolves (a platform, a pattern family):
+  /// nullopt, after the diagnostic, when it throws std::invalid_argument.
+  template <class Lookup>
+  [[nodiscard]] auto checked_name(const std::string& name,
+                                  const Lookup& lookup) const
+      -> std::optional<decltype(lookup(std::string()))> {
+    const std::string text = get_string(name);
+    try {
+      return lookup(text);
+    } catch (const std::invalid_argument& error) {
+      std::fprintf(stderr, "%s: --%s: %s\n", program_.c_str(), name.c_str(),
+                   error.what());
+      return std::nullopt;
+    }
+  }
 
   /// Positional arguments left over after flag parsing.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {

@@ -1,8 +1,8 @@
 #include "resilience/core/sweep.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -194,23 +194,6 @@ std::vector<ScenarioPoint> resolve_points(const ScenarioGrid& grid) {
   return points;
 }
 
-void SweepTable::index_kinds() {
-  kind_slot.fill(-1);
-  for (std::size_t k = 0; k < kinds.size(); ++k) {
-    kind_slot[static_cast<std::size_t>(kinds[k])] =
-        static_cast<std::int8_t>(k);
-  }
-}
-
-const SweepCell& SweepTable::cell(std::size_t point_index, PatternKind kind) const {
-  const auto k = static_cast<std::size_t>(kind);
-  const std::int8_t slot = k < kind_slot.size() ? kind_slot[k] : -1;
-  if (point_index >= points.size() || slot < 0) {
-    throw std::out_of_range("SweepTable::cell: no such point/family");
-  }
-  return cells[point_index * kinds.size() + static_cast<std::size_t>(slot)];
-}
-
 std::string GridSignature::hex() const { return hex64(value); }
 
 std::optional<GridSignature> GridSignature::from_hex(std::string_view text) {
@@ -320,15 +303,11 @@ GridSignature grid_signature(const std::vector<ScenarioPoint>& points,
   return GridSignature{hasher.value()};
 }
 
-namespace {
-
 bool same_bits(double a, double b) noexcept {
-  std::uint64_t bits_a = 0;
-  std::uint64_t bits_b = 0;
-  std::memcpy(&bits_a, &a, sizeof bits_a);
-  std::memcpy(&bits_b, &b, sizeof bits_b);
-  return bits_a == bits_b;
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
+
+namespace {
 
 /// |ln(a/b)| as a seed-distance component; positions that cannot be
 /// compared on a log scale count as far-but-finite so a degenerate seed
@@ -415,24 +394,6 @@ bool points_bit_identical(const ScenarioPoint& a,
          same_bits(a.platform.memory_checkpoint,
                    b.platform.memory_checkpoint) &&
          params_bit_identical(a.params, b.params);
-}
-
-bool tables_bit_identical(const SweepTable& a, const SweepTable& b) noexcept {
-  if (a.kinds != b.kinds || a.points.size() != b.points.size() ||
-      a.cells.size() != b.cells.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.points.size(); ++i) {
-    if (!points_bit_identical(a.points[i], b.points[i])) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    if (!cells_bit_identical(a.cells[i], b.cells[i])) {
-      return false;
-    }
-  }
-  return true;
 }
 
 SweepRunner::SweepRunner(SweepOptions options) : options_(std::move(options)) {}

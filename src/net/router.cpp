@@ -1,19 +1,16 @@
 #include "resilience/net/router.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <exception>
 #include <numeric>
 #include <thread>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
 #include "resilience/net/client.hpp"
 #include "resilience/net/resilient_client.hpp"
 #include "resilience/service/serialize.hpp"
-#include "resilience/service/sim_table.hpp"
 
 namespace resilience::net {
 
@@ -122,30 +119,25 @@ std::string string_member(const util::JsonValue& json, const char* key,
 /// A unit's sub-grid keeps the parent's node and rate axes (and the sim
 /// axes), so a cell keeps its family and axis values and only its point
 /// index moves: sub point s of unit (platform p, cost override c) is
-/// parent point (p * chain_len + s) * costs_n + c. Its slot is (point *
-/// families + family slot) * cells_per_point + its (shape, ops) offset.
+/// parent point (p * chain_len + s) * costs_n + c. Its slot is the
+/// table's cell_index of that point, its family's column and its
+/// sub_index — the rule table_from_json verifies a decoded table by.
 template <class Table>
 struct Merge {
   using Cell = typename decltype(Table::cells)::value_type;
-  static constexpr bool kSimulate = std::is_same_v<Table, service::SimTable>;
 
-  explicit Merge(service::ResolvedRequest& request)
-      : sim(request.request.sim), chains(request.chains) {
+  /// `header` is the parent table's (its sim block, for simulate).
+  Merge(service::ResolvedRequest& request, decltype(Table::header) header)
+      : chains(request.chains) {
     const core::ScenarioGrid& grid = request.request.grid;
     chain_len = std::max<std::size_t>(1, grid.node_counts.size()) *
                 std::max<std::size_t>(1, grid.rate_factors.size());
     costs_n = std::max<std::size_t>(1, grid.cost_overrides.size());
-    if constexpr (kSimulate) {
-      cells_per_point = sim.weibull_shape.size() * sim.faulty_ops.size();
-      table.params = sim;
-    }
     table.points = std::move(request.points);  // only their count is sent
     table.kinds = request.kinds;
-    for (std::size_t k = 0; k < table.kinds.size(); ++k) {
-      kind_slot[static_cast<std::size_t>(table.kinds[k])] = k;
-    }
-    table.cells.resize(table.points.size() * table.kinds.size() *
-                       cells_per_point);
+    table.header = std::move(header);
+    table.index_kinds();
+    table.cells.resize(table.cell_count());
     placed.resize(table.cells.size());
   }
 
@@ -178,11 +170,7 @@ struct Merge {
           return false;
         }
         if (type == "cell") {
-          if constexpr (kSimulate) {
-            cells.push_back(service::sim_cell_from_json(json));
-          } else {
-            cells.push_back(service::cell_from_json(json));
-          }
+          cells.push_back(service::cell_from_json<Cell>(json));
         } else {
           const util::JsonValue* hit = json.find("cache_hit");
           const util::JsonValue* join = json.find("joined_in_flight");
@@ -218,8 +206,8 @@ struct Merge {
   /// Stores the unit's cells in their parent slots, renumbered; false,
   /// storing nothing, unless they fill the unit's slots exactly once.
   bool place(const Unit& unit, std::vector<Cell>& cells) {
-    if (cells.size() !=
-        chain_len * cells_per_point * unit.chain_indices.size()) {
+    const std::size_t subs = sub_cells(table.header);
+    if (cells.size() != chain_len * subs * unit.chain_indices.size()) {
       return false;
     }
     unsigned unit_kinds = 0;  // bit k: family k is one of the unit's chains
@@ -231,32 +219,17 @@ struct Merge {
     slots.reserve(cells.size());
     for (Cell& cell : cells) {
       const auto kind = static_cast<std::size_t>(cell.kind);
-      if (cell.point_index >= chain_len || ((unit_kinds >> kind) & 1u) == 0) {
+      const std::size_t sub = sub_index(cell, table.header);
+      if (cell.point_index >= chain_len || ((unit_kinds >> kind) & 1u) == 0 ||
+          sub >= subs) {
         return false;
       }
       cell.point_index =
           (unit.platform_index * chain_len + cell.point_index) * costs_n +
           unit.cost_index;
-      std::size_t offset = 0;
-      if constexpr (kSimulate) {
-        // Exact comparison: canonical JSON round-trips doubles, so a
-        // shard echoes the very axis values its sub-request carried.
-        const auto& shapes = sim.weibull_shape;
-        const auto& ops = sim.faulty_ops;
-        const auto shape = std::find(shapes.begin(), shapes.end(),
-                                     cell.weibull_shape) - shapes.begin();
-        const auto op = std::find(ops.begin(), ops.end(), cell.faulty_ops) -
-                        ops.begin();
-        if (shape == std::ssize(shapes) || op == std::ssize(ops)) {
-          return false;
-        }
-        offset = static_cast<std::size_t>(shape) * ops.size() +
-                 static_cast<std::size_t>(op);
-      }
-      const std::size_t slot =
-          (cell.point_index * table.kinds.size() + kind_slot[kind]) *
-              cells_per_point +
-          offset;
+      const std::size_t slot = table.cell_index(
+          cell.point_index, static_cast<std::size_t>(table.kind_slot[kind]),
+          sub);
       if (placed[slot] == epoch) {
         return false;  // a slot twice
       }
@@ -269,16 +242,35 @@ struct Merge {
     return true;
   }
 
-  const service::SimParams& sim;
-  const std::vector<core::GridChain>& chains;
-  std::size_t chain_len = 1;        ///< points per unit: nodes x rates
-  std::size_t costs_n = 1;          ///< cost-override axis length
-  std::size_t cells_per_point = 1;  ///< shapes x ops; 1 for analytic
-  /// Family -> column in the parent table (families it has only).
-  std::array<std::size_t, core::kPatternKindCount> kind_slot{};
-  Table table;
+  /// The signature the unit's shard answers under: the parent's points of
+  /// its (platform, cost override) and its families in sub-request order,
+  /// signed per mode as resolve_request signs (no axis index is mixed).
+  core::GridSignature unit_signature(const Unit& unit,
+                                     const core::SweepOptions& sweep) const {
+    std::vector<core::ScenarioPoint> points;
+    points.reserve(chain_len);
+    for (const core::ScenarioPoint& point : table.points) {
+      if (point.platform_index == unit.platform_index &&
+          point.cost_index == unit.cost_index) {
+        points.push_back(point);
+      }
+    }
+    std::vector<core::PatternKind> kinds;
+    kinds.reserve(unit.chain_indices.size());
+    for (const std::size_t index : unit.chain_indices) {
+      kinds.push_back(chains[index].kind);
+    }
+    return table_signature(points, kinds, table.header, sweep);
+  }
 
-  std::mutex mutex;  ///< guards `table` and everything below
+  /// Points, kinds and header are set before dispatch and only read
+  /// after; the cells are written under `mutex`.
+  Table table;
+  const std::vector<core::GridChain>& chains;
+  std::size_t chain_len = 1;  ///< points per unit: nodes x rates
+  std::size_t costs_n = 1;    ///< cost-override axis length
+
+  std::mutex mutex;  ///< guards the table's cells and everything below
   std::vector<std::uint32_t> placed;  ///< per slot: the place() that filled it
   std::uint32_t epoch = 0;            ///< place() calls so far
   std::vector<std::size_t> pending;  ///< chains for the next round
@@ -338,7 +330,7 @@ void dispatch(ShardFleet& fleet, const service::ResolvedRequest& request,
     // other result-affecting options, and wrong bytes must not merge.
     if (!response.complete ||
         !merge.add(unit, shard, response.lines,
-                   service::resolve_request(sub).signature)) {
+                   merge.unit_signature(unit, request.sweep))) {
       fleet.note_failure(shard);
       dead = true;
       requeue(leftover);
@@ -668,20 +660,22 @@ std::string RouterSession::stats_answer(const std::string& id) {
 
 void RouterSession::serve_scenario(service::ResolvedRequest& request) {
   // Simulate requests shard exactly like analytic ones — by grid chains
-  // — but merge as a SimTable: per-cell RNG streams are content-addressed
-  // (sim_cell_seed), so a shard computing one slice emits the same cell
-  // bytes a whole-grid compute would.
+  // — and merge into a SimTable carrying the request's sim block:
+  // per-cell RNG streams are content-addressed (sim_cell_seed), so a
+  // shard computing one slice emits the same cell bytes a whole-grid
+  // compute would.
   if (request.request.simulate) {
-    route<service::SimTable>(request);
+    route<service::SimTable>(request, request.request.sim);
   } else {
-    route<core::SweepTable>(request);
+    route<core::SweepTable>(request, {});
   }
 }
 
 template <class Table>
-void RouterSession::route(service::ResolvedRequest& request) {
+void RouterSession::route(service::ResolvedRequest& request,
+                          decltype(Table::header) header) {
   const std::string& id = request.request.id;
-  Merge<Table> merge(request);
+  Merge<Table> merge(request, std::move(header));
   merge.pending.resize(request.chains.size());
   std::iota(merge.pending.begin(), merge.pending.end(), std::size_t{0});
 
@@ -776,16 +770,9 @@ void RouterSession::route(service::ResolvedRequest& request) {
   for (const auto& cell : merge.table.cells) {
     emit(service::cell_line(id, request.signature, cell), false);
   }
-  if constexpr (Merge<Table>::kSimulate) {
-    emit(service::done_line(id, request.signature, merge.table,
-                            merge.all_cache_hit, stats_block),
-         true);
-  } else {
-    emit(service::done_line(id, request.signature, merge.table,
-                            merge.all_cache_hit, merge.all_joined,
-                            stats_block),
-         true);
-  }
+  emit(service::done_line(id, request.signature, merge.table,
+                          merge.all_cache_hit, merge.all_joined, stats_block),
+       true);
 }
 
 }  // namespace resilience::net

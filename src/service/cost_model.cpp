@@ -11,11 +11,8 @@ CostEstimate estimate_cost(const ResolvedRequest& resolved,
                            const SweepService* service) {
   const ScenarioRequest& request = resolved.request;
   CostEstimate estimate;
-  estimate.cells = resolved.points.size() * resolved.kinds.size();
-  if (request.simulate) {
-    estimate.cells *= request.sim.weibull_shape.size() *
-                      request.sim.faulty_ops.size();
-  }
+  estimate.cells = resolved.points.size() * resolved.kinds.size() *
+                   (request.simulate ? sub_cells(request.sim) : 1);
 
   // Identity tier first, both modes: an exact-signature hit replays the
   // finished table — cost is per-cell serialization, not compute.

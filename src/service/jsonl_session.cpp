@@ -80,18 +80,19 @@ void JsonlSession::serve_scenario(ResolvedRequest& resolved) {
       return &stats;
     };
     // One streaming path, both modes: each cell as it resolves, then the
-    // done line, through the mode's overload of each line builder.
+    // done line, through the mode's overload of the done-line builder.
     const auto stream = [&](const auto& cell) {
       if (options_.stream && !cancelled()) {
         emit(cell_line(request.id, resolved.signature, cell), false);
       }
     };
-    if (request.simulate) {
-      const SimSubmitResult result =
-          service_.simulate(resolved, stream, cancel);
+    const auto finish = [&](const auto& result) {
       emit(done_line(request.id, result.signature, *result.table,
-                     result.cache_hit, done_stats()),
+                     result.cache_hit, result.joined_in_flight, done_stats()),
            true);
+    };
+    if (request.simulate) {
+      finish(service_.simulate(resolved, stream, cancel));
       return;
     }
     std::vector<core::SweepCell> cells;  // kept for the outcome hook
@@ -104,9 +105,7 @@ void JsonlSession::serve_scenario(ResolvedRequest& resolved) {
     const bool need_sink = options_.stream || options_.collect;
     const SubmitResult result =
         service_.submit(resolved, need_sink ? &sink : nullptr, cancel);
-    emit(done_line(request.id, result.signature, *result.table,
-                   result.cache_hit, result.joined_in_flight, done_stats()),
-         true);
+    finish(result);
     if (outcome_) {
       outcome_(Outcome{std::move(resolved), result, std::move(cells)});
     }

@@ -6,7 +6,6 @@
 
 #include "resilience/core/platform.hpp"
 #include "resilience/service/serialize.hpp"
-#include "resilience/service/sim_table.hpp"
 
 namespace resilience::service {
 
@@ -53,6 +52,50 @@ const JsonValue::Array& as_axis_array(const JsonValue& value,
     throw RequestError(path, "expected an array");
   }
   return value.as_array();
+}
+
+/// Rejects an axis that lists one value twice, naming the first entry
+/// that repeats an earlier one; 0 and -0 are one value. An axis can be
+/// as long as a request line and parsing runs on the daemon's loop
+/// thread, so the check sorts instead of comparing every pair.
+template <class T>
+void reject_repeats(const std::vector<T>& axis, const std::string& path) {
+  std::vector<std::pair<T, std::size_t>> sorted;
+  for (std::size_t i = 0; i < axis.size(); ++i) {
+    sorted.emplace_back(axis[i], i);
+  }
+  std::sort(sorted.begin(), sorted.end());
+  std::size_t repeat = axis.size();
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    if (!(sorted[i - 1].first < sorted[i].first)) {
+      repeat = std::min(repeat, sorted[i].second);
+    }
+  }
+  if (repeat < axis.size()) {
+    throw RequestError(elem(path, repeat),
+                       "repeats an earlier entry; list each value once");
+  }
+}
+
+/// One sim axis: a non-empty array of finite values that `valid`
+/// accepts (`rule` names what it wants), each listed once.
+template <class Valid>
+std::vector<double> parse_sim_axis(const JsonValue& value,
+                                   const std::string& path, const char* rule,
+                                   const Valid& valid) {
+  const auto& axis = as_axis_array(value, path);
+  if (axis.empty()) {
+    throw RequestError(path, "need at least one value");
+  }
+  std::vector<double> values;
+  for (std::size_t i = 0; i < axis.size(); ++i) {
+    values.push_back(finite_number(axis[i], elem(path, i)));
+    if (!valid(values.back())) {
+      throw RequestError(elem(path, i), rule);
+    }
+  }
+  reject_repeats(values, path);
+  return values;
 }
 
 /// Rejects typo'd member names: every object field must be consumed by one
@@ -167,78 +210,6 @@ core::CostOverride parse_cost_override(const JsonValue& value,
   return override_value;
 }
 
-/// The `sim` block of a simulate request. Budgets are capped like every
-/// other request-supplied integer (1e15: exact in a double); axis values
-/// must be finite and positive (weibull_shape) / non-negative (faulty_ops).
-SimParams parse_sim_params(const JsonValue& value) {
-  if (!value.is_object()) {
-    throw RequestError("sim", "expected an object");
-  }
-  reject_unknown_fields(value, "sim",
-                        {"seed", "target_ci", "max_runs", "min_runs",
-                         "patterns_per_run", "weibull_shape", "faulty_ops"});
-  SimParams sim;
-  if (const JsonValue* seed = value.find("seed")) {
-    const double number = as_number(*seed, "sim.seed");
-    if (!(number >= 0.0) || number != std::floor(number) || number > 1e15) {
-      throw RequestError("sim.seed", "expected a non-negative integer");
-    }
-    sim.seed = static_cast<std::uint64_t>(number);
-  }
-  if (const JsonValue* target = value.find("target_ci")) {
-    const double number = finite_number(*target, "sim.target_ci");
-    if (!(number >= 0.0) || number >= 1.0) {
-      throw RequestError("sim.target_ci",
-                         "expected a relative CI in [0, 1) (0 = run to "
-                         "max_runs)");
-    }
-    sim.target_ci = number;
-  }
-  if (const JsonValue* max_runs = value.find("max_runs")) {
-    sim.max_runs = positive_integer(*max_runs, "sim.max_runs");
-  }
-  if (const JsonValue* min_runs = value.find("min_runs")) {
-    sim.min_runs = positive_integer(*min_runs, "sim.min_runs");
-  }
-  if (sim.min_runs > sim.max_runs) {
-    throw RequestError("sim.min_runs", "must be <= sim.max_runs");
-  }
-  if (const JsonValue* patterns = value.find("patterns_per_run")) {
-    sim.patterns_per_run = positive_integer(*patterns, "sim.patterns_per_run");
-  }
-  if (const JsonValue* shapes = value.find("weibull_shape")) {
-    const auto& axis = as_axis_array(*shapes, "sim.weibull_shape");
-    if (axis.empty()) {
-      throw RequestError("sim.weibull_shape", "need at least one value");
-    }
-    sim.weibull_shape.clear();
-    for (std::size_t i = 0; i < axis.size(); ++i) {
-      const std::string path = elem("sim.weibull_shape", i);
-      const double shape = finite_number(axis[i], path);
-      if (!(shape > 0.0)) {
-        throw RequestError(path, "shape must be positive");
-      }
-      sim.weibull_shape.push_back(shape);
-    }
-  }
-  if (const JsonValue* ops = value.find("faulty_ops")) {
-    const auto& axis = as_axis_array(*ops, "sim.faulty_ops");
-    if (axis.empty()) {
-      throw RequestError("sim.faulty_ops", "need at least one value");
-    }
-    sim.faulty_ops.clear();
-    for (std::size_t i = 0; i < axis.size(); ++i) {
-      const std::string path = elem("sim.faulty_ops", i);
-      const double factor = finite_number(axis[i], path);
-      if (!(factor >= 0.0)) {
-        throw RequestError(path, "factor must be >= 0");
-      }
-      sim.faulty_ops.push_back(factor);
-    }
-  }
-  return sim;
-}
-
 /// Rejects a grid of more than kMaxRequestCells cells before anything is
 /// resolved, naming the axis that carries the running product past the
 /// bound. The product cannot overflow: it is at most the bound times one
@@ -331,6 +302,7 @@ ScenarioRequest parse_fields(const JsonValue& json) {
         throw RequestError(elem("kinds", i), error.what());
       }
     }
+    reject_repeats(request.grid.kinds, "kinds");
   }
   if (const JsonValue* numeric = json.find("numeric_optimum")) {
     if (!numeric->is_bool()) {
@@ -377,7 +349,7 @@ ScenarioRequest parse_fields(const JsonValue& json) {
       throw RequestError("sim",
                          "only valid with \"mode\": \"simulate\"");
     }
-    request.sim = parse_sim_params(*sim);
+    request.sim = sim_params_from_json(*sim);
   }
 
   check_grid_size(request);
@@ -397,6 +369,55 @@ std::vector<core::ScenarioPoint> resolve_grid(const core::ScenarioGrid& grid) {
 }
 
 }  // namespace
+
+SimParams sim_params_from_json(const JsonValue& value) {
+  if (!value.is_object()) {
+    throw RequestError("sim", "expected an object");
+  }
+  reject_unknown_fields(value, "sim",
+                        {"seed", "target_ci", "max_runs", "min_runs",
+                         "patterns_per_run", "weibull_shape", "faulty_ops"});
+  SimParams sim;
+  if (const JsonValue* seed = value.find("seed")) {
+    const double number = as_number(*seed, "sim.seed");
+    if (!(number >= 0.0) || number != std::floor(number) || number > 1e15) {
+      throw RequestError("sim.seed", "expected a non-negative integer");
+    }
+    sim.seed = static_cast<std::uint64_t>(number);
+  }
+  if (const JsonValue* target = value.find("target_ci")) {
+    const double number = finite_number(*target, "sim.target_ci");
+    if (!(number >= 0.0) || number >= 1.0) {
+      throw RequestError("sim.target_ci",
+                         "expected a relative CI in [0, 1) (0 = run to "
+                         "max_runs)");
+    }
+    sim.target_ci = number;
+  }
+  if (const JsonValue* max_runs = value.find("max_runs")) {
+    sim.max_runs = positive_integer(*max_runs, "sim.max_runs");
+  }
+  if (const JsonValue* min_runs = value.find("min_runs")) {
+    sim.min_runs = positive_integer(*min_runs, "sim.min_runs");
+  }
+  if (sim.min_runs > sim.max_runs) {
+    throw RequestError("sim.min_runs", "must be <= sim.max_runs");
+  }
+  if (const JsonValue* patterns = value.find("patterns_per_run")) {
+    sim.patterns_per_run = positive_integer(*patterns, "sim.patterns_per_run");
+  }
+  if (const JsonValue* shapes = value.find("weibull_shape")) {
+    sim.weibull_shape =
+        parse_sim_axis(*shapes, "sim.weibull_shape", "shape must be positive",
+                       [](double shape) { return shape > 0.0; });
+  }
+  if (const JsonValue* ops = value.find("faulty_ops")) {
+    sim.faulty_ops =
+        parse_sim_axis(*ops, "sim.faulty_ops", "factor must be >= 0",
+                       [](double factor) { return factor >= 0.0; });
+  }
+  return sim;
+}
 
 ScenarioRequest ScenarioRequest::from_json(const JsonValue& json) {
   ScenarioRequest request = parse_fields(json);
@@ -498,27 +519,7 @@ JsonValue ScenarioRequest::to_json() const {
   }
   if (simulate) {
     out.set("mode", "simulate");
-    // Every sim field is emitted explicitly (defaults included): the
-    // router round-trips sub-requests through this serialization, and a
-    // budget that silently fell back to a shard-side default would break
-    // the byte-identity contract.
-    JsonValue sim_json = JsonValue::object();
-    sim_json.set("seed", sim.seed);
-    sim_json.set("target_ci", sim.target_ci);
-    sim_json.set("max_runs", sim.max_runs);
-    sim_json.set("min_runs", sim.min_runs);
-    sim_json.set("patterns_per_run", sim.patterns_per_run);
-    JsonValue shapes = JsonValue::array();
-    for (const double shape : sim.weibull_shape) {
-      shapes.push_back(shape);
-    }
-    sim_json.set("weibull_shape", std::move(shapes));
-    JsonValue ops = JsonValue::array();
-    for (const double factor : sim.faulty_ops) {
-      ops.push_back(factor);
-    }
-    sim_json.set("faulty_ops", std::move(ops));
-    out.set("sim", std::move(sim_json));
+    out.set("sim", service::to_json(sim));
   }
   return out;
 }

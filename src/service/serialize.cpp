@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "resilience/service/cost_model.hpp"
-#include "resilience/service/sim_table.hpp"
 #include "resilience/service/sweep_service.hpp"
 
 namespace resilience::service {
@@ -45,32 +44,6 @@ void write_kind_names(JsonWriter& out,
     out.value(core::pattern_name(kind));
   }
   out.end_array();
-}
-
-/// Opens a table document: "type", "kinds", then "points", each point
-/// written by walking its tree.
-void open_table(JsonWriter& out, const char* type,
-                const std::vector<core::PatternKind>& kinds,
-                const std::vector<core::ScenarioPoint>& points) {
-  out.begin_object().member("type", type).key("kinds");
-  write_kind_names(out, kinds);
-  out.key("points").begin_array();
-  for (const core::ScenarioPoint& point : points) {
-    out.value(to_json(point));
-  }
-  out.end_array();
-}
-
-/// Closes a table document with its "cells", one object per cell.
-template <class Cell>
-void close_table(JsonWriter& out, const std::vector<Cell>& cells) {
-  out.key("cells").begin_array();
-  for (const Cell& cell : cells) {
-    out.begin_object();
-    write_members(out, cell);
-    out.end_object();
-  }
-  out.end_array().end_object();
 }
 
 /// Points must carry the axis indices resolve_points() gives them: the
@@ -127,18 +100,6 @@ JsonWriter& open_result_line(JsonWriter& out, const char* type,
       .member("signature", signature.hex());
 }
 
-/// A cell line of either mode: the envelope, then the cell's members.
-template <class Cell>
-std::string result_cell_line(const std::string& request_id,
-                             core::GridSignature signature, const Cell& cell) {
-  std::string line;
-  JsonWriter out(line);
-  open_result_line(out, "cell", request_id, signature);
-  write_members(out, cell);
-  out.end_object();
-  return line;
-}
-
 }  // namespace
 
 void write_members(JsonWriter& out, const core::SweepCell& cell) {
@@ -164,7 +125,8 @@ void write_members(JsonWriter& out, const core::SweepCell& cell) {
       .member("warm_started", cell.warm_started);
 }
 
-core::SweepCell cell_from_json(const JsonValue& json) {
+template <>
+core::SweepCell cell_from_json<core::SweepCell>(const JsonValue& json) {
   core::SweepCell cell;
   cell.point_index = require_index(json, "point");
   cell.kind = core::pattern_kind_from_name(require(json, "kind").as_string());
@@ -249,6 +211,20 @@ core::ModelParams params_from_json(const JsonValue& json) {
   return params;
 }
 
+JsonValue to_json(const SimParams& sim) {
+  using Array = JsonValue::Array;
+  JsonValue out = JsonValue::object();
+  out.set("seed", sim.seed);
+  out.set("target_ci", sim.target_ci);
+  out.set("max_runs", sim.max_runs);
+  out.set("min_runs", sim.min_runs);
+  out.set("patterns_per_run", sim.patterns_per_run);
+  out.set("weibull_shape",
+          Array(sim.weibull_shape.begin(), sim.weibull_shape.end()));
+  out.set("faulty_ops", Array(sim.faulty_ops.begin(), sim.faulty_ops.end()));
+  return out;
+}
+
 JsonValue to_json(const core::ScenarioPoint& point) {
   JsonValue out = JsonValue::object();
   out.set("platform_index", point.platform_index);
@@ -271,55 +247,6 @@ core::ScenarioPoint point_from_json(const JsonValue& json) {
   return point;
 }
 
-std::string to_json_text(const core::SweepTable& table) {
-  std::string text;
-  JsonWriter out(text);
-  open_table(out, "sweep_table", table.kinds, table.points);
-  close_table(out, table.cells);
-  return text;
-}
-
-core::SweepTable table_from_json(const JsonValue& json) {
-  core::SweepTable table;
-  for (const JsonValue& kind : require(json, "kinds").as_array()) {
-    table.kinds.push_back(core::pattern_kind_from_name(kind.as_string()));
-  }
-  for (const JsonValue& point : require(json, "points").as_array()) {
-    table.points.push_back(point_from_json(point));
-  }
-  check_point_axes(table.points);
-  for (const JsonValue& cell : require(json, "cells").as_array()) {
-    table.cells.push_back(cell_from_json(cell));
-  }
-  if (table.kinds.empty() ||
-      table.cells.size() != table.points.size() * table.kinds.size()) {
-    throw std::runtime_error(
-        "serialize: cell count does not match points x kinds");
-  }
-  // Each cell must sit in its point-major/family-minor slot, or cell()'s
-  // index arithmetic would silently return the wrong cell on permuted
-  // (e.g. stream-reassembled) input.
-  for (std::size_t i = 0; i < table.cells.size(); ++i) {
-    const core::SweepCell& cell = table.cells[i];
-    if (cell.point_index != i / table.kinds.size() ||
-        cell.kind != table.kinds[i % table.kinds.size()]) {
-      throw std::runtime_error(
-          "serialize: cell " + std::to_string(i) +
-          " is out of point-major/family-minor order (point " +
-          std::to_string(cell.point_index) + ", kind " +
-          core::pattern_name(cell.kind) + ")");
-    }
-  }
-  table.index_kinds();
-  return table;
-}
-
-std::string cell_line(const std::string& request_id,
-                      core::GridSignature signature,
-                      const core::SweepCell& cell) {
-  return result_cell_line(request_id, signature, cell);
-}
-
 void write_members(JsonWriter& out, const SimCell& cell) {
   out.member("point", cell.point_index)
       .member("kind", core::pattern_name(cell.kind))
@@ -332,7 +259,8 @@ void write_members(JsonWriter& out, const SimCell& cell) {
       .member("early_stopped", cell.early_stopped);
 }
 
-SimCell sim_cell_from_json(const JsonValue& json) {
+template <>
+SimCell cell_from_json<SimCell>(const JsonValue& json) {
   SimCell cell;
   cell.point_index = require_index(json, "point");
   cell.kind = core::pattern_kind_from_name(require(json, "kind").as_string());
@@ -346,33 +274,52 @@ SimCell sim_cell_from_json(const JsonValue& json) {
   return cell;
 }
 
-std::string to_json_text(const SimTable& table) {
+namespace {
+
+/// Per-header table members: the document's "type", then what follows
+/// its "points" — nothing for an analytic table, the request's sim block
+/// (every field, defaults included) for a simulate one.
+const char* table_type(const core::SweepHeader&) { return "sweep_table"; }
+void write_members(JsonWriter&, const core::SweepHeader&) {}
+void read_members(const JsonValue&, core::SweepHeader&) {}
+
+const char* table_type(const SimParams&) { return "sim_table"; }
+
+void write_members(JsonWriter& out, const SimParams& sim) {
+  out.member("sim", to_json(sim));
+}
+void read_members(const JsonValue& table, SimParams& sim) {
+  sim = sim_params_from_json(require(table, "sim"));
+}
+
+}  // namespace
+
+template <class Cell, class Header>
+std::string to_json_text(const core::ResultTable<Cell, Header>& table) {
   std::string text;
   JsonWriter out(text);
-  open_table(out, "sim_table", table.kinds, table.points);
-  out.key("sim")
-      .begin_object()
-      .member("seed", table.params.seed)
-      .member("target_ci", table.params.target_ci)
-      .member("max_runs", table.params.max_runs)
-      .member("min_runs", table.params.min_runs)
-      .member("patterns_per_run", table.params.patterns_per_run)
-      .key("weibull_shape")
-      .begin_array();
-  for (const double shape : table.params.weibull_shape) {
-    out.value(shape);
+  out.begin_object().member("type", table_type(table.header)).key("kinds");
+  write_kind_names(out, table.kinds);
+  out.key("points").begin_array();
+  for (const core::ScenarioPoint& point : table.points) {
+    out.value(to_json(point));
   }
-  out.end_array().key("faulty_ops").begin_array();
-  for (const double factor : table.params.faulty_ops) {
-    out.value(factor);
+  out.end_array();
+  write_members(out, table.header);
+  out.key("cells").begin_array();
+  for (const Cell& cell : table.cells) {
+    out.begin_object();
+    write_members(out, cell);
+    out.end_object();
   }
   out.end_array().end_object();
-  close_table(out, table.cells);
   return text;
 }
 
-SimTable sim_table_from_json(const JsonValue& json) {
-  SimTable table;
+template <class Table>
+Table table_from_json(const JsonValue& json) {
+  using Cell = typename decltype(Table::cells)::value_type;
+  Table table;
   for (const JsonValue& kind : require(json, "kinds").as_array()) {
     table.kinds.push_back(core::pattern_kind_from_name(kind.as_string()));
   }
@@ -380,56 +327,57 @@ SimTable sim_table_from_json(const JsonValue& json) {
     table.points.push_back(point_from_json(point));
   }
   check_point_axes(table.points);
-  const JsonValue& sim = require(json, "sim");
-  table.params.seed =
-      static_cast<std::uint64_t>(require_index(sim, "seed"));
-  table.params.target_ci = require_double(sim, "target_ci");
-  table.params.max_runs =
-      static_cast<std::uint64_t>(require_index(sim, "max_runs"));
-  table.params.min_runs =
-      static_cast<std::uint64_t>(require_index(sim, "min_runs"));
-  table.params.patterns_per_run =
-      static_cast<std::uint64_t>(require_index(sim, "patterns_per_run"));
-  table.params.weibull_shape.clear();
-  for (const JsonValue& shape : require(sim, "weibull_shape").as_array()) {
-    table.params.weibull_shape.push_back(shape.as_double());
-  }
-  table.params.faulty_ops.clear();
-  for (const JsonValue& factor : require(sim, "faulty_ops").as_array()) {
-    table.params.faulty_ops.push_back(factor.as_double());
-  }
+  read_members(json, table.header);
   for (const JsonValue& cell : require(json, "cells").as_array()) {
-    table.cells.push_back(sim_cell_from_json(cell));
+    table.cells.push_back(cell_from_json<Cell>(cell));
   }
-  if (table.kinds.empty() || table.params.weibull_shape.empty() ||
-      table.params.faulty_ops.empty() ||
+  table.index_kinds();
+  const std::size_t subs = sub_cells(table.header);
+  if (table.kinds.empty() || subs == 0 ||
       table.cells.size() != table.cell_count()) {
     throw std::runtime_error(
-        "serialize: sim cell count does not match points x kinds x axes");
+        "serialize: cell count does not match points x kinds x sub-cells");
   }
-  // Each cell must sit in its canonical point/family/shape/ops slot, or
-  // cell_index() arithmetic would return the wrong cell on permuted
-  // (e.g. stream-reassembled) input.
-  const std::size_t shapes_n = table.params.weibull_shape.size();
-  const std::size_t ops_n = table.params.faulty_ops.size();
+  // Each cell must sit in its own slot, or cell_index() would return the
+  // wrong cell on permuted (e.g. stream-reassembled) input. The slot is
+  // read back by the rules the router's merge places cells by (kind_slot,
+  // sub_index), so a family or axis value listed twice fails both.
   for (std::size_t i = 0; i < table.cells.size(); ++i) {
-    const SimCell& cell = table.cells[i];
-    const std::size_t ops_index = i % ops_n;
-    const std::size_t shape_index = (i / ops_n) % shapes_n;
-    const std::size_t kind_index = (i / (ops_n * shapes_n)) % table.kinds.size();
-    const std::size_t point_index = i / (ops_n * shapes_n * table.kinds.size());
-    if (cell.point_index != point_index ||
-        cell.kind != table.kinds[kind_index] ||
-        cell.weibull_shape != table.params.weibull_shape[shape_index] ||
-        cell.faulty_ops != table.params.faulty_ops[ops_index]) {
-      throw std::runtime_error("serialize: sim cell " + std::to_string(i) +
-                               " is out of canonical order (point " +
-                               std::to_string(cell.point_index) + ", kind " +
-                               core::pattern_name(cell.kind) + ")");
+    const Cell& cell = table.cells[i];
+    const std::int8_t slot =
+        table.kind_slot[static_cast<std::size_t>(cell.kind)];
+    if (cell.point_index != i / table.cells_per_point() || slot < 0 ||
+        static_cast<std::size_t>(slot) != i / subs % table.kinds.size() ||
+        sub_index(cell, table.header) != i % subs) {
+      throw std::runtime_error("serialize: cell " + std::to_string(i) +
+                               " is out of canonical order");
     }
   }
   return table;
 }
+
+template std::string to_json_text(const core::SweepTable& table);
+template std::string to_json_text(const SimTable& table);
+template core::SweepTable table_from_json(const JsonValue& json);
+template SimTable table_from_json(const JsonValue& json);
+
+template <class Cell>
+std::string cell_line(const std::string& request_id,
+                      core::GridSignature signature, const Cell& cell) {
+  std::string line;
+  JsonWriter out(line);
+  open_result_line(out, "cell", request_id, signature);
+  write_members(out, cell);
+  out.end_object();
+  return line;
+}
+
+template std::string cell_line(const std::string& request_id,
+                               core::GridSignature signature,
+                               const core::SweepCell& cell);
+template std::string cell_line(const std::string& request_id,
+                               core::GridSignature signature,
+                               const SimCell& cell);
 
 JsonValue to_json(const ServiceStats& stats) {
   JsonValue service = JsonValue::object();
@@ -514,14 +462,10 @@ std::string done_line(const std::string& request_id,
   return line;
 }
 
-std::string cell_line(const std::string& request_id,
-                      core::GridSignature signature, const SimCell& cell) {
-  return result_cell_line(request_id, signature, cell);
-}
-
 std::string done_line(const std::string& request_id,
                       core::GridSignature signature, const SimTable& table,
-                      bool cache_hit, const JsonValue* stats) {
+                      bool cache_hit, bool /*joined_in_flight*/,
+                      const JsonValue* stats) {
   std::uint64_t total_runs = 0;
   for (const SimCell& cell : table.cells) {
     total_runs += cell.runs;
@@ -551,7 +495,7 @@ std::string sim_cell_line(const std::string& request_id,
 std::string sim_done_line(const std::string& request_id,
                           core::GridSignature signature, const SimTable& table,
                           bool cache_hit, const JsonValue* stats) {
-  return done_line(request_id, signature, table, cache_hit, stats);
+  return done_line(request_id, signature, table, cache_hit, false, stats);
 }
 
 std::string pong_line(const std::string& request_id) {

@@ -24,7 +24,8 @@ std::shared_ptr<const SimTable> compute_sim_table(
   auto table = std::make_shared<SimTable>();
   table->points = points;
   table->kinds = kinds;
-  table->params = sim;
+  table->header = sim;
+  table->index_kinds();
   table->cells.reserve(table->cell_count());
 
   const auto check_cancel = [&cancel] { throw_if_cancelled(cancel); };
@@ -38,16 +39,15 @@ std::shared_ptr<const SimTable> compute_sim_table(
     for (const core::PatternKind kind : table->kinds) {
       const core::PatternSpec pattern =
           core::solve_first_order(kind, params).to_pattern(params.costs.recall);
-      for (const double shape : table->params.weibull_shape) {
-        for (const double ops : table->params.faulty_ops) {
+      for (const double shape : sim.weibull_shape) {
+        for (const double ops : sim.faulty_ops) {
           check_cancel();
           sim::AdaptiveConfig config;
-          config.seed =
-              sim_cell_seed(table->params, kind, params, shape, ops);
-          config.target_ci = table->params.target_ci;
-          config.max_runs = table->params.max_runs;
-          config.min_runs = table->params.min_runs;
-          config.patterns_per_run = table->params.patterns_per_run;
+          config.seed = sim_cell_seed(sim, kind, params, shape, ops);
+          config.target_ci = sim.target_ci;
+          config.max_runs = sim.max_runs;
+          config.min_runs = sim.min_runs;
+          config.patterns_per_run = sim.patterns_per_run;
           config.pool = pool;
           config.check_cancel = check_cancel;
           // Model choice is a pure function of the cell's (shape, ops):

@@ -1,22 +1,10 @@
 #include "resilience/service/sim_table.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 #include "resilience/util/fnv1a.hpp"
 
 namespace resilience::service {
-
-namespace {
-
-bool bits_equal(double a, double b) noexcept {
-  std::uint64_t ba = 0;
-  std::uint64_t bb = 0;
-  std::memcpy(&ba, &a, sizeof(ba));
-  std::memcpy(&bb, &b, sizeof(bb));
-  return ba == bb;
-}
-
-}  // namespace
 
 core::GridSignature sim_signature(
     const std::vector<core::ScenarioPoint>& points,
@@ -65,46 +53,39 @@ std::uint64_t sim_cell_seed(const SimParams& params, core::PatternKind kind,
   return hasher.value();
 }
 
-bool sim_tables_bit_identical(const SimTable& a, const SimTable& b) noexcept {
-  if (a.points.size() != b.points.size() || a.kinds != b.kinds ||
-      a.cells.size() != b.cells.size() ||
-      a.params.seed != b.params.seed ||
-      !bits_equal(a.params.target_ci, b.params.target_ci) ||
-      a.params.max_runs != b.params.max_runs ||
-      a.params.min_runs != b.params.min_runs ||
-      a.params.patterns_per_run != b.params.patterns_per_run ||
-      a.params.weibull_shape.size() != b.params.weibull_shape.size() ||
-      a.params.faulty_ops.size() != b.params.faulty_ops.size()) {
-    return false;
+std::size_t sub_index(const SimCell& cell, const SimParams& sim) noexcept {
+  const auto& shapes = sim.weibull_shape;
+  const auto& ops = sim.faulty_ops;
+  const auto shape = static_cast<std::size_t>(
+      std::find(shapes.begin(), shapes.end(), cell.weibull_shape) -
+      shapes.begin());
+  const auto op = static_cast<std::size_t>(
+      std::find(ops.begin(), ops.end(), cell.faulty_ops) - ops.begin());
+  if (shape == shapes.size() || op == ops.size()) {
+    return sub_cells(sim);
   }
-  for (std::size_t i = 0; i < a.params.weibull_shape.size(); ++i) {
-    if (!bits_equal(a.params.weibull_shape[i], b.params.weibull_shape[i])) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.params.faulty_ops.size(); ++i) {
-    if (!bits_equal(a.params.faulty_ops[i], b.params.faulty_ops[i])) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.points.size(); ++i) {
-    if (!core::points_bit_identical(a.points[i], b.points[i])) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    const SimCell& x = a.cells[i];
-    const SimCell& y = b.cells[i];
-    if (x.point_index != y.point_index || x.kind != y.kind ||
-        !bits_equal(x.weibull_shape, y.weibull_shape) ||
-        !bits_equal(x.faulty_ops, y.faulty_ops) ||
-        !bits_equal(x.mean, y.mean) || !bits_equal(x.ci_low, y.ci_low) ||
-        !bits_equal(x.ci_high, y.ci_high) || x.runs != y.runs ||
-        x.early_stopped != y.early_stopped) {
-      return false;
-    }
-  }
-  return true;
+  return shape * ops.size() + op;
+}
+
+bool cells_bit_identical(const SimCell& a, const SimCell& b) noexcept {
+  using core::same_bits;
+  return a.point_index == b.point_index && a.kind == b.kind &&
+         same_bits(a.weibull_shape, b.weibull_shape) &&
+         same_bits(a.faulty_ops, b.faulty_ops) && same_bits(a.mean, b.mean) &&
+         same_bits(a.ci_low, b.ci_low) && same_bits(a.ci_high, b.ci_high) &&
+         a.runs == b.runs && a.early_stopped == b.early_stopped;
+}
+
+bool headers_bit_identical(const SimParams& a, const SimParams& b) noexcept {
+  const auto same_axis = [](const std::vector<double>& x,
+                            const std::vector<double>& y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end(), core::same_bits);
+  };
+  return a.seed == b.seed && core::same_bits(a.target_ci, b.target_ci) &&
+         a.max_runs == b.max_runs && a.min_runs == b.min_runs &&
+         a.patterns_per_run == b.patterns_per_run &&
+         same_axis(a.weibull_shape, b.weibull_shape) &&
+         same_axis(a.faulty_ops, b.faulty_ops);
 }
 
 }  // namespace resilience::service

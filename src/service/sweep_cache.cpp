@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "resilience/service/serialize.hpp"
-#include "resilience/service/sim_table.hpp"
 #include "resilience/util/atomic_file.hpp"
 #include "resilience/util/fnv1a.hpp"
 #include "resilience/util/json.hpp"
@@ -63,6 +62,18 @@ std::string spill_document(const SweepCache::Table& table) {
       .raw(payload)
       .end_object();
   return document;
+}
+
+/// A spill's table, verified by table_from_json, and the signature its
+/// content hashes to through the table's own table_signature hook.
+template <class TableT>
+SweepCache::Table decode_and_sign(const util::JsonValue& json,
+                                  const core::SweepOptions& options,
+                                  core::GridSignature& signature) {
+  auto table = std::make_shared<const TableT>(table_from_json<TableT>(json));
+  signature =
+      table_signature(table->points, table->kinds, table->header, options);
+  return table;
 }
 
 /// Writes one spill file atomically (util::write_file_atomic: unique
@@ -574,17 +585,9 @@ const SweepCache::Entry* SweepCache::load_from_disk_locked(
     // the caller's result-affecting options, a simulate table over the
     // SimParams it carries. A corrupt or foreign spill (or one written
     // under a different configuration) is recomputed, never served.
-    if (sim) {
-      auto loaded = std::make_shared<const SimTable>(
-          sim_table_from_json(*table_json));
-      recomputed = sim_signature(loaded->points, loaded->kinds, loaded->params);
-      table = std::move(loaded);
-    } else {
-      auto loaded = std::make_shared<const core::SweepTable>(
-          table_from_json(*table_json));
-      recomputed = core::grid_signature(loaded->points, loaded->kinds, options);
-      table = std::move(loaded);
-    }
+    table = sim ? decode_and_sign<SimTable>(*table_json, options, recomputed)
+                : decode_and_sign<core::SweepTable>(*table_json, options,
+                                                    recomputed);
   } catch (const std::exception& error) {
     reject("rejecting unparseable spill file", path.string() + ": " +
                                                    error.what());

@@ -17,17 +17,6 @@ namespace {
 /// How often a joiner waiting on a leader re-checks its own token.
 constexpr std::chrono::milliseconds kJoinPoll{1};
 
-/// The collision guard: a cached or joined table may serve `request`
-/// only if it is the table OF its resolved grid (and, for simulate, of
-/// its sim block).
-bool matches(const core::SweepTable& table, const ResolvedRequest& request) {
-  return table_matches_grid(table, request.points, request.kinds);
-}
-bool matches(const SimTable& table, const ResolvedRequest& request) {
-  return table_matches_grid(table, request.points, request.kinds) &&
-         table.params == request.request.sim;
-}
-
 void throw_if_cancelled(const core::CancelToken& cancel) {
   if (cancel.cancelled()) {
     throw core::SweepCancelled(cancel.deadline_expired());
@@ -95,7 +84,7 @@ SubmitResult SweepService::submit(const ResolvedRequest& request,
     return table;
   };
   SubmitResult result = climb<core::SweepTable>(
-      request, analytic_, compute,
+      request, {}, analytic_, compute,
       [sink](const core::SweepCell& cell) {
         if (sink != nullptr) {
           sink->on_cell(cell);
@@ -137,7 +126,7 @@ SimSubmitResult SweepService::simulate(const ResolvedRequest& request,
     return table;
   };
   return climb<SimTable>(
-      request, simulate_, compute,
+      request, request.request.sim, simulate_, compute,
       [&sink](const SimCell& cell) {
         if (sink) {
           sink(cell);
@@ -183,11 +172,10 @@ ServiceStats SweepService::stats() const {
 }
 
 template <class Table, class Compute, class Deliver>
-BasicSubmitResult<Table> SweepService::climb(const ResolvedRequest& request,
-                                             ModeCounters& counters,
-                                             const Compute& compute,
-                                             const Deliver& deliver,
-                                             const core::CancelToken& cancel) {
+BasicSubmitResult<Table> SweepService::climb(
+    const ResolvedRequest& request, const decltype(Table::header)& header,
+    ModeCounters& counters, const Compute& compute, const Deliver& deliver,
+    const core::CancelToken& cancel) {
   using TablePtr = std::shared_ptr<const Table>;
   const core::GridSignature signature = request.signature;
   counters.submits.fetch_add(1, std::memory_order_relaxed);
@@ -264,10 +252,13 @@ BasicSubmitResult<Table> SweepService::climb(const ResolvedRequest& request,
           continue;  // the LEADER was cancelled, not us — retry the ladder
         }
       }
-      if (table == nullptr || !matches(*table, request)) {
-        // Signature collision (a colliding grid, or the other mode's
-        // table): compute this request directly and publish nothing — two
-        // colliding requests cannot share the signature-keyed slot.
+      if (table == nullptr ||
+          !table_matches_grid(*table, request.points, request.kinds) ||
+          !headers_bit_identical(table->header, header)) {
+        // Signature collision (a colliding grid or header, or the other
+        // mode's table): compute this request directly and publish
+        // nothing — two colliding requests cannot share the
+        // signature-keyed slot.
         result.table = compute(/*lead=*/false);
         return result;
       }

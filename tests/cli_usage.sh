@@ -6,6 +6,14 @@
 # anything. The timeout bounds each run, because a "-5" once wrapped to
 # 2^64 - 5 runs or patterns and ran until killed.
 #
+# The serving binaries (sweep_serverd, sweep_router, sweep_client and the
+# sweep_chaosd proxy) must reject 2^32 + 1 for every flag they narrow to
+# an int, which would otherwise wrap to 1, and sweep_router a shard port
+# with trailing junk; a daemon that wrongly accepts one starts serving
+# and is caught by the timeout. Flags that name a platform or a pattern
+# family, and platform_advisor's custom rates that no pattern can run
+# at, must exit 2 too, not abort.
+#
 # Usage: cli_usage.sh BUILD_DIR
 set -u
 
@@ -56,6 +64,24 @@ check platform_advisor "--lambda-f=1e-5 --cd=120 --cm=5" "$BAD" \
 check platform_advisor "--lambda-f=1e-5 --cd=120 --cm=5" "$BAD 0" cd cm
 check sweep_server "--input=/dev/null" "$BAD" \
     threads cache-capacity default-deadline-ms sim-max-runs
+
+WRAPS=4294967297
+check sweep_serverd "--port=0" "$WRAPS" drain-timeout-ms default-deadline-ms
+check sweep_router "--port=0 --shards=127.0.0.1:1" "$WRAPS" \
+    probe-interval-ms attempts-per-shard connect-timeout-ms \
+    receive-timeout-ms overload-rounds drain-timeout-ms
+check sweep_router "--port=0" "127.0.0.1:7000abc" shards
+check sweep_client "--port=1 --input=/dev/null" "$WRAPS" \
+    retries connect-timeout-ms receive-timeout-ms
+check sweep_chaosd "--port=0 --upstream-port=1" "$WRAPS" stall-max-ms
+
+for binary in quickstart job_simulation platform_advisor ablation_recall \
+    ablation_weibull; do
+  check "$binary" "" "nosuch" platform
+done
+check quickstart "" "PDX" pattern
+check job_simulation "" "PDX" pattern
+check platform_advisor "--lambda-s=0 --cd=120 --cm=5" "0 1e300" lambda-f
 
 if [ "$failures" -ne 0 ]; then
   echo "cli_usage: $failures of $runs bad flag values did not exit 2"

@@ -318,8 +318,8 @@ TEST(IdentityPins, DoneLinesWithStatsBlocks) {
   rs::SimTable sim;
   sim.points.resize(1);
   sim.kinds = {rc::PatternKind::kDV};
-  sim.params.weibull_shape = {0.7};
-  sim.params.faulty_ops = {0.0};
+  sim.header.weibull_shape = {0.7};
+  sim.header.faulty_ops = {0.0};
   sim.cells.resize(2);
   sim.cells[0].runs = 40;
   sim.cells[1].runs = 24;
@@ -327,7 +327,7 @@ TEST(IdentityPins, DoneLinesWithStatsBlocks) {
       R"({"shards":[{"id":"127.0.0.1:1","stats":{"cost":{"units":0.5}}},)"
       R"({"id":"b","stats":{}}]})");
   EXPECT_EQ(rs::done_line("sim-done", rc::GridSignature{0x2ULL}, sim, false,
-                          &shards),
+                          false, &shards),
             R"({"type":"done","request":"sim-done",)"
             R"("signature":"0000000000000002","mode":"simulate","points":1,)"
             R"("kinds":["PDV"],"cells":2,"runs":64,"cache_hit":false,)"

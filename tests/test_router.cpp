@@ -306,6 +306,14 @@ Lines front_table() {
       "{\"id\": 9, \"platforms\": [\"hera\"]}",
       "{\"mode\": \"simulate\", \"platforms\": [\"hera\"], "
       "\"sim\": {\"max_runs\": 0}}",
+      "{\"platforms\": [\"hera\"], \"node_counts\": [4096], "
+      "\"kinds\": [\"PD\", \"PD\"]}",
+      "{\"mode\": \"simulate\", \"platforms\": [\"hera\"], "
+      "\"node_counts\": [4096], \"kinds\": [\"PD\", \"PD\"]}",
+      "{\"mode\": \"simulate\", \"platforms\": [\"hera\"], "
+      "\"sim\": {\"weibull_shape\": [1.0, 1.0]}}",
+      "{\"mode\": \"simulate\", \"platforms\": [\"hera\"], "
+      "\"sim\": {\"faulty_ops\": [0, -0]}}",
       "{\"platforms\": [\"hera\"], \"node_counts\": [1024], "
       "\"kinds\": [\"PDMV\"]}",
   };
@@ -354,6 +362,9 @@ TEST(CrossFront, StdinRouterAndDaemonAnswerEveryLineAlike) {
       << expected.back();
   EXPECT_EQ(routed, expected);
   EXPECT_EQ(served, expected);
+  // Every answer, the repeats' included, was the shard's own: none took
+  // the shard down.
+  EXPECT_EQ(fleet.stats().failovers, 0u);
 }
 
 // -------------------------------------------------------------- router --

@@ -247,6 +247,13 @@ TEST(ScenarioRequest, ErrorsNameTheOffendingField) {
   // Unknown pattern family.
   EXPECT_EQ(field_of(R"({"platforms": ["hera"], "kinds": ["PDX"]})"),
             "kinds[0]");
+  // A family listed twice, in either mode: the first repeat is named.
+  EXPECT_EQ(
+      field_of(R"({"platforms": ["hera"], "kinds": ["PD", "PDMV", "PD"]})"),
+      "kinds[2]");
+  EXPECT_EQ(field_of(R"({"platforms": ["hera"], "kinds": ["PD", "PD"],
+                         "mode": "simulate"})"),
+            "kinds[1]");
   // Unknown member inside an override object.
   EXPECT_EQ(field_of(
                 R"({"platforms": ["hera"], "cost_overrides": [{"recal": 1}]})"),
@@ -576,8 +583,8 @@ TEST(Persistence, CorruptSpillIsRejectedNotServed) {
     EXPECT_EQ(service.stats().sim_cells, result.table->cells.size())
         << name;
     EXPECT_GE(service.cache().disk_rejects(), 1u) << name;
-    EXPECT_TRUE(rs::sim_tables_bit_identical(*result.table,
-                                             *cold_sim_table(request)))
+    EXPECT_TRUE(rc::tables_bit_identical(*result.table,
+                                         *cold_sim_table(request)))
         << name;
   };
 
@@ -641,7 +648,7 @@ TEST(Persistence, ForeignSpillUnderWrongNameIsRejected) {
   EXPECT_FALSE(sim_result.cache_hit);
   EXPECT_GE(sim_service.cache().disk_rejects(), 1u);
   EXPECT_TRUE(
-      rs::sim_tables_bit_identical(*sim_result.table, *cold_sim_table(sim_a)));
+      rc::tables_bit_identical(*sim_result.table, *cold_sim_table(sim_a)));
 }
 
 TEST(Persistence, SpillFromTheGoldenSectionFormatIsRejectedNotServed) {

@@ -180,6 +180,9 @@ TEST(SimRequestParsing, SimFieldErrorsNameTheJsonPath) {
   expect_field("{\"patterns_per_run\": 0}", "sim.patterns_per_run");
   expect_field("{\"weibull_shape\": []}", "sim.weibull_shape");
   expect_field("{\"faulty_ops\": []}", "sim.faulty_ops");
+  // An axis value listed twice; 0 and -0 are one value.
+  expect_field("{\"weibull_shape\": [1.0, 0.7, 1.0]}", "sim.weibull_shape[2]");
+  expect_field("{\"faulty_ops\": [0, -0]}", "sim.faulty_ops[1]");
 }
 
 TEST(SimRequestParsing, RoundTripPreservesEverySimField) {
@@ -258,8 +261,8 @@ TEST(Simulate, BitIdenticalAcrossPoolSizes) {
   std::vector<rs::SimCell> streamed8;
   const auto at8 = submit_at_pool(request, 8, &streamed8);
 
-  EXPECT_TRUE(rs::sim_tables_bit_identical(*at1.table, *at2.table));
-  EXPECT_TRUE(rs::sim_tables_bit_identical(*at1.table, *at8.table));
+  EXPECT_TRUE(rc::tables_bit_identical(*at1.table, *at2.table));
+  EXPECT_TRUE(rc::tables_bit_identical(*at1.table, *at8.table));
   EXPECT_EQ(at1.signature.hex(), at8.signature.hex());
 
   // Streaming order is the canonical storage order at every pool size.
@@ -302,9 +305,9 @@ TEST(Simulate, SubGridSplitMatchesWholeGridCellForCell) {
       for (std::size_t s = 0; s < 2; ++s) {
         for (std::size_t f = 0; f < 2; ++f) {
           const rs::SimCell& got =
-              sub.table->cells[sub.table->cell_index(0, k, s, f)];
+              sub.table->cells[sub.table->cell_index(0, k, s * 2 + f)];
           const rs::SimCell& want =
-              full.table->cells[full.table->cell_index(point, k, s, f)];
+              full.table->cells[full.table->cell_index(point, k, s * 2 + f)];
           EXPECT_TRUE(bits_equal(got.mean, want.mean));
           EXPECT_TRUE(bits_equal(got.ci_low, want.ci_low));
           EXPECT_TRUE(bits_equal(got.ci_high, want.ci_high));
@@ -369,7 +372,7 @@ TEST(Simulate, SecondSubmitReplaysFromTheMemoryTier) {
       request, [&](const rs::SimCell& cell) { replayed.push_back(cell); });
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_FALSE(warm.disk_hit);
-  EXPECT_TRUE(rs::sim_tables_bit_identical(*cold.table, *warm.table));
+  EXPECT_TRUE(rc::tables_bit_identical(*cold.table, *warm.table));
   ASSERT_EQ(replayed.size(), cold.table->cell_count());
   for (std::size_t i = 0; i < replayed.size(); ++i) {
     EXPECT_EQ(cell_text(replayed[i]),
@@ -458,11 +461,11 @@ TEST(Simulate, ALookupThatFindsTheOtherModesTableIsAMiss) {
   service.cache().insert(signature, service.simulate(other).table);
   const auto result = service.simulate(request);
   EXPECT_FALSE(result.cache_hit);
-  EXPECT_EQ(result.table->params.seed, 42u);
+  EXPECT_EQ(result.table->header.seed, 42u);
   // The collision recompute was not published over the parked table.
   const auto parked = service.cache().find<rs::SimTable>(signature);
   ASSERT_NE(parked, nullptr);
-  EXPECT_EQ(parked->params.seed, 7u);
+  EXPECT_EQ(parked->header.seed, 7u);
 }
 
 TEST(Simulate, SpillsCopiedAcrossModesAreRejectedNotServed) {
@@ -513,7 +516,7 @@ TEST(Simulate, SpillsCopiedAcrossModesAreRejectedNotServed) {
     EXPECT_FALSE(result.cache_hit);
     EXPECT_EQ(service.stats().sim_cells, result.table->cells.size());
     EXPECT_EQ(service.cache().disk_rejects(), 1u);
-    EXPECT_TRUE(rs::sim_tables_bit_identical(
+    EXPECT_TRUE(rc::tables_bit_identical(
         *result.table, *submit_at_pool(request, 1).table));
     EXPECT_TRUE(service.submit(analytic).disk_hit);  // its own file
   }
@@ -641,8 +644,8 @@ TEST(Simulate, ConcurrentIdenticalSubmissionsComputeOnce) {
   }
   for (std::size_t i = 0; i < kThreads; ++i) {
     ASSERT_NE(results[i].table, nullptr);
-    EXPECT_TRUE(rs::sim_tables_bit_identical(*results[0].table,
-                                             *results[i].table));
+    EXPECT_TRUE(rc::tables_bit_identical(*results[0].table,
+                                         *results[i].table));
     EXPECT_EQ(streamed[i], table_order) << "caller " << i;
   }
 }
@@ -797,14 +800,14 @@ TEST(SimSerialization, TableRoundTripIsBitAndByteIdentical) {
   const auto result = submit_at_pool(small_sim_request(), 2);
   const std::string dumped = rs::to_json_text(*result.table);
   const rs::SimTable reparsed =
-      rs::sim_table_from_json(ru::JsonValue::parse(dumped));
-  EXPECT_TRUE(rs::sim_tables_bit_identical(*result.table, reparsed));
+      rs::table_from_json<rs::SimTable>(ru::JsonValue::parse(dumped));
+  EXPECT_TRUE(rc::tables_bit_identical(*result.table, reparsed));
   EXPECT_EQ(rs::to_json_text(reparsed), dumped);
 
   // And one cell on its own.
   const rs::SimCell& cell = result.table->cells.front();
   const std::string cell_dump = cell_text(cell);
   const rs::SimCell cell_back =
-      rs::sim_cell_from_json(ru::JsonValue::parse(cell_dump));
+      rs::cell_from_json<rs::SimCell>(ru::JsonValue::parse(cell_dump));
   EXPECT_EQ(cell_text(cell_back), cell_dump);
 }

@@ -125,7 +125,7 @@ Lookup look_up(const Golden& golden, const std::string& dir) {
     const auto table = cache.find<rs::SimTable>(golden.signature);
     lookup.served = table != nullptr;
     lookup.bit_identical =
-        table != nullptr && rs::sim_tables_bit_identical(*table, *golden.sim_table);
+        table != nullptr && rc::tables_bit_identical(*table, *golden.sim_table);
     lookup.same_grid =
         table != nullptr &&
         rs::table_matches_grid(*table, golden.sim_table->points,
