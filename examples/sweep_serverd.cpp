@@ -168,10 +168,12 @@ int main(int argc, char** argv) {
     const rn::OverloadStats overload = server.overload_stats();
     std::fprintf(stderr,
                  "sweep_serverd: drained (accepted %llu, requests %llu, "
-                 "rejected %llu, dropped slow/framing/error %llu/%llu/%llu, "
-                 "shed overload/expired %llu/%llu)\n",
+                 "served from memory %llu, rejected %llu, dropped "
+                 "slow/framing/error %llu/%llu/%llu, shed overload/expired "
+                 "%llu/%llu)\n",
                  static_cast<unsigned long long>(stats.accepted),
                  static_cast<unsigned long long>(stats.requests_started),
+                 static_cast<unsigned long long>(stats.served_inline),
                  static_cast<unsigned long long>(stats.rejected_over_limit),
                  static_cast<unsigned long long>(stats.dropped_slow),
                  static_cast<unsigned long long>(stats.dropped_framing),

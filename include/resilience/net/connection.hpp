@@ -7,7 +7,8 @@
 //
 // Threading contract. All socket I/O and epoll state live on the loop
 // thread. The one cross-thread surface is the outbound queue: sweep
-// worker threads append finished response lines via enqueue() (short
+// worker threads (and the loop itself, for the answers it writes)
+// append finished response lines via enqueue() (short
 // mutex hold on a swap buffer + an atomic byte counter, coalescing loop
 // wakeups through an atomic flag — "lock-free-ish": bounded, contention
 // is one swap per drain, but honest mutexes, not a CAS ring), and the
@@ -107,8 +108,9 @@ class Connection {
   /// producers see cancellation at the next cell. Crossing the byte
   /// limit latches overflow and reports false for all later calls; the
   /// already-queued bytes stay queued (the loop thread notices the
-  /// latch and drops the connection). Wakes the loop at most once per
-  /// drain cycle.
+  /// latch and drops the connection). From another thread it wakes the
+  /// loop at most once per drain cycle; on the loop thread it does not
+  /// wake, and the caller flushes.
   bool enqueue(std::string_view line);
 
   [[nodiscard]] bool closed() const noexcept {

@@ -64,8 +64,22 @@ class EventLoop {
   /// the loop's drain point, never reentrantly).
   void post(Task task);
 
+  /// Runs `task` on the loop thread once the loop has polled again: after
+  /// the next epoll_wait, which then does not block, has dispatched every
+  /// fd ready by then. How a handler yields to the other sockets before
+  /// it continues its own work. Loop thread only.
+  void defer(Task task);
+
+  /// Completed epoll_waits. A handler that sees this count change knows
+  /// the loop has dispatched every ready fd since it last looked.
+  [[nodiscard]] std::uint64_t polls() const noexcept { return polls_; }
+
+  /// True on the thread inside run().
+  [[nodiscard]] bool in_loop_thread() const noexcept;
+
   /// Runs until stop(). Dispatch order per iteration: ready fds, then
-  /// the posted-task queue.
+  /// the tasks deferred before this iteration's epoll_wait, then the
+  /// posted-task queue.
   void run();
   /// Makes run() return after the current iteration. Safe from any
   /// thread (it posts).
@@ -91,6 +105,8 @@ class EventLoop {
   Fd wake_;  ///< eventfd; readable when the task queue is nonempty
   std::unordered_map<int, Registration> registrations_;
   std::uint32_t next_generation_ = 1;
+  std::uint64_t polls_ = 0;
+  std::vector<Task> deferred_;  ///< run after the next epoll_wait
   bool running_ = false;
   bool stop_requested_ = false;
 

@@ -14,8 +14,18 @@
 // and classifies it once (service::classify_line resolves, signs and
 // chains a scenario) — blank and comment lines end there; every other
 // line queues as its classified request for a worker to hand to the
-// session's serve(). The loop thread never calls into a session, and no
-// line is parsed or resolved twice.
+// session's serve(). No line is parsed or resolved twice.
+//
+// Answers from memory: a head scenario request of at most
+// kMaxInlineCells cells whose table sits in the cache's memory tier
+// needs no compute, so the loop answers it itself
+// (service::JsonlSession::serve_resident, SweepService's replay-only
+// rung) and writes the whole response with one flush: no worker
+// hand-off, no wake. A miss there emits and counts nothing and the
+// request goes to a worker as any other. The loop answers at most one
+// such request per connection per epoll round, so a deep pipeline of
+// hits cannot starve the other sockets. Servers built with a
+// session_factory (the router) never answer on the loop.
 //
 // Scheduling & overload control (PR 8): received request lines no longer
 // drain FIFO into the executor. Each scenario is *priced* at admission
@@ -37,6 +47,8 @@
 //     worker;
 //   * ping/stats/invalid lines are always admitted at nominal cost —
 //     observability keeps working exactly when the server is busiest.
+// Requests the loop answers from memory are admitted, priced and charged
+// the same way; they only skip the wait for a free worker.
 // Every stage is measured: queue-wait / compute / write latency
 // histograms plus admitted/shed counters, via overload_stats[_json]().
 //
@@ -72,6 +84,15 @@ class ThreadPool;
 }
 
 namespace resilience::net {
+
+/// Largest table (points x families x sim sub-cells) the event loop
+/// replays itself. A replay costs about 1.3 us per cell line, writer and
+/// outbound copy (1.35 us on the 96-cell catalog, 1.22 us on a 240-cell
+/// grid; one core of a 4-core x86 VM), so one answer holds the loop for
+/// at most ~0.35 ms before its socket write, while the paper's 96-cell
+/// catalogs (4 platforms x 4 node counts x 6 families) qualify. Bigger
+/// tables replay on a worker.
+inline constexpr std::size_t kMaxInlineCells = 256;
 
 /// Power-of-two-bucket latency histogram in microseconds: bucket i counts
 /// samples whose bit width is i (bucket 0: 0-1 us, bucket i: [2^(i-1),
@@ -120,10 +141,15 @@ struct OverloadStats {
   std::uint64_t admitted = 0;       ///< scenario requests admitted
   std::uint64_t shed_overload = 0;  ///< rejected at admission (retriable)
   std::uint64_t shed_expired = 0;   ///< deadline expired while queued
+  /// Answered on the loop thread, never on a worker: memory-tier hits
+  /// (and sim.max_runs refusals, which need no compute either).
+  std::uint64_t served_inline = 0;
   double queued_cost = 0.0;         ///< current waiting cost units
   std::size_t queued_depth = 0;     ///< current waiting scenario requests
   double drain_rate_units_per_ms = 0.0;  ///< EWMA completion rate
   std::int64_t retry_after_ms = 0;  ///< hint a shed answered right now gets
+  /// The three stages also sample the requests the loop answers itself
+  /// (there, dispatch is the loop starting the answer).
   LatencyHistogram queue_wait;      ///< admission -> worker dispatch
   LatencyHistogram compute;         ///< worker dispatch -> response done
   LatencyHistogram write;           ///< response done -> socket drained
@@ -226,7 +252,11 @@ class NetServer {
     std::uint64_t dropped_slow = 0;     ///< write-buffer overflow drops
     std::uint64_t dropped_framing = 0;  ///< oversized-line drops
     std::uint64_t dropped_error = 0;    ///< socket errors / resets
+    /// Requests that began executing, on a worker or on the loop (sheds,
+    /// queue expiries and framing errors never execute).
     std::uint64_t requests_started = 0;
+    /// ...of which the loop answered itself (OverloadStats).
+    std::uint64_t served_inline = 0;
   };
   [[nodiscard]] Stats stats() const;
 

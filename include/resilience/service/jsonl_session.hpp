@@ -82,6 +82,15 @@ class JsonlSession final : public LineSession {
                Options options = Options(),
                std::shared_ptr<const std::atomic<bool>> cancelled = nullptr);
 
+  /// Answers `request` on the calling thread if it needs no compute:
+  /// its table sits in the service's memory tier (SweepService's
+  /// Rungs::kReplayOnly), or the sim.max_runs cap refuses it. The bytes
+  /// are serve()'s: cells, done line, deadline and stats block. Returns
+  /// false, having emitted nothing and moved no counter, otherwise; the
+  /// request is then the caller's to serve(). NetServer's loop thread
+  /// answers cached requests through this instead of a worker.
+  bool serve_resident(ResolvedRequest& request);
+
   /// Called after each successfully served ANALYTIC scenario request
   /// (not for stats requests, errors, or "mode": "simulate" requests —
   /// sim determinism is pinned by test_sim_service, not --check).
@@ -90,6 +99,9 @@ class JsonlSession final : public LineSession {
  private:
   std::string stats_answer(const std::string& id) override;
   void serve_scenario(ResolvedRequest& resolved) override;
+  /// serve_scenario over the ladder's `rungs`; false on a replay-only
+  /// miss, which emitted nothing.
+  bool answer(ResolvedRequest& resolved, Rungs rungs);
 
   SweepService& service_;
   Options options_;

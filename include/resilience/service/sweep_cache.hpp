@@ -106,6 +106,19 @@ class SweepCache {
       core::GridSignature signature, const core::SweepOptions& options = {},
       bool* loaded_from_disk = nullptr);
 
+  /// Memory-tier probe for the replay-only rung (SweepService::Rungs):
+  /// the resident `TableT` under `signature`, or nullptr. No disk load,
+  /// no LRU promotion and no counter, so a probe the caller then rejects
+  /// leaves no trace; count_hit records one it serves.
+  template <class TableT = core::SweepTable>
+  [[nodiscard]] std::shared_ptr<const TableT> find_resident(
+      core::GridSignature signature) const;
+
+  /// Records a served find_resident result as find() records a memory
+  /// hit: one lookup hit, and the entry (if still resident) becomes the
+  /// most recently used.
+  void count_hit(core::GridSignature signature);
+
   /// Inserts (or refreshes) an entry, evicting — and, with a cache_dir,
   /// spilling — the least-recently-used table when over capacity.
   /// Inserting under an existing signature replaces the entry, whatever

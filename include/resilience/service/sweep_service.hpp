@@ -21,6 +21,12 @@
 //                     ones from the nearest cached optima (request flag
 //                     `reuse_seeds`, on by default).
 //
+// The event loop climbs a shorter ladder (Rungs::kReplayOnly): a
+// memory-tier hit that passes the collision guard replays as rung 1
+// does; anything else is a miss that delivers and counts nothing, with
+// no spill load, no join and no compute, and the caller hands the
+// request to a worker, which climbs the whole ladder.
+//
 // A hit or join must pass the collision guard (the table OF this
 // request's resolved grid, mode and header: simulate's is its SimParams);
 // one that fails is recomputed for this call alone and never published.
@@ -127,6 +133,15 @@ using SimSubmitResult = BasicSubmitResult<SimTable>;
 /// order (live on a compute, replayed on a cache hit or join).
 using SimCellFn = std::function<void(const SimCell&)>;
 
+/// The rungs of the reuse ladder one call may climb (top of this file).
+enum class Rungs {
+  kAll,
+  /// Only a memory-tier hit that passes the collision guard, replayed
+  /// and counted as a cache hit. On anything else the result's table is
+  /// null, and no cell was delivered and no counter moved.
+  kReplayOnly,
+};
+
 class SweepService {
  public:
   explicit SweepService(ServiceOptions options = {});
@@ -146,16 +161,22 @@ class SweepService {
   /// caller's token does not fail: the joiner transparently retries
   /// (re-checking the cache, possibly becoming the new leader under its
   /// own token).
+  ///
+  /// `rungs` kReplayOnly climbs only the replay of a memory-resident
+  /// table (see Rungs); the result's table is null on a miss.
   SubmitResult submit(const ResolvedRequest& request,
                       core::CellSink* sink = nullptr,
-                      core::CancelToken cancel = {});
+                      core::CancelToken cancel = {},
+                      Rungs rungs = Rungs::kAll);
 
   /// Serves a resolved "mode": "simulate" request through the same
-  /// ladder, with the same cancellation and thread-safety contract as
-  /// submit(); throws std::invalid_argument on an analytic request.
+  /// ladder, with the same cancellation, thread-safety and `rungs`
+  /// contract as submit(); throws std::invalid_argument on an analytic
+  /// request.
   SimSubmitResult simulate(const ResolvedRequest& request,
                            const SimCellFn& sink = nullptr,
-                           core::CancelToken cancel = {});
+                           core::CancelToken cancel = {},
+                           Rungs rungs = Rungs::kAll);
 
   /// Forwards for callers holding an unresolved request or a bare grid
   /// (tests, benchmarks); the serving paths pass the resolved request.
@@ -225,6 +246,14 @@ class SweepService {
                                  const Compute& compute,
                                  const Deliver& deliver,
                                  const core::CancelToken& cancel);
+
+  /// The replay-only rung (Rungs::kReplayOnly) over the same per-mode
+  /// arguments.
+  template <class Table, class Deliver>
+  BasicSubmitResult<Table> replay_resident(
+      const ResolvedRequest& request, const decltype(Table::header)& header,
+      ModeCounters& counters, const Deliver& deliver,
+      const core::CancelToken& cancel);
 
   ServiceOptions options_;
   SweepCache cache_;

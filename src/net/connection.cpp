@@ -68,7 +68,10 @@ bool Connection::enqueue(std::string_view line) {
     // treats the false return as cancellation.
     overflowed_.store(true, std::memory_order_release);
   }
-  if (!wake_pending_.exchange(true, std::memory_order_acq_rel) && wake_fn_) {
+  // The loop thread flushes after its own writes; only a producer on
+  // another thread needs the wake.
+  if (!loop_.in_loop_thread() &&
+      !wake_pending_.exchange(true, std::memory_order_acq_rel) && wake_fn_) {
     wake_fn_();
   }
   return !overflowed();

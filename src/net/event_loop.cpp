@@ -13,6 +13,17 @@
 
 namespace resilience::net {
 
+namespace {
+
+/// The loop whose run() this thread is inside, if any.
+thread_local const EventLoop* t_running_loop = nullptr;
+
+}  // namespace
+
+bool EventLoop::in_loop_thread() const noexcept {
+  return t_running_loop == this;
+}
+
 #if defined(__linux__)
 
 namespace {
@@ -112,6 +123,8 @@ void EventLoop::post(Task task) {
   }
 }
 
+void EventLoop::defer(Task task) { deferred_.push_back(std::move(task)); }
+
 void EventLoop::stop() {
   post([this] { stop_requested_ = true; });
 }
@@ -139,6 +152,7 @@ void EventLoop::dispatch_ready(int timeout_ms) {
     throw std::runtime_error(std::string("net: epoll_wait: ") +
                              std::strerror(errno));
   }
+  ++polls_;
   for (int i = 0; i < count; ++i) {
     const int fd = static_cast<int>(events[i].data.u64 >> 32);
     const auto generation = static_cast<std::uint32_t>(events[i].data.u64);
@@ -172,13 +186,20 @@ void EventLoop::dispatch_ready(int timeout_ms) {
 }
 
 void EventLoop::run() {
+  t_running_loop = this;
   running_ = true;
   stop_requested_ = false;
   while (!stop_requested_) {
-    dispatch_ready(/*timeout_ms=*/-1);
+    std::vector<Task> deferred;
+    deferred.swap(deferred_);
+    dispatch_ready(/*timeout_ms=*/deferred.empty() ? -1 : 0);
+    for (Task& task : deferred) {
+      task();
+    }
     drain_tasks();
   }
   running_ = false;
+  t_running_loop = nullptr;
 }
 
 #else  // !__linux__
@@ -192,6 +213,7 @@ void EventLoop::add_fd(int, std::uint32_t, IoHandler) {}
 void EventLoop::modify_fd(int, std::uint32_t) {}
 void EventLoop::remove_fd(int) {}
 void EventLoop::post(Task) {}
+void EventLoop::defer(Task) {}
 void EventLoop::run() {}
 void EventLoop::stop() {}
 void EventLoop::dispatch_ready(int) {}

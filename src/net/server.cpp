@@ -81,6 +81,11 @@ struct NetServer::Impl {
     std::shared_ptr<Connection> socket;
     std::shared_ptr<std::atomic<bool>> cancel;
     std::unique_ptr<service::LineSession> session;
+    /// The session, when it is the server's own JsonlSession over a
+    /// caching service: the loop answers memory-tier hits through it.
+    service::JsonlSession* replayer = nullptr;
+    /// loop.polls() at this connection's last answer from memory.
+    std::uint64_t replay_poll = 0;
     /// One received line, classified once at admission (admit_line).
     struct Item {
       service::RequestLine request;  ///< what a worker serves
@@ -91,6 +96,9 @@ struct NetServer::Impl {
       /// error or an admission shed); such an item never reaches a worker.
       std::string answer;
       double cost = 0.0;       ///< predicted compute units (charge)
+      /// An admitted scenario small enough for the loop to replay: it
+      /// tries the memory tier once, at the head of the backlog.
+      bool replayable = false;
       double start_tag = 0.0;  ///< fair-queue virtual start time
       int deadline_ms = 0;     ///< resolved deadline (0 = none)
       bool has_queue_deadline = false;
@@ -175,10 +183,11 @@ struct NetServer::Impl {
       conn->socket = std::make_shared<Connection>(
           loop, std::move(fd), id, options.write_buffer_limit,
           options.max_line_bytes);
-      // The session emit path runs on executor threads: enqueue into the
-      // bounded per-connection queue; a refused enqueue (closed or
-      // overflowed) flips the cancel token so the session stops
-      // producing for a client that is gone.
+      // The session emit path runs on executor threads (and on the loop
+      // for answers from memory): enqueue into the bounded
+      // per-connection queue; a refused enqueue (closed or overflowed)
+      // flips the cancel token so the session stops producing for a
+      // client that is gone.
       const auto socket = conn->socket;
       const auto cancel = conn->cancel;
       service::LineSession::LineFn emit =
@@ -195,8 +204,12 @@ struct NetServer::Impl {
         session_options.collect = false;
         session_options.default_deadline_ms = options.default_deadline_ms;
         session_options.sim_max_runs = options.sim_max_runs;
-        conn->session = std::make_unique<service::JsonlSession>(
+        auto session = std::make_unique<service::JsonlSession>(
             service, std::move(emit), session_options, cancel);
+        if (options.service.cache_capacity > 0) {
+          conn->replayer = session.get();
+        }
+        conn->session = std::move(session);
       }
       // Every daemon's stats answers carry its scheduler snapshot; the
       // stdin path never sets this, so its bytes are unchanged.
@@ -347,11 +360,11 @@ struct NetServer::Impl {
     item.enqueued = Clock::now();
     const bool scenario =
         request.kind == service::RequestLine::Kind::kScenario;
-    item.cost =
-        scenario ? std::max(service::estimate_cost(request.scenario, &service)
-                                .units,
-                            kMinScenarioCost)
-                 : kNonScenarioCost;
+    const service::CostEstimate estimate =
+        scenario ? service::estimate_cost(request.scenario, &service)
+                 : service::CostEstimate{};
+    item.cost = scenario ? std::max(estimate.units, kMinScenarioCost)
+                         : kNonScenarioCost;
     if (scenario && should_shed(item.cost)) {
       std::int64_t retry_after = 0;
       {
@@ -380,6 +393,8 @@ struct NetServer::Impl {
         item.deadline_ms = request.scenario.request.deadline_ms > 0
                                ? request.scenario.request.deadline_ms
                                : options.default_deadline_ms;
+        item.replayable =
+            conn->replayer != nullptr && estimate.cells <= kMaxInlineCells;
         // Parked until a worker takes it: its resolved points count
         // toward the read-pause bound with its text.
         item.bytes += request.scenario.resolved_bytes();
@@ -433,11 +448,14 @@ struct NetServer::Impl {
   // -------------------------------------------------------- scheduler --
 
   /// Answers every head item of `conn` that needs no worker — deferred
-  /// framing errors, admission sheds, and queue-deadline expiries — until
-  /// the head is a runnable request (or the backlog empties). Only legal
-  /// while the connection is not executing: inline answers would
-  /// otherwise interleave with the in-flight request's response stream.
-  void advance_conn(const ConnPtr& conn) {
+  /// framing errors, admission sheds, queue-deadline expiries, and
+  /// replayable requests whose table is in the memory tier — until the
+  /// head needs a worker (true) or waits for none: the backlog emptied,
+  /// or the head may be a hit but the connection already had its one
+  /// answer from memory this epoll round. Only legal while the
+  /// connection is not executing: inline answers would otherwise
+  /// interleave with the in-flight request's response stream.
+  bool advance_conn(const ConnPtr& conn) {
     while (!conn->executing && !conn->socket->closed() &&
            !conn->backlog.empty()) {
       Conn::Item& head = conn->backlog.front();
@@ -454,21 +472,64 @@ struct NetServer::Impl {
             "deadline of " + std::to_string(head.deadline_ms) +
                 " ms expired while the request was queued");
       }
-      if (head.answer.empty()) {
-        return;  // runnable head: needs a worker slot
+      if (!head.answer.empty()) {
+        conn->socket->enqueue(pop_head(conn).answer);
+      } else if (!head.replayable) {
+        return true;  // runnable head: needs a worker slot
+      } else if (conn->replay_poll == loop.polls()) {
+        // Its one answer from memory this round is out: the other
+        // sockets get their turn before this connection's next.
+        resume_after_poll();
+        return false;
+      } else if (!replay_head(conn)) {
+        head.replayable = false;  // not in memory: a worker serves it
+        return true;
       }
-      conn->socket->enqueue(pop_head(conn).answer);
       if (!flush_conn(conn)) {
-        return;  // the connection died here
+        return false;  // the connection died here
       }
+    }
+    // The backlog may have emptied here, on another connection's event:
+    // an input-closed connection closes now, not on a later event.
+    maybe_finish(conn);
+    return false;
+  }
+
+  /// Answers the head from the memory tier on the loop thread, with
+  /// a worker's bytes and bookkeeping; false (nothing emitted, nothing
+  /// counted) when its table is not there. The caller flushes: the
+  /// whole response leaves in one write, with no wake.
+  bool replay_head(const ConnPtr& conn) {
+    const auto start = Clock::now();
+    if (!conn->replayer->serve_resident(
+            conn->backlog.front().request.scenario)) {
+      return false;
+    }
+    begin_request(conn, pop_head(conn), start);
+    end_request(conn, Clock::now());
+    conn->replay_poll = loop.polls();
+    const std::lock_guard<std::mutex> lock(ostats_mutex);
+    ++ostats.served_inline;
+    return true;
+  }
+
+  /// Re-runs the dispatch pass once the loop has polled again (one
+  /// deferred pass however many connections wait for it).
+  void resume_after_poll() {
+    if (!resume_pending) {
+      resume_pending = true;
+      loop.defer([this] {
+        resume_pending = false;
+        dispatch_all();
+      });
     }
   }
 
   /// Removes and returns the head item, releasing its bytes from the
   /// read-pause accounting. The pause lifts here, where bytes leave the
-  /// backlog — to a worker or as an inline answer (shed, queue expiry) —
-  /// once it is under the resume watermark; epoll then reports a socket
-  /// that is already readable.
+  /// backlog — to a worker or as an inline answer (shed, queue expiry,
+  /// answer from memory) — once it is under the resume watermark; epoll
+  /// then reports a socket that is already readable.
   Conn::Item pop_head(const ConnPtr& conn) {
     conn->backlog_bytes -= conn->backlog.front().bytes;
     Conn::Item item = std::move(conn->backlog.front());
@@ -510,12 +571,8 @@ struct NetServer::Impl {
       }
       ConnPtr best;
       for (const ConnPtr& conn : snapshot) {
-        advance_conn(conn);
-        if (conn->executing || conn->socket->closed() ||
-            conn->backlog.empty()) {
-          continue;
-        }
-        if (best == nullptr || head_before(conn, best)) {
+        if (advance_conn(conn) &&
+            (best == nullptr || head_before(conn, best))) {
           best = conn;
         }
       }
@@ -543,7 +600,20 @@ struct NetServer::Impl {
 
   void start_item(const ConnPtr& conn) {
     Conn::Item item = pop_head(conn);
-    const auto now = Clock::now();
+    begin_request(conn, item, Clock::now());
+    ++active_requests;
+    const ConnPtr held = conn;
+    executor->submit([this, held, request = std::move(item.request)]() mutable {
+      held->session->serve(std::move(request));
+      loop.post([this, held] { on_request_done(held); });
+    });
+  }
+
+  /// The scheduler's side of a request starting at `now`, on a worker or
+  /// on the loop: the fair-queue clock, the waiting budget, the
+  /// queue-wait sample.
+  void begin_request(const ConnPtr& conn, const Conn::Item& item,
+                     Clock::time_point now) {
     virtual_time = std::max(virtual_time, item.start_tag);
     if (item.scenario()) {
       discharge(item);
@@ -558,21 +628,31 @@ struct NetServer::Impl {
     conn->executing = true;
     conn->executing_cost = item.scenario() ? item.cost : 0.0;
     conn->exec_start = now;
-    ++active_requests;
     requests_started.fetch_add(1, std::memory_order_relaxed);
-    const ConnPtr held = conn;
-    executor->submit([this, held, request = std::move(item.request)]() mutable {
-      held->session->serve(std::move(request));
-      loop.post([this, held] { on_request_done(held); });
-    });
   }
 
   void on_request_done(const ConnPtr& conn) {
-    const auto now = Clock::now();
-    conn->executing = false;
     if (active_requests > 0) {
       --active_requests;
     }
+    end_request(conn, Clock::now());
+    if (!conn->socket->closed()) {
+      if (flush_conn(conn)) {
+        // pump() reads only when input is open and unpaused, and always
+        // advances the pipeline — including the deferred framing-error
+        // item of an input_closed connection.
+        pump(conn);
+      }
+    } else {
+      dispatch_all();  // this connection died mid-request; others wait
+    }
+    check_drain();
+  }
+
+  /// Ends the executing request of `conn` at `now`: the compute sample,
+  /// the drain-rate EWMA and the start of the write stage.
+  void end_request(const ConnPtr& conn, Clock::time_point now) {
+    conn->executing = false;
     {
       const std::lock_guard<std::mutex> lock(ostats_mutex);
       ostats.compute.record(elapsed_us(conn->exec_start, now));
@@ -597,17 +677,6 @@ struct NetServer::Impl {
     conn->executing_cost = 0.0;
     conn->write_pending = true;
     conn->write_start = now;
-    if (!conn->socket->closed()) {
-      if (flush_conn(conn)) {
-        // pump() reads only when input is open and unpaused, and always
-        // advances the pipeline — including the deferred framing-error
-        // item of an input_closed connection.
-        pump(conn);
-      }
-    } else {
-      dispatch_all();  // this connection died mid-request; others wait
-    }
-    check_drain();
   }
 
   // ------------------------------------------------- queue-expiry timer --
@@ -684,6 +753,7 @@ struct NetServer::Impl {
     scheduler.set("admitted", snapshot.admitted);
     scheduler.set("shed_overload", snapshot.shed_overload);
     scheduler.set("shed_expired", snapshot.shed_expired);
+    scheduler.set("served_inline", snapshot.served_inline);
     scheduler.set("queued_cost", snapshot.queued_cost);
     scheduler.set("queued_depth", snapshot.queued_depth);
     scheduler.set("drain_rate_units_per_ms",
@@ -873,6 +943,7 @@ struct NetServer::Impl {
   double virtual_time = 0.0;
   bool in_dispatch = false;
   bool dispatch_again = false;
+  bool resume_pending = false;  ///< a dispatch pass waits for the next poll
   Fd sched_timer;
   bool sched_timer_armed = false;
   Clock::time_point sched_timer_deadline{};
@@ -931,6 +1002,7 @@ NetServer::Stats NetServer::stats() const {
   stats.dropped_error = impl_->dropped_error.load(std::memory_order_relaxed);
   stats.requests_started =
       impl_->requests_started.load(std::memory_order_relaxed);
+  stats.served_inline = impl_->overload_stats().served_inline;
   return stats;
 }
 

@@ -1,6 +1,8 @@
 #include "resilience/service/jsonl_session.hpp"
 
 #include <chrono>
+#include <exception>
+#include <string>
 #include <utility>
 
 #include "resilience/service/cost_model.hpp"
@@ -36,6 +38,24 @@ std::string JsonlSession::stats_answer(const std::string& id) {
 }
 
 void JsonlSession::serve_scenario(ResolvedRequest& resolved) {
+  (void)answer(resolved, Rungs::kAll);
+}
+
+bool JsonlSession::serve_resident(ResolvedRequest& resolved) {
+  if (cancelled()) {
+    return false;
+  }
+  try {
+    return answer(resolved, Rungs::kReplayOnly);
+  } catch (const std::exception& error) {
+    // As serve() answers a failure escaping a worker's execution.
+    fail(error_line(resolved.request.id, "",
+                    std::string("internal error: ") + error.what()));
+    return true;
+  }
+}
+
+bool JsonlSession::answer(ResolvedRequest& resolved, Rungs rungs) {
   const ScenarioRequest& request = resolved.request;
   // Compute budget: the request's own deadline wins; the session default
   // covers requests that state none. Anchored here — execution start —
@@ -58,7 +78,7 @@ void JsonlSession::serve_scenario(ResolvedRequest& resolved) {
                       "exceeds the server cap of " +
                           std::to_string(options_.sim_max_runs) +
                           " runs per cell"));
-      return;
+      return true;
     }
     // Price the request BEFORE submitting: the estimate must reflect the
     // cache state an admission controller saw, not the state after this
@@ -86,14 +106,18 @@ void JsonlSession::serve_scenario(ResolvedRequest& resolved) {
         emit(cell_line(request.id, resolved.signature, cell), false);
       }
     };
+    // False on a replay-only miss: no table, nothing was emitted.
     const auto finish = [&](const auto& result) {
+      if (result.table == nullptr) {
+        return false;
+      }
       emit(done_line(request.id, result.signature, *result.table,
                      result.cache_hit, result.joined_in_flight, done_stats()),
            true);
+      return true;
     };
     if (request.simulate) {
-      finish(service_.simulate(resolved, stream, cancel));
-      return;
+      return finish(service_.simulate(resolved, stream, cancel, rungs));
     }
     std::vector<core::SweepCell> cells;  // kept for the outcome hook
     CellFnSink sink([&](const core::SweepCell& cell) {
@@ -104,19 +128,22 @@ void JsonlSession::serve_scenario(ResolvedRequest& resolved) {
     });
     const bool need_sink = options_.stream || options_.collect;
     const SubmitResult result =
-        service_.submit(resolved, need_sink ? &sink : nullptr, cancel);
-    finish(result);
+        service_.submit(resolved, need_sink ? &sink : nullptr, cancel, rungs);
+    if (!finish(result)) {
+      return false;
+    }
     if (outcome_) {
       outcome_(Outcome{std::move(resolved), result, std::move(cells)});
     }
   } catch (const core::SweepCancelled& cancelled) {
     if (!cancelled.deadline_expired()) {
-      return;  // disconnect cancellation: the client is gone, stay silent
+      return true;  // disconnect cancellation: the client is gone, stay silent
     }
     fail(error_line(request.id, "deadline_ms",
                     "deadline of " + std::to_string(deadline_ms) +
                         " ms exceeded before the sweep completed"));
   }
+  return true;
 }
 
 }  // namespace resilience::service

@@ -152,6 +152,33 @@ template std::shared_ptr<const core::SweepTable> SweepCache::find(
 template std::shared_ptr<const SimTable> SweepCache::find(
     core::GridSignature, const core::SweepOptions&, bool*);
 
+template <class TableT>
+std::shared_ptr<const TableT> SweepCache::find_resident(
+    core::GridSignature signature) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(signature.value);
+  if (it == index_.end()) {
+    return nullptr;
+  }
+  const auto* table =
+      std::get_if<std::shared_ptr<const TableT>>(&it->second->table);
+  return table == nullptr ? nullptr : *table;
+}
+
+template std::shared_ptr<const core::SweepTable> SweepCache::find_resident(
+    core::GridSignature) const;
+template std::shared_ptr<const SimTable> SweepCache::find_resident(
+    core::GridSignature) const;
+
+void SweepCache::count_hit(core::GridSignature signature) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++hits_;
+  const auto it = index_.find(signature.value);
+  if (it != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+  }
+}
+
 void SweepCache::insert(core::GridSignature signature, Table table,
                         std::vector<core::GridChain> chains) {
   if (capacity_ == 0) {

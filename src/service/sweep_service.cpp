@@ -23,6 +23,15 @@ void throw_if_cancelled(const core::CancelToken& cancel) {
   }
 }
 
+/// The collision guard: `table` is the table OF `request`'s resolved grid
+/// and of its mode's `header`.
+template <class Table>
+bool serves(const Table& table, const ResolvedRequest& request,
+            const decltype(Table::header)& header) {
+  return table_matches_grid(table, request.points, request.kinds) &&
+         headers_bit_identical(table.header, header);
+}
+
 /// The SeedSource the runner consults on a seeded compute: per-chain
 /// lookups against the cache's seed index (memory + verified disk).
 /// Thread-safe — chains query it concurrently from the pool.
@@ -59,9 +68,18 @@ SweepService::SweepService(ServiceOptions options)
 
 SubmitResult SweepService::submit(const ResolvedRequest& request,
                                   core::CellSink* sink,
-                                  core::CancelToken cancel) {
+                                  core::CancelToken cancel, Rungs rungs) {
   if (request.request.simulate) {
     throw std::invalid_argument("SweepService::submit: a simulate request");
+  }
+  const auto deliver = [sink](const core::SweepCell& cell) {
+    if (sink != nullptr) {
+      sink->on_cell(cell);
+    }
+  };
+  if (rungs == Rungs::kReplayOnly) {
+    return replay_resident<core::SweepTable>(request, {}, analytic_, deliver,
+                                             cancel);
   }
   // Cross-grid seeding only helps numeric sweeps; the seed source
   // verifies disk loads under the request's own sweep options.
@@ -83,14 +101,8 @@ SubmitResult SweepService::submit(const ResolvedRequest& request,
     tables_computed_.fetch_add(1, std::memory_order_relaxed);
     return table;
   };
-  SubmitResult result = climb<core::SweepTable>(
-      request, {}, analytic_, compute,
-      [sink](const core::SweepCell& cell) {
-        if (sink != nullptr) {
-          sink->on_cell(cell);
-        }
-      },
-      cancel);
+  SubmitResult result = climb<core::SweepTable>(request, {}, analytic_,
+                                                compute, deliver, cancel);
   // Only this call's own leading compute consults the seed source.
   result.seeded = seed_source.supplied() > 0;
   if (result.seeded) {
@@ -101,9 +113,19 @@ SubmitResult SweepService::submit(const ResolvedRequest& request,
 
 SimSubmitResult SweepService::simulate(const ResolvedRequest& request,
                                        const SimCellFn& sink,
-                                       core::CancelToken cancel) {
+                                       core::CancelToken cancel,
+                                       Rungs rungs) {
   if (!request.request.simulate) {
     throw std::invalid_argument("SweepService::simulate: an analytic request");
+  }
+  const auto deliver = [&sink](const SimCell& cell) {
+    if (sink) {
+      sink(cell);
+    }
+  };
+  if (rungs == Rungs::kReplayOnly) {
+    return replay_resident<SimTable>(request, request.request.sim, simulate_,
+                                     deliver, cancel);
   }
   const auto compute = [&](bool /*lead*/) {
     const auto start = std::chrono::steady_clock::now();
@@ -125,14 +147,8 @@ SimSubmitResult SweepService::simulate(const ResolvedRequest& request,
                                   std::memory_order_relaxed);
     return table;
   };
-  return climb<SimTable>(
-      request, request.request.sim, simulate_, compute,
-      [&sink](const SimCell& cell) {
-        if (sink) {
-          sink(cell);
-        }
-      },
-      cancel);
+  return climb<SimTable>(request, request.request.sim, simulate_, compute,
+                         deliver, cancel);
 }
 
 ServiceStats SweepService::stats() const {
@@ -252,9 +268,7 @@ BasicSubmitResult<Table> SweepService::climb(
           continue;  // the LEADER was cancelled, not us — retry the ladder
         }
       }
-      if (table == nullptr ||
-          !table_matches_grid(*table, request.points, request.kinds) ||
-          !headers_bit_identical(table->header, header)) {
+      if (table == nullptr || !serves(*table, request, header)) {
         // Signature collision (a colliding grid or header, or the other
         // mode's table): compute this request directly and publish
         // nothing — two colliding requests cannot share the
@@ -283,6 +297,38 @@ BasicSubmitResult<Table> SweepService::climb(
     }
     throw;
   }
+}
+
+template <class Table, class Deliver>
+BasicSubmitResult<Table> SweepService::replay_resident(
+    const ResolvedRequest& request, const decltype(Table::header)& header,
+    ModeCounters& counters, const Deliver& deliver,
+    const core::CancelToken& cancel) {
+  BasicSubmitResult<Table> result;
+  result.signature = request.signature;
+  std::shared_ptr<const Table> table =
+      cache_.find_resident<Table>(request.signature);
+  if (table == nullptr || !serves(*table, request, header)) {
+    return result;  // a miss: nothing delivered, nothing counted
+  }
+  // From here on, the counts climb() makes for a memory hit.
+  counters.submits.fetch_add(1, std::memory_order_relaxed);
+  cache_.count_hit(request.signature);
+  try {
+    for (const auto& cell : table->cells) {
+      throw_if_cancelled(cancel);
+      deliver(cell);
+    }
+  } catch (const core::SweepCancelled& cancelled) {
+    if (cancelled.deadline_expired()) {
+      deadline_timeouts_.fetch_add(1, std::memory_order_relaxed);
+    }
+    throw;
+  }
+  counters.cache_hits.fetch_add(1, std::memory_order_relaxed);
+  result.table = std::move(table);
+  result.cache_hit = true;
+  return result;
 }
 
 }  // namespace resilience::service

@@ -23,9 +23,11 @@
 #include "resilience/net/server.hpp"
 #include "resilience/net/socket.hpp"
 #include "resilience/service/jsonl_session.hpp"
+#include "resilience/util/json.hpp"
 
 namespace rn = resilience::net;
 namespace rs = resilience::service;
+namespace util = resilience::util;
 
 namespace {
 
@@ -591,6 +593,146 @@ TEST(NetServer, DefaultDeadlineAppliesWhenRequestCarriesNone) {
   const Lines served = complete_lines(client.transact(roomy));
   ASSERT_FALSE(served.empty());
   EXPECT_NE(served.back().find("\"type\":\"done\""), std::string::npos);
+}
+
+// ------------------------------------------------- answers from memory --
+
+/// `request` (a JSON object) with `"stats": true` added.
+std::string with_stats(std::string request) {
+  request.pop_back();
+  return request + ", \"stats\": true}";
+}
+
+/// A counter of the opt-in stats block on a done line.
+double done_stat(const std::string& done_line, const char* block,
+                 const char* key) {
+  const util::JsonValue done = util::JsonValue::parse(done_line);
+  return done.find("stats")->find(block)->find(key)->as_double();
+}
+
+TEST(NetServer, ACachedRequestIsAnsweredWhileTheOnlyWorkerComputes) {
+  // The one worker is pinned by a doomed chain on connection A (512
+  // points, about a second of compute, no deadline). B's request was
+  // computed before, so the loop answers it from memory while A still
+  // computes; a worker could serve it only after A's table is done.
+  rn::NetServerOptions options;
+  options.request_workers = 1;
+  TestDaemon daemon(std::move(options));
+  rn::Client b;
+  b.connect("127.0.0.1", daemon.port());
+  b.set_receive_timeout(30000);
+  const std::string cached = one_cell_request("warm", "hera", 512);
+  ASSERT_FALSE(complete_lines(b.transact(cached)).empty());
+  ASSERT_EQ(daemon->stats().served_inline, 0u);
+
+  rn::Client a;
+  a.connect("127.0.0.1", daemon.port());
+  a.send_line(doomed_request("pin", 0));
+  for (int i = 0; i < 10000 && daemon->stats().requests_started < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(daemon->stats().requests_started, 2u);
+
+  const Lines hit = complete_lines(b.transact(with_stats(cached)));
+  ASSERT_EQ(hit.size(), 2u);
+  EXPECT_NE(hit.back().find("\"cache_hit\":true"), std::string::npos);
+  // Answered before the pinned request published its table.
+  EXPECT_EQ(done_stat(hit.back(), "service", "tables_computed"), 1.0);
+  EXPECT_EQ(daemon->stats().served_inline, 1u);
+  EXPECT_EQ(daemon->stats().requests_started, 3u);
+  a.close();  // the pinned compute stops at its next cell
+}
+
+TEST(NetServer, AnswersFromMemoryCountLikeTheStdinPath) {
+  // One serial sequence, each request answered before the next is sent:
+  // the daemon answers the three warm repeats on its loop, the stdin
+  // path through the whole ladder. Every service, cache and engine
+  // counter must agree, so nothing is counted twice or skipped.
+  const std::string analytic = one_cell_request("a", "hera", 2048);
+  const std::string simulate =
+      "{\"id\": \"s\", \"mode\": \"simulate\", \"platforms\": [\"hera\"], "
+      "\"node_counts\": [512], \"kinds\": [\"PD\"], \"sim\": {\"seed\": 3, "
+      "\"min_runs\": 16, \"max_runs\": 32, \"patterns_per_run\": 20}}";
+  const Lines input{analytic, analytic, analytic, simulate, simulate,
+                    "{\"type\": \"stats\", \"id\": \"end\"}"};
+  const Lines expected = stdin_path_lines(input);
+
+  TestDaemon daemon;
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.set_receive_timeout(30000);
+  Lines got;
+  for (const std::string& line : input) {
+    const Lines response = complete_lines(client.transact(line));
+    got.insert(got.end(), response.begin(), response.end());
+  }
+  ASSERT_EQ(got.size(), expected.size());
+  // Every answer but the stats line (the daemon's has a transport block).
+  EXPECT_EQ(Lines(got.begin(), got.end() - 1),
+            Lines(expected.begin(), expected.end() - 1));
+  EXPECT_EQ(daemon->stats().served_inline, 3u);
+
+  const util::JsonValue served = util::JsonValue::parse(got.back());
+  const util::JsonValue reference = util::JsonValue::parse(expected.back());
+  for (const char* block : {"service", "cache", "engine"}) {
+    EXPECT_EQ(served.find(block)->dump(), reference.find(block)->dump())
+        << block;
+  }
+  for (const auto& [key, value] : reference.find("sim")->as_object()) {
+    if (key != "runs_per_second") {  // a wall-clock rate
+      EXPECT_EQ(served.find("sim")->find(key)->dump(), value.dump()) << key;
+    }
+  }
+  EXPECT_EQ(served.find("transport")
+                ->find("scheduler")
+                ->find("served_inline")
+                ->as_double(),
+            3.0);
+}
+
+TEST(NetServer, APipelineOfHitsYieldsToOtherConnections) {
+  // Connection A pipelines 500 requests for a cached 96-cell catalog and
+  // reads only the first answer. The loop answers A from memory one
+  // request per epoll round, so B's request, sent once A's first answer
+  // has arrived, is answered within a round or two, while most of A's
+  // are still to come: the hit count on B's done line stays under half
+  // the pipeline. A loop that drained A's backlog first (up to the
+  // 256-line pipeline depth in one go) would put it past that. Ordering,
+  // not timing. A's unread answers (~22 MB) stay under the write limit.
+  constexpr std::size_t kPipelined = 500;
+  const std::string catalog =
+      "{\"id\": \"cat\", \"platforms\": [\"hera\", \"atlas\", \"coastal\", "
+      "\"coastal_ssd\"], \"node_counts\": [256, 1024, 4096, 16384]}";
+  const std::string cheap = one_cell_request("b", "hera", 512);
+  rn::NetServerOptions options;
+  options.write_buffer_limit = 64u << 20;
+  TestDaemon daemon(std::move(options));
+  rn::Client a;
+  a.connect("127.0.0.1", daemon.port());
+  a.set_receive_timeout(60000);
+  rn::Client b;
+  b.connect("127.0.0.1", daemon.port());
+  b.set_receive_timeout(60000);
+  ASSERT_EQ(complete_lines(a.transact(catalog)).size(), 97u);
+  ASSERT_FALSE(complete_lines(b.transact(cheap)).empty());
+  const Lines warm = complete_lines(a.transact(catalog));  // hit 1
+
+  std::string burst;
+  for (std::size_t i = 0; i < kPipelined; ++i) {
+    burst += catalog + "\n";
+  }
+  a.send_raw(burst);
+  EXPECT_EQ(complete_lines(a.read_response()), warm);
+  const Lines hit = complete_lines(b.transact(with_stats(cheap)));
+  ASSERT_EQ(hit.size(), 2u);
+  // Hits so far: A's warm one, A's pipelined ones, then B's own.
+  EXPECT_LT(done_stat(hit.back(), "service", "cache_hits"),
+            static_cast<double>(2 + kPipelined / 2))
+      << "B waited behind A's pipeline";
+  for (std::size_t i = 1; i < kPipelined; ++i) {
+    ASSERT_EQ(complete_lines(a.read_response()), warm) << "answer " << i;
+  }
+  EXPECT_EQ(daemon->stats().served_inline, 2 + kPipelined);
 }
 
 /// A deliberately misbehaving server for client-robustness tests: accepts

@@ -11,10 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +27,7 @@
 #include "resilience/net/server.hpp"
 #include "resilience/net/socket.hpp"
 #include "resilience/service/cost_model.hpp"
+#include "resilience/service/jsonl_session.hpp"
 #include "resilience/service/line_session.hpp"
 #include "resilience/service/scenario_request.hpp"
 #include "resilience/service/serialize.hpp"
@@ -591,4 +595,164 @@ TEST(Overload, AQueueExpiryLiftsTheReadPauseItsGridHeld) {
       << "the line after the expired grid was never read";
   EXPECT_EQ(pong.lines,
             Lines{"{\"type\":\"pong\",\"request\":\"line-2\"}"});
+}
+
+TEST(Overload, AHalfClosedConnectionClosesAfterItsLastLineExpires) {
+  // The client sends one request and half-closes. While the one worker
+  // is busy elsewhere, the request's deadline passes in the queue and
+  // the scheduler's timer answers the expiry, on no event of this
+  // connection. Its backlog is then empty and its input closed, so the
+  // server must close it right there: the loop writes its own answers
+  // without waking itself, so no later wake-up would.
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  HeldDaemon held;
+  TestDaemon& daemon = *held;
+  rn::Client holder;
+  holder.connect("127.0.0.1", daemon.port());
+  holder.send_raw(
+      "{\"id\": \"h\", \"platforms\": [\"hera\"], \"kinds\": [\"PD\"]}\n");
+  ASSERT_TRUE(
+      eventually([&] { return daemon->stats().requests_started >= 1; }));
+
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.set_receive_timeout(10000);
+  client.send_line(
+      "{\"id\": \"late\", \"platforms\": [\"hera\"], \"kinds\": [\"PD\"], "
+      "\"deadline_ms\": 50}");
+  client.shutdown_send();
+  const std::optional<std::string> expired = client.read_line();
+  ASSERT_TRUE(expired.has_value());
+  EXPECT_NE(expired->find("expired while the request was queued"),
+            std::string::npos)
+      << *expired;
+  std::optional<std::string> after;
+  ASSERT_NO_THROW(after = client.read_line())
+      << "the server left the finished connection open";
+  EXPECT_EQ(after, std::nullopt);
+  held.release();
+}
+
+// ============================================ answers from memory ==
+
+namespace {
+
+/// The stdin path over `input` with a service of `cache_capacity` tables.
+Lines stdin_lines(const Lines& input, std::size_t cache_capacity) {
+  rs::ServiceOptions options;
+  options.cache_capacity = cache_capacity;
+  rs::SweepService service(options);
+  Lines out;
+  rs::JsonlSession session(service, [&out](std::string&& line, bool) {
+    out.push_back(std::move(line));
+  });
+  for (const std::string& line : input) {
+    session.handle_line(line);
+  }
+  return out;
+}
+
+/// A counter of a daemon's {"type":"stats"} answer.
+double stat(rn::Client& client, const char* block, const char* key) {
+  const rn::Client::Response response =
+      client.transact("{\"type\": \"stats\"}");
+  EXPECT_TRUE(response.complete);
+  return util::JsonValue::parse(response.lines.back())
+      .find(block)
+      ->find(key)
+      ->as_double();
+}
+
+}  // namespace
+
+TEST(Overload, ATableEvictedBeforeItsTurnIsRecomputedOnAWorker) {
+  // Capacity 1: the repeat of `table` is admitted while its table is
+  // resident, queued behind `evictor` on the same connection, and the
+  // evictor's publish evicts it before its turn. The loop's replay-only
+  // try then misses, so a worker recomputes it: the stdin path's bytes,
+  // and no answer from memory.
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  rn::NetServerOptions options;
+  options.request_workers = 2;
+  options.service.cache_capacity = 1;
+  TestDaemon daemon(std::move(options));
+  const std::string table = cheap_request("t", 1088);
+  const std::string evictor =
+      "{\"id\": \"e\", \"platforms\": [\"hera\", \"atlas\"], "
+      "\"node_counts\": [1120, 1152, 1184, 1216], \"kinds\": [\"PD\", "
+      "\"PDMV\"]}";
+  const Lines expected = stdin_lines({table, evictor, table}, 1);
+
+  rn::Client client;
+  client.connect("127.0.0.1", daemon.port());
+  client.set_receive_timeout(60000);
+  Lines got = client.transact(table).lines;
+  client.send_raw(evictor + "\n" + table + "\n");
+  for (int i = 0; i < 2; ++i) {
+    const rn::Client::Response response = client.read_response();
+    ASSERT_TRUE(response.complete);
+    got.insert(got.end(), response.lines.begin(), response.lines.end());
+  }
+  // The evictor's 16 cells stream in pool order; compare its set.
+  std::sort(got.begin() + 2, got.end() - 2);
+  Lines sorted_expected = expected;
+  std::sort(sorted_expected.begin() + 2, sorted_expected.end() - 2);
+  EXPECT_EQ(got, sorted_expected);
+  EXPECT_NE(got.back().find("\"cache_hit\":false"), std::string::npos);
+  EXPECT_EQ(daemon->stats().served_inline, 0u);
+  EXPECT_EQ(stat(client, "service", "tables_computed"), 3.0);
+}
+
+TEST(Overload, DiskTierAndOversizedHitsAreServedOnAWorker) {
+  // The loop replays only memory-resident tables of at most
+  // kMaxInlineCells cells. A hit on a spilled table (the loop never
+  // loads from disk) and a resident hit over the bound go to a worker,
+  // which serves both as cache hits.
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  const std::filesystem::path dir = "overload_inline_cache";
+  std::filesystem::remove_all(dir);
+  {
+    rn::NetServerOptions options;
+    options.service.cache_capacity = 1;
+    options.service.cache_dir = dir.string();
+    TestDaemon daemon(std::move(options));
+    rn::Client client;
+    client.connect("127.0.0.1", daemon.port());
+    client.set_receive_timeout(60000);
+
+    const std::string spilled = cheap_request("d", 1248);
+    ASSERT_TRUE(client.transact(spilled).complete);
+    ASSERT_TRUE(client.transact(cheap_request("e", 1280)).complete);
+    const rn::Client::Response reloaded = client.transact(spilled);
+    ASSERT_TRUE(reloaded.complete);
+    EXPECT_NE(reloaded.lines.back().find("\"cache_hit\":true"),
+              std::string::npos);
+    EXPECT_EQ(stat(client, "service", "disk_hits"), 1.0);
+    EXPECT_EQ(daemon->stats().served_inline, 0u);
+
+    // 4 platforms x 12 node counts x 6 families, first-order only.
+    std::string nodes;
+    for (int i = 0; i < 12; ++i) {
+      nodes += (i == 0 ? "" : ", ") + std::to_string(256 * (i + 1));
+    }
+    const std::string oversized =
+        "{\"id\": \"big\", \"platforms\": [\"hera\", \"atlas\", "
+        "\"coastal\", \"coastal_ssd\"], \"node_counts\": [" +
+        nodes + "], \"numeric_optimum\": false}";
+    static_assert(4 * 12 * 6 > rn::kMaxInlineCells);
+    ASSERT_TRUE(client.transact(oversized).complete);
+    const rn::Client::Response hit = client.transact(oversized);
+    ASSERT_TRUE(hit.complete);
+    ASSERT_EQ(hit.lines.size(), 4u * 12u * 6u + 1u);
+    EXPECT_NE(hit.lines.back().find("\"cache_hit\":true"), std::string::npos);
+    EXPECT_EQ(stat(client, "service", "cache_hits"), 2.0);
+    EXPECT_EQ(daemon->stats().served_inline, 0u);
+  }
+  std::filesystem::remove_all(dir);
 }

@@ -141,6 +141,7 @@ class TestDaemon {
   }
 
   [[nodiscard]] std::uint16_t port() const noexcept { return server_.port(); }
+  rn::NetServer* operator->() noexcept { return &server_; }
 
  private:
   rn::NetServer server_;
@@ -282,9 +283,16 @@ Lines flatten(const std::vector<Lines>& responses) {
 
 // --------------------------------------------------------- cross-front --
 
-/// One line of every class the request front tells apart. The last one
-/// is a valid request without an id: its default "line-N" id must count
-/// every line above it, blank and comment lines included.
+/// A small valid simulate request without an id.
+constexpr const char* kFrontSimulate =
+    "{\"mode\": \"simulate\", \"platforms\": [\"hera\"], "
+    "\"node_counts\": [1024], \"kinds\": [\"PD\"], \"sim\": {\"min_runs\": "
+    "16, \"max_runs\": 32, \"patterns_per_run\": 20}}";
+
+/// One line of every class the request front tells apart. The last four
+/// are valid requests without an id: their default "line-N" ids must
+/// count every line above them, blank and comment lines included. The
+/// last two repeat the two before, so a daemon answers them from memory.
 Lines front_table() {
   return {
       "# comment",
@@ -316,6 +324,10 @@ Lines front_table() {
       "\"sim\": {\"faulty_ops\": [0, -0]}}",
       "{\"platforms\": [\"hera\"], \"node_counts\": [1024], "
       "\"kinds\": [\"PDMV\"]}",
+      kFrontSimulate,
+      "{\"platforms\": [\"hera\"], \"node_counts\": [1024], "
+      "\"kinds\": [\"PDMV\"]}",
+      kFrontSimulate,
   };
 }
 
@@ -338,33 +350,55 @@ TEST(CrossFront, StdinRouterAndDaemonAnswerEveryLineAlike) {
   rn::ShardFleet fleet{fleet_options({shard.port()})};
   const Lines routed = flatten(run_router(fleet, table));
 
-  // The daemon front: the whole table in one burst over TCP, then EOF.
+  // The daemon front, and the router front behind a NetServer: the
+  // whole table in one burst over TCP, then EOF.
+  const auto burst = [&table](std::uint16_t port) {
+    rn::Client client;
+    client.connect("127.0.0.1", port);
+    client.set_receive_timeout(30000);
+    for (const std::string& line : table) {
+      client.send_line(line);
+    }
+    client.shutdown_send();
+    Lines served;
+    while (std::optional<std::string> line = client.read_line()) {
+      served.push_back(std::move(*line));
+    }
+    return served;
+  };
   TestDaemon daemon;
-  rn::Client client;
-  client.connect("127.0.0.1", daemon.port());
-  client.set_receive_timeout(30000);
-  for (const std::string& line : table) {
-    client.send_line(line);
-  }
-  client.shutdown_send();
-  Lines served;
-  while (std::optional<std::string> line = client.read_line()) {
-    served.push_back(std::move(*line));
-  }
+  const Lines served = burst(daemon.port());
+  TestDaemon cold_shard;  // the routed run above warmed `shard`
+  rn::ShardFleet cold_fleet{fleet_options({cold_shard.port()})};
+  rn::NetServerOptions router_options;
+  router_options.session_factory =
+      [&cold_fleet](rs::LineSession::LineFn emit,
+                    std::shared_ptr<std::atomic<bool>> cancel) {
+        return std::make_unique<rn::RouterSession>(
+            cold_fleet, std::move(emit), std::move(cancel));
+      };
+  TestDaemon router(std::move(router_options));
+  const Lines router_served = burst(router.port());
 
   const Lines expected = flatten(stdin_out.responses);
-  // Every line but the three skips answers one terminal line; the valid
-  // request adds its one cell.
-  ASSERT_EQ(expected.size(), table.size() - 3 + 1);
+  // Every line but the three skips answers one terminal line; the four
+  // valid requests add one cell each.
+  ASSERT_EQ(expected.size(), table.size() - 3 + 4);
   EXPECT_NE(expected.back().find("\"type\":\"done\",\"request\":\"line-" +
                                  std::to_string(table.size()) + "\""),
             std::string::npos)
       << expected.back();
   EXPECT_EQ(routed, expected);
   EXPECT_EQ(served, expected);
+  EXPECT_EQ(router_served, expected);
+  // The daemon answered the two repeats from memory; a router never
+  // answers on its loop.
+  EXPECT_EQ(daemon->stats().served_inline, 2u);
+  EXPECT_EQ(router->stats().served_inline, 0u);
   // Every answer, the repeats' included, was the shard's own: none took
   // the shard down.
   EXPECT_EQ(fleet.stats().failovers, 0u);
+  EXPECT_EQ(cold_fleet.stats().failovers, 0u);
 }
 
 // -------------------------------------------------------------- router --

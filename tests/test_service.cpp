@@ -950,6 +950,97 @@ TEST(ServiceStats, CountersTrackSubmissionOutcomes) {
   EXPECT_EQ(after.cache_size, 1u);
 }
 
+TEST(SweepService, ReplayOnlyRungCountsAHitAsTheLadderDoesAndAMissNotAtAll) {
+  const rs::ResolvedRequest resolved = [] {
+    rs::ScenarioRequest request;
+    request.grid = small_grid();
+    return rs::resolve_request(request);
+  }();
+  const auto counters = [](const rs::SweepService& service) {
+    return rs::to_json(service.stats()).dump();
+  };
+
+  // The full ladder's miss then hit, and the same through the rung.
+  rs::SweepService ladder;
+  (void)ladder.submit(resolved);
+  CollectSink ladder_sink;
+  const rs::SubmitResult ladder_hit = ladder.submit(resolved, &ladder_sink);
+  ASSERT_TRUE(ladder_hit.cache_hit);
+
+  rs::SweepService service;
+  const std::string fresh = counters(service);
+  CollectSink missed;
+  EXPECT_EQ(service.submit(resolved, &missed, {}, rs::Rungs::kReplayOnly).table,
+            nullptr);
+  EXPECT_TRUE(missed.cells().empty());
+  EXPECT_EQ(counters(service), fresh) << "a replay-only miss counted";
+  (void)service.submit(resolved);
+  CollectSink replayed;
+  const rs::SubmitResult hit =
+      service.submit(resolved, &replayed, {}, rs::Rungs::kReplayOnly);
+  ASSERT_NE(hit.table, nullptr);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_FALSE(hit.disk_hit);
+  EXPECT_FALSE(hit.joined_in_flight);
+  EXPECT_EQ(hit.signature, ladder_hit.signature);
+  EXPECT_TRUE(rc::tables_bit_identical(*hit.table, *ladder_hit.table));
+  ASSERT_EQ(replayed.cells().size(), ladder_sink.cells().size());
+  for (std::size_t i = 0; i < replayed.cells().size(); ++i) {
+    EXPECT_TRUE(rc::cells_bit_identical(replayed.cells()[i],
+                                        ladder_sink.cells()[i]))
+        << "cell " << i;
+  }
+  EXPECT_EQ(counters(service), counters(ladder));
+
+  // A collision (another grid's table parked under the signature) is a
+  // miss to the rung: nothing delivered, nothing counted.
+  rs::SweepService collided;
+  rs::ScenarioRequest other;
+  other.grid = small_grid();
+  other.grid.node_counts = {1024};
+  collided.cache().insert(resolved.signature, collided.submit(other).table);
+  const std::string parked = counters(collided);
+  CollectSink refused;
+  EXPECT_EQ(
+      collided.submit(resolved, &refused, {}, rs::Rungs::kReplayOnly).table,
+      nullptr);
+  EXPECT_TRUE(refused.cells().empty());
+  EXPECT_EQ(counters(collided), parked) << "a collision counted";
+
+  // A spilled table is a miss too: the rung never loads from disk.
+  ScratchDir dir("replay_only");
+  rs::ServiceOptions options;
+  options.cache_capacity = 1;
+  options.cache_dir = dir.str();
+  rs::SweepService spilled(options);
+  (void)spilled.submit(resolved);
+  (void)spilled.submit(other);  // capacity 1: evicts and spills resolved's
+  const std::string on_disk = counters(spilled);
+  EXPECT_EQ(spilled.submit(resolved, nullptr, {}, rs::Rungs::kReplayOnly)
+                .table,
+            nullptr);
+  EXPECT_EQ(counters(spilled), on_disk) << "the rung touched the disk tier";
+  EXPECT_TRUE(spilled.submit(resolved).disk_hit);
+
+  // Simulate mode climbs the same rung.
+  const rs::ResolvedRequest sim = rs::resolve_request(small_sim_request());
+  rs::SweepService sim_service;
+  EXPECT_EQ(sim_service.simulate(sim, nullptr, {}, rs::Rungs::kReplayOnly)
+                .table,
+            nullptr);
+  EXPECT_EQ(sim_service.stats().sim_submits, 0u);
+  const auto computed = sim_service.simulate(sim).table;
+  std::size_t sim_cells = 0;
+  const rs::SimSubmitResult sim_hit = sim_service.simulate(
+      sim, [&](const rs::SimCell&) { ++sim_cells; }, {},
+      rs::Rungs::kReplayOnly);
+  EXPECT_EQ(sim_hit.table, computed);
+  EXPECT_TRUE(sim_hit.cache_hit);
+  EXPECT_EQ(sim_cells, computed->cells.size());
+  EXPECT_EQ(sim_service.stats().sim_submits, 2u);
+  EXPECT_EQ(sim_service.stats().sim_cache_hits, 1u);
+}
+
 TEST(ServiceStats, EngineCountersCountComputesNotReplays) {
   rs::SweepService service;
   const rs::ServiceStats fresh = service.stats();
