@@ -865,9 +865,6 @@ JsonValue fleet_section(Gates& gates) {
     }
     options.connect_timeout_ms = 2000;
     options.receive_timeout_ms = 30000;
-    options.attempts_per_shard = 2;
-    options.backoff_initial_ms = 1;
-    options.backoff_max_ms = 10;
     return options;
   };
 
@@ -889,6 +886,9 @@ JsonValue fleet_section(Gates& gates) {
   };
 
   double requests_per_sec[3] = {};  // warm passes at 1, 2 and 3 shards
+  // Connections the shards of each fleet accepted over all its passes:
+  // kept connections make it one per shard, not one per request.
+  std::uint64_t shard_connections[3] = {};
   bool merged_identical = false;    // cold sorted + warm exact, every N
   double kill_recovery_ms = 0.0;
   std::uint64_t failovers = 0;
@@ -897,7 +897,7 @@ JsonValue fleet_section(Gates& gates) {
     bool identical = true;
     constexpr std::size_t kWarmPasses = 20;
     for (std::size_t shard_count = 1; shard_count <= 3; ++shard_count) {
-      const std::deque<ServerThread> shards(shard_count);
+      std::deque<ServerThread> shards(shard_count);
       rn::ShardFleet fleet(fleet_options(shards));
 
       identical = identical &&
@@ -910,6 +910,9 @@ JsonValue fleet_section(Gates& gates) {
       }
       requests_per_sec[shard_count - 1] =
           ratio(kWarmPasses * workload.size(), watch.seconds());
+      for (ServerThread& shard : shards) {
+        shard_connections[shard_count - 1] += shard.server().stats().accepted;
+      }
     }
     merged_identical = identical;
 
@@ -950,6 +953,13 @@ JsonValue fleet_section(Gates& gates) {
   gates.check(requests_per_sec[0] > 0.0 && requests_per_sec[1] > 0.0 &&
                   requests_per_sec[2] > 0.0,
               "fleet section produced no timing");
+  for (std::size_t n = 1; n <= 3; ++n) {
+    gates.check(shard_connections[n - 1] <= n,
+                "the %zu-shard fleet's shards accepted %llu connections over "
+                "its passes; kept connections allow at most %zu",
+                n, static_cast<unsigned long long>(shard_connections[n - 1]),
+                n);
+  }
   gates.check(post_kill_identical && failovers != 0,
               "the kill-recovery pass %s (failovers: %llu)",
               post_kill_identical
@@ -963,6 +973,9 @@ JsonValue fleet_section(Gates& gates) {
       {"one_shard_requests_per_sec", requests_per_sec[0]},
       {"two_shard_requests_per_sec", requests_per_sec[1]},
       {"three_shard_requests_per_sec", requests_per_sec[2]},
+      {"shard_connections",
+       JsonValue::Array{shard_connections[0], shard_connections[1],
+                        shard_connections[2]}},
       {"merged_identical", merged_identical},
       {"kill_recovery_ms", kill_recovery_ms},
       {"failovers", failovers},

@@ -1,12 +1,12 @@
 // The fleet front daemon: sweep_router accepts the same JSONL protocol
 // as sweep_serverd on the same epoll transport, but serves each scenario
 // request by sharding its chains across N sweep_serverd backends via
-// consistent hashing, fanning sub-requests out on resilient clients,
+// consistent hashing, sending sub-requests over kept shard connections,
 // and merging the streamed cells back byte-identically (net/router.hpp
-// has the full argument). Shard health is probed in the background:
-// dead shards leave the ring (their chains fail over to survivors and
-// replay), shards that answer ping again rejoin at their original ring
-// positions. {"type":"stats"} answers the fleet block.
+// has the full argument). A failed connection or malformed answer takes
+// a shard off the ring (its chains fail over to survivors and replay);
+// the background prober rejoins shards that answer ping again, at their
+// original ring positions. {"type":"stats"} answers the fleet block.
 //
 // Exit codes: 0 after a graceful SIGINT/SIGTERM drain, 2 on usage
 // errors (bad flags, unparsable --shards), 1 on fatal runtime errors
@@ -92,14 +92,10 @@ int main(int argc, char** argv) {
   cli.add_flag("probe-interval-ms", "1000",
                "background health-probe period; pong rejoins a dead "
                "shard, a failed probe removes a live one (0 = no prober)");
-  cli.add_flag("attempts-per-shard", "2",
-               "resilient attempts per sub-request before the shard is "
-               "declared dead and its chains fail over");
   cli.add_flag("connect-timeout-ms", "2000",
                "bound on each shard connect attempt (0 = OS default)");
   cli.add_flag("receive-timeout-ms", "10000",
                "bound on waiting for shard response bytes (0 = forever)");
-  cli.add_flag("jitter-seed", "1", "backoff jitter seed for shard retries");
   cli.add_flag("request-workers", "0",
                "threads executing routed sessions (0 = auto)");
   cli.add_flag("max-conns", "256",
@@ -127,20 +123,18 @@ int main(int argc, char** argv) {
   const auto port = cli.checked_int("port", 0, 65535);
   const auto vnodes = cli.checked_int("vnodes", 1);
   const auto probe_ms = cli.checked_int("probe-interval-ms", 0, INT_MAX);
-  const auto attempts = cli.checked_int("attempts-per-shard", 1, INT_MAX);
   const auto connect_ms = cli.checked_int("connect-timeout-ms", 0, INT_MAX);
   const auto receive_ms = cli.checked_int("receive-timeout-ms", 0, INT_MAX);
   const auto workers = cli.checked_int("request-workers", 0);
   const auto max_conns = cli.checked_int("max-conns", 0);
   const auto depth = cli.checked_int("max-pipeline-depth", 0);
   const auto drain_ms = cli.checked_int("drain-timeout-ms", 0, INT_MAX);
-  const auto jitter = cli.checked_uint64("jitter-seed");
   const auto overload_rounds = cli.checked_int("overload-rounds", 0, INT_MAX);
   const auto queue_cost = cli.checked_double("max-queue-cost", 0.0, 1e18);
   const auto queue_depth = cli.checked_int("max-queue-depth", 0);
-  if (!port || !vnodes || !probe_ms || !attempts || !connect_ms ||
-      !receive_ms || !workers || !max_conns || !depth || !drain_ms ||
-      !jitter || !overload_rounds || !queue_cost || !queue_depth) {
+  if (!port || !vnodes || !probe_ms || !connect_ms || !receive_ms ||
+      !workers || !max_conns || !depth || !drain_ms || !overload_rounds ||
+      !queue_cost || !queue_depth) {
     return 2;
   }
   std::vector<rn::ShardConfig> shards;
@@ -155,10 +149,8 @@ int main(int argc, char** argv) {
   router_options.shards = std::move(shards);
   router_options.ring_vnodes = static_cast<std::size_t>(*vnodes);
   router_options.probe_interval_ms = static_cast<int>(*probe_ms);
-  router_options.attempts_per_shard = static_cast<int>(*attempts);
   router_options.connect_timeout_ms = static_cast<int>(*connect_ms);
   router_options.receive_timeout_ms = static_cast<int>(*receive_ms);
-  router_options.jitter_seed = *jitter;
   router_options.overload_rounds = static_cast<int>(*overload_rounds);
 
   try {

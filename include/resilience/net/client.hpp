@@ -30,7 +30,12 @@ class Client {
   void connect(const std::string& host, std::uint16_t port,
                int connect_timeout_ms = 0);
   [[nodiscard]] bool connected() const noexcept { return fd_.valid(); }
+  [[nodiscard]] int fd() const noexcept { return fd_.fd(); }
   void close() { fd_.reset(); }
+  /// True when the connection is open and idle: nothing received is
+  /// buffered and nothing is readable (no bytes, no EOF), so no restarted
+  /// peer or stray bytes wait behind a kept connection.
+  [[nodiscard]] bool quiet() const;
 
   /// Sends one request line (terminator appended) / raw bytes verbatim
   /// (pipelining a whole request file in one write). Throws on a broken
@@ -69,10 +74,25 @@ class Client {
   /// with complete = false.
   [[nodiscard]] Response read_response();
 
+  /// One step of read_response, for a caller that polls several clients'
+  /// fd()s (wait_readable) and reads each as its bytes arrive: appends
+  /// the lines received so far to `response`, reading the socket once
+  /// first when no line is buffered, so it blocks unless fd() polled
+  /// readable. True once the response ended (complete, or cut short by
+  /// the server closing). Throws like read_line.
+  [[nodiscard]] bool read_response_step(Response& response);
+
   /// Convenience round trip: send one request, read its response.
   [[nodiscard]] Response transact(std::string_view line);
 
+  /// One {"type":"ping"} round trip: true on a clean pong, false on any
+  /// other answer or failure (never throws). It counts as an input line.
+  [[nodiscard]] bool ping();
+
  private:
+  /// Reads one chunk from the socket into pending_ (or notes EOF).
+  void receive();
+
   Fd fd_;
   LineFramer framer_;  ///< the server's framing rules, one implementation
   std::deque<std::string> pending_;  ///< framed lines not yet returned

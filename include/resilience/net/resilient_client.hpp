@@ -16,9 +16,9 @@
 // should send explicit "id" fields (the chaos harness does); callers
 // that only care about payload equality need nothing.
 //
-// Each (re)connect is gated by the {"type":"ping"} health probe: a
-// connection only counts once the server answers pong, so a half-dead
-// endpoint (accepting but wedged) is treated as down, not as up.
+// Each (re)connect is gated by the {"type":"ping"} health probe
+// (Client::ping): a connection only counts once the server answers pong,
+// so a half-dead endpoint (accepting but wedged) is treated as down.
 
 #include <cstdint>
 #include <string>
@@ -39,26 +39,12 @@ struct ResilientClientOptions {
   /// hang; 0 = wait forever.
   int receive_timeout_ms = 10000;
   /// Total tries per request (first attempt included). At least 1.
+  /// Retry k (1-based) first waits about 10 * 2^(k-1) ms, capped at
+  /// 500 ms, half of it deterministic jitter.
   int max_attempts = 8;
-  /// Exponential backoff base: attempt k (0-based) waits about
-  /// initial * 2^(k-1) ms, capped at backoff_max_ms, half of it
-  /// deterministic jitter.
-  int backoff_initial_ms = 10;
-  int backoff_max_ms = 500;
   /// Seed of the jitter stream — retries are as reproducible as the
   /// faults that caused them.
   std::uint64_t jitter_seed = 1;
-  /// Gate every (re)connect on a ping/pong round trip.
-  bool probe_on_connect = true;
-  /// When a request is shed with {"code":"overloaded","retry_after_ms":N}
-  /// (admission control — see NetServerOptions::max_queue_cost), wait the
-  /// server-stated N (capped below) before re-sending instead of the
-  /// exponential backoff: the server knows its queue drain rate better
-  /// than a blind doubling does. The connection stays open — a shed is a
-  /// clean answer, not a transport failure. Off restores plain backoff.
-  bool honor_retry_after = true;
-  /// Upper bound on one honored retry_after_ms wait.
-  int retry_after_cap_ms = 5000;
 };
 
 /// True when `response` is complete and terminates in an admission-shed
@@ -80,24 +66,17 @@ class ResilientClient {
   /// backs off and retries on a fresh connection. Returns the first
   /// COMPLETE response (see Client::Response). Throws std::runtime_error
   /// carrying the last failure once max_attempts are spent. A complete
-  /// "overloaded" shed answer is retried too (after the server's
-  /// retry_after_ms when honor_retry_after is set); if every attempt is
-  /// shed, the LAST shed response is returned — not thrown — so callers
-  /// can distinguish backpressure from a dead endpoint.
+  /// "overloaded" shed answer is retried too, after the server's
+  /// retry_after_ms (at most 5 s) instead of the backoff; if every
+  /// attempt is shed, the LAST shed response is returned — not thrown —
+  /// so callers can distinguish backpressure from a dead endpoint.
   [[nodiscard]] Client::Response transact(std::string_view line);
 
-  /// One ping/pong round trip on a (possibly new) connection; false when
-  /// no attempt got a pong. Never throws.
-  [[nodiscard]] bool ping();
-
   void close() { client_.close(); }
-  [[nodiscard]] bool connected() const noexcept { return client_.connected(); }
 
   struct Stats {
-    std::uint64_t connects = 0;    ///< successful probe-gated connects
-    std::uint64_t reconnects = 0;  ///< ...of which replaced a dead one
+    std::uint64_t reconnects = 0;  ///< probe-gated connects after the first
     std::uint64_t retries = 0;     ///< attempts beyond each request's first
-    std::uint64_t pings = 0;       ///< probes sent
     std::uint64_t failures = 0;    ///< attempts that ended in an error
     std::uint64_t overloaded = 0;  ///< admission-shed answers received
   };
@@ -106,8 +85,6 @@ class ResilientClient {
  private:
   /// Connects (+ probes) if not connected; throws on failure.
   void ensure_connected();
-  /// Sends the probe on the current connection; true on a clean pong.
-  bool probe();
   void backoff(int attempt);
 
   ResilientClientOptions options_;

@@ -5,9 +5,10 @@
 // each scenario request into its grid *chains* (the engine's independent
 // scheduling unit: fixed platform + cost override + family, walking the
 // node-count and rate-factor axes), routes every chain to a shard by
-// consistent hashing over its ChainKey, fans the resulting sub-requests
-// out over ResilientClient backends, and merges the streamed cells back
-// into one response that is byte-identical to a single-process run.
+// consistent hashing over its ChainKey, sends the resulting sub-requests
+// over kept shard connections from the request's own thread, and merges
+// the streamed cells back into one response that is byte-identical to a
+// single-process run.
 //
 // Why chain-level sharding preserves bytes: a chain's sub-grid resolves
 // to bit-identical ScenarioPoints as the parent grid (the axes are the
@@ -22,33 +23,39 @@
 // streams), then one done line whose cache_hit/joined_in_flight flags
 // are the AND over the sub-responses.
 //
+// Data plane: the request's own thread checks out one kept connection
+// per shard (ShardFleet::checkout), keeps one unit in flight on each and
+// reads the answers as they arrive, so the shards compute in parallel
+// with no thread per shard. A kept connection is reused only while
+// Client::quiet() holds: a restarted shard gets a fresh connection.
+//
 // Robustness model (the paper's fail-stop assumption, applied to the
-// serving fleet itself):
+// serving fleet itself), one failure policy:
 //   * health   — every shard is Up or Down. Down shards are excluded
 //     from the ring. State changes come from {"type":"ping"} probes (a
 //     background prober, plus probe_round() on demand) and from request
-//     failures: a shard whose ResilientClient exhausts its attempts, or
-//     whose answer is malformed (unparsable, short, signed for other
-//     options, a cell outside its unit), is declared Down. Only a shard's
-//     own error line (deadline, engine failure) fails the request.
+//     failures: any failed connect, send or read on a shard connection,
+//     and any malformed answer (unparsable, short, signed for other
+//     options, a cell outside its unit), closes that connection and
+//     declares the shard Down. Only a shard's own error line (deadline,
+//     engine failure) fails the request.
 //   * failover — chains owned by a dead shard are re-routed through the
-//     ring of survivors and replayed. Replays are at-least-once safe for
-//     the same reason PR 6's client retries are: responses are
-//     deterministic, and shard-side caching / in-flight dedupe absorb
-//     duplicate submissions without recompute.
+//     ring of survivors and replayed. Replays are at-least-once safe:
+//     responses are deterministic, and shard-side caching / in-flight
+//     dedupe absorb duplicate submissions without recompute.
 //   * rejoin   — a probe answering pong puts the shard back on the ring;
 //     ring positions depend only on shard identity, so the pre-failure
 //     assignment is restored exactly (pinned by test_router).
 //   * empty ring — a request that finds no live shard answers one
 //     located {"type":"error"} line (field "shards") instead of hanging.
 //
-// Overload (PR 8): a shard answering {"code":"overloaded"} is BUSY, not
-// dead — its chains re-dispatch after a short retry_after_ms-guided wait
-// without touching ring membership (no failover, no replay storm onto
-// the survivors, which are probably just as loaded). Only when the
-// overload round budget is spent does the router give up, propagating
-// the retriable overloaded error under the parent id so the CLIENT's
-// backoff takes over.
+// Overload: a shard answering {"code":"overloaded"} is BUSY, not dead —
+// it keeps its ring position and the unit's chains re-dispatch in the
+// next round, after a retry_after_ms-guided wait of at most 250 ms (no
+// failover, no replay storm onto the survivors, which are probably just
+// as loaded). Only when the overload round budget is spent does the
+// router give up, propagating the retriable overloaded error under the
+// parent id so the CLIENT's backoff takes over.
 //
 // Simulate mode ("mode": "simulate") shards exactly like the analytic
 // path — by grid chains — with the sim block travelling verbatim in
@@ -71,9 +78,9 @@
 // everything else matches the single-daemon bytes.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -81,8 +88,7 @@
 #include <thread>
 #include <vector>
 
-#include <condition_variable>
-
+#include "resilience/net/client.hpp"
 #include "resilience/net/hash_ring.hpp"
 #include "resilience/service/line_session.hpp"
 #include "resilience/service/scenario_request.hpp"
@@ -101,15 +107,11 @@ struct ShardConfig {
 struct RouterOptions {
   std::vector<ShardConfig> shards;
   std::size_t ring_vnodes = 64;
-  /// Per-attempt transport bounds for the shard-facing ResilientClients.
+  /// Bounds on each shard connection's connect and on each wait for the
+  /// next bytes of a round's answers: busy shards that all stay silent
+  /// this long are down (0 = the OS default / wait forever).
   int connect_timeout_ms = 2000;
   int receive_timeout_ms = 10000;
-  /// Attempts per sub-request on one shard before that shard is declared
-  /// Down and its chains fail over to the survivors. At least 1.
-  int attempts_per_shard = 2;
-  int backoff_initial_ms = 5;
-  int backoff_max_ms = 100;
-  std::uint64_t jitter_seed = 1;
   /// Background health-probe period (ping every shard, Up and Down); 0
   /// disables the prober thread — tests and the bench drive
   /// probe_round() by hand.
@@ -120,14 +122,12 @@ struct RouterOptions {
   /// burn (on top of the failover round budget) before the router gives
   /// up and propagates the shard's retriable "overloaded" error.
   int overload_rounds = 8;
-  /// Cap on the per-round wait honoring a shard's retry_after_ms hint.
-  int overload_backoff_cap_ms = 250;
 };
 
 /// Shared fleet state: shard configs, Up/Down health, the consistent-
-/// hash ring of live shards, and the failover counters. Thread-safe —
-/// router sessions on executor threads and the prober thread share one
-/// fleet.
+/// hash ring of live shards, each shard's idle connections, and the
+/// failover counters. Thread-safe — router sessions on executor threads
+/// and the prober thread share one fleet.
 class ShardFleet {
  public:
   explicit ShardFleet(RouterOptions options);
@@ -143,9 +143,17 @@ class ShardFleet {
   /// failure -> Down.
   void probe_round();
 
+  /// A connection to shard `id` for one caller: an idle one that is still
+  /// quiet, else a fresh one that connected within connect_timeout_ms and
+  /// answered a ping, else nullptr. Connects without the fleet lock.
+  [[nodiscard]] std::unique_ptr<Client> checkout(const std::string& id);
+  /// Returns a checked-out connection whose every answer was read to its
+  /// terminal line. It is kept only while the shard is Up, so idle
+  /// connections per shard are bounded by the requests routed at once.
+  void checkin(const std::string& id, std::unique_ptr<Client> client);
+
   /// Ring owner of a 64-bit chain key; nullopt when no shard is Up.
   [[nodiscard]] std::optional<std::string> route(std::uint64_t key) const;
-  [[nodiscard]] std::optional<ShardConfig> config(const std::string& id) const;
   [[nodiscard]] const RouterOptions& options() const noexcept {
     return options_;
   }
@@ -155,18 +163,20 @@ class ShardFleet {
 
   /// Health transitions; each returns true when the state actually
   /// flipped (and the ring membership changed — a "rebalance").
+  /// mark_down closes the shard's idle connections.
   bool mark_down(const std::string& id);
   bool mark_up(const std::string& id);
   [[nodiscard]] std::size_t up_count() const;
 
   /// Counter hooks for the router sessions.
   void note_request(const std::string& id);
+  /// A failed connection or a malformed answer: counts the failure and
+  /// marks the shard down, a failover when that flipped it.
   void note_failure(const std::string& id);
   /// A sub-request answered "overloaded" — backpressure charged to the
   /// shard's shed counter, never to its failure counter (the shard is
   /// healthy, just busy).
   void note_shed(const std::string& id);
-  void note_failover();
   void note_replays(std::size_t chains);
 
   struct Stats {
@@ -182,7 +192,7 @@ class ShardFleet {
   /// fleet-wide counters above.
   [[nodiscard]] util::JsonValue stats_json() const;
 
-  /// Fans one {"type":"stats"} request to every Up shard and folds the
+  /// Sends one {"type":"stats"} request to every Up shard and folds the
   /// answers into a single fleet-wide view: numeric fields summed block
   /// by block (service/cache/transport), "reporting" counting the shards
   /// that answered. A shard that fails to answer is skipped (and NOT
@@ -195,11 +205,11 @@ class ShardFleet {
     ShardConfig config;
     bool up = true;
     std::uint64_t requests = 0;  ///< sub-requests answered
-    std::uint64_t failures = 0;  ///< transact failures charged to it
+    std::uint64_t failures = 0;  ///< failed connections and bad answers
     std::uint64_t sheds = 0;     ///< "overloaded" answers (backpressure)
+    std::vector<std::unique_ptr<Client>> idle;  ///< kept connections
   };
 
-  [[nodiscard]] const Shard* find_locked(const std::string& id) const;
   [[nodiscard]] Shard* find_locked(const std::string& id);
 
   RouterOptions options_;
@@ -220,7 +230,7 @@ class ShardFleet {
 /// request front is LineSession's, shared with JsonlSession, so every
 /// answer that needs no shard is byte-identical to a single daemon's by
 /// construction; this class answers stats from the fleet and serves
-/// scenarios by fanning them out.
+/// scenarios by routing their units to the shards on its own thread.
 class RouterSession final : public service::LineSession {
  public:
   RouterSession(ShardFleet& fleet, LineFn emit,

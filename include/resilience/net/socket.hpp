@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace resilience::net {
 
@@ -105,5 +106,13 @@ void set_send_buffer(int fd, int bytes);
 /// SO_RCVTIMEO on a blocking socket (best-effort): a read that waits
 /// longer surfaces as IoStatus::kWouldBlock. 0 = wait forever.
 void set_receive_timeout(int fd, int timeout_ms);
+
+/// Waits up to `timeout_ms` (0: just look, negative: no bound) until a
+/// read on some of `fds` would not block: bytes, EOF or an error are
+/// pending. One flag per fd, all false on timeout. How a kept idle
+/// connection is checked for a restarted peer or stray bytes before it
+/// is reused, and how the router reads shard answers as they arrive.
+[[nodiscard]] std::vector<bool> wait_readable(const std::vector<int>& fds,
+                                              int timeout_ms);
 
 }  // namespace resilience::net

@@ -23,6 +23,11 @@ void Client::connect(const std::string& host, std::uint16_t port,
   tail_unterminated_ = false;
 }
 
+bool Client::quiet() const {
+  return fd_.valid() && !eof_ && pending_.empty() && framer_.buffered() == 0 &&
+         !wait_readable({fd_.fd()}, 0).front();
+}
+
 void Client::shutdown_send() { shutdown_send_half(fd_.fd()); }
 
 void Client::set_receive_timeout(int timeout_ms) {
@@ -53,72 +58,91 @@ void Client::send_line(std::string_view line) {
   send_raw(framed);
 }
 
-std::optional<std::string> Client::read_line() {
+void Client::receive() {
   if (!fd_.valid()) {
     throw std::runtime_error("net::Client: not connected");
   }
   const auto stash = [this](std::string_view line) {
     pending_.emplace_back(line);
   };
-  for (;;) {
-    if (!pending_.empty()) {
-      std::string line = std::move(pending_.front());
-      pending_.pop_front();
-      return line;
-    }
-    if (eof_) {
-      return std::nullopt;
-    }
-    char chunk[16384];
-    std::size_t n = 0;
-    switch (read_some(fd_.fd(), chunk, sizeof(chunk), &n)) {
-      case IoStatus::kOk:
-        // Same framing rules as the server (CRLF tolerance included);
-        // the unlimited framer cannot fail.
-        (void)framer_.feed(std::string_view(chunk, n), stash);
-        break;
-      case IoStatus::kEof:
-        eof_ = true;
-        // An unterminated tail is still delivered as a line, but flagged:
-        // it may LOOK like a terminal line to the prefix test while being
-        // a truncation of one.
-        tail_unterminated_ = framer_.buffered() > 0;
-        (void)framer_.finish(stash);
-        break;
-      case IoStatus::kWouldBlock:  // only with a receive timeout set
-        throw std::runtime_error("net::Client: read timed out");
-      case IoStatus::kError:
-        throw std::runtime_error("net::Client: connection lost while reading");
-    }
+  char chunk[16384];
+  std::size_t n = 0;
+  switch (read_some(fd_.fd(), chunk, sizeof(chunk), &n)) {
+    case IoStatus::kOk:
+      // Same framing rules as the server (CRLF tolerance included); the
+      // unlimited framer cannot fail.
+      (void)framer_.feed(std::string_view(chunk, n), stash);
+      break;
+    case IoStatus::kEof:
+      eof_ = true;
+      // An unterminated tail is still delivered as a line, but flagged:
+      // it may LOOK like a terminal line to the prefix test while being a
+      // truncation of one.
+      tail_unterminated_ = framer_.buffered() > 0;
+      (void)framer_.finish(stash);
+      break;
+    case IoStatus::kWouldBlock:  // only with a receive timeout set
+      throw std::runtime_error("net::Client: read timed out");
+    case IoStatus::kError:
+      throw std::runtime_error("net::Client: connection lost while reading");
   }
+}
+
+std::optional<std::string> Client::read_line() {
+  while (pending_.empty() && !eof_) {
+    receive();
+  }
+  if (pending_.empty()) {
+    return std::nullopt;
+  }
+  std::string line = std::move(pending_.front());
+  pending_.pop_front();
+  return line;
 }
 
 Client::Response Client::read_response() {
   Response response;
-  for (;;) {
-    std::optional<std::string> line = read_line();
-    if (!line.has_value()) {
-      return response;  // server closed first: complete stays false
+  while (!read_response_step(response)) {
+  }
+  return response;
+}
+
+bool Client::read_response_step(Response& response) {
+  if (pending_.empty() && !eof_) {
+    receive();
+  }
+  while (!pending_.empty()) {
+    const bool terminal = is_terminal_response_line(pending_.front());
+    response.lines.push_back(std::move(pending_.front()));
+    pending_.pop_front();
+    // The line just taken was the EOF tail iff the queue is now drained
+    // after an unterminated finish, and a truncated line never completes
+    // a response, terminal-looking or not.
+    if (eof_ && pending_.empty() && tail_unterminated_) {
+      return true;
     }
-    const bool terminal = is_terminal_response_line(*line);
-    // The line just handed out was the EOF tail iff the queue is now
-    // drained after an unterminated finish — and a truncated line never
-    // completes a response, terminal-looking or not.
-    const bool truncated = eof_ && pending_.empty() && tail_unterminated_;
-    response.lines.push_back(std::move(*line));
-    if (terminal && !truncated) {
+    if (terminal) {
       response.complete = true;
-      return response;
-    }
-    if (truncated) {
-      return response;  // nothing further can arrive
+      return true;
     }
   }
+  return eof_;  // server closed first: complete stays false
 }
 
 Client::Response Client::transact(std::string_view line) {
   send_line(line);
   return read_response();
+}
+
+bool Client::ping() {
+  try {
+    const Response response =
+        transact("{\"type\":\"ping\",\"id\":\"__probe__\"}");
+    return response.complete && response.lines.size() == 1 &&
+           response.lines.front().starts_with("{\"type\":\"pong\"");
+  } catch (const std::exception&) {
+    return false;
+  }
 }
 
 }  // namespace resilience::net

@@ -52,22 +52,6 @@ ResilientClient::ResilientClient(ResilientClientOptions options)
   }
 }
 
-bool ResilientClient::probe() {
-  ++stats_.pings;
-  try {
-    // Explicit id: default ids are per-connection line numbers, and the
-    // probe must not shift them for the caller's own requests... it
-    // still counts as an input line, so callers matching by id should
-    // use explicit ids anyway (see header).
-    const Client::Response response =
-        client_.transact("{\"type\":\"ping\",\"id\":\"__probe__\"}");
-    return response.complete && response.lines.size() == 1 &&
-           response.lines.front().starts_with("{\"type\":\"pong\"");
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
 void ResilientClient::ensure_connected() {
   if (client_.connected()) {
     return;
@@ -76,12 +60,11 @@ void ResilientClient::ensure_connected() {
   if (options_.receive_timeout_ms > 0) {
     client_.set_receive_timeout(options_.receive_timeout_ms);
   }
-  if (options_.probe_on_connect && !probe()) {
+  if (!client_.ping()) {
     client_.close();
     throw std::runtime_error(
         "ResilientClient: endpoint accepted but failed the ping probe");
   }
-  ++stats_.connects;
   if (ever_connected_) {
     ++stats_.reconnects;
   }
@@ -90,47 +73,15 @@ void ResilientClient::ensure_connected() {
 
 void ResilientClient::backoff(int attempt) {
   // attempt is 1-based here (the first RETRY passes 1). Exponential base
-  // capped at backoff_max_ms; the top half is jitter drawn from the
-  // deterministic stream, so two clients with different seeds desync.
-  const int exponent = std::min(attempt - 1, 20);
-  const std::int64_t base =
-      std::min<std::int64_t>(options_.backoff_max_ms,
-                             static_cast<std::int64_t>(options_.backoff_initial_ms)
-                                 << exponent);
-  if (base <= 0) {
-    return;
-  }
-  const int wait =
-      static_cast<int>(base / 2) + jitter_.pick_ms(static_cast<int>(base / 2));
-  if (wait > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(wait));
-  }
-}
-
-bool ResilientClient::ping() {
-  for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      backoff(attempt);
-    }
-    try {
-      if (!client_.connected()) {
-        ensure_connected();
-        if (options_.probe_on_connect) {
-          return true;  // ensure_connected() already got a pong
-        }
-      }
-      if (probe()) {
-        return true;
-      }
-      client_.close();
-    } catch (const std::exception&) {
-      client_.close();
-    }
-  }
-  return false;
+  // capped at 500 ms; the top half is jitter drawn from the deterministic
+  // stream, so two clients with different seeds desync.
+  const int base = std::min(500, 10 << std::min(attempt - 1, 6));
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(base / 2 + jitter_.pick_ms(base / 2)));
 }
 
 Client::Response ResilientClient::transact(std::string_view line) {
+  constexpr std::int64_t kRetryAfterCapMs = 5000;  // one honored wait, at most
   std::string last_error = "no attempt made";
   bool slept_on_hint = false;
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
@@ -156,10 +107,9 @@ Client::Response ResilientClient::transact(std::string_view line) {
           if (attempt + 1 >= options_.max_attempts) {
             return response;
           }
-          if (options_.honor_retry_after && hint > 0) {
-            const std::int64_t wait = std::min<std::int64_t>(
-                hint, std::max(options_.retry_after_cap_ms, 1));
-            std::this_thread::sleep_for(std::chrono::milliseconds(wait));
+          if (hint > 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(
+                std::min(hint, kRetryAfterCapMs)));
             slept_on_hint = true;
           }
           continue;

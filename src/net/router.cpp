@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "resilience/net/client.hpp"
 #include "resilience/net/resilient_client.hpp"
 #include "resilience/service/serialize.hpp"
 
@@ -16,13 +15,17 @@ namespace resilience::net {
 
 namespace {
 
+/// Cap on the wait between overload rounds, whatever retry_after_ms a
+/// busy shard asks for: the client's own backoff takes longer waits.
+constexpr std::int64_t kOverloadWaitCapMs = 250;
+
 std::string default_shard_id(const ShardConfig& config) {
   return config.host + ":" + std::to_string(config.port);
 }
 
 /// One sub-request: chains with one owning shard, platform and cost
 /// override. The shard runs the unit's families as one grid on its own
-/// pool while the router runs shards in parallel.
+/// pool while the other shards run theirs.
 struct Unit {
   std::size_t platform_index = 0;
   std::size_t cost_index = 0;
@@ -69,9 +72,8 @@ std::optional<std::vector<ShardUnits>> plan(
 /// to one platform and one cost override, families = the unit's chains.
 /// Everything else travels verbatim: the simulate mode and every sim
 /// field (budgets AND axes, all result-affecting), the deadline, and the
-/// stats opt-in. The explicit id survives resilient retries onto fresh
-/// connections (where default line numbering restarts) and never reaches
-/// the merged output.
+/// stats opt-in. The explicit id names the unit whatever line of its
+/// kept connection it is, and never reaches the merged output.
 service::ScenarioRequest sub_request(const service::ResolvedRequest& parent,
                                      const Unit& unit) {
   const core::ScenarioGrid& grid = parent.request.grid;
@@ -89,23 +91,6 @@ service::ScenarioRequest sub_request(const service::ResolvedRequest& parent,
   return sub;
 }
 
-ResilientClientOptions shard_client_options(const RouterOptions& options,
-                                            const ShardConfig& config) {
-  ResilientClientOptions client;
-  client.host = config.host;
-  client.port = config.port;
-  client.connect_timeout_ms = options.connect_timeout_ms;
-  client.receive_timeout_ms = options.receive_timeout_ms;
-  client.max_attempts = std::max(1, options.attempts_per_shard);
-  client.backoff_initial_ms = options.backoff_initial_ms;
-  client.backoff_max_ms = options.backoff_max_ms;
-  client.jitter_seed = options.jitter_seed;
-  // A busy shard's retry_after_ms is honored, but capped low: the router
-  // holds whole rounds of work while one client waits.
-  client.retry_after_cap_ms = std::max(1, options.overload_backoff_cap_ms);
-  return client;
-}
-
 std::string string_member(const util::JsonValue& json, const char* key,
                           const char* fallback) {
   const util::JsonValue* value = json.find(key);
@@ -114,7 +99,7 @@ std::string string_member(const util::JsonValue& json, const char* key,
 }
 
 /// One routed request's merge, both modes: the parent table every unit's
-/// cells land in, and the state its dispatch threads share.
+/// cells land in, and the state its rounds carry.
 ///
 /// A unit's sub-grid keeps the parent's node and rate axes (and the sim
 /// axes), so a cell keeps its family and axis values and only its point
@@ -185,7 +170,6 @@ struct Merge {
     } catch (const std::exception&) {
       return false;
     }
-    const std::lock_guard<std::mutex> lock(mutex);
     if (shard_error) {
       if (!error) {
         error = std::move(shard_error);
@@ -263,14 +247,11 @@ struct Merge {
     return table_signature(points, kinds, table.header, sweep);
   }
 
-  /// Points, kinds and header are set before dispatch and only read
-  /// after; the cells are written under `mutex`.
   Table table;
   const std::vector<core::GridChain>& chains;
   std::size_t chain_len = 1;  ///< points per unit: nodes x rates
   std::size_t costs_n = 1;    ///< cost-override axis length
 
-  std::mutex mutex;  ///< guards the table's cells and everything below
   std::vector<std::uint32_t> placed;  ///< per slot: the place() that filled it
   std::uint32_t epoch = 0;            ///< place() calls so far
   std::vector<std::size_t> pending;  ///< chains for the next round
@@ -285,64 +266,110 @@ struct Merge {
   std::unordered_map<std::string, util::JsonValue> shard_stats;
 };
 
-/// Dispatch: sends one shard its units, one sub-request each, and merges
-/// the answers. A lost or malformed answer marks the shard down and puts
-/// its unmerged chains back in pending for the survivors; an overloaded
-/// one puts back only that unit's chains and keeps the shard up.
+/// Dispatch: runs one round's units over one checked-out connection per
+/// shard, one unit in flight on each, on the calling thread. Answers are
+/// read as their bytes arrive, and a shard gets its next unit as soon as
+/// its own answer is read: the shards compute in parallel, and none waits
+/// on another's answer. A failed connect, send or read, a malformed
+/// answer, or receive_timeout_ms in which no busy shard sent a byte,
+/// closes the connection, marks the shard down and puts its unanswered
+/// chains back in pending for the survivors; an overloaded answer puts
+/// back only that unit's chains. Connections whose every answer was read
+/// go back to the fleet.
 template <class Table>
 void dispatch(ShardFleet& fleet, const service::ResolvedRequest& request,
-              const ShardUnits& work, Merge<Table>& merge) {
-  const std::string& shard = work.first;
-  const std::optional<ShardConfig> config = fleet.config(shard);
-  ResilientClient client(
-      shard_client_options(fleet.options(), config.value_or(ShardConfig())));
-  bool dead = !config;
-  std::vector<std::size_t> leftover;
-  for (const Unit& unit : work.second) {
-    const auto requeue = [&unit](std::vector<std::size_t>& into) {
-      into.insert(into.end(), unit.chain_indices.begin(),
-                  unit.chain_indices.end());
-    };
-    if (dead) {
-      requeue(leftover);
-      continue;
+              const std::vector<ShardUnits>& work, Merge<Table>& merge) {
+  std::vector<std::unique_ptr<Client>> clients(work.size());
+  std::vector<std::size_t> next(work.size(), 0);  // per shard: unit in flight
+  std::vector<Client::Response> answers(work.size());  // its answer so far
+  const auto requeue = [&merge](const Unit& unit) {
+    merge.pending.insert(merge.pending.end(), unit.chain_indices.begin(),
+                         unit.chain_indices.end());
+  };
+  const auto fail = [&](std::size_t s) {
+    const auto& [id, units] = work[s];
+    clients[s].reset();
+    fleet.note_failure(id);
+    for (; next[s] < units.size(); ++next[s]) {
+      requeue(units[next[s]]);
     }
-    const service::ScenarioRequest sub = sub_request(request, unit);
-    Client::Response response;
+  };
+  const auto send = [&](std::size_t s) {  // the unit in flight, if any
     try {
-      response = client.transact(sub.to_json().dump());
+      if (next[s] < work[s].second.size()) {
+        clients[s]->send_line(
+            sub_request(request, work[s].second[next[s]]).to_json().dump());
+      }
     } catch (const std::exception&) {
-      // Lost: response stays incomplete.
+      fail(s);
     }
-    std::int64_t hint_ms = 0;
-    if (is_overloaded_response(response, &hint_ms)) {
-      fleet.note_shed(shard);
-      const std::lock_guard<std::mutex> lock(merge.mutex);
-      merge.round_overload = true;
-      merge.overload_hint_ms = std::max(merge.overload_hint_ms, hint_ms);
-      requeue(merge.pending);
-      continue;
-    }
-    if (response.complete) {
-      fleet.note_request(shard);
-    }
-    // The shard must sign as the router does; another signature means
-    // other result-affecting options, and wrong bytes must not merge.
-    if (!response.complete ||
-        !merge.add(unit, shard, response.lines,
-                   merge.unit_signature(unit, request.sweep))) {
-      fleet.note_failure(shard);
-      dead = true;
-      requeue(leftover);
+  };
+  for (std::size_t s = 0; s < work.size(); ++s) {
+    clients[s] = fleet.checkout(work[s].first);
+    if (clients[s] == nullptr) {
+      fail(s);
+    } else {
+      send(s);
     }
   }
-  if (dead) {
-    if (fleet.mark_down(shard)) {
-      fleet.note_failover();
+  const int timeout_ms = fleet.options().receive_timeout_ms;
+  for (;;) {
+    std::vector<std::size_t> busy;  // shards with a unit in flight
+    std::vector<int> fds;
+    for (std::size_t s = 0; s < work.size(); ++s) {
+      if (next[s] < work[s].second.size()) {
+        busy.push_back(s);
+        fds.push_back(clients[s]->fd());
+      }
     }
-    const std::lock_guard<std::mutex> lock(merge.mutex);
-    merge.pending.insert(merge.pending.end(), leftover.begin(),
-                         leftover.end());
+    if (busy.empty()) {
+      break;
+    }
+    const std::vector<bool> ready =
+        wait_readable(fds, timeout_ms > 0 ? timeout_ms : -1);
+    const bool timed_out =
+        std::find(ready.begin(), ready.end(), true) == ready.end();
+    for (std::size_t i = 0; i < busy.size(); ++i) {
+      const std::size_t s = busy[i];
+      const auto& [id, units] = work[s];
+      bool ended = true;  // timed out or lost: the answer stays incomplete
+      try {
+        ended = timed_out ||
+                (ready[i] && clients[s]->read_response_step(answers[s]));
+      } catch (const std::exception&) {
+        // Lost.
+      }
+      if (!ended) {
+        continue;
+      }
+      std::int64_t hint_ms = 0;
+      if (is_overloaded_response(answers[s], &hint_ms)) {
+        fleet.note_shed(id);
+        merge.round_overload = true;
+        merge.overload_hint_ms = std::max(merge.overload_hint_ms, hint_ms);
+        requeue(units[next[s]]);
+      } else {
+        if (answers[s].complete) {
+          fleet.note_request(id);
+        }
+        // The shard must sign as the router does; another signature means
+        // other result-affecting options, and wrong bytes must not merge.
+        if (!answers[s].complete ||
+            !merge.add(units[next[s]], id, answers[s].lines,
+                       merge.unit_signature(units[next[s]], request.sweep))) {
+          fail(s);
+          continue;
+        }
+      }
+      answers[s] = {};
+      ++next[s];
+      send(s);
+    }
+  }
+  for (std::size_t s = 0; s < work.size(); ++s) {
+    if (clients[s] != nullptr) {
+      fleet.checkin(work[s].first, std::move(clients[s]));
+    }
   }
 }
 
@@ -398,46 +425,63 @@ void ShardFleet::start_prober() {
 
 void ShardFleet::probe_round() {
   // Probe every shard, Down ones included — a pong from a Down shard is
-  // the rejoin signal. Snapshot the configs first; the pings themselves
-  // run without the fleet lock.
-  std::vector<ShardConfig> configs;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    configs.reserve(shards_.size());
-    for (const Shard& shard : shards_) {
-      configs.push_back(shard.config);
-    }
-  }
-  for (const ShardConfig& config : configs) {
-    ResilientClientOptions probe_options =
-        shard_client_options(options_, config);
-    probe_options.max_attempts = 1;
-    probe_options.backoff_initial_ms = 1;
-    probe_options.backoff_max_ms = 1;
-    ResilientClient prober(probe_options);
-    const bool alive = prober.ping();
+  // the rejoin signal. The probe pings the connection checkout hands out,
+  // kept or fresh, without the fleet lock.
+  for (const std::string& id : shard_ids()) {
+    std::unique_ptr<Client> client = checkout(id);
+    const bool alive = client != nullptr && client->ping();
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       ++counters_.probes;
     }
     if (alive) {
-      mark_up(config.id);
+      mark_up(id);
+      checkin(id, std::move(client));
     } else {
-      mark_down(config.id);
+      mark_down(id);
     }
+  }
+}
+
+std::unique_ptr<Client> ShardFleet::checkout(const std::string& id) {
+  ShardConfig config;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    Shard* shard = find_locked(id);
+    if (shard == nullptr) {
+      return nullptr;
+    }
+    while (!shard->idle.empty()) {
+      std::unique_ptr<Client> client = std::move(shard->idle.back());
+      shard->idle.pop_back();
+      if (client->quiet()) {
+        return client;
+      }
+    }
+    config = shard->config;
+  }
+  auto client = std::make_unique<Client>();
+  try {
+    client->connect(config.host, config.port, options_.connect_timeout_ms);
+  } catch (const std::exception&) {
+    return nullptr;
+  }
+  client->set_receive_timeout(options_.receive_timeout_ms);  // 0: none
+  return client->ping() ? std::move(client) : nullptr;
+}
+
+void ShardFleet::checkin(const std::string& id,
+                         std::unique_ptr<Client> client) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  Shard* shard = find_locked(id);
+  if (shard != nullptr && shard->up) {
+    shard->idle.push_back(std::move(client));
   }
 }
 
 std::optional<std::string> ShardFleet::route(std::uint64_t key) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return ring_.owner(key);
-}
-
-std::optional<ShardConfig> ShardFleet::config(const std::string& id) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const Shard* shard = find_locked(id);
-  return shard == nullptr ? std::nullopt
-                          : std::optional<ShardConfig>(shard->config);
 }
 
 std::vector<std::string> ShardFleet::shard_ids() const {
@@ -450,18 +494,13 @@ std::vector<std::string> ShardFleet::shard_ids() const {
   return ids;
 }
 
-const ShardFleet::Shard* ShardFleet::find_locked(const std::string& id) const {
-  for (const Shard& shard : shards_) {
+ShardFleet::Shard* ShardFleet::find_locked(const std::string& id) {
+  for (Shard& shard : shards_) {
     if (shard.config.id == id) {
       return &shard;
     }
   }
   return nullptr;
-}
-
-ShardFleet::Shard* ShardFleet::find_locked(const std::string& id) {
-  return const_cast<Shard*>(
-      static_cast<const ShardFleet*>(this)->find_locked(id));
 }
 
 bool ShardFleet::mark_down(const std::string& id) {
@@ -471,6 +510,7 @@ bool ShardFleet::mark_down(const std::string& id) {
     return false;
   }
   shard->up = false;
+  shard->idle.clear();
   ring_.remove(id);
   ++counters_.rebalances;
   return true;
@@ -501,7 +541,9 @@ void ShardFleet::note_request(const std::string& id) {
 }
 
 void ShardFleet::note_failure(const std::string& id) {
+  const bool flipped = mark_down(id);
   const std::lock_guard<std::mutex> lock(mutex_);
+  counters_.failovers += flipped ? 1 : 0;
   if (Shard* shard = find_locked(id)) {
     ++shard->failures;
   }
@@ -513,11 +555,6 @@ void ShardFleet::note_shed(const std::string& id) {
   if (Shard* shard = find_locked(id)) {
     ++shard->sheds;
   }
-}
-
-void ShardFleet::note_failover() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++counters_.failovers;
 }
 
 void ShardFleet::note_replays(std::size_t chains) {
@@ -581,37 +618,38 @@ void sum_json_counters(util::JsonValue& total, const util::JsonValue& addend) {
 }  // namespace
 
 util::JsonValue ShardFleet::collect_shard_stats() {
-  std::vector<ShardConfig> up_configs;
+  std::vector<std::string> up_ids;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (const Shard& shard : shards_) {
       if (shard.up) {
-        up_configs.push_back(shard.config);
+        up_ids.push_back(shard.config.id);
       }
     }
   }
 
   std::size_t reporting = 0;
   util::JsonValue merged = util::JsonValue::object();
-  for (const ShardConfig& config : up_configs) {
-    ResilientClientOptions client_options =
-        shard_client_options(options_, config);
-    client_options.max_attempts = 1;  // a stats miss is not worth a retry
-    client_options.probe_on_connect = false;
-    ResilientClient client(client_options);
-    Client::Response response;
-    try {
-      response = client.transact("{\"type\":\"stats\",\"id\":\"__fleet__\"}");
-    } catch (const std::exception&) {
-      continue;  // skipped, not marked down: stats must not shoot the fleet
-    }
-    if (!response.complete || response.lines.size() != 1) {
+  for (const std::string& id : up_ids) {
+    // A shard that fails to answer is skipped, not marked down: stats
+    // must not shoot the fleet.
+    std::unique_ptr<Client> client = checkout(id);
+    if (client == nullptr) {
       continue;
     }
     util::JsonValue answer;
     try {
+      const Client::Response response =
+          client->transact("{\"type\":\"stats\",\"id\":\"__fleet__\"}");
+      if (!response.complete) {
+        continue;
+      }
+      checkin(id, std::move(client));
+      if (response.lines.size() != 1) {
+        continue;
+      }
       answer = util::JsonValue::parse(response.lines.front());
-    } catch (const util::JsonError&) {
+    } catch (const std::exception&) {
       continue;
     }
     if (!answer.is_object()) {
@@ -711,19 +749,7 @@ void RouterSession::route(service::ResolvedRequest& request,
       return;
     }
     merge.pending.clear();
-    if (work->size() == 1) {
-      dispatch(fleet_, request, work->front(), merge);  // no thread spawn
-    } else {
-      std::vector<std::thread> threads;
-      for (const ShardUnits& shard_units : *work) {
-        threads.emplace_back([&, &shard_units = shard_units] {
-          dispatch(fleet_, request, shard_units, merge);
-        });
-      }
-      for (std::thread& thread : threads) {
-        thread.join();
-      }
-    }
+    dispatch(fleet_, request, *work, merge);
     if (merge.round_overload && !merge.pending.empty() && !merge.error) {
       if (++overload_rounds > std::max(0, options.overload_rounds)) {
         // Budget spent waiting on busy shards: give up RETRIABLY — the
@@ -733,9 +759,9 @@ void RouterSession::route(service::ResolvedRequest& request,
             id, merge.overload_hint_ms > 0 ? merge.overload_hint_ms : 1000));
         return;
       }
-      const int cap_ms = std::max(1, options.overload_backoff_cap_ms);
       std::this_thread::sleep_for(std::chrono::milliseconds(
-          std::clamp<std::int64_t>(merge.overload_hint_ms, 1, cap_ms)));
+          std::clamp<std::int64_t>(merge.overload_hint_ms, 1,
+                                   kOverloadWaitCapMs)));
     }
   }
   if (cancelled()) {

@@ -261,6 +261,23 @@ void set_receive_timeout(int fd, int timeout_ms) {
   (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
+std::vector<bool> wait_readable(const std::vector<int>& fds, int timeout_ms) {
+  std::vector<pollfd> polled;
+  for (const int fd : fds) {
+    polled.push_back(pollfd{fd, POLLIN, 0});
+  }
+  int rc = 0;
+  do {
+    rc = ::poll(polled.data(), polled.size(), timeout_ms);
+  } while (rc == -1 && errno == EINTR);
+  std::vector<bool> ready;
+  for (const pollfd& entry : polled) {
+    // A failed poll counts as ready: the read reports the real error.
+    ready.push_back(rc == -1 || entry.revents != 0);
+  }
+  return ready;
+}
+
 #else  // !__linux__ — keep the library linkable; the daemon is Linux-only.
 
 bool transport_supported() noexcept { return false; }
@@ -290,6 +307,7 @@ void set_tcp_nodelay(int) {}
 void set_send_buffer(int, int) {}
 void shutdown_send_half(int) {}
 void set_receive_timeout(int, int) {}
+std::vector<bool> wait_readable(const std::vector<int>&, int) { unsupported(); }
 
 #endif
 

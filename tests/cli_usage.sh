@@ -8,9 +8,9 @@
 #
 # The serving binaries (sweep_serverd, sweep_router, sweep_client and the
 # sweep_chaosd proxy) must reject 2^32 + 1 for every flag they narrow to
-# an int, which would otherwise wrap to 1, and sweep_router a shard port
-# with trailing junk; a daemon that wrongly accepts one starts serving
-# and is caught by the timeout. Flags that name a platform or a pattern
+# an int, which would otherwise wrap to 1, sweep_router a shard port
+# with trailing junk and its retired retry flags; a daemon that wrongly
+# accepts one starts serving and is caught by the timeout. Flags that name a platform or a pattern
 # family, and platform_advisor's custom rates that no pattern can run
 # at, must exit 2 too, not abort.
 #
@@ -68,9 +68,13 @@ check sweep_server "--input=/dev/null" "$BAD" \
 WRAPS=4294967297
 check sweep_serverd "--port=0" "$WRAPS" drain-timeout-ms default-deadline-ms
 check sweep_router "--port=0 --shards=127.0.0.1:1" "$WRAPS" \
-    probe-interval-ms attempts-per-shard connect-timeout-ms \
-    receive-timeout-ms overload-rounds drain-timeout-ms
+    probe-interval-ms connect-timeout-ms receive-timeout-ms \
+    overload-rounds drain-timeout-ms
 check sweep_router "--port=0" "127.0.0.1:7000abc" shards
+# The router has one failure policy and no shard retries: its old retry
+# flags are unknown flags now, with any value.
+check sweep_router "--port=0 --shards=127.0.0.1:1" "2" attempts-per-shard
+check sweep_router "--port=0 --shards=127.0.0.1:1" "1" jitter-seed
 check sweep_client "--port=1 --input=/dev/null" "$WRAPS" \
     retries connect-timeout-ms receive-timeout-ms
 check sweep_chaosd "--port=0 --upstream-port=1" "$WRAPS" stall-max-ms

@@ -73,7 +73,7 @@ SHARDS="$(cat "$TMP/s1.port"),$(cat "$TMP/chaos.port"),$S3_PORT"
 # found the shard dead, not from the prober winning the race and
 # removing it first. Rejoin still comes from the prober.
 "$BUILD/sweep_router" --port=0 --port-file="$TMP/router.port" \
-    --shards="$SHARDS" --probe-interval-ms=2000 --attempts-per-shard=2 \
+    --shards="$SHARDS" --probe-interval-ms=2000 \
     --connect-timeout-ms=2000 --receive-timeout-ms=10000 \
     2>>"$TMP/router.log" &
 ROUTER_PID=$!
@@ -110,9 +110,9 @@ wait "$S3_PID" 2>/dev/null
 S3_PID=""
 
 # Relaunch only after the router has RECORDED the failover — an in-flight
-# sub-request exhausted its attempts against the dead port — so the retry
-# cannot race onto the relaunched process (this poll replaces a blind
-# sleep that made the race merely unlikely).
+# sub-request failed against the dead port — so the retry cannot race
+# onto the relaunched process (this poll replaces a blind sleep that made
+# the race merely unlikely).
 i=0
 while :; do
   router_stats

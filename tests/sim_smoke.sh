@@ -108,7 +108,7 @@ for shard in 1 2 3; do
 done
 SHARDS="$(cat "$TMP/s1.port"),$(cat "$TMP/s2.port"),$(cat "$TMP/s3.port")"
 "$BUILD/sweep_router" --port=0 --port-file="$TMP/router.port" \
-    --shards="$SHARDS" --attempts-per-shard=2 --connect-timeout-ms=2000 \
+    --shards="$SHARDS" --connect-timeout-ms=2000 \
     --receive-timeout-ms=10000 2>>"$TMP/router.log" &
 ROUTER_PID=$!
 track_pid "$ROUTER_PID"

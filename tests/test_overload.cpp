@@ -359,28 +359,31 @@ TEST(Overload, ResilientClientHealsThroughAShedOnceLoadDrains) {
   options.max_queue_depth = 1;
   TestDaemon daemon(std::move(options));
 
-  // Saturate deterministically: pin the worker with one heavy request,
-  // then queue a second so the waiting queue sits at its depth bound
-  // when the healer's request lands.
-  rn::Client flood;
-  flood.connect("127.0.0.1", daemon.port());
-  flood.send_raw(heavy_request("f0", 0) + "\n");
-  ASSERT_TRUE(eventually([&] { return daemon->stats().requests_started >= 1; }))
-      << "the pinning request never reached the worker";
-  flood.send_raw(heavy_request("f1", 50) + "\n");
-  ASSERT_TRUE(
-      eventually([&] { return daemon->overload_stats().queued_depth >= 1; }))
-      << "the second flood request never queued";
-
-  // No connect probe: a ping round trip would stall behind the pinned
-  // worker and give the queue time to drain under the healer's feet.
+  // The healer connects while the daemon is idle: its connect probe would
+  // queue behind the pinned worker and give the queue time to drain under
+  // its feet.
   rn::ResilientClientOptions client_options;
   client_options.host = "127.0.0.1";
   client_options.port = daemon.port();
   client_options.max_attempts = 64;
   client_options.receive_timeout_ms = 60000;
-  client_options.probe_on_connect = false;
   rn::ResilientClient healer(client_options);
+  ASSERT_TRUE(healer.transact("{\"type\": \"ping\", \"id\": \"p\"}").complete);
+
+  // Saturate deterministically: pin the worker with one heavy request,
+  // then queue a second so the waiting queue sits at its depth bound
+  // when the healer's request lands.
+  const std::uint64_t started = daemon->stats().requests_started;
+  rn::Client flood;
+  flood.connect("127.0.0.1", daemon.port());
+  flood.send_raw(heavy_request("f0", 0) + "\n");
+  ASSERT_TRUE(eventually(
+      [&] { return daemon->stats().requests_started >= started + 1; }))
+      << "the pinning request never reached the worker";
+  flood.send_raw(heavy_request("f1", 50) + "\n");
+  ASSERT_TRUE(
+      eventually([&] { return daemon->overload_stats().queued_depth >= 1; }))
+      << "the second flood request never queued";
 
   // First attempt is shed (queue at bound); the healer waits the
   // server's retry_after_ms out and re-sends until the flood drains.

@@ -12,8 +12,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -220,9 +223,6 @@ rn::RouterOptions fleet_options(const std::vector<std::uint16_t>& ports) {
   }
   options.connect_timeout_ms = 500;
   options.receive_timeout_ms = 10000;
-  options.attempts_per_shard = 2;
-  options.backoff_initial_ms = 1;
-  options.backoff_max_ms = 10;
   return options;
 }
 
@@ -279,6 +279,37 @@ Lines flatten(const std::vector<Lines>& responses) {
     out.insert(out.end(), response.begin(), response.end());
   }
   return out;
+}
+
+/// A grid heavy enough (3 platforms x 24 nodes x 6 rates x 2 families =
+/// 864 cells) to hold a shard's only worker for a scheduling-visible
+/// stretch on any machine.
+std::string heavy_request(const std::string& id, int salt) {
+  std::string nodes;
+  for (int i = 0; i < 24; ++i) {
+    nodes += (i == 0 ? "" : ", ") + std::to_string(64 + salt + i * 32);
+  }
+  return "{\"id\": \"" + id +
+         "\", \"platforms\": [\"hera\", \"atlas\", \"coastal\"], "
+         "\"node_counts\": [" +
+         nodes +
+         "], \"rate_factors\": [{\"fail_stop\": 0.25}, {\"fail_stop\": 0.5}, "
+         "{\"fail_stop\": 1.0}, {\"fail_stop\": 2.0}, {\"fail_stop\": 4.0}, "
+         "{\"fail_stop\": 8.0}], \"kinds\": [\"PD\", \"PDMV\"]}";
+}
+
+/// Bounded poll for a server-state predicate; false = timed out.
+template <typename Pred>
+[[nodiscard]] bool eventually(Pred pred, int timeout_ms = 30000) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 // --------------------------------------------------------- cross-front --
@@ -594,6 +625,272 @@ TEST(Router, RejoinRestoresTheShardAndItsAssignment) {
   for (std::size_t i = 0; i < merged.size(); ++i) {
     EXPECT_EQ(sorted(merged[i]), sorted(reference[i])) << "response " << i;
   }
+}
+
+TEST(Router, KeptConnectionsServeConcurrentRequests) {
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  // A router daemon with two request workers over three shards, and two
+  // clients sending 100 warm requests each at once. Every round checks
+  // out one connection per shard and returns it, so a shard accepts at
+  // most one connection per request routed at the same time: two, not
+  // one per request.
+  const std::string request = fleet_workload().front();
+  TestDaemon reference_daemon;
+  run_reference(reference_daemon.port(), {request});
+  const Lines warm = run_reference(reference_daemon.port(), {request}).front();
+
+  TestDaemon s1, s2, s3;
+  rn::ShardFleet fleet{fleet_options({s1.port(), s2.port(), s3.port()})};
+  rn::NetServerOptions router_options;
+  router_options.request_workers = 2;
+  router_options.session_factory =
+      [&fleet](rs::LineSession::LineFn emit,
+               std::shared_ptr<std::atomic<bool>> cancel) {
+        return std::make_unique<rn::RouterSession>(fleet, std::move(emit),
+                                                   std::move(cancel));
+      };
+  TestDaemon router(std::move(router_options));
+  {
+    rn::Client client;  // warms the shards
+    client.connect("127.0.0.1", router.port());
+    ASSERT_TRUE(client.transact(request).complete);
+  }
+
+  std::atomic<int> wrong{0};
+  const auto barrage = [&] {
+    rn::Client client;
+    client.connect("127.0.0.1", router.port());
+    client.set_receive_timeout(30000);
+    for (int i = 0; i < 100; ++i) {
+      const rn::Client::Response response = client.transact(request);
+      if (!response.complete || response.lines != warm) {
+        ++wrong;
+      }
+    }
+  };
+  std::thread first(barrage);
+  std::thread second(barrage);
+  first.join();
+  second.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(fleet.stats().failovers, 0u);
+  for (TestDaemon* shard : {&s1, &s2, &s3}) {
+    EXPECT_LE((*shard)->stats().accepted, 2u) << "port " << shard->port();
+  }
+}
+
+TEST(Router, AShardRestartedBetweenRequestsIsReachedWithoutAFailover) {
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  TestDaemon reference_daemon;
+  const Lines workload = fleet_workload();
+  const std::vector<Lines> cold_reference =
+      run_reference(reference_daemon.port(), workload);
+  const std::vector<Lines> warm_reference =
+      run_reference(reference_daemon.port(), workload);
+
+  std::vector<std::unique_ptr<TestDaemon>> shards;
+  std::vector<std::uint16_t> ports;
+  for (int i = 0; i < 3; ++i) {
+    shards.push_back(std::make_unique<TestDaemon>());
+    ports.push_back(shards.back()->port());
+  }
+  rn::ShardFleet fleet{fleet_options(ports)};
+  run_router(fleet, workload);  // the fleet keeps a connection per shard
+
+  // Restart the owner of the workload's first chain on its port while the
+  // fleet holds an idle connection to it: a graceful stop, then a new
+  // daemon. The kept connection now reads EOF, so it is not quiet, and the
+  // next request reaches the new daemon on a fresh connection.
+  const std::string restarted =
+      fleet.route(workload_chains(workload).front().front().key.value).value();
+  const std::vector<std::string> ids = fleet.shard_ids();
+  const std::size_t index =
+      std::find(ids.begin(), ids.end(), restarted) - ids.begin();
+  shards[index].reset();
+  rn::NetServerOptions options;
+  options.port = ports[index];
+  shards[index] = std::make_unique<TestDaemon>(std::move(options));
+  ASSERT_EQ(shards[index]->port(), ports[index]);
+
+  // The new daemon computes its chains cold: a response is the warm one
+  // when it touched none of them, the cold one's bytes otherwise.
+  const std::vector<Lines> after = run_router(fleet, workload);
+  ASSERT_EQ(after.size(), warm_reference.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    const Lines got = sorted(after[i]);
+    EXPECT_TRUE(got == sorted(warm_reference[i]) ||
+                got == sorted(cold_reference[i]))
+        << "response " << i;
+  }
+  EXPECT_EQ(run_router(fleet, workload), warm_reference);
+  EXPECT_EQ(fleet.stats().failovers, 0u);
+  EXPECT_EQ(fleet.up_count(), 3u);
+}
+
+TEST(Router, AShedFromABusyShardIsBackpressureNotFailure) {
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  namespace ru = resilience::util;
+  const std::string request = fleet_workload()[1];  // one chain, id "f2"
+  TestDaemon reference_daemon;
+  const Lines cold = run_reference(reference_daemon.port(), {request}).front();
+  const Lines warm = run_reference(reference_daemon.port(), {request}).front();
+
+  rn::NetServerOptions shard_options;
+  shard_options.request_workers = 1;
+  shard_options.max_queue_depth = 1;  // one waiting request, then sheds
+  TestDaemon shard(std::move(shard_options));
+  rn::RouterOptions options = fleet_options({shard.port()});
+  options.overload_rounds = 0;  // the first shed gives the request up
+  rn::ShardFleet fleet{options};
+  Collector collector;
+  rn::RouterSession session(fleet, collector.fn());
+
+  // Routed once, the request leaves the fleet a kept connection.
+  session.handle_line(request);
+  ASSERT_EQ(collector.responses.size(), 1u);
+  EXPECT_EQ(sorted(collector.responses[0]), sorted(cold));
+
+  // Saturate the shard: one request on its only worker, one queued.
+  const std::uint64_t started = shard->stats().requests_started;
+  rn::Client flood;
+  flood.connect("127.0.0.1", shard.port());
+  flood.set_receive_timeout(60000);
+  flood.send_raw(heavy_request("h0", 0) + "\n");
+  ASSERT_TRUE(eventually(
+      [&] { return shard->stats().requests_started >= started + 1; }))
+      << "the pinning request never reached the worker";
+  flood.send_raw(heavy_request("h1", 50) + "\n");
+  ASSERT_TRUE(
+      eventually([&] { return shard->overload_stats().queued_depth >= 1; }))
+      << "the second flood request never queued";
+
+  // The shard sheds the unit at admission, and the shed reaches the
+  // router at once on its kept connection: backpressure, answered as the
+  // one retriable error line a single daemon sheds with, and no failover.
+  session.handle_line(request);
+  ASSERT_EQ(collector.responses.size(), 2u);
+  ASSERT_EQ(collector.responses[1].size(), 1u) << collector.responses[1][0];
+  const ru::JsonValue shed = ru::JsonValue::parse(collector.responses[1][0]);
+  EXPECT_EQ(shed.find("type")->as_string(), "error");
+  EXPECT_EQ(shed.find("request")->as_string(), "f2");
+  ASSERT_NE(shed.find("code"), nullptr) << collector.responses[1][0];
+  EXPECT_EQ(shed.find("code")->as_string(), "overloaded");
+  ASSERT_NE(shed.find("retry_after_ms"), nullptr);
+  EXPECT_GE(shed.find("retry_after_ms")->as_double(), 1.0);
+  EXPECT_GE(fleet.stats().sheds, 1u);
+  EXPECT_EQ(fleet.stats().failovers, 0u);
+  EXPECT_EQ(fleet.up_count(), 1u);
+
+  // Once the flood is answered, the same request answers the reference
+  // bytes.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(flood.read_response().complete);
+  }
+  session.handle_line(request);
+  ASSERT_EQ(collector.responses.size(), 3u);
+  EXPECT_EQ(collector.responses[2], warm);
+}
+
+/// A shard daemon whose scenario answers wait on its worker until
+/// release(); pongs pass at once. Counts the done lines it has sent.
+class GatedShard {
+ public:
+  GatedShard() : server_(options()), thread_([this] { server_.run(); }) {}
+  ~GatedShard() {
+    release();
+    server_.stop();
+    thread_.join();
+  }
+
+  [[nodiscard]] std::uint16_t port() const noexcept { return server_.port(); }
+  void release() {
+    std::call_once(released_once_, [this] { gate_.set_value(); });
+  }
+  [[nodiscard]] std::size_t done_lines() const { return done_lines_.load(); }
+
+ private:
+  rn::NetServerOptions options() {
+    rn::NetServerOptions options;
+    options.session_factory = [this](rs::LineSession::LineFn emit,
+                                     std::shared_ptr<std::atomic<bool>> cancel) {
+      return std::make_unique<rs::JsonlSession>(
+          service_,
+          [this, emit = std::move(emit)](std::string&& line,
+                                         bool end_of_response) {
+            if (!line.starts_with("{\"type\":\"pong\"")) {
+              released_.wait();
+            }
+            done_lines_ += line.starts_with("{\"type\":\"done\"") ? 1 : 0;
+            emit(std::move(line), end_of_response);
+          },
+          rs::JsonlSession::Options(), std::move(cancel));
+    };
+    return options;
+  }
+
+  rs::SweepService service_;
+  std::promise<void> gate_;
+  std::shared_future<void> released_ = gate_.get_future().share();
+  std::once_flag released_once_;
+  std::atomic<std::size_t> done_lines_{0};
+  rn::NetServer server_;  // after what its sessions use
+  std::thread thread_;
+};
+
+TEST(Router, AShardGetsItsNextUnitWhileAnotherHoldsItsAnswer) {
+  if (!rn::transport_supported()) {
+    GTEST_SKIP() << "transport requires Linux";
+  }
+  // Three platforms x six families: each shard owns chains on several
+  // platforms, so it has several units (one per platform) to answer one
+  // after another.
+  const std::string request =
+      "{\"id\": \"g\", \"platforms\": [\"hera\", \"atlas\", "
+      "\"coastal\"], \"node_counts\": [512], \"kinds\": [\"PD\", \"PDV*\", "
+      "\"PDV\", \"PDM\", \"PDMV*\", \"PDMV\"]}";
+  TestDaemon reference_daemon;
+  const Lines cold = run_reference(reference_daemon.port(), {request}).front();
+
+  // Named shards: the ring, and so each shard's units, are fixed.
+  GatedShard first, second;
+  rn::RouterOptions options = fleet_options({first.port(), second.port()});
+  options.shards[0].id = "first";
+  options.shards[1].id = "second";
+  rn::ShardFleet fleet{options};
+  std::map<std::string, std::set<std::size_t>> platforms;  // one unit each
+  const std::vector<rc::GridChain> chains = workload_chains({request}).front();
+  for (const rc::GridChain& chain : chains) {
+    platforms[fleet.route(chain.key.value).value()].insert(
+        chain.platform_index);
+  }
+  ASSERT_GE(platforms["first"].size(), 1u);
+  ASSERT_GE(platforms["second"].size(), 2u);
+
+  // The first shard holds its answer; the second must be read and sent
+  // its next unit meanwhile, until it has answered all of its units. A
+  // round that read answers in shard order, or fed no shard before every
+  // shard had answered, would wait on the first shard instead.
+  second.release();
+  Collector collector;
+  rn::RouterSession session(fleet, collector.fn());
+  std::thread routed([&] { session.handle_line(request); });
+  const bool fed = eventually(
+      [&] { return second.done_lines() == platforms["second"].size(); });
+  first.release();
+  routed.join();
+  EXPECT_TRUE(fed) << "the second shard answered " << second.done_lines()
+                   << " of its " << platforms["second"].size() << " units";
+  ASSERT_EQ(collector.responses.size(), 1u);
+  EXPECT_EQ(sorted(collector.responses[0]), sorted(cold));
+  EXPECT_EQ(fleet.stats().failovers, 0u);
+  EXPECT_EQ(first.done_lines(), platforms["first"].size());
 }
 
 TEST(Router, SimulateMergeIsByteIdenticalToASingleDaemonEvenCold) {

@@ -236,9 +236,6 @@ rn::RouterOptions fleet_options(const FuzzShard& first,
   }
   options.connect_timeout_ms = 500;
   options.receive_timeout_ms = 100;
-  options.attempts_per_shard = 2;
-  options.backoff_initial_ms = 1;
-  options.backoff_max_ms = 5;
   return options;
 }
 
