@@ -1,6 +1,6 @@
 // Chaos proxy daemon: sits between a JSONL client and sweep_serverd and
 // injects seeded, reproducible transport faults — torn reads/writes at
-// arbitrary byte boundaries, stalls, and connection kills (RST or FIN)
+// arbitrary byte boundaries, stalls, and connection kills (a TCP RST)
 // mid-line — without instrumenting either peer. The CI chaos smoke runs
 // sweep_client --retries through this against the production daemon and
 // diffs the responses byte for byte against a fault-free run.
@@ -63,8 +63,6 @@ int main(int argc, char** argv) {
   cli.add_flag("kill-budget", "6",
                "total kills across all connections; once spent the network "
                "is repaired and retrying clients always finish");
-  cli.add_bool_flag("kill-fin",
-                    "kill with an orderly FIN instead of a TCP RST");
   if (!cli.parse(argc, argv)) {
     return 2;  // usage (also --help; CliParser does not distinguish)
   }
@@ -93,7 +91,6 @@ int main(int argc, char** argv) {
   options.profile.stall_max_ms = static_cast<int>(*stall_max_ms);
   options.profile.kill_every = static_cast<std::uint64_t>(*kill_every);
   options.profile.kill_budget = static_cast<std::size_t>(*kill_budget);
-  options.profile.reset_on_kill = !cli.get_bool("kill-fin");
 
   try {
     rn::ChaosProxy proxy(std::move(options));

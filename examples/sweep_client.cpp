@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
                "bound on each connect attempt (0 = OS default)");
   cli.add_flag("receive-timeout-ms", "0",
                "bound on waiting for response bytes (0 = wait forever)");
-  cli.add_flag("jitter-seed", "1", "backoff jitter seed (resilient mode)");
   if (!cli.parse(argc, argv)) {
     return 2;  // usage (also --help; CliParser does not distinguish)
   }
@@ -68,9 +67,7 @@ int main(int argc, char** argv) {
   const auto retries_value = cli.checked_int("retries", 0, INT_MAX);
   const auto connect_value = cli.checked_int("connect-timeout-ms", 0, INT_MAX);
   const auto receive_value = cli.checked_int("receive-timeout-ms", 0, INT_MAX);
-  const auto jitter_value = cli.checked_uint64("jitter-seed");
-  if (!port_value || !retries_value || !connect_value || !receive_value ||
-      !jitter_value) {
+  if (!port_value || !retries_value || !connect_value || !receive_value) {
     return 2;
   }
   const std::int64_t port = *port_value;
@@ -111,7 +108,6 @@ int main(int argc, char** argv) {
       options.connect_timeout_ms = static_cast<int>(connect_timeout);
       options.receive_timeout_ms = static_cast<int>(receive_timeout);
       options.max_attempts = static_cast<int>(retries);
-      options.jitter_seed = *jitter_value;
       rn::ResilientClient client(options);
       // The healing summary prints on BOTH exits: a success that needed
       // retries, and a final failure — the attempts spent on a request

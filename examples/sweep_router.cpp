@@ -33,10 +33,10 @@ namespace {
 
 rn::NetServer* g_server = nullptr;
 
-/// Async-signal-safe: one eventfd write inside signal_stop().
+/// Async-signal-safe: NetServer::stop() raises the loop's interrupt.
 void handle_signal(int) {
   if (g_server != nullptr) {
-    g_server->signal_stop();
+    g_server->stop();
   }
 }
 
@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
   cli.add_flag("shards", "",
                "comma-separated shard endpoints, host:port or bare port "
                "(required; e.g. 127.0.0.1:7001,127.0.0.1:7002)");
-  cli.add_flag("vnodes", "64", "ring positions per shard");
   cli.add_flag("probe-interval-ms", "1000",
                "background health-probe period; pong rejoins a dead "
                "shard, a failed probe removes a live one (0 = no prober)");
@@ -121,7 +120,6 @@ int main(int argc, char** argv) {
   }
 
   const auto port = cli.checked_int("port", 0, 65535);
-  const auto vnodes = cli.checked_int("vnodes", 1);
   const auto probe_ms = cli.checked_int("probe-interval-ms", 0, INT_MAX);
   const auto connect_ms = cli.checked_int("connect-timeout-ms", 0, INT_MAX);
   const auto receive_ms = cli.checked_int("receive-timeout-ms", 0, INT_MAX);
@@ -132,7 +130,7 @@ int main(int argc, char** argv) {
   const auto overload_rounds = cli.checked_int("overload-rounds", 0, INT_MAX);
   const auto queue_cost = cli.checked_double("max-queue-cost", 0.0, 1e18);
   const auto queue_depth = cli.checked_int("max-queue-depth", 0);
-  if (!port || !vnodes || !probe_ms || !connect_ms || !receive_ms ||
+  if (!port || !probe_ms || !connect_ms || !receive_ms ||
       !workers || !max_conns || !depth || !drain_ms || !overload_rounds ||
       !queue_cost || !queue_depth) {
     return 2;
@@ -147,7 +145,6 @@ int main(int argc, char** argv) {
 
   rn::RouterOptions router_options;
   router_options.shards = std::move(shards);
-  router_options.ring_vnodes = static_cast<std::size_t>(*vnodes);
   router_options.probe_interval_ms = static_cast<int>(*probe_ms);
   router_options.connect_timeout_ms = static_cast<int>(*connect_ms);
   router_options.receive_timeout_ms = static_cast<int>(*receive_ms);

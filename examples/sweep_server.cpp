@@ -147,7 +147,6 @@ int main(int argc, char** argv) {
                "hard cap on a simulate request's sim.max_runs; over-cap "
                "requests answer an error line before any compute (0 = "
                "uncapped)");
-  cli.add_bool_flag("no-stream", "emit only done/error lines, no cell lines");
   cli.add_bool_flag("check",
                     "verify every streamed cell set against a fresh batch "
                     "recompute; exit 1 on any mismatch");
@@ -164,7 +163,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const auto threads = static_cast<std::size_t>(*threads_flag);
-  const bool stream = !cli.get_bool("no-stream");
   const bool check = cli.get_bool("check");
 
   std::ifstream file;
@@ -200,7 +198,7 @@ int main(int argc, char** argv) {
   }
 
   bool check_failed = false;
-  rs::JsonlSession::Options session_options{stream, /*collect=*/check,
+  rs::JsonlSession::Options session_options{/*collect=*/check,
                                             static_cast<int>(*deadline_ms)};
   session_options.sim_max_runs = *sim_max_runs;
   rs::JsonlSession session(

@@ -34,10 +34,10 @@ namespace {
 
 rn::NetServer* g_server = nullptr;
 
-/// Async-signal-safe: one eventfd write inside signal_stop().
+/// Async-signal-safe: NetServer::stop() raises the loop's interrupt.
 void handle_signal(int) {
   if (g_server != nullptr) {
-    g_server->signal_stop();
+    g_server->stop();
   }
 }
 

@@ -1,9 +1,8 @@
 #pragma once
 
-// The Listener/Connection layer between the epoll loop and the request
-// session: Listener owns the accepting socket; Connection owns one
-// client socket, its incremental JSONL reassembly (LineFramer) and a
-// bounded outbound write queue.
+// The Connection layer between the epoll loop and the request session:
+// a Connection owns one client socket, its incremental JSONL reassembly
+// (LineFramer) and a bounded outbound write queue.
 //
 // Threading contract. All socket I/O and epoll state live on the loop
 // thread. The one cross-thread surface is the outbound queue: sweep
@@ -35,23 +34,6 @@
 
 namespace resilience::net {
 
-/// Accepting socket; accept-pump logic lives in the server (it owns the
-/// connection table the accepts go into).
-class Listener {
- public:
-  /// Binds and listens (throws std::runtime_error). Port 0 picks an
-  /// ephemeral port; port() reports the bound one.
-  Listener(const std::string& host, std::uint16_t port, int backlog = 128);
-
-  [[nodiscard]] int fd() const noexcept { return fd_.fd(); }
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
-  void close() { fd_.reset(); }
-
- private:
-  Fd fd_;
-  std::uint16_t port_ = 0;
-};
-
 class Connection {
  public:
   /// Outcome of the loop-thread read pump.
@@ -62,11 +44,8 @@ class Connection {
     kFramingError,  ///< oversized line — framer latched, drop after reply
   };
 
-  Connection(EventLoop& loop, Fd fd, std::uint64_t id,
-             std::size_t write_buffer_limit, std::size_t max_line_bytes);
-
-  [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
-  [[nodiscard]] int fd() const noexcept { return fd_.fd(); }
+  Connection(EventLoop& loop, Fd fd, std::size_t write_buffer_limit,
+             std::size_t max_line_bytes);
 
   // ------------------------------------------------------- loop thread --
 
@@ -133,7 +112,6 @@ class Connection {
 
   EventLoop& loop_;
   Fd fd_;
-  const std::uint64_t id_;
   const std::size_t write_buffer_limit_;
 
   // Read side (loop thread only).

@@ -9,17 +9,25 @@
 // the Connection layer does — so the loop performs one epoll_wait per
 // batch of ready fds instead of one per ready byte.
 //
+// The loop also owns time (run_at: one time-ordered map of tasks, the
+// earliest bounding epoll_wait) and the stop signal (interrupt: an
+// atomic flag plus a write to the same wake eventfd).
+//
 // Registration hazards are handled explicitly: each fd registration gets
 // a generation token carried in the epoll user data, so a handler that
 // closes fd A (kernel may recycle the number for a fresh accept in the
 // same batch) cannot have A's stale readiness delivered to the new
 // registration.
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "resilience/net/socket.hpp"
@@ -38,6 +46,9 @@ class EventLoop {
  public:
   using IoHandler = std::function<void(std::uint32_t events)>;
   using Task = std::function<void()>;
+  using Clock = std::chrono::steady_clock;
+  /// A run_at() task's time and a sequence number unique to the loop.
+  using TimerId = std::pair<Clock::time_point, std::uint64_t>;
 
   /// Throws std::runtime_error when epoll/eventfd creation fails (or on
   /// non-Linux platforms).
@@ -64,11 +75,20 @@ class EventLoop {
   /// the loop's drain point, never reentrantly).
   void post(Task task);
 
-  /// Runs `task` on the loop thread once the loop has polled again: after
-  /// the next epoll_wait, which then does not block, has dispatched every
-  /// fd ready by then. How a handler yields to the other sockets before
-  /// it continues its own work. Loop thread only.
-  void defer(Task task);
+  /// Runs `task` on the loop thread after the fd batch of the first
+  /// epoll_wait that returns once `when` has passed; due tasks run in
+  /// time order, ties in the order added. run_at(Clock::now(), task) is
+  /// how a handler yields to the other sockets before going on. Loop
+  /// thread only (or before run()).
+  TimerId run_at(Clock::time_point when, Task task);
+  /// Drops a pending run_at() task; a no-op once it ran.
+  void cancel(const TimerId& timer) { timers_.erase(timer); }
+
+  /// Sets the handler interrupt() runs on the loop thread, before run().
+  void on_interrupt(Task handler) { interrupt_handler_ = std::move(handler); }
+  /// Async-signal-safe, any thread: the loop runs the on_interrupt
+  /// handler once for every batch of interrupts it finds.
+  void interrupt() noexcept;
 
   /// Completed epoll_waits. A handler that sees this count change knows
   /// the loop has dispatched every ready fd since it last looked.
@@ -77,19 +97,18 @@ class EventLoop {
   /// True on the thread inside run().
   [[nodiscard]] bool in_loop_thread() const noexcept;
 
-  /// Runs until stop(). Dispatch order per iteration: ready fds, then
-  /// the tasks deferred before this iteration's epoll_wait, then the
+  /// Runs until stop(). Dispatch order per iteration: ready fds (and the
+  /// interrupt handler), then the due run_at() tasks, then the
   /// posted-task queue.
   void run();
   /// Makes run() return after the current iteration. Safe from any
   /// thread (it posts).
   void stop();
 
-  /// True while run() is executing on some thread.
-  [[nodiscard]] bool running() const noexcept { return running_; }
-
  private:
   void dispatch_ready(int timeout_ms);
+  [[nodiscard]] int wait_ms() const;
+  void run_due_timers();
   void drain_tasks();
 
   struct Registration {
@@ -106,8 +125,11 @@ class EventLoop {
   std::unordered_map<int, Registration> registrations_;
   std::uint32_t next_generation_ = 1;
   std::uint64_t polls_ = 0;
-  std::vector<Task> deferred_;  ///< run after the next epoll_wait
-  bool running_ = false;
+  std::map<TimerId, Task> timers_;  ///< run_at() tasks, earliest first
+  std::uint64_t next_timer_ = 1;
+  Clock::time_point polled_at_{};  ///< last wait's return, timers pending
+  Task interrupt_handler_;
+  std::atomic<bool> interrupted_{false};
   bool stop_requested_ = false;
 
   std::mutex task_mutex_;

@@ -12,9 +12,9 @@
 //     guaranteed eventual progress.
 //   * ChaosProxy — a TCP proxy applying an injector per connection:
 //     splits both directions at arbitrary byte boundaries, delays
-//     chunks, and kills connections mid-line (RST via SO_LINGER{1,0},
-//     or orderly FIN). Usable in-process by tests and as the
-//     sweep_chaosd binary for CI smoke runs.
+//     chunks, and kills connections mid-line with a TCP RST (an
+//     SO_LINGER{1,0} close: peers see ECONNRESET). Usable in-process
+//     by tests and as the sweep_chaosd binary for CI smoke runs.
 //
 // The injector sits BETWEEN the peers, so neither side's code is
 // instrumented: the daemon under test is the production daemon, and the
@@ -77,9 +77,6 @@ struct FaultProfile {
   /// spent, the network is "repaired" and a client that keeps retrying
   /// is guaranteed to finish.
   std::size_t kill_budget = 6;
-  /// Kill with a TCP RST (SO_LINGER{1,0} close — peers see ECONNRESET)
-  /// rather than an orderly FIN mid-line.
-  bool reset_on_kill = true;
 };
 
 /// A profile bound to a deterministic schedule: the per-chunk decision

@@ -25,9 +25,9 @@ namespace resilience::net {
 
 class HashRing {
  public:
-  /// `vnodes` positions per shard (more = smoother key spread and
-  /// smoother failover redistribution; cost is O(vnodes) per add).
-  explicit HashRing(std::size_t vnodes = 64);
+  /// Positions per shard (more = smoother key spread and smoother
+  /// failover redistribution; cost is O(kVnodes) per add).
+  static constexpr std::size_t kVnodes = 64;
 
   /// Adds a shard's vnodes (idempotent: re-adding a present shard is a
   /// no-op).
@@ -51,7 +51,6 @@ class HashRing {
     std::string shard;
   };
   std::vector<Point> points_;  ///< sorted by (position, shard)
-  std::size_t vnodes_;
   std::size_t shard_count_ = 0;
 };
 

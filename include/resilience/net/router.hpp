@@ -106,7 +106,6 @@ struct ShardConfig {
 
 struct RouterOptions {
   std::vector<ShardConfig> shards;
-  std::size_t ring_vnodes = 64;
   /// Bounds on each shard connection's connect and on each wait for the
   /// next bytes of a round's answers: busy shards that all stay silent
   /// this long are down (0 = the OS default / wait forever).

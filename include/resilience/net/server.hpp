@@ -27,30 +27,23 @@
 // hits cannot starve the other sockets. Servers built with a
 // session_factory (the router) never answer on the loop.
 //
-// Scheduling & overload control (PR 8): received request lines no longer
-// drain FIFO into the executor. Each scenario is *priced* at admission
-// (service::estimate_cost over the classified request — cache-aware
-// predicted compute units) and queued per connection; a start-time fair
-// queue picks the next request globally — the connection whose head
-// carries the smallest virtual start tag wins, earliest queue deadline
-// breaking ties — so cheap requests from other connections overtake a
-// heavy client's backlog while each connection's own responses still
-// answer strictly in its request order. Three shedding layers keep overload graceful:
-//   * admission control — when the waiting queue already holds
-//     max_queue_depth requests or max_queue_cost units, new scenario
-//     requests answer a located {"type":"error","code":"overloaded",
-//     "retry_after_ms":N} line (N from the EWMA queue drain rate) and
-//     never queue; an oversized request with an *empty* waiting queue is
-//     always admitted (it would never fit otherwise);
-//   * expired-in-queue — a request whose deadline passes while queued
-//     answers its located deadline error without ever occupying a
-//     worker;
-//   * ping/stats/invalid lines are always admitted at nominal cost —
-//     observability keeps working exactly when the server is busiest.
-// Requests the loop answers from memory are admitted, priced and charged
-// the same way; they only skip the wait for a free worker.
-// Every stage is measured: queue-wait / compute / write latency
-// histograms plus admitted/shed counters, via overload_stats[_json]().
+// Scheduling & overload control: every line is priced at admission
+// (service::estimate_cost: cache-aware predicted compute units) and
+// queued per connection; a net::FairScheduler (scheduler.hpp) sheds what
+// the waiting budget cannot take (a retriable "overloaded" error line)
+// and picks the next request by start-time fair queueing, so cheap
+// requests from other connections overtake a heavy client's backlog,
+// while each connection still answers in its request order. A request
+// whose deadline passes while queued answers its deadline error without
+// occupying a worker. Answers from memory are admitted and charged the
+// same way; they only skip the wait for a worker.
+//
+// Time and the stop signal belong to the event loop: queue deadlines,
+// the drain deadline and the accept retry are EventLoop::run_at tasks,
+// and stop() raises EventLoop::interrupt. A connection the server cannot
+// accept for want of descriptors (or kernel memory) stays queued in the
+// kernel, and the server accepts again 10 ms later, until the drain
+// closes the listener.
 //
 // Protocol = the stdin sweep_server protocol, byte for byte: both front
 // ends classify with the one request front and answer through
@@ -59,25 +52,23 @@
 // test_net, test_router's cross-front test and the CI net smoke).
 //
 // Lifecycle: construct (binds; port 0 = ephemeral, see port()), run()
-// on the serving thread, stop()/signal_stop() from anywhere — including
-// a signal handler — to begin a graceful drain: stop accepting, stop
+// on the serving thread, stop() from anywhere — including a signal
+// handler — to begin a graceful drain: stop accepting, stop
 // reading, finish every request already received, flush the responses,
 // then return from run(). Destroying the server (and its SweepService)
 // afterwards spills the cache to --cache-dir exactly like the stdin
 // server's shutdown.
 
-#include <array>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
 
+#include "resilience/net/scheduler.hpp"
 #include "resilience/service/line_session.hpp"
 #include "resilience/service/sweep_service.hpp"
-#include "resilience/util/json.hpp"
 
 namespace resilience::util {
 class ThreadPool;
@@ -94,71 +85,9 @@ namespace resilience::net {
 /// tables replay on a worker.
 inline constexpr std::size_t kMaxInlineCells = 256;
 
-/// Power-of-two-bucket latency histogram in microseconds: bucket i counts
-/// samples whose bit width is i (bucket 0: 0-1 us, bucket i: [2^(i-1),
-/// 2^i) us), plus exact count/total/max. Percentiles are approximate —
-/// the upper bound of the bucket holding the requested rank, clamped to
-/// the exact max — which is plenty for an overload dashboard and keeps
-/// recording O(1).
-struct LatencyHistogram {
-  std::array<std::uint64_t, 32> buckets{};
-  std::uint64_t count = 0;
-  std::uint64_t total_us = 0;
-  std::uint64_t max_us = 0;
-
-  void record(std::uint64_t us) noexcept {
-    const unsigned width = static_cast<unsigned>(std::bit_width(us));
-    buckets[width < buckets.size() ? width : buckets.size() - 1] += 1;
-    ++count;
-    total_us += us;
-    if (us > max_us) {
-      max_us = us;
-    }
-  }
-
-  /// Upper bound (us) of the bucket containing the p-quantile sample
-  /// (0 < p <= 1), never above max_us; 0 when empty.
-  [[nodiscard]] std::uint64_t approx_percentile_us(double p) const noexcept {
-    if (count == 0) {
-      return 0;
-    }
-    const double rank = p * static_cast<double>(count);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-      seen += buckets[i];
-      if (static_cast<double>(seen) >= rank) {
-        const std::uint64_t bound = i == 0 ? 1 : (std::uint64_t{1} << i) - 1;
-        return bound < max_us ? bound : max_us;
-      }
-    }
-    return max_us;
-  }
-};
-
-/// Scheduler/admission snapshot — the "transport" block of a daemon's
-/// {"type":"stats"} answer (see NetServer::overload_stats_json).
-struct OverloadStats {
-  std::uint64_t admitted = 0;       ///< scenario requests admitted
-  std::uint64_t shed_overload = 0;  ///< rejected at admission (retriable)
-  std::uint64_t shed_expired = 0;   ///< deadline expired while queued
-  /// Answered on the loop thread, never on a worker: memory-tier hits
-  /// (and sim.max_runs refusals, which need no compute either).
-  std::uint64_t served_inline = 0;
-  double queued_cost = 0.0;         ///< current waiting cost units
-  std::size_t queued_depth = 0;     ///< current waiting scenario requests
-  double drain_rate_units_per_ms = 0.0;  ///< EWMA completion rate
-  std::int64_t retry_after_ms = 0;  ///< hint a shed answered right now gets
-  /// The three stages also sample the requests the loop answers itself
-  /// (there, dispatch is the loop starting the answer).
-  LatencyHistogram queue_wait;      ///< admission -> worker dispatch
-  LatencyHistogram compute;         ///< worker dispatch -> response done
-  LatencyHistogram write;           ///< response done -> socket drained
-};
-
 struct NetServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = kernel-assigned; read back via port()
-  int backlog = 128;
   /// Accepted connections beyond this are answered with one error line
   /// and closed (0 = unlimited).
   std::size_t max_connections = 256;
@@ -235,11 +164,9 @@ class NetServer {
   /// owns the server (tests run it on a std::thread).
   void run();
 
-  /// Begins the graceful drain (idempotent, any thread).
-  void stop();
-  /// Async-signal-safe stop for SIGINT/SIGTERM handlers: one write(2) to
-  /// an eventfd, nothing else.
-  void signal_stop() noexcept;
+  /// Begins the graceful drain (idempotent, any thread). Async-signal-
+  /// safe, for SIGINT/SIGTERM handlers: EventLoop::interrupt.
+  void stop() noexcept;
 
   [[nodiscard]] std::uint16_t port() const noexcept;
   [[nodiscard]] service::SweepService& service() noexcept;
@@ -260,13 +187,9 @@ class NetServer {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// Scheduler/admission snapshot (thread-safe; callable from executor
-  /// threads — the stats request handler does).
+  /// Scheduler/admission snapshot (thread-safe); its JSON form is the
+  /// "transport" block of every stats answer.
   [[nodiscard]] OverloadStats overload_stats() const;
-  /// The same snapshot as the canonical "transport" JSON block:
-  /// {"scheduler":{counters...},"latency_us":{"queue_wait":{...},
-  /// "compute":{...},"write":{...}}}.
-  [[nodiscard]] util::JsonValue overload_stats_json() const;
 
  private:
   struct Impl;

@@ -60,11 +60,13 @@ IoStatus write_some(int fd, const char* data, std::size_t size,
 [[nodiscard]] Fd listen_tcp(const std::string& host, std::uint16_t port,
                             int backlog, std::uint16_t* bound_port);
 
-/// Accepts one pending connection as a non-blocking, close-on-exec fd.
-/// Returns an empty Fd when the queue is drained (EAGAIN) or on a
-/// transient per-connection error (ECONNABORTED and friends are skipped
-/// by the caller's accept loop, not fatal).
-[[nodiscard]] Fd accept_connection(int listen_fd);
+/// Accepts one pending connection as a non-blocking, close-on-exec fd,
+/// skipping those that failed before they were accepted (ECONNABORTED,
+/// EPROTO and the network errors accept(2) says to retry after). Returns
+/// an empty Fd when the queue is drained, or with `*exhausted` set when
+/// the process is out of descriptors or the kernel out of memory
+/// (EMFILE, ENFILE, ENOBUFS, ENOMEM: the connection stays queued).
+[[nodiscard]] Fd accept_connection(int listen_fd, bool* exhausted = nullptr);
 
 /// Blocking TCP connect for the client side; throws std::runtime_error
 /// on failure. TCP_NODELAY is set (request/response lines are tiny and

@@ -53,7 +53,6 @@
 namespace resilience::service {
 
 struct JsonlSessionOptions {
-  bool stream = true;    ///< emit cell lines (done/error always emit)
   bool collect = false;  ///< keep streamed cells for the outcome hook
   /// Deadline applied to requests that carry none of their own
   /// ("deadline_ms" absent or 0); 0 = unbounded. A request's explicit

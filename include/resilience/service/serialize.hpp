@@ -110,7 +110,7 @@ template <class Table = core::SweepTable>
 /// passes its ServiceStats blocks plus the admission-time "cost", the
 /// router its merged {"shards": [...]} block. stats_line's optional
 /// `transport` appends a transport-layer block (scheduler counters +
-/// latency histograms — see NetServer::overload_stats_json) after the
+/// latency histograms — see FairScheduler::stats_json) after the
 /// service/cache blocks. Both are opt-in so the stdin path's bytes are
 /// untouched.
 template <class Cell>

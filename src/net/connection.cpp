@@ -4,16 +4,10 @@
 
 namespace resilience::net {
 
-Listener::Listener(const std::string& host, std::uint16_t port, int backlog) {
-  fd_ = listen_tcp(host, port, backlog, &port_);
-}
-
-Connection::Connection(EventLoop& loop, Fd fd, std::uint64_t id,
-                       std::size_t write_buffer_limit,
+Connection::Connection(EventLoop& loop, Fd fd, std::size_t write_buffer_limit,
                        std::size_t max_line_bytes)
     : loop_(loop),
       fd_(std::move(fd)),
-      id_(id),
       write_buffer_limit_(write_buffer_limit),
       framer_(max_line_bytes) {}
 

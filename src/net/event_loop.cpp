@@ -1,6 +1,8 @@
 #include "resilience/net/event_loop.hpp"
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -24,6 +26,34 @@ bool EventLoop::in_loop_thread() const noexcept {
   return t_running_loop == this;
 }
 
+EventLoop::TimerId EventLoop::run_at(Clock::time_point when, Task task) {
+  const TimerId timer{when, next_timer_++};
+  timers_.emplace(timer, std::move(task));
+  return timer;
+}
+
+/// epoll_wait's timeout: none without a run_at() task, else the time to
+/// the earliest, rounded up: a wake before it is due would find nothing
+/// to run and wait again for the sub-millisecond rest, a spin.
+int EventLoop::wait_ms() const {
+  if (timers_.empty()) {
+    return -1;
+  }
+  const auto ms = std::chrono::ceil<std::chrono::milliseconds>(
+                      timers_.begin()->first.first - Clock::now())
+                      .count();
+  return static_cast<int>(std::clamp<std::int64_t>(ms, 0, INT_MAX));
+}
+
+void EventLoop::run_due_timers() {
+  // One at a time: a task may cancel, or add, the ones after it.
+  while (!timers_.empty() && timers_.begin()->first.first <= polled_at_) {
+    const Task task = std::move(timers_.begin()->second);
+    timers_.erase(timers_.begin());
+    task();
+  }
+}
+
 #if defined(__linux__)
 
 namespace {
@@ -45,6 +75,14 @@ std::uint32_t epoll_mask(std::uint32_t events) {
   }
   // EPOLLERR/EPOLLHUP are always reported; no need to request them.
   return mask;
+}
+
+/// One eventfd increment, async-signal-safe. EAGAIN means the counter
+/// is already nonzero: the loop is waking anyway.
+void signal_eventfd(int fd) noexcept {
+  const std::uint64_t one = 1;
+  while (::write(fd, &one, sizeof(one)) == -1 && errno == EINTR) {
+  }
 }
 
 }  // namespace
@@ -114,16 +152,14 @@ void EventLoop::post(Task task) {
     wake_armed_ = true;
   }
   if (need_wake) {
-    const std::uint64_t one = 1;
-    ssize_t rc;
-    do {
-      rc = ::write(wake_.fd(), &one, sizeof(one));
-    } while (rc == -1 && errno == EINTR);
-    // EAGAIN means the counter is already nonzero: the loop is waking.
+    signal_eventfd(wake_.fd());
   }
 }
 
-void EventLoop::defer(Task task) { deferred_.push_back(std::move(task)); }
+void EventLoop::interrupt() noexcept {
+  interrupted_.store(true, std::memory_order_release);
+  signal_eventfd(wake_.fd());
+}
 
 void EventLoop::stop() {
   post([this] { stop_requested_ = true; });
@@ -153,12 +189,23 @@ void EventLoop::dispatch_ready(int timeout_ms) {
                              std::strerror(errno));
   }
   ++polls_;
+  // Only what was due when the wait returned runs after this batch: a
+  // task the batch adds for now waits for the next epoll_wait.
+  if (!timers_.empty()) {
+    polled_at_ = Clock::now();
+  }
   for (int i = 0; i < count; ++i) {
     const int fd = static_cast<int>(events[i].data.u64 >> 32);
     const auto generation = static_cast<std::uint32_t>(events[i].data.u64);
     if (fd == wake_.fd()) {
       std::uint64_t value = 0;
       while (::read(wake_.fd(), &value, sizeof(value)) > 0) {
+      }
+      // Checked after the drain: an interrupt raised after this check
+      // writes the eventfd again, so the next epoll_wait reports it.
+      if (interrupted_.exchange(false, std::memory_order_acq_rel) &&
+          interrupt_handler_) {
+        interrupt_handler_();
       }
       continue;  // tasks drain after the fd batch
     }
@@ -187,18 +234,12 @@ void EventLoop::dispatch_ready(int timeout_ms) {
 
 void EventLoop::run() {
   t_running_loop = this;
-  running_ = true;
   stop_requested_ = false;
   while (!stop_requested_) {
-    std::vector<Task> deferred;
-    deferred.swap(deferred_);
-    dispatch_ready(/*timeout_ms=*/deferred.empty() ? -1 : 0);
-    for (Task& task : deferred) {
-      task();
-    }
+    dispatch_ready(wait_ms());
+    run_due_timers();
     drain_tasks();
   }
-  running_ = false;
   t_running_loop = nullptr;
 }
 
@@ -213,7 +254,7 @@ void EventLoop::add_fd(int, std::uint32_t, IoHandler) {}
 void EventLoop::modify_fd(int, std::uint32_t) {}
 void EventLoop::remove_fd(int) {}
 void EventLoop::post(Task) {}
-void EventLoop::defer(Task) {}
+void EventLoop::interrupt() noexcept {}
 void EventLoop::run() {}
 void EventLoop::stop() {}
 void EventLoop::dispatch_ready(int) {}

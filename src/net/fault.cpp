@@ -204,11 +204,9 @@ void ChaosProxy::serve_connection(Fd client, std::uint64_t connection_index) {
       }
       if (flow.injector.should_kill()) {
         kills_.fetch_add(1, std::memory_order_relaxed);
-        if (options_.profile.reset_on_kill) {
-          // Abort rather than close: the client must see ECONNRESET (a
-          // crashed server), not a tidy EOF.
-          set_linger_reset(client.fd());
-        }
+        // Abort rather than close: the client must see ECONNRESET (a
+        // crashed server), not a tidy EOF.
+        set_linger_reset(client.fd());
         return false;
       }
       const std::size_t len =

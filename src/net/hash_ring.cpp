@@ -25,15 +25,13 @@ std::uint64_t shard_seed(const std::string& shard_id) {
 
 }  // namespace
 
-HashRing::HashRing(std::size_t vnodes) : vnodes_(vnodes == 0 ? 1 : vnodes) {}
-
 void HashRing::add(const std::string& shard_id) {
   if (contains(shard_id)) {
     return;
   }
   const std::uint64_t seed = shard_seed(shard_id);
-  points_.reserve(points_.size() + vnodes_);
-  for (std::size_t v = 0; v < vnodes_; ++v) {
+  points_.reserve(points_.size() + kVnodes);
+  for (std::size_t v = 0; v < kVnodes; ++v) {
     points_.push_back(Point{mix64(seed + v), shard_id});
   }
   std::sort(points_.begin(), points_.end(), [](const Point& a, const Point& b) {

@@ -378,7 +378,7 @@ void dispatch(ShardFleet& fleet, const service::ResolvedRequest& request,
 // ============================================================ ShardFleet ==
 
 ShardFleet::ShardFleet(RouterOptions options)
-    : options_(std::move(options)), ring_(options_.ring_vnodes) {
+    : options_(std::move(options)) {
   shards_.reserve(options_.shards.size());
   for (ShardConfig config : options_.shards) {
     if (config.id.empty()) {

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -19,18 +18,17 @@
 #include "resilience/service/jsonl_session.hpp"
 #include "resilience/util/thread_pool.hpp"
 
-#if defined(__linux__)
-#include <cerrno>
-#include <sys/eventfd.h>
-#include <sys/timerfd.h>
-#include <unistd.h>
-#endif
-
 namespace resilience::net {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr int kListenBacklog = 128;  ///< listen(2): completed, unaccepted
+
+/// The wait before accepting again once out of descriptors: the pending
+/// connection stays queued, and an edge-triggered listener is silent.
+constexpr std::chrono::milliseconds kAcceptRetry{10};
 
 std::size_t resolve_workers(std::size_t requested) {
   if (requested > 0) {
@@ -38,33 +36,6 @@ std::size_t resolve_workers(std::size_t requested) {
   }
   const std::size_t hw = std::thread::hardware_concurrency();
   return std::clamp<std::size_t>(hw, 2, 8);
-}
-
-/// Fair-share charge for request lines that are not scenario requests
-/// (ping, stats, malformed JSON): they answer in microseconds, are never
-/// shed, and must barely advance their connection's finish tag.
-constexpr double kNonScenarioCost = 1.0 / 64.0;
-/// Floor for a scenario charge so fully-warm requests still advance the
-/// virtual clock.
-constexpr double kMinScenarioCost = 1.0 / 1024.0;
-
-std::uint64_t elapsed_us(Clock::time_point from, Clock::time_point to) {
-  if (to <= from) {
-    return 0;
-  }
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
-          .count());
-}
-
-util::JsonValue histogram_json(const LatencyHistogram& histogram) {
-  util::JsonValue out = util::JsonValue::object();
-  out.set("count", histogram.count);
-  out.set("total_us", histogram.total_us);
-  out.set("max_us", histogram.max_us);
-  out.set("p50_us", histogram.approx_percentile_us(0.5));
-  out.set("p99_us", histogram.approx_percentile_us(0.99));
-  return out;
 }
 
 }  // namespace
@@ -77,7 +48,6 @@ struct NetServer::Impl {
   /// out strictly in request order even though different connections run
   /// on different executor threads.
   struct Conn {
-    std::uint64_t id = 0;
     std::shared_ptr<Connection> socket;
     std::shared_ptr<std::atomic<bool>> cancel;
     std::unique_ptr<service::LineSession> session;
@@ -95,31 +65,21 @@ struct NetServer::Impl {
       /// Pre-formatted answer the loop thread sends itself (a framing
       /// error or an admission shed); such an item never reaches a worker.
       std::string answer;
-      double cost = 0.0;       ///< predicted compute units (charge)
       /// An admitted scenario small enough for the loop to replay: it
       /// tries the memory tier once, at the head of the backlog.
       bool replayable = false;
-      double start_tag = 0.0;  ///< fair-queue virtual start time
-      int deadline_ms = 0;     ///< resolved deadline (0 = none)
-      bool has_queue_deadline = false;
-      Clock::time_point enqueued{};
-      Clock::time_point queue_deadline{};
-
-      /// An admitted scenario request (charged to the waiting budget).
-      [[nodiscard]] bool scenario() const noexcept {
-        return request.kind == service::RequestLine::Kind::kScenario;
-      }
+      FairScheduler::Ticket ticket;  ///< charge, tags and queue deadline
+      /// The run_at() task that dispatches when the queue deadline
+      /// passes; cancelled once the item leaves the backlog.
+      EventLoop::TimerId expiry{};
     };
     std::deque<Item> backlog;
     std::size_t backlog_bytes = 0;  ///< request text queued, not executing
     bool executing = false;
     bool input_closed = false;  ///< peer EOF / framing error / draining
     bool read_hold = false;     ///< paused for pipeline depth or drain
-    // ---- scheduler state ----
     std::uint64_t lines_received = 0;  ///< numbers default "line-N" ids
-    double finish_tag = 0.0;    ///< virtual finish time of last admission
-    double executing_cost = 0.0;  ///< charge of the executing scenario, else 0
-    Clock::time_point exec_start{};
+    FairScheduler::Flow flow;  ///< fair-queue tags, the running request
     bool write_pending = false;  ///< measuring done -> socket drained
     Clock::time_point write_start{};
   };
@@ -128,19 +88,9 @@ struct NetServer::Impl {
   explicit Impl(NetServerOptions opts)
       : options(std::move(opts)),
         service(options.service),
-        listener(options.host, options.port, options.backlog) {
-#if defined(__linux__)
-    stop_event = Fd(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
-    if (!stop_event.valid()) {
-      throw std::runtime_error("net: eventfd(stop) failed");
-    }
-    loop.add_fd(stop_event.fd(), IoEvents::kRead, [this](std::uint32_t) {
-      std::uint64_t value = 0;
-      while (::read(stop_event.fd(), &value, sizeof(value)) > 0) {
-      }
-      begin_drain();
-    });
-#endif
+        scheduler(options.max_queue_cost, options.max_queue_depth) {
+    listener = listen_tcp(options.host, options.port, kListenBacklog, &port);
+    loop.on_interrupt([this] { begin_drain(); });
     loop.add_fd(listener.fd(), IoEvents::kRead,
                 [this](std::uint32_t) { on_accept(); });
     worker_count = resolve_workers(options.request_workers);
@@ -151,9 +101,17 @@ struct NetServer::Impl {
 
   void on_accept() {
     for (;;) {
-      Fd fd = accept_connection(listener.fd());
+      bool exhausted = false;
+      Fd fd = accept_connection(listener.fd(), &exhausted);
       if (!fd.valid()) {
-        return;  // queue drained (or the connection evaporated)
+        if (exhausted) {
+          // The latest failed attempt schedules the next; the drain
+          // cancels it when it closes the listener.
+          loop.cancel(accept_retry);
+          accept_retry = loop.run_at(Clock::now() + kAcceptRetry,
+                                     [this] { on_accept(); });
+        }
+        return;  // queue drained (or the listener failed)
       }
       if (options.max_connections != 0 &&
           connections.size() >= options.max_connections) {
@@ -178,10 +136,10 @@ struct NetServer::Impl {
       const std::uint64_t id = next_id++;
 
       auto conn = std::make_shared<Conn>();
-      conn->id = id;
+      conn->flow.id = id;
       conn->cancel = std::make_shared<std::atomic<bool>>(false);
       conn->socket = std::make_shared<Connection>(
-          loop, std::move(fd), id, options.write_buffer_limit,
+          loop, std::move(fd), options.write_buffer_limit,
           options.max_line_bytes);
       // The session emit path runs on executor threads (and on the loop
       // for answers from memory): enqueue into the bounded
@@ -200,8 +158,6 @@ struct NetServer::Impl {
         conn->session = options.session_factory(std::move(emit), cancel);
       } else {
         service::JsonlSession::Options session_options;
-        session_options.stream = true;
-        session_options.collect = false;
         session_options.default_deadline_ms = options.default_deadline_ms;
         session_options.sim_max_runs = options.sim_max_runs;
         auto session = std::make_unique<service::JsonlSession>(
@@ -213,9 +169,8 @@ struct NetServer::Impl {
       }
       // Every daemon's stats answers carry its scheduler snapshot; the
       // stdin path never sets this, so its bytes are unchanged.
-      conn->session->set_transport_stats([this] {
-        return overload_stats_json();
-      });
+      conn->session->set_transport_stats(
+          [this] { return scheduler.stats_json(); });
       conn->socket->set_wake([this, id] {
         loop.post([this, id] { on_wake(id); });
       });
@@ -230,6 +185,17 @@ struct NetServer::Impl {
   ConnPtr find(std::uint64_t id) {
     const auto it = connections.find(id);
     return it == connections.end() ? nullptr : it->second;
+  }
+
+  /// The open connections, copied: closing one mid-iteration (a flush
+  /// failure, the drain) mutates `connections`.
+  [[nodiscard]] std::vector<ConnPtr> snapshot() const {
+    std::vector<ConnPtr> open;
+    open.reserve(connections.size());
+    for (const auto& [id, conn] : connections) {
+      open.push_back(conn);
+    }
+    return open;
   }
 
   void on_event(std::uint64_t id, std::uint32_t events) {
@@ -357,95 +323,43 @@ struct NetServer::Impl {
     }
     Conn::Item item;
     item.bytes = line.size();
-    item.enqueued = Clock::now();
-    const bool scenario =
-        request.kind == service::RequestLine::Kind::kScenario;
-    const service::CostEstimate estimate =
-        scenario ? service::estimate_cost(request.scenario, &service)
-                 : service::CostEstimate{};
-    item.cost = scenario ? std::max(estimate.units, kMinScenarioCost)
-                         : kNonScenarioCost;
-    if (scenario && should_shed(item.cost)) {
-      std::int64_t retry_after = 0;
-      {
-        const std::lock_guard<std::mutex> lock(ostats_mutex);
-        ++ostats.shed_overload;
-        retry_after = retry_after_ms_locked();
-      }
-      item.answer =
-          service::overloaded_line(request.scenario.request.id, retry_after);
+    const Clock::time_point now = Clock::now();
+    if (request.kind != service::RequestLine::Kind::kScenario) {
+      item.ticket = scheduler.admit_line(conn->flow, now);
     } else {
-      // Admitted: charge the waiting budget and stamp the fair-queue
-      // tag. Start-time fair queueing: the tag is where the global
-      // virtual clock will be once every byte this connection admitted
-      // before has had its fair share — so one connection's deep
-      // backlog pushes its OWN later requests back, never another
-      // connection's.
-      item.start_tag = std::max(virtual_time, conn->finish_tag);
-      conn->finish_tag = item.start_tag + item.cost;
-      if (scenario) {
-        {
-          const std::lock_guard<std::mutex> lock(ostats_mutex);
-          ++ostats.admitted;
-          ostats.queued_cost += item.cost;
-          ++ostats.queued_depth;
-        }
-        item.deadline_ms = request.scenario.request.deadline_ms > 0
-                               ? request.scenario.request.deadline_ms
-                               : options.default_deadline_ms;
+      const service::CostEstimate estimate =
+          service::estimate_cost(request.scenario, &service);
+      const int deadline_ms = request.scenario.request.deadline_ms > 0
+                                  ? request.scenario.request.deadline_ms
+                                  : options.default_deadline_ms;
+      const std::optional<FairScheduler::Ticket> ticket =
+          scheduler.admit_scenario(conn->flow, estimate.units, deadline_ms,
+                                   now);
+      if (!ticket) {
+        item.answer = service::overloaded_line(
+            request.scenario.request.id, scheduler.stats().retry_after_ms);
+      } else {
+        item.ticket = *ticket;
         item.replayable =
             conn->replayer != nullptr && estimate.cells <= kMaxInlineCells;
         // Parked until a worker takes it: its resolved points count
         // toward the read-pause bound with its text.
         item.bytes += request.scenario.resolved_bytes();
-        if (item.deadline_ms > 0) {
-          item.has_queue_deadline = true;
-          item.queue_deadline =
-              item.enqueued + std::chrono::milliseconds(item.deadline_ms);
-          arm_sched_timer(item.queue_deadline);
+        if (item.ticket.has_deadline()) {
+          // Expired heads answer when the deadline passes, not on the
+          // next socket event. Items behind an in-flight request still
+          // wait their turn: per-connection response order is absolute.
+          item.expiry = loop.run_at(item.ticket.deadline(),
+                                    [this] { dispatch_all(); });
         }
       }
-      item.request = std::move(request);
     }
+    item.request = std::move(request);
     conn->backlog_bytes += item.bytes;
     conn->backlog.push_back(std::move(item));
   }
 
-  [[nodiscard]] bool should_shed(double cost) const {
-    if (options.max_queue_depth != 0 &&
-        ostats.queued_depth >= options.max_queue_depth) {
-      return true;
-    }
-    // The non-empty-queue condition keeps oversized singletons servable:
-    // a request bigger than the whole budget admits when nothing else
-    // waits (shedding it forever would make the budget a size limit, not
-    // an overload control).
-    return options.max_queue_cost > 0.0 && ostats.queued_depth > 0 &&
-           ostats.queued_cost + cost > options.max_queue_cost;
-  }
-
-  /// Retry hint from the EWMA drain rate: how long until the work ahead
-  /// of a newly shed request (waiting + executing units) has drained.
-  /// Requires ostats_mutex.
-  [[nodiscard]] std::int64_t retry_after_ms_locked() const {
-    const double backlog_units = ostats.queued_cost + executing_units;
-    std::int64_t hint = 1000;  // no completions yet: a round second
-    if (ostats.drain_rate_units_per_ms > 1e-9) {
-      hint = static_cast<std::int64_t>(
-          std::llround(backlog_units / ostats.drain_rate_units_per_ms));
-    }
-    return std::clamp<std::int64_t>(hint, 1, 60000);
-  }
-
-  void discharge(const Conn::Item& item) {
-    const std::lock_guard<std::mutex> lock(ostats_mutex);
-    ostats.queued_cost = std::max(0.0, ostats.queued_cost - item.cost);
-    if (ostats.queued_depth > 0) {
-      --ostats.queued_depth;
-    }
-  }
-
-  // -------------------------------------------------------- scheduler --
+  // --------------------------------------------------------- dispatch --
 
   /// Answers every head item of `conn` that needs no worker — deferred
   /// framing errors, admission sheds, queue-deadline expiries, and
@@ -459,17 +373,13 @@ struct NetServer::Impl {
     while (!conn->executing && !conn->socket->closed() &&
            !conn->backlog.empty()) {
       Conn::Item& head = conn->backlog.front();
-      if (head.has_queue_deadline && Clock::now() >= head.queue_deadline) {
+      if (head.ticket.has_deadline() &&
+          scheduler.expire(head.ticket, Clock::now())) {
         // Expired while queued: answer the located deadline error right
         // here — the request never touches a worker.
-        discharge(head);
-        {
-          const std::lock_guard<std::mutex> lock(ostats_mutex);
-          ++ostats.shed_expired;
-        }
         head.answer = service::error_line(
             head.request.scenario.request.id, "deadline_ms",
-            "deadline of " + std::to_string(head.deadline_ms) +
+            "deadline of " + std::to_string(head.ticket.deadline_ms) +
                 " ms expired while the request was queued");
       }
       if (!head.answer.empty()) {
@@ -508,8 +418,7 @@ struct NetServer::Impl {
     begin_request(conn, pop_head(conn), start);
     end_request(conn, Clock::now());
     conn->replay_poll = loop.polls();
-    const std::lock_guard<std::mutex> lock(ostats_mutex);
-    ++ostats.served_inline;
+    scheduler.count_served_inline();
     return true;
   }
 
@@ -518,7 +427,7 @@ struct NetServer::Impl {
   void resume_after_poll() {
     if (!resume_pending) {
       resume_pending = true;
-      loop.defer([this] {
+      loop.run_at(Clock::now(), [this] {
         resume_pending = false;
         dispatch_all();
       });
@@ -526,14 +435,16 @@ struct NetServer::Impl {
   }
 
   /// Removes and returns the head item, releasing its bytes from the
-  /// read-pause accounting. The pause lifts here, where bytes leave the
-  /// backlog — to a worker or as an inline answer (shed, queue expiry,
-  /// answer from memory) — once it is under the resume watermark; epoll
-  /// then reports a socket that is already readable.
+  /// read-pause accounting and its queue-deadline timer. The pause lifts
+  /// here, where bytes leave the backlog — to a worker or as an inline
+  /// answer (shed, queue expiry, answer from memory) — once it is under
+  /// the resume watermark; epoll then reports a socket that is already
+  /// readable.
   Conn::Item pop_head(const ConnPtr& conn) {
     conn->backlog_bytes -= conn->backlog.front().bytes;
     Conn::Item item = std::move(conn->backlog.front());
     conn->backlog.pop_front();
+    loop.cancel(item.expiry);
     if (conn->read_hold && !draining && !conn->input_closed &&
         backlog_under_resume_watermark(conn)) {
       conn->read_hold = false;
@@ -543,10 +454,9 @@ struct NetServer::Impl {
   }
 
   /// The global dispatch pass: advances every connection's inline items,
-  /// then fills free worker slots with the fairest runnable heads —
-  /// smallest virtual start tag first, earliest queue deadline breaking
-  /// ties, connection id as the final deterministic tie-break. Re-entrant
-  /// calls (via flush_conn -> pump) fold into the outer pass.
+  /// then fills free worker slots with the fairest runnable heads
+  /// (FairScheduler::before). Re-entrant calls (via flush_conn -> pump)
+  /// fold into the outer pass.
   void dispatch_all() {
     if (in_dispatch) {
       dispatch_again = true;
@@ -562,17 +472,12 @@ struct NetServer::Impl {
 
   void dispatch_pass() {
     for (;;) {
-      // Snapshot: advance_conn can close connections (flush failures),
-      // which mutates `connections` mid-iteration.
-      std::vector<ConnPtr> snapshot;
-      snapshot.reserve(connections.size());
-      for (const auto& [id, conn] : connections) {
-        snapshot.push_back(conn);
-      }
       ConnPtr best;
-      for (const ConnPtr& conn : snapshot) {
+      for (const ConnPtr& conn : snapshot()) {
         if (advance_conn(conn) &&
-            (best == nullptr || head_before(conn, best))) {
+            (best == nullptr ||
+             FairScheduler::before(conn->backlog.front().ticket,
+                                   best->backlog.front().ticket))) {
           best = conn;
         }
       }
@@ -581,21 +486,6 @@ struct NetServer::Impl {
       }
       start_item(best);
     }
-  }
-
-  [[nodiscard]] static bool head_before(const ConnPtr& a, const ConnPtr& b) {
-    const Conn::Item& ha = a->backlog.front();
-    const Conn::Item& hb = b->backlog.front();
-    if (ha.start_tag != hb.start_tag) {
-      return ha.start_tag < hb.start_tag;
-    }
-    if (ha.has_queue_deadline != hb.has_queue_deadline) {
-      return ha.has_queue_deadline;  // a stated deadline outranks none
-    }
-    if (ha.has_queue_deadline && ha.queue_deadline != hb.queue_deadline) {
-      return ha.queue_deadline < hb.queue_deadline;
-    }
-    return a->id < b->id;
   }
 
   void start_item(const ConnPtr& conn) {
@@ -609,25 +499,11 @@ struct NetServer::Impl {
     });
   }
 
-  /// The scheduler's side of a request starting at `now`, on a worker or
-  /// on the loop: the fair-queue clock, the waiting budget, the
-  /// queue-wait sample.
+  /// A request starting at `now`, on a worker or on the loop.
   void begin_request(const ConnPtr& conn, const Conn::Item& item,
                      Clock::time_point now) {
-    virtual_time = std::max(virtual_time, item.start_tag);
-    if (item.scenario()) {
-      discharge(item);
-    }
-    {
-      const std::lock_guard<std::mutex> lock(ostats_mutex);
-      ostats.queue_wait.record(elapsed_us(item.enqueued, now));
-      if (item.scenario()) {
-        executing_units += item.cost;
-      }
-    }
+    scheduler.start(conn->flow, item.ticket, now);
     conn->executing = true;
-    conn->executing_cost = item.scenario() ? item.cost : 0.0;
-    conn->exec_start = now;
     requests_started.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -649,124 +525,13 @@ struct NetServer::Impl {
     check_drain();
   }
 
-  /// Ends the executing request of `conn` at `now`: the compute sample,
-  /// the drain-rate EWMA and the start of the write stage.
+  /// Ends the executing request of `conn` at `now`, which starts its
+  /// write stage.
   void end_request(const ConnPtr& conn, Clock::time_point now) {
     conn->executing = false;
-    {
-      const std::lock_guard<std::mutex> lock(ostats_mutex);
-      ostats.compute.record(elapsed_us(conn->exec_start, now));
-      if (conn->executing_cost > 0.0) {
-        executing_units = std::max(0.0, executing_units - conn->executing_cost);
-        // EWMA drain rate in units/ms, sampled per completion over the
-        // wall time since the previous one (first sample: this request's
-        // own compute time). Overload arithmetic only — never results.
-        const Clock::time_point since =
-            last_completion == Clock::time_point{} ? conn->exec_start
-                                                   : last_completion;
-        const double dt_ms = std::max(
-            static_cast<double>(elapsed_us(since, now)) / 1000.0, 0.01);
-        const double instant = conn->executing_cost / dt_ms;
-        ostats.drain_rate_units_per_ms =
-            ostats.drain_rate_units_per_ms <= 0.0
-                ? instant
-                : 0.2 * instant + 0.8 * ostats.drain_rate_units_per_ms;
-        last_completion = now;
-      }
-    }
-    conn->executing_cost = 0.0;
+    scheduler.finish(conn->flow, now);
     conn->write_pending = true;
     conn->write_start = now;
-  }
-
-  // ------------------------------------------------- queue-expiry timer --
-
-  /// One timer covers the earliest queue deadline among admitted items:
-  /// when it fires, expired heads answer promptly instead of waiting for
-  /// the next socket event. Items behind an in-flight request still wait
-  /// their turn — per-connection response order is absolute.
-  void arm_sched_timer(Clock::time_point deadline) {
-#if defined(__linux__)
-    if (sched_timer_armed && sched_timer_deadline <= deadline) {
-      return;
-    }
-    if (!sched_timer.valid()) {
-      sched_timer =
-          Fd(::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC));
-      if (!sched_timer.valid()) {
-        return;  // best-effort: expiry then happens on the next event
-      }
-      loop.add_fd(sched_timer.fd(), IoEvents::kRead, [this](std::uint32_t) {
-        std::uint64_t expirations = 0;
-        while (::read(sched_timer.fd(), &expirations, sizeof(expirations)) >
-               0) {
-        }
-        sched_timer_armed = false;
-        on_sched_timer();
-      });
-    }
-    const auto delta = deadline - Clock::now();
-    const auto ns = std::max<std::int64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(delta).count(),
-        1000000);  // >= 1 ms; 0 would disarm the timer
-    itimerspec spec{};
-    spec.it_value.tv_sec = ns / 1000000000;
-    spec.it_value.tv_nsec = static_cast<long>(ns % 1000000000);
-    if (::timerfd_settime(sched_timer.fd(), 0, &spec, nullptr) == 0) {
-      sched_timer_armed = true;
-      sched_timer_deadline = deadline;
-    }
-#else
-    (void)deadline;
-#endif
-  }
-
-  void on_sched_timer() {
-    dispatch_all();
-    // Re-arm for the earliest deadline still queued.
-    Clock::time_point earliest{};
-    bool found = false;
-    for (const auto& [id, conn] : connections) {
-      for (const Conn::Item& item : conn->backlog) {
-        if (item.has_queue_deadline &&
-            (!found || item.queue_deadline < earliest)) {
-          earliest = item.queue_deadline;
-          found = true;
-        }
-      }
-    }
-    if (found) {
-      arm_sched_timer(earliest);
-    }
-  }
-
-  [[nodiscard]] OverloadStats overload_stats() const {
-    const std::lock_guard<std::mutex> lock(ostats_mutex);
-    OverloadStats snapshot = ostats;
-    snapshot.retry_after_ms = retry_after_ms_locked();
-    return snapshot;
-  }
-
-  util::JsonValue overload_stats_json() const {
-    const OverloadStats snapshot = overload_stats();
-    util::JsonValue scheduler = util::JsonValue::object();
-    scheduler.set("admitted", snapshot.admitted);
-    scheduler.set("shed_overload", snapshot.shed_overload);
-    scheduler.set("shed_expired", snapshot.shed_expired);
-    scheduler.set("served_inline", snapshot.served_inline);
-    scheduler.set("queued_cost", snapshot.queued_cost);
-    scheduler.set("queued_depth", snapshot.queued_depth);
-    scheduler.set("drain_rate_units_per_ms",
-                  snapshot.drain_rate_units_per_ms);
-    scheduler.set("retry_after_ms", snapshot.retry_after_ms);
-    util::JsonValue latency = util::JsonValue::object();
-    latency.set("queue_wait", histogram_json(snapshot.queue_wait));
-    latency.set("compute", histogram_json(snapshot.compute));
-    latency.set("write", histogram_json(snapshot.write));
-    util::JsonValue out = util::JsonValue::object();
-    out.set("scheduler", std::move(scheduler));
-    out.set("latency_us", std::move(latency));
-    return out;
   }
 
   // ------------------------------------------------------- write drain --
@@ -790,8 +555,7 @@ struct NetServer::Impl {
       // The response that finished last on this connection has fully
       // reached the kernel: close the write-stage measurement.
       conn->write_pending = false;
-      const std::lock_guard<std::mutex> lock(ostats_mutex);
-      ostats.write.record(elapsed_us(conn->write_start, Clock::now()));
+      scheduler.record_write(conn->write_start, Clock::now());
     }
     if (paused_before && !conn->socket->reading_paused() &&
         !conn->input_closed) {
@@ -818,13 +582,12 @@ struct NetServer::Impl {
     // Queued admissions die with the connection: refund their charge, or
     // the waiting budget would leak and eventually shed everything.
     for (const Conn::Item& item : conn->backlog) {
-      if (item.scenario()) {
-        discharge(item);
-      }
+      scheduler.withdraw(item.ticket);
+      loop.cancel(item.expiry);
     }
     conn->backlog.clear();
     conn->backlog_bytes = 0;
-    connections.erase(conn->id);
+    connections.erase(conn->flow.id);
     check_drain();
   }
 
@@ -847,73 +610,37 @@ struct NetServer::Impl {
     }
     draining = true;
     loop.remove_fd(listener.fd());
-    listener.close();
-    std::vector<ConnPtr> snapshot;
-    snapshot.reserve(connections.size());
-    for (const auto& [id, conn] : connections) {
-      snapshot.push_back(conn);
-    }
-    for (const ConnPtr& conn : snapshot) {
+    listener.reset();
+    loop.cancel(accept_retry);
+    const std::vector<ConnPtr> open = snapshot();
+    for (const ConnPtr& conn : open) {
       conn->input_closed = true;  // already-received requests still run
       conn->socket->set_read_hold(true);
     }
     dispatch_all();
-    for (const ConnPtr& conn : snapshot) {
+    for (const ConnPtr& conn : open) {
       maybe_finish(conn);
     }
-    arm_drain_timer();
+    if (options.drain_timeout_ms > 0) {
+      const auto deadline = std::chrono::milliseconds(options.drain_timeout_ms);
+      loop.run_at(Clock::now() + deadline, [this] {
+        std::fprintf(stderr,
+                     "net: drain deadline (%d ms) reached with %zu "
+                     "connection(s) busy; force-closing\n",
+                     options.drain_timeout_ms, connections.size());
+        for (const ConnPtr& conn : snapshot()) {
+          close_conn(conn);
+        }
+        loop.stop();
+      });
+    }
     check_drain();
-  }
-
-  void arm_drain_timer() {
-#if defined(__linux__)
-    if (options.drain_timeout_ms <= 0) {
-      return;
-    }
-    drain_timer = Fd(::timerfd_create(CLOCK_MONOTONIC,
-                                      TFD_NONBLOCK | TFD_CLOEXEC));
-    if (!drain_timer.valid()) {
-      return;  // best-effort: drain just has no deadline
-    }
-    itimerspec spec{};
-    spec.it_value.tv_sec = options.drain_timeout_ms / 1000;
-    spec.it_value.tv_nsec =
-        static_cast<long>(options.drain_timeout_ms % 1000) * 1000000L;
-    if (::timerfd_settime(drain_timer.fd(), 0, &spec, nullptr) == -1) {
-      drain_timer.reset();
-      return;
-    }
-    loop.add_fd(drain_timer.fd(), IoEvents::kRead, [this](std::uint32_t) {
-      std::fprintf(stderr,
-                   "net: drain deadline (%d ms) reached with %zu connection(s) "
-                   "busy; force-closing\n",
-                   options.drain_timeout_ms, connections.size());
-      std::vector<ConnPtr> snapshot;
-      for (const auto& [id, conn] : connections) {
-        snapshot.push_back(conn);
-      }
-      for (const ConnPtr& conn : snapshot) {
-        close_conn(conn);
-      }
-      loop.stop();
-    });
-#endif
   }
 
   void check_drain() {
     if (draining && connections.empty() && active_requests == 0) {
       loop.stop();
     }
-  }
-
-  void signal_stop() noexcept {
-#if defined(__linux__)
-    const std::uint64_t one = 1;
-    ssize_t rc;
-    do {
-      rc = ::write(stop_event.fd(), &one, sizeof(one));
-    } while (rc == -1 && errno == EINTR);
-#endif
   }
 
   void run() {
@@ -926,31 +653,20 @@ struct NetServer::Impl {
 
   NetServerOptions options;
   service::SweepService service;
+  FairScheduler scheduler;
   EventLoop loop;
-  Listener listener;
-  Fd stop_event;
-  Fd drain_timer;
+  Fd listener;  ///< closed when the drain begins
+  std::uint16_t port = 0;  ///< the bound port, known after the close too
+  EventLoop::TimerId accept_retry{};  ///< the pending accept retry, if any
   std::unique_ptr<util::ThreadPool> executor;
   std::unordered_map<std::uint64_t, ConnPtr> connections;
   std::uint64_t next_id = 1;
   std::size_t active_requests = 0;
   std::size_t worker_count = 1;
   bool draining = false;
-
-  // Scheduler state. Everything below lives on the loop thread; the
-  // ostats block is additionally read by overload_stats() from executor
-  // threads (the stats handler) and tests, hence its mutex.
-  double virtual_time = 0.0;
   bool in_dispatch = false;
   bool dispatch_again = false;
   bool resume_pending = false;  ///< a dispatch pass waits for the next poll
-  Fd sched_timer;
-  bool sched_timer_armed = false;
-  Clock::time_point sched_timer_deadline{};
-  double executing_units = 0.0;  ///< cost of requests on workers right now
-  Clock::time_point last_completion{};
-  mutable std::mutex ostats_mutex;
-  OverloadStats ostats;
 
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> rejected_over_limit{0};
@@ -967,13 +683,9 @@ NetServer::~NetServer() = default;
 
 void NetServer::run() { impl_->run(); }
 
-void NetServer::stop() { impl_->signal_stop(); }
+void NetServer::stop() noexcept { impl_->loop.interrupt(); }
 
-void NetServer::signal_stop() noexcept { impl_->signal_stop(); }
-
-std::uint16_t NetServer::port() const noexcept {
-  return impl_->listener.port();
-}
+std::uint16_t NetServer::port() const noexcept { return impl_->port; }
 
 service::SweepService& NetServer::service() noexcept {
   return impl_->service;
@@ -984,11 +696,7 @@ const NetServerOptions& NetServer::options() const noexcept {
 }
 
 OverloadStats NetServer::overload_stats() const {
-  return impl_->overload_stats();
-}
-
-util::JsonValue NetServer::overload_stats_json() const {
-  return impl_->overload_stats_json();
+  return impl_->scheduler.stats();
 }
 
 NetServer::Stats NetServer::stats() const {
@@ -1002,7 +710,7 @@ NetServer::Stats NetServer::stats() const {
   stats.dropped_error = impl_->dropped_error.load(std::memory_order_relaxed);
   stats.requests_started =
       impl_->requests_started.load(std::memory_order_relaxed);
-  stats.served_inline = impl_->overload_stats().served_inline;
+  stats.served_inline = impl_->scheduler.stats().served_inline;
   return stats;
 }
 

@@ -151,19 +151,38 @@ Fd listen_tcp(const std::string& host, std::uint16_t port, int backlog,
   return fd;
 }
 
-Fd accept_connection(int listen_fd) {
+Fd accept_connection(int listen_fd, bool* exhausted) {
   for (;;) {
     const int fd = ::accept4(listen_fd, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd >= 0) {
       return Fd(fd);
     }
-    if (errno == EINTR) {
-      continue;
+    switch (errno) {
+      case EINTR:
+      // That one connection failed before it was accepted; the next
+      // may not have (accept(2), "Error handling").
+      case ECONNABORTED:
+      case EPROTO:
+      case ENETDOWN:
+      case ENOPROTOOPT:
+      case EHOSTDOWN:
+      case ENONET:
+      case EHOSTUNREACH:
+      case EOPNOTSUPP:
+      case ENETUNREACH:
+        continue;
+      case EMFILE:
+      case ENFILE:
+      case ENOBUFS:
+      case ENOMEM:
+        if (exhausted != nullptr) {
+          *exhausted = true;
+        }
+        return Fd();
+      default:  // EAGAIN: drained; or the listener failed
+        return Fd();
     }
-    // EAGAIN = queue drained; ECONNABORTED etc. = that one connection
-    // evaporated before we accepted it. Either way: nothing to hand out.
-    return Fd();
   }
 }
 
@@ -298,7 +317,7 @@ IoStatus write_some(int, const char*, std::size_t, std::size_t*) {
 Fd listen_tcp(const std::string&, std::uint16_t, int, std::uint16_t*) {
   unsupported();
 }
-Fd accept_connection(int) { unsupported(); }
+Fd accept_connection(int, bool*) { unsupported(); }
 Fd connect_tcp(const std::string&, std::uint16_t, int) { unsupported(); }
 void set_blocking(int) {}
 void set_nonblocking(int) {}

@@ -102,7 +102,7 @@ bool JsonlSession::answer(ResolvedRequest& resolved, Rungs rungs) {
     // One streaming path, both modes: each cell as it resolves, then the
     // done line, through the mode's overload of the done-line builder.
     const auto stream = [&](const auto& cell) {
-      if (options_.stream && !cancelled()) {
+      if (!cancelled()) {
         emit(cell_line(request.id, resolved.signature, cell), false);
       }
     };
@@ -126,9 +126,7 @@ bool JsonlSession::answer(ResolvedRequest& resolved, Rungs rungs) {
       }
       stream(cell);
     });
-    const bool need_sink = options_.stream || options_.collect;
-    const SubmitResult result =
-        service_.submit(resolved, need_sink ? &sink : nullptr, cancel, rungs);
+    const SubmitResult result = service_.submit(resolved, &sink, cancel, rungs);
     if (!finish(result)) {
       return false;
     }

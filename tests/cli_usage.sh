@@ -9,10 +9,10 @@
 # The serving binaries (sweep_serverd, sweep_router, sweep_client and the
 # sweep_chaosd proxy) must reject 2^32 + 1 for every flag they narrow to
 # an int, which would otherwise wrap to 1, sweep_router a shard port
-# with trailing junk and its retired retry flags; a daemon that wrongly
-# accepts one starts serving and is caught by the timeout. Flags that name a platform or a pattern
-# family, and platform_advisor's custom rates that no pattern can run
-# at, must exit 2 too, not abort.
+# with trailing junk, and every retired flag as an unknown flag; a daemon
+# that wrongly accepts one starts serving and is caught by the timeout.
+# Flags that name a platform or a pattern family, and platform_advisor's
+# custom rates that no pattern can run at, must exit 2 too, not abort.
 #
 # Usage: cli_usage.sh BUILD_DIR
 set -u
@@ -75,6 +75,11 @@ check sweep_router "--port=0" "127.0.0.1:7000abc" shards
 # flags are unknown flags now, with any value.
 check sweep_router "--port=0 --shards=127.0.0.1:1" "2" attempts-per-shard
 check sweep_router "--port=0 --shards=127.0.0.1:1" "1" jitter-seed
+# Knobs no caller set are gone: each is an unknown flag now.
+check sweep_router "--port=0 --shards=127.0.0.1:1" "64" vnodes
+check sweep_server "--input=/dev/null" "true" no-stream
+check sweep_client "--port=1 --input=/dev/null" "1" jitter-seed
+check sweep_chaosd "--port=0 --upstream-port=1" "true" kill-fin
 check sweep_client "--port=1 --input=/dev/null" "$WRAPS" \
     retries connect-timeout-ms receive-timeout-ms
 check sweep_chaosd "--port=0 --upstream-port=1" "$WRAPS" stall-max-ms

@@ -3,7 +3,9 @@
 // (both run service::JsonlSession, and these tests pin that the network
 // adds nothing), pipelining order, two concurrent pipelined clients,
 // cancellation on disconnect, the connection limit, oversized-line
-// rejection, slow-client drop, the stats surface and the graceful drain.
+// rejection, slow-client drop, the stats surface, the graceful drain and
+// its deadline, accepting after descriptor exhaustion, and the event
+// loop's timers and interrupt.
 //
 // Determinism note: requests here use single-cell grids, so even a
 // cache-miss compute streams its one cell in a deterministic order and
@@ -12,14 +14,21 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "resilience/net/client.hpp"
+#include "resilience/net/event_loop.hpp"
 #include "resilience/net/server.hpp"
 #include "resilience/net/socket.hpp"
 #include "resilience/service/jsonl_session.hpp"
@@ -393,6 +402,57 @@ TEST(NetServer, GracefulDrainFinishesReceivedRequestsThenCloses) {
   daemon.reset();  // run() must have returned; join succeeds
 }
 
+/// Blocks in every scenario until its connection's cancel flag flips:
+/// only a force-close ends such a request.
+class StuckSession final : public rs::LineSession {
+ public:
+  StuckSession(LineFn emit, std::shared_ptr<const std::atomic<bool>> cancel)
+      : LineSession(std::move(emit), std::move(cancel)) {}
+
+ private:
+  std::string stats_answer(const std::string& id) override {
+    return rs::pong_line(id);
+  }
+  void serve_scenario(rs::ResolvedRequest&) override {
+    while (!cancelled()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+};
+
+TEST(NetServer, DrainDeadlineForceClosesBusyConnections) {
+  using Clock = std::chrono::steady_clock;
+  rn::NetServerOptions options;
+  options.drain_timeout_ms = 200;
+  options.session_factory = [](rs::LineSession::LineFn emit,
+                               std::shared_ptr<std::atomic<bool>> cancel) {
+    return std::make_unique<StuckSession>(std::move(emit), std::move(cancel));
+  };
+  rn::NetServer server(std::move(options));
+  Clock::time_point returned{};
+  std::thread serving([&] {
+    server.run();
+    returned = Clock::now();
+  });
+  rn::Client client;
+  client.connect("127.0.0.1", server.port());
+  client.send_line(one_cell_request("stuck", "hera", 512));
+  for (int i = 0; i < 5000 && server.stats().requests_started == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.stats().requests_started, 1u);
+
+  const Clock::time_point stopped = Clock::now();
+  server.stop();
+  serving.join();
+  // The drain waits out its deadline for the stuck request, then closes
+  // the connection (which cancels the session) and returns.
+  EXPECT_GE(returned - stopped, std::chrono::milliseconds(200));
+  EXPECT_LT(returned - stopped, std::chrono::seconds(10));
+  client.set_receive_timeout(5000);
+  EXPECT_EQ(client.read_line(), std::nullopt);  // EOF, with no answer
+}
+
 TEST(NetServer, HalfClosingClientGetsAllResponsesThenEof) {
   // The `printf ... | nc` shape: send everything, half-close, read until
   // the server closes. The server must answer every request and then
@@ -508,6 +568,64 @@ TEST(NetServer, PingAnswersOnePongLine) {
   const Lines stats = complete_lines(client.transact("{\"type\": \"stats\"}"));
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_NE(stats[0].find("\"submits\":0"), std::string::npos);
+}
+
+/// Lowers this process's soft descriptor limit to at most `soft` while
+/// it lives, then restores it.
+class DescriptorLimit {
+ public:
+  explicit DescriptorLimit(rlim_t soft) {
+    lowered_ = ::getrlimit(RLIMIT_NOFILE, &saved_) == 0;
+    rlimit lowered = saved_;
+    lowered.rlim_cur = std::min(soft, saved_.rlim_cur);
+    lowered_ = lowered_ && ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~DescriptorLimit() {
+    if (lowered_) {
+      ::setrlimit(RLIMIT_NOFILE, &saved_);
+    }
+  }
+  DescriptorLimit(const DescriptorLimit&) = delete;
+  DescriptorLimit& operator=(const DescriptorLimit&) = delete;
+
+  [[nodiscard]] bool lowered() const noexcept { return lowered_; }
+
+ private:
+  rlimit saved_{};
+  bool lowered_ = false;
+};
+
+TEST(NetServer, AConnectionPendingThroughDescriptorExhaustionIsServed) {
+  // An accept that fails with EMFILE leaves the connection queued in
+  // the kernel, and the edge-triggered listener reports no new edge for
+  // it: the server must accept again on its own, not wait for another
+  // client to connect.
+  TestDaemon daemon;
+  rn::Client client;
+  {
+    const DescriptorLimit limit(512);
+    ASSERT_TRUE(limit.lowered());
+    std::vector<rn::Fd> filler;
+    for (;;) {
+      const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (fd < 0) {
+        ASSERT_EQ(errno, EMFILE);
+        break;
+      }
+      filler.emplace_back(fd);
+    }
+    ASSERT_FALSE(filler.empty());
+    filler.pop_back();  // the one free slot: the client's socket
+    client.connect("127.0.0.1", daemon.port());
+    client.send_line("{\"type\": \"ping\", \"id\": \"exhausted\"}");
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_EQ(daemon->stats().accepted, 0u);  // no slot to accept into
+  }  // the descriptors close, then the limit is restored
+  client.set_receive_timeout(5000);
+  const Lines response = complete_lines(client.read_response());
+  EXPECT_EQ(response,
+            Lines{"{\"type\":\"pong\",\"request\":\"exhausted\"}"});
+  EXPECT_EQ(daemon->stats().accepted, 1u);
 }
 
 /// A grid that cannot finish inside a short deadline on any core count:
@@ -835,6 +953,56 @@ TEST(NetClient, TruncatedTerminalLookingTailReportsIncomplete) {
   ASSERT_EQ(response.lines.size(), 2u);
   EXPECT_EQ(response.lines[1], "{\"type\":\"done\",\"requ");
   server.release();
+}
+
+// --------------------------------------------------------- event loop --
+
+TEST(EventLoop, RunAtTasksRunInTimeOrderAndNeverEarly) {
+  using Clock = rn::EventLoop::Clock;
+  rn::EventLoop loop;
+  const std::vector<int> delays_ms{30, 10, 20, 10, 0};
+  const Clock::time_point start = Clock::now();
+  std::vector<std::pair<std::size_t, Clock::time_point>> ran;
+  for (std::size_t i = 0; i < delays_ms.size(); ++i) {
+    loop.run_at(start + std::chrono::milliseconds(delays_ms[i]), [&, i] {
+      ran.emplace_back(i, Clock::now());
+      if (ran.size() == delays_ms.size()) {
+        loop.stop();
+      }
+    });
+  }
+  const rn::EventLoop::TimerId dropped = loop.run_at(
+      start + std::chrono::milliseconds(5),
+      [&] { ran.emplace_back(delays_ms.size(), Clock::now()); });
+  loop.cancel(dropped);
+  loop.run();
+
+  // By time; the two 10 ms tasks in the order they were added.
+  const std::vector<std::size_t> order{4, 1, 3, 2, 0};
+  ASSERT_EQ(ran.size(), order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    EXPECT_EQ(ran[k].first, order[k]) << "position " << k;
+    EXPECT_GE(ran[k].second,
+              start + std::chrono::milliseconds(delays_ms[ran[k].first]))
+        << "task " << ran[k].first << " ran early";
+  }
+}
+
+TEST(EventLoop, InterruptFromAnotherThreadRunsTheHandlerOnTheLoopThread) {
+  rn::EventLoop loop;
+  std::thread::id handler_thread;
+  int calls = 0;
+  loop.on_interrupt([&] {
+    handler_thread = std::this_thread::get_id();
+    ++calls;
+    loop.stop();
+  });
+  std::thread looping([&] { loop.run(); });
+  const std::thread::id loop_thread = looping.get_id();
+  loop.interrupt();
+  looping.join();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(handler_thread, loop_thread);
 }
 
 }  // namespace
